@@ -2,16 +2,35 @@
 
 These two scalars carry all the geometric information used by the
 family-level feasibility certificates and the convergence rate bound.
+Both are principal cosines, read from one SVD of the cross-Gram matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .subspaces import Subspace, _check_compatible, intersect
+from .subspaces import Subspace, _check_compatible, add, intersect
 
 #: norms at or above 1 minus this band are flagged numerically degenerate
 DEGENERACY_BAND = 1e-8
+
+
+def principal_cosines(u: Subspace, v: Subspace) -> np.ndarray:
+    """Cosines of the principal angles between two subspaces, descending.
+
+    They are the singular values of the cross-Gram matrix of the two
+    bases (Bjorck & Golub, Math. Comp. 27, 1973), clamped to [0, 1];
+    there are min(dim u, dim v) of them.
+    """
+    if u.dim == 0 or v.dim == 0:
+        return np.zeros(0)
+    s = np.linalg.svd(u.basis.conj().T @ v.basis, compute_uv=False)
+    return np.clip(s, 0.0, 1.0)
+
+
+def _nth_cosine(cosines: np.ndarray, d: int) -> float:
+    """cosines[d], or 0 when fewer than d + 1 principal angles exist."""
+    return float(cosines[d]) if d < cosines.size else 0.0
 
 
 def projector_product_norm(u: Subspace, v: Subspace) -> float:
@@ -22,10 +41,7 @@ def projector_product_norm(u: Subspace, v: Subspace) -> float:
     angle between the subspaces.  Symmetric in its arguments.
     """
     _check_compatible(u, v)
-    if u.dim == 0 or v.dim == 0:
-        return 0.0
-    s = np.linalg.svd(u.basis.conj().T @ v.basis, compute_uv=False)
-    return float(np.clip(s[0], 0.0, 1.0))
+    return _nth_cosine(principal_cosines(u, v), 0)
 
 
 def is_degenerate(norm: float) -> bool:
@@ -36,20 +52,14 @@ def is_degenerate(norm: float) -> bool:
 def cos_friedrichs(u: Subspace, v: Subspace) -> float:
     """Cosine of the Friedrichs angle between two subspaces.
 
-    The common part w = u meet v is removed from both sides and the
-    projector-product norm of the two residual subspaces is returned.
-    When one subspace contains the other the residuals are trivial and
-    the value is 0.
+    The first d = dim u + dim v - dim(u + v) principal cosines equal 1
+    and belong to the intersection; the Friedrichs cosine is the next
+    one, s[d], read from one SVD of the cross-Gram matrix with the
+    package's rank cutoff deciding d.  When one subspace contains the
+    other no principal angle is left and the value is 0.
     """
     _check_compatible(u, v)
-    w = intersect(u, v)
-    if w.dim:
-        wp = w.complement()
-        u = intersect(u, wp)
-        v = intersect(v, wp)
-    if u.dim == 0 or v.dim == 0:
-        return 0.0
-    return projector_product_norm(u, v)
+    return _nth_cosine(principal_cosines(u, v), u.dim + v.dim - add(u, v).dim)
 
 
 def angle_identity_gap(u: Subspace, v: Subspace) -> float:

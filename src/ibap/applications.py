@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import DEGENERACY_BAND, projector_product_norm
-from .family import Family, IbapFailureError, verify_ibap
+from .family import Family, IbapFailureError, check_independence, trailing_sums, verify_ibap
 from .solvers import (
     AffineConstraint,
     ConvergenceTrace,
@@ -24,7 +24,7 @@ from .solvers import (
     solve_min_norm,
     solve_two,
 )
-from .subspaces import COMPLEX, Subspace, as_field_vector, intersect, add
+from .subspaces import COMPLEX, Subspace, as_field_vector, intersect
 
 
 class HypothesisError(ValueError):
@@ -179,9 +179,9 @@ def recover_with_measurements(problem: MaskedSignalProblem, measurements,
     subs += [u_time, u_freq]
     pres += [a_ext, b_sig]
     family = Family(tuple(subs))
-    report = verify_ibap(family)
-    if not report.verdict:
-        raise IbapFailureError("measurement and mask subspaces are linearly dependent", report)
+    if not check_independence(family):
+        raise IbapFailureError("measurement and mask subspaces are linearly dependent",
+                               verify_ibap(family))
     return solve_min_norm(family, pres)
 
 
@@ -256,18 +256,19 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
                 f"(residual {gap:.3e})")
         points.append(u)
         row_spaces.append(Subspace.from_spanning([row.conj() for row in t], n))
-    kernels = [s.complement() for s in row_spaces]
-    m = len(mats)
-    for i in range(m - 1):
-        tail = kernels[i + 1]
-        for k in kernels[i + 2:]:
-            tail = intersect(tail, k)
-        if add(kernels[i], tail).dim < n:
-            raise HypothesisError(
-                f"kernel overlap condition fails at level {i + 1}: "
-                "the kernel plus the intersection of the later kernels "
-                "does not cover the space", level=i + 1)
-    return solve_min_norm(Family(tuple(row_spaces)), points)
+    family = Family(tuple(row_spaces))
+    if not check_independence(family):
+        # ker T_i + (later kernels) is the whole space exactly when the
+        # row space of T_i meets the sum of the later row spaces trivially
+        tails = trailing_sums(family)
+        spans = [family.dim_sum] + [t.dim for t in tails]
+        level = 1 + next(i for i, tail in enumerate(tails)
+                         if row_spaces[i].dim + tail.dim > spans[i])
+        raise HypothesisError(
+            f"kernel overlap condition fails at level {level}: "
+            "the kernel plus the intersection of the later kernels "
+            "does not cover the space", level=level)
+    return solve_min_norm(family, points)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ default iteration tolerance of 1e-10.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -57,7 +58,7 @@ from .solvers import (
     rate_bound,
     solve_min_norm,
 )
-from .subspaces import COMPLEX, REAL, Subspace, add_all, field_dtype, inner
+from .subspaces import COMPLEX, REAL, Subspace, field_dtype, inner
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -92,16 +93,24 @@ def default_tol() -> float:
 def _scalar(value, field: str, what: str):
     if isinstance(value, bool):
         raise ParseError(f"{what}: booleans are not numbers")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, list):
-        if field != COMPLEX:
-            raise ParseError(f"{what}: [re, im] scalars require the complex field")
-        if len(value) != 2 or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                                      for p in value):
-            raise ParseError(f"{what}: complex scalars must be [re, im] number pairs")
-        return complex(float(value[0]), float(value[1]))
-    raise ParseError(f"{what}: expected a number or [re, im] pair, got {value!r}")
+    try:
+        if isinstance(value, (int, float)):
+            z = float(value)
+        elif isinstance(value, list):
+            if field != COMPLEX:
+                raise ParseError(f"{what}: [re, im] scalars require the complex field")
+            if len(value) != 2 or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                                          for p in value):
+                raise ParseError(f"{what}: complex scalars must be [re, im] number pairs")
+            z = complex(float(value[0]), float(value[1]))
+        else:
+            raise ParseError(f"{what}: expected a number or [re, im] pair, got {value!r}")
+    except OverflowError:
+        z = math.inf
+    if cmath.isfinite(z):
+        return z
+    # decimals beyond the float range decode as infinities
+    raise ParseError(f"{what}: not a finite number")
 
 
 def _vector(values, n: int, field: str, what: str) -> np.ndarray:
@@ -136,14 +145,23 @@ class Problem:
     anchor: np.ndarray | None
 
 
+def _loads(text: str, what: str):
+    """Decode JSON text, rejecting the NaN and Infinity tokens json accepts."""
+    def reject(token):
+        raise ParseError(f"{what}: non-finite number {token}")
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what}: invalid JSON ({exc})") from None
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    doc = _loads(text, path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
@@ -225,11 +243,7 @@ def _require_prescription(problem: Problem, path: str) -> list:
 
 
 def _parse_cli_vector(text: str, n: int, field: str, what: str) -> np.ndarray:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what}: invalid JSON ({exc})") from None
-    return _vector(raw, n, field, what)
+    return _vector(_loads(text, what), n, field, what)
 
 
 # ---------------------------------------------------------------- output
@@ -319,8 +333,7 @@ def cmd_solve(args) -> int:
     elif args.method == "recursion":
         x = solve_min_norm(family, prescription)
         if anchor is not None:
-            parallel = add_all(family.subspaces).complement()
-            x = x + parallel.project(anchor - x)
+            x = x + family.parallel.project(anchor - x)
     else:
         opts = SolveOptions(max_iter=args.max_iter, tol=args.tol)
         start = anchor if anchor is not None else np.zeros(problem.ambient_dim,
@@ -437,13 +450,11 @@ def cmd_signal(args) -> int:
 
 def cmd_slowdemo(args) -> int:
     if args.alphas is not None:
-        try:
-            raw = json.loads(args.alphas)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"--alphas: invalid JSON ({exc})") from None
+        raw = _loads(args.alphas, "--alphas")
         if not isinstance(raw, list) or not raw:
             raise ParseError("--alphas must be a nonempty JSON list of positive numbers")
-        spec = SlowFamilySpec(len(raw), tuple(float(a) for a in raw))
+        spec = SlowFamilySpec(len(raw), tuple(_scalar(a, REAL, f"--alphas[{i}]")
+                                              for i, a in enumerate(raw)))
         if args.truncation is not None and args.truncation != len(raw):
             raise ParseError("--truncation disagrees with the length of --alphas")
     else:
@@ -459,7 +470,9 @@ def cmd_slowdemo(args) -> int:
     zeros = np.zeros(family.ambient_dim)
     _, trace = best_approximation(start, family, [zeros, zeros], opts)
     print(f"predicted norm: {predicted!r}")
-    print(f"rate bound alpha: {rate_bound(family)!r}")
+    # trace.alpha is None without the property; rate_bound then raises
+    alpha = trace.alpha if trace.alpha is not None else rate_bound(family)
+    print(f"rate bound alpha: {alpha!r}")
     print(f"per-sweep contraction (squared norm): {predicted * predicted!r}")
     print(f"sweeps: {trace.sweeps}  converged: {'yes' if trace.converged else 'no'}")
     if args.trace:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .angles import DEGENERACY_BAND, cos_friedrichs, projector_product_norm
+from .angles import _nth_cosine, is_degenerate, principal_cosines, projector_product_norm
 from .subspaces import (
     MEMBERSHIP_RTOL,
     Subspace,
@@ -25,7 +26,6 @@ from .subspaces import (
     _rank_from_singular_values,
     add,
     as_field_vector,
-    intersect,
 )
 
 #: relative residual above which a stacked prescription system is
@@ -72,7 +72,10 @@ class InfeasiblePrescriptionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """An ordered family of subspaces sharing ambient dimension and field."""
+    """An ordered family of subspaces sharing ambient dimension and field.
+
+    The full SVD of the stacked bases is taken on first use and cached.
+    """
 
     subspaces: tuple
 
@@ -113,6 +116,30 @@ class Family:
 
     def __repr__(self) -> str:
         return f"Family(dims={list(self.dims)}, ambient={self.ambient_dim}, field={self.field})"
+
+    @cached_property
+    def _stacked(self):
+        """Read-only full SVD (u, s, vh) of the stacked bases and its rank.
+
+        Computed once per family, with the largest member rank_tol.
+        """
+        mat = np.hstack([s.basis for s in self.subspaces])
+        u, s, vh = np.linalg.svd(mat, full_matrices=True)
+        rank = _rank_from_singular_values(s, mat.shape, max(t.rank_tol for t in self.subspaces))
+        for arr in (u, s, vh):
+            arr.setflags(write=False)
+        return u, s, vh, rank
+
+    @property
+    def dim_sum(self) -> int:
+        """Dimension of U_1 + ... + U_m."""
+        return self._stacked[3]
+
+    @cached_property
+    def parallel(self) -> Subspace:
+        """Complement of U_1 + ... + U_m, parallel to every solution set."""
+        u, _, _, rank = self._stacked
+        return Subspace(u[:, rank:], max(s.rank_tol for s in self.subspaces))
 
 
 @dataclass(frozen=True)
@@ -161,35 +188,13 @@ def trailing_sums(family: Family) -> list:
     return out
 
 
-def _stacked_basis(family: Family) -> np.ndarray:
-    return np.hstack([s.basis for s in family.subspaces])
-
-
-def _family_rank_tol(family: Family) -> float:
-    return max(s.rank_tol for s in family.subspaces)
-
-
-def _spanning_rank_and_null(family: Family):
-    """Rank of the stacked bases and, if deficient, a null coefficient vector."""
-    mat = _stacked_basis(family)
-    total = mat.shape[1]
-    if total == 0:
-        return 0, None
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = _rank_from_singular_values(s, mat.shape, _family_rank_tol(family))
-    if rank == total:
-        return rank, None
-    return rank, vh[-1].conj()
-
-
 def check_independence(family: Family) -> bool:
     """Whether the only tuple with u_i in U_i and zero sum is the zero tuple.
 
     Finite-dimensional test: the dimension of the sum equals the sum of
     the dimensions.
     """
-    rank, _ = _spanning_rank_and_null(family)
-    return rank == sum(family.dims)
+    return family.dim_sum == sum(family.dims)
 
 
 def dependent_tuple(family: Family):
@@ -198,69 +203,53 @@ def dependent_tuple(family: Family):
     Such a tuple certifies both linear dependence and, by the zero-sum
     infeasibility argument, a prescription with empty solution set.
     """
-    rank, coeff = _spanning_rank_and_null(family)
-    if coeff is None:
+    if check_independence(family):
         return None
-    parts = []
-    offset = 0
-    for s in family.subspaces:
-        parts.append(s.basis @ coeff[offset:offset + s.dim])
-        offset += s.dim
+    coeff = family._stacked[2][-1].conj()
+    chunks = np.split(coeff, np.cumsum(family.dims)[:-1])
+    parts = [s.basis @ c for s, c in zip(family.subspaces, chunks)]
     scale = max(float(np.linalg.norm(p)) for p in parts)
     return [p / scale for p in parts]
-
-
-def _rate_alpha(family: Family) -> float:
-    """Rate bound from the Friedrichs angles of the complements.
-
-    alpha = sqrt(1 - prod_i (1 - c_i^2)) with c_i the angle cosine
-    between the complement of U_i and the intersection of the trailing
-    complements.
-    """
-    subs = family.subspaces
-    m = len(subs)
-    if m == 1:
-        return 0.0
-    comps = [s.complement() for s in subs]
-    tail = comps[-1]
-    prod = 1.0
-    for i in range(m - 2, -1, -1):
-        c = cos_friedrichs(comps[i], tail)
-        prod *= 1.0 - c * c
-        if i:
-            tail = intersect(comps[i], tail)
-    return math.sqrt(max(0.0, 1.0 - prod))
 
 
 def verify_ibap(family: Family) -> IbapReport:
     """Decide the IBAP and assemble all per-level certificates.
 
-    The verdict is driven by exact-rank independence; the level norms
-    serve as conditioning certificates, with degenerate flags for norms
-    inside the numerical band of 1.  Degenerate numerics never raise.
+    The verdict is exact-rank independence from the stacked SVD; the
+    level norms serve as conditioning certificates, with degenerate
+    flags for norms inside the numerical band of 1.  Each level takes one
+    cross-Gram SVD of U_i against its trailing sum for both the norm and
+    the Friedrichs cosine (see cos_friedrichs).  alpha is
+    sqrt(1 - prod_i (1 - c_i^2)) over the level cosines c_i: since
+    c(M, N) = c(M-perp, N-perp), these are the angles between each
+    complement and the intersection of the later complements that bound
+    the iteration rate.  Degenerate numerics never raise.
     """
     subs = family.subspaces
-    m = len(subs)
-    rank, _ = _spanning_rank_and_null(family)
     sum_dims = sum(family.dims)
-    independent = rank == sum_dims
+    independent = check_independence(family)
     levels = []
-    if m > 1:
-        for i, tail in enumerate(trailing_sums(family)):
-            norm = projector_product_norm(subs[i], tail)
-            cosang = cos_friedrichs(subs[i], tail)
-            degenerate = norm >= 1.0 - DEGENERACY_BAND
+    if len(subs) > 1:
+        tails = trailing_sums(family)
+        for i, tail in enumerate(tails):
+            cosines = principal_cosines(subs[i], tail)
+            norm = _nth_cosine(cosines, 0)
+            # dim(U_i + tail): the next trailing sum, or the whole sum at the top
+            span_dim = tails[i - 1].dim if i else family.dim_sum
+            cosang = _nth_cosine(cosines, subs[i].dim + tail.dim - span_dim)
             gamma = 1.0 / math.sqrt(1.0 - norm * norm) if norm < 1.0 else math.inf
             levels.append(LevelCertificate(index=i + 1, norm=norm, cos_angle=cosang,
-                                           gamma=gamma, degenerate=degenerate))
-    verdict = independent
-    alpha = _rate_alpha(family) if verdict else 1.0
-    return IbapReport(verdict=verdict, independent=independent, levels=tuple(levels),
-                      alpha=alpha, sum_dims=sum_dims, dim_sum=rank)
+                                           gamma=gamma, degenerate=is_degenerate(norm)))
+    alpha = 1.0
+    if independent:
+        prod = math.prod(1.0 - lev.cos_angle ** 2 for lev in levels)
+        alpha = math.sqrt(max(0.0, 1.0 - prod))
+    return IbapReport(verdict=independent, independent=independent, levels=tuple(levels),
+                      alpha=alpha, sum_dims=sum_dims, dim_sum=family.dim_sum)
 
 
 def validate_prescription(family: Family, prescription) -> list:
-    """Check one vector per subspace, each a member of its subspace.
+    """Check one vector per subspace, each finite and a member of its subspace.
 
     Membership violations are errors, never silent projections.
     """
@@ -270,6 +259,8 @@ def validate_prescription(family: Family, prescription) -> list:
     out = []
     for i, (s, u) in enumerate(zip(family.subspaces, prescription)):
         u = as_field_vector(u, family.ambient_dim, family.dtype, what=f"prescription vector {i + 1}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError(f"prescription vector {i + 1} has non-finite entries")
         gap = float(np.linalg.norm(s.project(u) - u))
         if gap > MEMBERSHIP_RTOL * max(1.0, float(np.linalg.norm(u))):
             raise ValueError(f"prescription vector {i + 1} is not in its subspace (distance {gap:.3e})")
@@ -281,19 +272,30 @@ def stacked_lstsq(family: Family, prescription: list):
     """Minimal-norm least-squares solution of the stacked coordinate system.
 
     Rows are the conjugate-transposed bases, so the system is equivalent
-    to P_i x = u_i for prescriptions inside their subspaces.  Returns
-    (x, residual, scale) with scale = 1 + norm of the right-hand side.
+    to P_i x = u_i for prescriptions inside their subspaces; solved from
+    the family's stacked SVD.  Returns (x, residual, scale) with
+    scale = 1 + norm of the right-hand side.
     """
-    n = family.ambient_dim
-    rows = [s.basis.conj().T for s in family.subspaces]
-    rhs = [s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)]
-    a = np.vstack(rows)
-    b = np.concatenate(rhs) if rhs else np.zeros(0, dtype=family.dtype)
-    if a.shape[0] == 0:
-        return np.zeros(n, dtype=family.dtype), 0.0, 1.0
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
+    a = np.vstack([s.basis.conj().T for s in family.subspaces])
+    b = np.concatenate([s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)])
+    u, s, vh, rank = family._stacked
+    x = u[:, :rank] @ ((vh[:rank] @ b) / s[:rank])
     residual = float(np.linalg.norm(a @ x - b))
     return x, residual, 1.0 + float(np.linalg.norm(b))
+
+
+def _feasible_point(family: Family, pres: list) -> np.ndarray:
+    """Minimal-norm solution of a validated prescription.
+
+    Raises InfeasiblePrescriptionError, carrying the certificate, when
+    the stacked residual exceeds FEASIBILITY_RTOL relative to the scale.
+    """
+    x, residual, scale = stacked_lstsq(family, pres)
+    if residual > FEASIBILITY_RTOL * scale:
+        raise InfeasiblePrescriptionError(
+            f"prescription is infeasible (stacked residual {residual:.3e})",
+            InfeasibilityCertificate(residual=residual, best_point=x))
+    return x
 
 
 def infeasibility_certificate(family: Family, prescription):
@@ -302,9 +304,10 @@ def infeasibility_certificate(family: Family, prescription):
     A zero-sum prescription with nonzero members always produces one.
     """
     pres = validate_prescription(family, prescription)
-    x, residual, scale = stacked_lstsq(family, pres)
-    if residual > FEASIBILITY_RTOL * scale:
-        return InfeasibilityCertificate(residual=residual, best_point=x)
+    try:
+        _feasible_point(family, pres)
+    except InfeasiblePrescriptionError as exc:
+        return exc.certificate
     return None
 
 
@@ -335,8 +338,7 @@ def uniqueness_check(family: Family) -> bool:
     True exactly when the intersection of the complements is trivial,
     i.e. the subspaces together span the whole space.
     """
-    rank, _ = _spanning_rank_and_null(family)
-    return rank == family.ambient_dim
+    return family.dim_sum == family.ambient_dim
 
 
 @dataclass(frozen=True)

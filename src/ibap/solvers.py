@@ -10,7 +10,7 @@ Four routes are provided and cross-checked by the test suite:
   oracle and produces the full solution set (particular point plus
   parallel subspace);
 * the periodic projection iteration onto the affine constraint sets,
-  with an a-priori linear rate bound from the complement angles.
+  with an a-priori linear rate bound from the level angles.
 
 The operator inverses (Id - P_U P_V)^(-1) appearing in the closed form
 and the recursion are realized as small Hermitian solves in basis
@@ -25,17 +25,15 @@ import numpy as np
 
 from .angles import projector_product_norm
 from .family import (
-    FEASIBILITY_RTOL,
     Family,
     IbapFailureError,
-    InfeasibilityCertificate,
-    InfeasiblePrescriptionError,
-    stacked_lstsq,
+    _feasible_point,
+    check_independence,
     trailing_sums,
     validate_prescription,
     verify_ibap,
 )
-from .subspaces import MEMBERSHIP_RTOL, Subspace, _check_compatible, add_all, as_field_vector
+from .subspaces import MEMBERSHIP_RTOL, Subspace, _check_compatible, as_field_vector
 
 #: pair solves refuse projector-product norms at or beyond this value
 NORM_GUARD = 1.0 - 1e-12
@@ -203,10 +201,10 @@ def min_norm_stages(family: Family, prescription) -> list:
     Entry j solves the last j+1 constraints; the final entry is the
     minimal-norm solution of the whole prescription.  Requires the IBAP.
     """
-    report = verify_ibap(family)
-    if not report.verdict:
+    if not check_independence(family):
         raise IbapFailureError(
-            "family does not satisfy the inverse best approximation property", report)
+            "family does not satisfy the inverse best approximation property",
+            verify_ibap(family))
     pres = validate_prescription(family, prescription)
     subs = family.subspaces
     stages = [pres[-1]]
@@ -241,12 +239,8 @@ def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
     stacked system is inconsistent.
     """
     pres = validate_prescription(family, prescription)
-    x, residual, scale = stacked_lstsq(family, pres)
-    if residual > FEASIBILITY_RTOL * scale:
-        raise InfeasiblePrescriptionError(
-            f"prescription is infeasible (stacked residual {residual:.3e})",
-            InfeasibilityCertificate(residual=residual, best_point=x))
-    parallel = add_all(family.subspaces).complement()
+    x = _feasible_point(family, pres)
+    parallel = family.parallel
     if anchor is not None:
         anchor = as_field_vector(anchor, family.ambient_dim, family.dtype, what="anchor")
         x = x + parallel.project(anchor - x)
@@ -256,9 +250,9 @@ def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
 def rate_bound(family: Family) -> float:
     """A-priori linear rate of the periodic projection iteration.
 
-    Computed from the Friedrichs angles between each complement and the
-    intersection of the trailing complements; lies in [0, 1) whenever the
-    family satisfies the IBAP, which is required.
+    Computed from the Friedrichs angle cosines of the levels of
+    verify_ibap; lies in [0, 1) whenever the family satisfies the IBAP,
+    which is required.
     """
     report = verify_ibap(family)
     if not report.verdict:
@@ -287,11 +281,7 @@ def best_approximation(start, family: Family, prescription,
     if report.verdict or opts.record_trace:
         reference = direct_solve(family, pres, anchor=start).particular
     else:
-        x0, residual, scale = stacked_lstsq(family, pres)
-        if residual > FEASIBILITY_RTOL * scale:
-            raise InfeasiblePrescriptionError(
-                f"prescription is infeasible (stacked residual {residual:.3e})",
-                InfeasibilityCertificate(residual=residual, best_point=x0))
+        _feasible_point(family, pres)
     d0 = float(np.linalg.norm(start - reference)) if reference is not None else None
     constraints = [AffineConstraint(s, u) for s, u in zip(family.subspaces, pres)]
     x = start

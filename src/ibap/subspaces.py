@@ -200,19 +200,6 @@ def add(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(_orthonormal_columns(mat, rank_tol), rank_tol)
 
 
-def add_all(subspaces) -> Subspace:
-    """Sum of a nonempty collection of subspaces."""
-    subspaces = list(subspaces)
-    if not subspaces:
-        raise ValueError("add_all needs at least one subspace")
-    first = subspaces[0]
-    for s in subspaces[1:]:
-        _check_compatible(first, s)
-    rank_tol = max(s.rank_tol for s in subspaces)
-    mat = np.hstack([s.basis for s in subspaces])
-    return Subspace(_orthonormal_columns(mat, rank_tol), rank_tol)
-
-
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection, computed as the complement of the sum of complements."""
     _check_compatible(a, b)

@@ -3,11 +3,14 @@
 Each oracle takes a different route than the implementation it checks:
 Gram eigenvalues instead of basis SVDs, dense projector matrices instead
 of cross-Gram factors, truncated power series instead of direct solves,
-sampling instead of spectral maximization, and real-stacked least
-squares instead of complex solves.
+sampling instead of spectral maximization, real-stacked least squares
+instead of complex solves, and complement chains instead of level
+cosines.
 """
 
 import numpy as np
+
+from ibap import intersect
 
 
 def gram_rank(vectors, tol=1e-10):
@@ -123,3 +126,27 @@ def constrained_min_norm_in_space(space_basis, constraint_vectors, values):
     vals = np.asarray(values, dtype=rows.dtype)
     coeff = np.linalg.pinv(rows) @ vals
     return space_basis @ coeff
+
+
+def dense_friedrichs(u, v):
+    """c(U, V) = ||P_U P_V - P_(U meet V)|| on dense projector matrices,
+    with the intersection from the complement lattice."""
+    w = intersect(u, v)
+    return float(np.linalg.norm(dense_projector(u) @ dense_projector(v) - dense_projector(w), 2))
+
+
+def complement_chain_alpha(family):
+    """Rate bound sqrt(1 - prod_i (1 - c_i^2)) with c_i the Friedrichs
+    cosine between the complement of U_i and the intersection of the
+    complements after it, each built by dense complement SVDs."""
+    subs = family.subspaces
+    if len(subs) == 1:
+        return 0.0
+    comps = [s.complement() for s in subs]
+    tail = comps[-1]
+    prod = 1.0
+    for i in range(len(subs) - 2, -1, -1):
+        c = dense_friedrichs(comps[i], tail)
+        prod *= 1.0 - c * c
+        tail = intersect(comps[i], tail)
+    return float(np.sqrt(max(0.0, 1.0 - prod)))

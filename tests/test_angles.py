@@ -151,3 +151,35 @@ class TestAngleIdentity:
             u = add(shared, random_subspace(rng, 8, 2))
             v = add(shared, random_subspace(rng, 8, 1))
             assert angle_identity_gap(u, v) <= 1e-10
+
+
+def pair_with_shared_directions(rng, n, shared, extra_u, extra_v, field):
+    common = random_subspace(rng, n, shared, field)
+    u = add(common, random_subspace(rng, n, extra_u, field))
+    v = add(common, random_subspace(rng, n, extra_v, field))
+    return u, v
+
+
+class TestCrossGramRoute:
+    @pytest.mark.parametrize("shared", [1, 2, 3])
+    def test_friedrichs_matches_scipy_principal_angles(self, shared):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = rng_for(411 + shared)
+        for field in FIELDS:
+            for _ in range(10):
+                extra_u, extra_v = (int(k) for k in rng.integers(1, 4, size=2))
+                u, v = pair_with_shared_directions(rng, 10, shared, extra_u, extra_v, field)
+                angles = np.sort(linalg.subspace_angles(u.basis, v.basis))
+                assert np.all(angles[:shared] <= 1e-7)
+                assert abs(cos_friedrichs(u, v) - np.cos(angles[shared])) <= 1e-12
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_complements_share_the_friedrichs_angle(self, field):
+        # c(U, V) = c(U-perp, V-perp)
+        rng = rng_for(415)
+        for _ in range(20):
+            shared, extra_u, extra_v = (int(k) for k in rng.integers(1, 4, size=3))
+            u, v = pair_with_shared_directions(rng, 11, shared, extra_u, extra_v, field)
+            c = cos_friedrichs(u, v)
+            assert 0.0 < c < 1.0
+            assert abs(cos_friedrichs(u.complement(), v.complement()) - c) <= 1e-12

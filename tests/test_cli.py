@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from ibap.cli import (
     EXIT_INFEASIBLE,
@@ -405,3 +406,41 @@ class TestSlowdemoCommand:
     def test_missing_arguments_exit_four(self):
         assert main(["slowdemo"]) == EXIT_PARSE
         assert main(["slowdemo", "--alphas", "nonsense"]) == EXIT_PARSE
+
+
+class TestNonFiniteInput:
+    """JSON NaN/Infinity tokens and decimals beyond the float range are
+    rejected where they enter, never carried to a NaN answer."""
+
+    def test_check_rejects_a_nan_spanning_vector(self, tmp_path, capsys):
+        doc = axes_doc(prescription=False)
+        doc["subspaces"][0]["vectors"] = [[float("nan"), 0, 0]]
+        assert main(["check", write_json(tmp_path / "p.json", doc)]) == EXIT_PARSE
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["direct", "recursion", "iterate"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "9" * 400],
+                             ids=["nan", "inf", "-inf", "1e999", "400-digit-int"])
+    def test_solve_rejects_a_non_finite_prescription(self, tmp_path, method, token):
+        text = json.dumps(axes_doc()).replace("[2, 0, 0]", f"[{token}, 0, 0]")
+        assert token in text
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", str(path), "--method", method]) == EXIT_PARSE
+
+    def test_solve_rejects_a_non_finite_anchor_option(self, tmp_path):
+        path = write_json(tmp_path / "p.json", axes_doc())
+        assert main(["solve", path, "--anchor", "[1, NaN, 0]"]) == EXIT_PARSE
+
+    def test_iterate_rejects_a_nan_anchor(self, tmp_path):
+        doc = axes_doc()
+        doc["anchor"] = [0, float("nan"), 0]
+        assert main(["iterate", write_json(tmp_path / "p.json", doc)]) == EXIT_PARSE
+
+    def test_slowdemo_rejects_a_nan_start(self, capsys):
+        assert main(["slowdemo", "--truncation", "2", "--start", "[0, NaN, 0, 0]"]) == EXIT_PARSE
+        assert "sweeps" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alphas", ["[1.0, NaN]", "[1e999]", "[\"1.0\"]"])
+    def test_slowdemo_rejects_non_finite_or_non_numeric_weights(self, alphas):
+        assert main(["slowdemo", "--alphas", alphas]) == EXIT_PARSE

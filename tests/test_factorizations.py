@@ -1,0 +1,103 @@
+"""Factorization counts of the analysis layer on a fixed family.
+
+Each family is factorized once per call chain: one full SVD of its
+stacked bases, cached on the Family.  Every other SVD in these chains is
+a thin one (trailing sums) or a singular-value-only one on a cross-Gram
+matrix, and none of them builds a complement.
+"""
+
+import numpy as np
+import pytest
+
+from ibap import (
+    Family,
+    SolveOptions,
+    Subspace,
+    best_approximation,
+    direct_solve,
+    min_norm_stages,
+    solve_min_norm,
+    uniqueness_check,
+    verify_ibap,
+)
+
+from conftest import random_family, random_prescription, rng_for
+
+N = 24
+DIMS = (3, 4, 2, 5)
+
+
+@pytest.fixture(scope="module")
+def problem():
+    rng = rng_for(1201)
+    family = random_family(rng, N, DIMS)
+    return family.subspaces, random_prescription(rng, family)
+
+
+@pytest.fixture
+def log(monkeypatch):
+    """Records ("svd", shape, full_u) and ("lstsq", shape) for every call,
+    and ("complement",) for every orthogonal complement built."""
+    calls = []
+    svd, lstsq, complement = np.linalg.svd, np.linalg.lstsq, Subspace.complement
+
+    def counted_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append(("svd", np.shape(a), full_matrices and compute_uv))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    def counted_lstsq(a, b, *args, **kwargs):
+        calls.append(("lstsq", np.shape(a)))
+        return lstsq(a, b, *args, **kwargs)
+
+    def counted_complement(self):
+        calls.append(("complement",))
+        return complement(self)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(Subspace, "complement", counted_complement)
+    return calls
+
+
+def full_u_svds(calls):
+    """Shapes of the full-u SVDs with N rows, the only kind that is n by n."""
+    return [c[1] for c in calls if c[0] == "svd" and c[2] and c[1][0] == N]
+
+
+def thin_svds(calls):
+    """Thin SVDs with N rows; trailing_sums takes m - 2 of them."""
+    return [c[1] for c in calls if c[0] == "svd" and not c[2] and c[1][0] == N]
+
+
+TRAILING = len(DIMS) - 2
+
+#: chain -> (call, thin SVDs it takes)
+CHAINS = {
+    "verify_ibap": (lambda f, pres: verify_ibap(f), TRAILING),
+    "min_norm_stages": (lambda f, pres: min_norm_stages(f, pres), TRAILING),
+    "solve_min_norm": (lambda f, pres: solve_min_norm(f, pres), TRAILING),
+    "direct_solve": (lambda f, pres: direct_solve(f, pres, anchor=np.ones(N)), 0),
+    "best_approximation": (lambda f, pres: best_approximation(
+        np.ones(N), f, pres, SolveOptions(max_iter=3, record_trace=True)), TRAILING),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_one_stacked_svd_and_no_complement(chain, problem, log):
+    subspaces, pres = problem
+    call, thin = CHAINS[chain]
+    call(Family(subspaces), pres)
+    assert full_u_svds(log) == [(N, sum(DIMS))]
+    # the trailing sums are built at most once per chain
+    assert len(thin_svds(log)) == thin
+    assert not [c for c in log if c[0] in ("lstsq", "complement")]
+
+
+def test_check_chain_factorizes_the_family_once(problem, log):
+    family = Family(problem[0])
+    report = verify_ibap(family)
+    unique = uniqueness_check(family)
+    assert report.verdict and not unique and 0.0 < report.alpha < 1.0
+    assert full_u_svds(log) == [(N, sum(DIMS))]
+    assert len([c for c in log if c[0] == "svd" and c[2]]) == 1
+

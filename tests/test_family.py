@@ -17,6 +17,7 @@ from ibap import (
     prescription_residual,
     trailing_sums,
     uniqueness_check,
+    validate_prescription,
     verify_ibap,
 )
 
@@ -28,7 +29,7 @@ from conftest import (
     random_prescription,
     rng_for,
 )
-from oracles import dense_projector, pinv_min_norm, stacked_residual
+from oracles import complement_chain_alpha, dense_projector, pinv_min_norm, stacked_residual
 
 
 def axes_family(n, m=None):
@@ -142,6 +143,18 @@ class TestVerifyIbap:
                 assert abs(lev.gamma - 1.0 / smin) <= 1e-6 * lev.gamma
 
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_alpha_matches_the_complement_chain(self, field):
+        rng = rng_for(130)
+        for _ in range(25):
+            n = int(rng.integers(4, 12))
+            m = int(rng.integers(1, 5))
+            f = random_family(rng, n, random_independent_dims(rng, n, m), field)
+            report = verify_ibap(f)
+            assert report.verdict
+            assert abs(report.alpha - complement_chain_alpha(f)) <= 1e-12
+
+
 class TestEpsilonSolve:
     def test_axes_prescription(self):
         f = axes_family(2)
@@ -180,6 +193,12 @@ class TestEpsilonSolve:
         f = axes_family(2)
         with pytest.raises(ValueError):
             epsilon_solve(f, [np.array([2.0, 1.0]), np.array([0.0, 3.0])], 1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prescription_is_an_error(self, bad):
+        f = axes_family(2)
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_prescription(f, [np.array([bad, 0.0]), np.array([0.0, 3.0])])
 
     def test_nonpositive_epsilon_is_an_error(self):
         f = axes_family(2)
