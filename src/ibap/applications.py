@@ -15,7 +15,14 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import DEGENERACY_BAND, projector_product_norm
-from .family import Family, IbapFailureError, check_independence, trailing_sums, verify_ibap
+from .family import (
+    FEASIBILITY_RTOL,
+    Family,
+    IbapFailureError,
+    check_independence,
+    trailing_sums,
+    verify_ibap,
+)
 from .solvers import (
     AffineConstraint,
     ConvergenceTrace,
@@ -24,7 +31,7 @@ from .solvers import (
     solve_min_norm,
     solve_two,
 )
-from .subspaces import COMPLEX, Subspace, as_field_vector, intersect
+from .subspaces import COMPLEX, Subspace, as_field_vector
 
 
 class HypothesisError(ValueError):
@@ -190,7 +197,9 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
 
     Solves for x in the space with <x, v_i> = values[i] for each moment
     vector.  The moment vectors must be nonzero and linearly independent,
-    and their span must meet the orthocomplement of the space trivially.
+    and their span must meet the orthocomplement of the space trivially:
+    the moment lines together with that orthocomplement, the family that
+    is solved, must be independent.
     """
     n = space.ambient_dim
     vs = [as_field_vector(v, n, space.dtype, what=f"moment vector {i + 1}")
@@ -201,13 +210,12 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
     for i, v in enumerate(vs):
         if not np.linalg.norm(v) > 0:
             raise HypothesisError(f"moment vector {i + 1} is zero", level=i + 1)
-    if vs:
-        span = Subspace.from_spanning(vs, n)
-        if span.dim != len(vs):
-            raise HypothesisError("moment vectors are linearly dependent")
-        if intersect(space.complement(), span).dim:
-            raise HypothesisError(
-                "the span of the moment vectors meets the orthocomplement of the space")
+    if vs and Subspace.from_spanning(vs, n).dim != len(vs):
+        raise HypothesisError("moment vectors are linearly dependent")
+    family = Family(tuple(Subspace.from_spanning([v], n) for v in vs) + (space.complement(),))
+    if not check_independence(family):
+        raise HypothesisError(
+            "the span of the moment vectors meets the orthocomplement of the space")
     if space.field == COMPLEX:
         etas = [complex(v) for v in values]
     else:
@@ -217,11 +225,9 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
             if z.imag != 0:
                 raise ValueError(f"moment value {i + 1} is complex in a real problem")
             etas.append(z.real)
-    subs = [Subspace.from_spanning([v], n) for v in vs]
     pres = [eta * v / float(np.linalg.norm(v)) ** 2 for v, eta in zip(vs, etas)]
-    subs.append(space.complement())
     pres.append(np.zeros(n, dtype=space.dtype))
-    return solve_min_norm(Family(tuple(subs)), pres)
+    return solve_min_norm(family, pres)
 
 
 def solve_operator_system(operators, rhs) -> np.ndarray:
@@ -250,7 +256,7 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
         y = as_field_vector(y, t.shape[0], dtype, what=f"right-hand side {i + 1}")
         u = np.linalg.pinv(t) @ y
         gap = float(np.linalg.norm(t @ u - y))
-        if gap > 1e-8 * (1.0 + float(np.linalg.norm(y))):
+        if gap > FEASIBILITY_RTOL * (1.0 + float(np.linalg.norm(y))):
             raise ValueError(
                 f"right-hand side {i + 1} is not in the range of its operator "
                 f"(residual {gap:.3e})")

@@ -36,6 +36,7 @@ from .applications import (
     SlowFamilySpec,
     dft,
     recover_with_measurements,
+    slow_convergence_demo,
     slow_family,
     solve_moments,
     time_frequency_recover,
@@ -120,6 +121,20 @@ def _vector(values, n: int, field: str, what: str) -> np.ndarray:
         raise ParseError(f"{what}: has {len(values)} entries, expected {n}")
     entries = [_scalar(v, field, f"{what}[{i}]") for i, v in enumerate(values)]
     return np.asarray(entries, dtype=field_dtype(field))
+
+
+def _vector_value_entries(raw, n: int, field: str, what: str, path: str):
+    """(vectors, values) from a list of {"vector": ..., "value": ...} objects."""
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}: {what}s must be a list")
+    vectors = []
+    values = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or "vector" not in entry or "value" not in entry:
+            raise ParseError(f"{path}: {what} {i + 1} needs 'vector' and 'value'")
+        vectors.append(_vector(entry["vector"], n, field, f"{what} vector {i + 1}"))
+        values.append(_scalar(entry["value"], field, f"{what} value {i + 1}"))
+    return vectors, values
 
 
 def _encode_scalar(z, field: str):
@@ -385,16 +400,7 @@ def cmd_moments(args) -> int:
         vecs = [_vector(v, n, field, f"space vector {i + 1}")
                 for i, v in enumerate(doc["space"])]
         space = Subspace.from_spanning(vecs, n, field=field)
-    constraints = doc.get("constraints")
-    if not isinstance(constraints, list):
-        raise ParseError(f"{path}: constraints must be a list")
-    vectors = []
-    values = []
-    for i, entry in enumerate(constraints):
-        if not isinstance(entry, dict) or "vector" not in entry or "value" not in entry:
-            raise ParseError(f"{path}: constraint {i + 1} needs 'vector' and 'value'")
-        vectors.append(_vector(entry["vector"], n, field, f"constraint vector {i + 1}"))
-        values.append(_scalar(entry["value"], field, f"constraint value {i + 1}"))
+    vectors, values = _vector_value_entries(doc.get("constraints"), n, field, "constraint", path)
     x = solve_moments(space, vectors, values)
     print(f"solution: {_fmt_vector(x, field)}")
     print(f"norm: {float(np.linalg.norm(x))!r}")
@@ -424,13 +430,10 @@ def cmd_signal(args) -> int:
     problem = MaskedSignalProblem(n=n, time_mask=tuple(tmask), freq_mask=tuple(fmask),
                                   time_values=np.asarray(tvals, dtype=np.complex128),
                                   freq_values=np.asarray(fvals, dtype=np.complex128))
-    measurements = []
-    values = []
-    for i, entry in enumerate(doc.get("measurements", []) or []):
-        if not isinstance(entry, dict) or "vector" not in entry or "value" not in entry:
-            raise ParseError(f"{path}: measurement {i + 1} needs 'vector' and 'value'")
-        measurements.append(_vector(entry["vector"], n, COMPLEX, f"measurement vector {i + 1}"))
-        values.append(_scalar(entry["value"], COMPLEX, f"measurement value {i + 1}"))
+    measurements, values = [], []
+    if doc.get("measurements") is not None:
+        measurements, values = _vector_value_entries(doc["measurements"], n, COMPLEX,
+                                                     "measurement", path)
     if measurements:
         x = recover_with_measurements(problem, measurements, values)
     else:
@@ -467,8 +470,7 @@ def cmd_slowdemo(args) -> int:
     else:
         start = worst_aligned_start(spec)
     opts = SolveOptions(max_iter=args.max_iter, tol=args.tol, record_trace=True)
-    zeros = np.zeros(family.ambient_dim)
-    _, trace = best_approximation(start, family, [zeros, zeros], opts)
+    trace = slow_convergence_demo(spec, start, opts)
     print(f"predicted norm: {predicted!r}")
     # trace.alpha is None without the property; rate_bound then raises
     alpha = trace.alpha if trace.alpha is not None else rate_bound(family)

@@ -33,7 +33,7 @@ from .family import (
     validate_prescription,
     verify_ibap,
 )
-from .subspaces import MEMBERSHIP_RTOL, Subspace, _check_compatible, as_field_vector
+from .subspaces import Subspace, _check_compatible, as_field_vector
 
 #: pair solves refuse projector-product norms at or beyond this value
 NORM_GUARD = 1.0 - 1e-12
@@ -51,12 +51,7 @@ class AffineConstraint:
     point: np.ndarray
 
     def __post_init__(self):
-        u = as_field_vector(self.point, self.subspace.ambient_dim, self.subspace.dtype,
-                            what="constraint point")
-        gap = float(np.linalg.norm(self.subspace.project(u) - u))
-        if gap > MEMBERSHIP_RTOL * max(1.0, float(np.linalg.norm(u))):
-            raise ValueError(f"constraint point is not in its subspace (distance {gap:.3e})")
-        u = u.copy()
+        u = self.subspace.member(self.point, what="constraint point").copy()
         u.setflags(write=False)
         object.__setattr__(self, "point", u)
 
@@ -183,12 +178,8 @@ def extend_min_norm(level: Subspace, trailing: Subspace, u, v) -> np.ndarray:
     (Id - P P')^(-1) to u - P v and v - P' u.
     """
     _check_compatible(level, trailing)
-    u = as_field_vector(u, level.ambient_dim, level.dtype, what="level point")
-    v = as_field_vector(v, level.ambient_dim, level.dtype, what="trailing point")
-    if not level.contains(u):
-        raise ValueError("level point is not in the level subspace")
-    if not trailing.contains(v):
-        raise ValueError("trailing point is not in the trailing subspace")
+    u = level.member(u, what="level point")
+    v = trailing.member(v, what="trailing point")
     _require_pair_norm(level, trailing)
     w1 = u - level.project(v)
     w2 = v - trailing.project(u)
@@ -251,8 +242,9 @@ def rate_bound(family: Family) -> float:
     """A-priori linear rate of the periodic projection iteration.
 
     Computed from the Friedrichs angle cosines of the levels of
-    verify_ibap; lies in [0, 1) whenever the family satisfies the IBAP,
-    which is required.
+    verify_ibap; the family must satisfy the IBAP.  The bound is below 1
+    in exact arithmetic, but in double precision it rounds to 1.0 once
+    the smallest level angle is below about 1e-8.
     """
     report = verify_ibap(family)
     if not report.verdict:

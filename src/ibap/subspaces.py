@@ -54,20 +54,22 @@ def as_field_vector(x, ambient_dim: int, dtype, what: str = "vector") -> np.ndar
     return np.asarray(arr, dtype=dtype)
 
 
-def _rank_from_singular_values(s: np.ndarray, shape, rank_tol: float) -> int:
+def _rank_from_singular_values(s: np.ndarray, shape) -> int:
+    """Numerical rank: the singular values above max(shape) * eps times the largest.
+
+    This is the package's only rank decision.
+    """
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    rel = rank_tol if rank_tol > 0 else max(shape) * _EPS
-    return int(np.sum(s > rel * s[0]))
+    return int(np.sum(s > max(shape) * _EPS * s[0]))
 
 
-def _orthonormal_columns(mat: np.ndarray, rank_tol: float) -> np.ndarray:
+def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of mat, via rank-revealing SVD."""
     if mat.shape[1] == 0:
         return mat
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = _rank_from_singular_values(s, mat.shape, rank_tol)
-    return u[:, :rank]
+    return u[:, :_rank_from_singular_values(s, mat.shape)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,13 +77,10 @@ class Subspace:
     """A linear subspace as an (ambient_dim, dim) orthonormal basis matrix.
 
     dim == 0 encodes the zero subspace; it is a regular value, never an
-    error.  rank_tol is the relative singular-value cutoff the subspace
-    was built with (0 selects the default max(shape) * machine epsilon);
-    derived subspaces inherit the larger of their parents' tolerances.
+    error.
     """
 
     basis: np.ndarray
-    rank_tol: float = 0.0
 
     def __post_init__(self):
         basis = np.asarray(self.basis)
@@ -94,8 +93,6 @@ class Subspace:
             raise ValueError("ambient dimension must be positive")
         if k > n:
             raise ValueError(f"{k} basis columns cannot be independent in dimension {n}")
-        if not self.rank_tol >= 0:
-            raise ValueError("rank_tol must be nonnegative")
         if k:
             defect = np.max(np.abs(basis.conj().T @ basis - np.eye(k)))
             if defect > ORTHONORMALITY_TOL:
@@ -105,12 +102,12 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors, ambient_dim: int | None = None,
-                      rank_tol: float = 0.0, field: str | None = None) -> "Subspace":
+                      field: str | None = None) -> "Subspace":
         """Subspace spanned by the given vectors.
 
         The numerical rank is the number of singular values exceeding
-        rank_tol times the largest one.  An empty spanning set yields the
-        zero subspace; ambient_dim is then required.
+        max(shape) * machine epsilon times the largest one.  An empty
+        spanning set yields the zero subspace; ambient_dim is then required.
         """
         vectors = [np.asarray(v) for v in vectors]
         if ambient_dim is None:
@@ -126,16 +123,16 @@ class Subspace:
         cols = [as_field_vector(v, ambient_dim, dtype, what=f"spanning vector {i}")
                 for i, v in enumerate(vectors)]
         if not cols:
-            return cls(np.zeros((ambient_dim, 0), dtype=dtype), rank_tol)
-        return cls(_orthonormal_columns(np.column_stack(cols), rank_tol), rank_tol)
+            return cls(np.zeros((ambient_dim, 0), dtype=dtype))
+        return cls(_orthonormal_columns(np.column_stack(cols)))
 
     @classmethod
-    def zero(cls, ambient_dim: int, field: str = REAL, rank_tol: float = 0.0) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0), dtype=field_dtype(field)), rank_tol)
+    def zero(cls, ambient_dim: int, field: str = REAL) -> "Subspace":
+        return cls(np.zeros((ambient_dim, 0), dtype=field_dtype(field)))
 
     @classmethod
-    def full(cls, ambient_dim: int, field: str = REAL, rank_tol: float = 0.0) -> "Subspace":
-        return cls(np.eye(ambient_dim, dtype=field_dtype(field)), rank_tol)
+    def full(cls, ambient_dim: int, field: str = REAL) -> "Subspace":
+        return cls(np.eye(ambient_dim, dtype=field_dtype(field)))
 
     @property
     def ambient_dim(self) -> int:
@@ -164,22 +161,28 @@ class Subspace:
             return np.zeros(self.ambient_dim, dtype=self.dtype)
         return self.basis @ (self.basis.conj().T @ x)
 
-    def contains(self, x, tol: float | None = None) -> bool:
-        """Whether x lies in the subspace, up to a relative tolerance."""
-        x = as_field_vector(x, self.ambient_dim, self.dtype)
-        if tol is None:
-            tol = MEMBERSHIP_RTOL * max(1.0, float(np.linalg.norm(x)))
-        return float(np.linalg.norm(self.project(x) - x)) <= tol
+    def member(self, x, what: str = "vector") -> np.ndarray:
+        """x coerced to the field, checked to lie in the subspace.
+
+        Raises ValueError when the distance to the subspace exceeds
+        MEMBERSHIP_RTOL * max(1, ||x||); membership violations are
+        errors, never silent projections.
+        """
+        x = as_field_vector(x, self.ambient_dim, self.dtype, what=what)
+        gap = float(np.linalg.norm(self.project(x) - x))
+        if gap > MEMBERSHIP_RTOL * max(1.0, float(np.linalg.norm(x))):
+            raise ValueError(f"{what} is not in its subspace (distance {gap:.3e})")
+        return x
 
     def complement(self) -> "Subspace":
         """Orthogonal complement; dimensions add up to ambient_dim exactly."""
         n, k = self.basis.shape
         if k == 0:
-            return Subspace(np.eye(n, dtype=self.dtype), self.rank_tol)
+            return Subspace(np.eye(n, dtype=self.dtype))
         if k == n:
-            return Subspace(np.zeros((n, 0), dtype=self.dtype), self.rank_tol)
+            return Subspace(np.zeros((n, 0), dtype=self.dtype))
         u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace(u[:, k:], self.rank_tol)
+        return Subspace(u[:, k:])
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field})"
@@ -195,9 +198,7 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 def add(a: Subspace, b: Subspace) -> Subspace:
     """Sum of two subspaces, the span of their union."""
     _check_compatible(a, b)
-    rank_tol = max(a.rank_tol, b.rank_tol)
-    mat = np.hstack([a.basis, b.basis])
-    return Subspace(_orthonormal_columns(mat, rank_tol), rank_tol)
+    return Subspace(_orthonormal_columns(np.hstack([a.basis, b.basis])))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -372,6 +372,20 @@ class TestSignalCommand:
         out = capsys.readouterr().out
         assert "measurement 1 residual" in out
 
+    @pytest.mark.parametrize("measurements", [5, False])
+    def test_measurements_must_be_a_list(self, tmp_path, capsys, measurements):
+        doc = {
+            "n": 8,
+            "time_mask": [0, 1],
+            "freq_mask": [0],
+            "time_values": [1.0, 2.0],
+            "freq_values": [[0.5, 0.5]],
+            "measurements": measurements,
+        }
+        path = write_json(tmp_path / "sig.json", doc)
+        assert main(["signal", path]) == EXIT_PARSE
+        assert "measurements must be a list" in capsys.readouterr().err
+
     def test_oversized_masks_exit_three(self, tmp_path):
         doc = {
             "n": 4,

@@ -11,17 +11,19 @@ import pytest
 
 from ibap import (
     Family,
+    HypothesisError,
     SolveOptions,
     Subspace,
     best_approximation,
     direct_solve,
     min_norm_stages,
     solve_min_norm,
+    solve_moments,
     uniqueness_check,
     verify_ibap,
 )
 
-from conftest import random_family, random_prescription, rng_for
+from conftest import random_family, random_prescription, random_subspace, rng_for
 
 N = 24
 DIMS = (3, 4, 2, 5)
@@ -101,3 +103,21 @@ def test_check_chain_factorizes_the_family_once(problem, log):
     assert full_u_svds(log) == [(N, sum(DIMS))]
     assert len([c for c in log if c[0] == "svd" and c[2]]) == 1
 
+
+
+@pytest.mark.parametrize("meets_complement", [False, True])
+def test_moments_build_one_complement(meets_complement, log):
+    rng = rng_for(1202)
+    space = random_subspace(rng, N, 15, "real")
+    vectors = list(rng.standard_normal((4, N)))
+    if meets_complement:
+        vectors[-1] = vectors[-1] - space.project(vectors[-1])
+        with pytest.raises(HypothesisError, match="orthocomplement"):
+            solve_moments(space, vectors, [1.0, 2.0, 3.0, 4.0])
+    else:
+        x = solve_moments(space, vectors, [1.0, 2.0, 3.0, 4.0])
+        assert np.allclose([v @ x for v in vectors], [1.0, 2.0, 3.0, 4.0])
+    # the orthocomplement of the space, a member of the family that is solved
+    assert [c for c in log if c[0] == "complement"] == [("complement",)]
+    # and the stacked SVD of that family: the only other full-u SVD
+    assert len(full_u_svds(log)) == 2
