@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -114,11 +115,41 @@ def _scalar(value, field: str, what: str):
     raise ParseError(f"{what}: not a finite number")
 
 
+#: JSON numbers decode to exactly these types; bool is a subclass of int
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _finite_array(values: list, field: str) -> np.ndarray | None:
+    """values in one numpy conversion, or None when some entry needs _scalar.
+
+    Complex entries must all be [re, im] pairs; the pairs are reinterpreted
+    as complex128 rather than combined arithmetically, which keeps -0.0.
+    """
+    try:
+        if field == COMPLEX:
+            if (set(map(type, values)) != {list} or set(map(len, values)) != {2}
+                    or not set(map(type, chain.from_iterable(values))) <= _NUMBER_TYPES):
+                return None
+            arr = np.array(values, dtype=np.float64).reshape(len(values), 2)
+            arr = arr.view(np.complex128).ravel()
+        else:
+            if not set(map(type, values)) <= _NUMBER_TYPES:
+                return None
+            arr = np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
 def _vector(values, n: int, field: str, what: str) -> np.ndarray:
     if not isinstance(values, list):
         raise ParseError(f"{what}: expected a list of scalars")
     if len(values) != n:
         raise ParseError(f"{what}: has {len(values)} entries, expected {n}")
+    arr = _finite_array(values, field)
+    if arr is not None:
+        return arr
+    # the per-entry path names the offending entry
     entries = [_scalar(v, field, f"{what}[{i}]") for i, v in enumerate(values)]
     return np.asarray(entries, dtype=field_dtype(field))
 

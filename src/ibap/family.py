@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .angles import _nth_cosine, is_degenerate, principal_cosines, projector_product_norm
-from .subspaces import Subspace, _check_compatible, _rank_from_singular_values, add, as_field_vector
+from .subspaces import Subspace, _check_compatible, _rank_from_singular_values, add
 
 #: relative residual above which a stacked prescription system is
 #: declared inconsistent
@@ -245,14 +245,8 @@ def validate_prescription(family: Family, prescription) -> list:
     prescription = list(prescription)
     if len(prescription) != len(family):
         raise ValueError(f"prescription has {len(prescription)} vectors for {len(family)} subspaces")
-    out = []
-    for i, (s, u) in enumerate(zip(family.subspaces, prescription)):
-        what = f"prescription vector {i + 1}"
-        u = as_field_vector(u, family.ambient_dim, family.dtype, what=what)
-        if not np.all(np.isfinite(u)):
-            raise ValueError(f"{what} has non-finite entries")
-        out.append(s.member(u, what))
-    return out
+    return [s.member(u, f"prescription vector {i + 1}")
+            for i, (s, u) in enumerate(zip(family.subspaces, prescription))]
 
 
 def stacked_lstsq(family: Family, prescription: list):

@@ -19,6 +19,7 @@ coordinates, never as power series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,16 +254,25 @@ def rate_bound(family: Family) -> float:
     return report.alpha
 
 
+def _norm(r: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D vector, bit for bit, without its dispatch."""
+    if r.dtype.kind == "c":
+        re, im = r.real, r.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(r.dot(r))
+
+
 def best_approximation(start, family: Family, prescription,
                        options: SolveOptions | None = None):
     """Periodic projection iteration from `start` onto the solution set.
 
     Each sweep applies the affine projectors of the constraints from the
-    last to the first.  Stops when the constraint residual drops to
-    options.tol or after options.max_iter sweeps; both outcomes are
-    recorded in the returned trace.  When the family satisfies the IBAP
-    the trace carries the bound values alpha^n * d0 against the true best
-    approximation.  Returns (point, trace).
+    last to the first, on bases taken from the family once per call.
+    Stops when the constraint residual drops to options.tol or after
+    options.max_iter sweeps; both outcomes are recorded in the returned
+    trace.  When the family satisfies the IBAP the trace carries the
+    bound values alpha^n * d0 against the true best approximation.
+    Returns (point, trace).
     """
     opts = options if options is not None else SolveOptions()
     pres = validate_prescription(family, prescription)
@@ -274,20 +284,22 @@ def best_approximation(start, family: Family, prescription,
         reference = direct_solve(family, pres, anchor=start).particular
     else:
         _feasible_point(family, pres)
-    d0 = float(np.linalg.norm(start - reference)) if reference is not None else None
-    constraints = [AffineConstraint(s, u) for s, u in zip(family.subspaces, pres)]
+    d0 = _norm(start - reference) if reference is not None else None
+    # (u_i, Q_i, Q_i^H) per constraint: each affine step is u + x - Q (Q^H x),
+    # with the same operands as affine_project and Subspace.project
+    steps = [(u, s.basis, s.basis.conj().T) for s, u in zip(family.subspaces, pres)]
     x = start
     records = []
     converged = False
     sweeps = 0
     for n in range(1, opts.max_iter + 1):
         sweeps = n
-        for c in reversed(constraints):
-            x = affine_project(c, x)
-        res = prescription_residual(family, pres, x)
+        for u, q, qh in reversed(steps):
+            x = u + x - q @ (qh @ x)
+        res = max(_norm(q @ (qh @ x) - u) for u, q, qh in steps)
         dist = None
         if opts.record_trace and reference is not None:
-            dist = float(np.linalg.norm(x - reference))
+            dist = _norm(x - reference)
         bound = alpha ** n * d0 if alpha is not None else None
         records.append(IterationRecord(index=n, max_residual=res,
                                        dist_to_solution=dist, bound=bound))

@@ -162,13 +162,16 @@ class Subspace:
         return self.basis @ (self.basis.conj().T @ x)
 
     def member(self, x, what: str = "vector") -> np.ndarray:
-        """x coerced to the field, checked to lie in the subspace.
+        """x coerced to the field, checked to be finite and to lie in the subspace.
 
-        Raises ValueError when the distance to the subspace exceeds
-        MEMBERSHIP_RTOL * max(1, ||x||); membership violations are
-        errors, never silent projections.
+        Raises ValueError for non-finite entries, whose distance would
+        compare false against any bound, and when the distance to the
+        subspace exceeds MEMBERSHIP_RTOL * max(1, ||x||); membership
+        violations are errors, never silent projections.
         """
         x = as_field_vector(x, self.ambient_dim, self.dtype, what=what)
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{what} has non-finite entries")
         gap = float(np.linalg.norm(self.project(x) - x))
         if gap > MEMBERSHIP_RTOL * max(1.0, float(np.linalg.norm(x))):
             raise ValueError(f"{what} is not in its subspace (distance {gap:.3e})")

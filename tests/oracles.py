@@ -4,13 +4,26 @@ Each oracle takes a different route than the implementation it checks:
 Gram eigenvalues instead of basis SVDs, dense projector matrices instead
 of cross-Gram factors, truncated power series instead of direct solves,
 sampling instead of spectral maximization, real-stacked least squares
-instead of complex solves, and complement chains instead of level
-cosines.
+instead of complex solves, complement chains instead of level
+cosines, and one public affine_project call per constraint instead of
+the sweep on precomputed bases.
 """
 
 import numpy as np
 
-from ibap import intersect
+from ibap import (
+    AffineConstraint,
+    ConvergenceTrace,
+    IterationRecord,
+    SolveOptions,
+    affine_project,
+    as_field_vector,
+    direct_solve,
+    intersect,
+    prescription_residual,
+    validate_prescription,
+    verify_ibap,
+)
 
 
 def gram_rank(vectors, tol=1e-10):
@@ -150,3 +163,38 @@ def complement_chain_alpha(family):
         prod *= 1.0 - c * c
         tail = intersect(comps[i], tail)
     return float(np.sqrt(max(0.0, 1.0 - prod)))
+
+
+def reference_iteration(start, family, prescription, options=None):
+    """The periodic projection iteration built from the public pieces:
+    affine_project per constraint, prescription_residual per sweep, and
+    np.linalg.norm for the distances.  Returns (x, trace) like
+    best_approximation."""
+    opts = options if options is not None else SolveOptions()
+    pres = validate_prescription(family, prescription)
+    start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
+    report = verify_ibap(family)
+    alpha = report.alpha if report.verdict else None
+    reference = None
+    if report.verdict or opts.record_trace:
+        reference = direct_solve(family, pres, anchor=start).particular
+    d0 = float(np.linalg.norm(start - reference)) if reference is not None else None
+    constraints = [AffineConstraint(s, u) for s, u in zip(family.subspaces, pres)]
+    x = start
+    records = []
+    converged = False
+    for n in range(1, opts.max_iter + 1):
+        for c in reversed(constraints):
+            x = affine_project(c, x)
+        res = prescription_residual(family, pres, x)
+        dist = None
+        if opts.record_trace and reference is not None:
+            dist = float(np.linalg.norm(x - reference))
+        bound = alpha ** n * d0 if alpha is not None else None
+        records.append(IterationRecord(index=n, max_residual=res,
+                                       dist_to_solution=dist, bound=bound))
+        if res <= opts.tol:
+            converged = True
+            break
+    return x, ConvergenceTrace(records=tuple(records), alpha=alpha, initial_distance=d0,
+                               converged=converged, sweeps=len(records))

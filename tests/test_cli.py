@@ -11,12 +11,16 @@ from ibap.cli import (
     EXIT_NO_IBAP,
     EXIT_OK,
     EXIT_PARSE,
+    ParseError,
     Problem,
+    _scalar,
+    _vector,
     build_family,
     load_problem,
     main,
     save_problem,
 )
+from ibap.subspaces import field_dtype
 
 from conftest import rng_for
 
@@ -458,3 +462,91 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("alphas", ["[1.0, NaN]", "[1e999]", "[\"1.0\"]"])
     def test_slowdemo_rejects_non_finite_or_non_numeric_weights(self, alphas):
         assert main(["slowdemo", "--alphas", alphas]) == EXIT_PARSE
+
+
+def parse_outcome(parse):
+    """(dtype, bytes) of a parsed vector, or the ParseError message."""
+    try:
+        arr = parse()
+    except ParseError as exc:
+        return str(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+class TestVectorParser:
+    """_vector converts a list in one step where it can; it must give the
+    bits and the errors of the per-entry _scalar parse."""
+
+    EDGE_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                    2 ** 53 + 1, 2 ** 63 + 1, 2 ** 64 + 3, -(2 ** 70) - 1, 10 ** 308]
+
+    @staticmethod
+    def same_as_per_entry(values, field):
+        got = parse_outcome(lambda: _vector(values, len(values), field, "v"))
+        ref = parse_outcome(lambda: np.asarray(
+            [_scalar(x, field, f"v[{i}]") for i, x in enumerate(values)],
+            dtype=field_dtype(field)))
+        assert got == ref
+
+    def test_property_real(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-(2 ** 80), 2 ** 80), st.sampled_from(self.EDGE_NUMBERS))
+        entry = st.one_of(number, number, number, st.just(True), st.just(10 ** 400),
+                          st.lists(number, min_size=2, max_size=2))
+
+        @hyp.settings(max_examples=300, deadline=None, database=None)
+        @hyp.given(st.lists(entry, min_size=1, max_size=20))
+        @hyp.example([-0.0, 5e-324, 2 ** 53 + 1, 1, 2.5])
+        def check(values):
+            self.same_as_per_entry(values, "real")
+
+        check()
+
+    def test_property_complex(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-(2 ** 80), 2 ** 80), st.sampled_from(self.EDGE_NUMBERS))
+        pair = st.lists(number, min_size=2, max_size=2)
+        entry = st.one_of(pair, pair, pair, number, st.just([1.0, True]), st.just([10 ** 400, 0]),
+                          st.lists(number, min_size=3, max_size=3))
+
+        @hyp.settings(max_examples=300, deadline=None, database=None)
+        @hyp.given(st.lists(entry, min_size=1, max_size=20))
+        @hyp.example([[-0.0, -0.0], [5e-324, 2 ** 53 + 1], [1, 2.5]])
+        def check(values):
+            self.same_as_per_entry(values, "complex")
+
+        check()
+
+    @staticmethod
+    def run_check(tmp_path, capsys, doc):
+        code = main(["check", write_json(tmp_path / "p.json", doc)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_boolean_entry_is_named(self, tmp_path, capsys):
+        doc = axes_doc(prescription=False)
+        doc["subspaces"][0]["vectors"][0] = [True, 0, 0]
+        code, out, err = self.run_check(tmp_path, capsys, doc)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "parse error: subspace U1 vector 1[0]: booleans are not numbers\n"
+
+    def test_three_element_complex_entry_is_named(self, tmp_path, capsys):
+        doc = {"field": "complex", "ambient_dim": 2,
+               "subspaces": [{"name": "U1", "vectors": [[[1, 0], [0, 0, 1]]]}]}
+        code, out, err = self.run_check(tmp_path, capsys, doc)
+        assert code == EXIT_PARSE and out == ""
+        assert err == ("parse error: subspace U1 vector 1[1]: "
+                       "complex scalars must be [re, im] number pairs\n")
+
+    def test_complex_file_mixing_numbers_and_pairs(self, tmp_path, capsys):
+        def doc(u1, u2):
+            return {"field": "complex", "ambient_dim": 2,
+                    "subspaces": [{"name": "U1", "vectors": [u1]},
+                                  {"name": "U2", "vectors": [u2]}]}
+        mixed = self.run_check(tmp_path, capsys, doc([1, [0, 1]], [0, [-1, 0]]))
+        pairs = self.run_check(tmp_path, capsys, doc([[1, 0], [0, 1]], [[0, 0], [-1, 0]]))
+        assert mixed[0] == EXIT_OK and mixed == pairs

@@ -3,12 +3,16 @@
 Each family is factorized once per call chain: one full SVD of its
 stacked bases, cached on the Family.  Every other SVD in these chains is
 a thin one (trailing sums) or a singular-value-only one on a cross-Gram
-matrix, and none of them builds a complement.
+matrix, and none of them builds a complement.  The periodic projection
+sweep makes no per-sweep call of Subspace.project or affine_project.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import ibap.solvers
 from ibap import (
     Family,
     HypothesisError,
@@ -121,3 +125,32 @@ def test_moments_build_one_complement(meets_complement, log):
     assert [c for c in log if c[0] == "complement"] == [("complement",)]
     # and the stacked SVD of that family: the only other full-u SVD
     assert len(full_u_svds(log)) == 2
+
+
+def test_the_sweep_calls_no_projection_per_sweep(monkeypatch):
+    counts = Counter()
+    project, affine_project = Subspace.project, ibap.solvers.affine_project
+
+    def counted_project(self, x):
+        counts["project"] += 1
+        return project(self, x)
+
+    def counted_affine_project(constraint, x):
+        counts["affine_project"] += 1
+        return affine_project(constraint, x)
+
+    monkeypatch.setattr(Subspace, "project", counted_project)
+    monkeypatch.setattr(ibap.solvers, "affine_project", counted_affine_project)
+    e = np.eye(N)
+    theta = 0.05  # lines this close contract by cos(theta)^2 per sweep
+    family = Family((Subspace.from_spanning([e[0]], N),
+                     Subspace.from_spanning([np.cos(theta) * e[0] + np.sin(theta) * e[1]], N)))
+    pres = [e[0], np.zeros(N)]
+    seen = {}
+    for max_iter in (1, 50):
+        counts.clear()
+        _, trace = best_approximation(np.ones(N), family, pres,
+                                      SolveOptions(max_iter=max_iter, record_trace=True))
+        assert trace.sweeps == max_iter and not trace.converged
+        seen[max_iter] = dict(counts)
+    assert seen[1] == seen[50]

@@ -34,7 +34,7 @@ from conftest import (
     random_unit,
     rng_for,
 )
-from oracles import neumann_inverse, pinv_min_norm
+from oracles import neumann_inverse, pinv_min_norm, reference_iteration
 
 
 def line(*coords):
@@ -95,6 +95,11 @@ class TestAffineProject:
             assert np.linalg.norm(affine_project(c, qx) - qx) <= 1e-12
             lip = np.linalg.norm(qx - affine_project(c, y))
             assert lip <= np.linalg.norm(x - y) + 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constraint_point_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="constraint point has non-finite entries"):
+            AffineConstraint(line(1, 0, 0), np.array([bad, 0.0, 0.0]))
 
     def test_constraint_point_must_belong_to_the_subspace(self):
         with pytest.raises(ValueError):
@@ -202,6 +207,16 @@ class TestExtendMinNorm:
             extend_min_norm(u, v, np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0]))
         with pytest.raises(ValueError):
             extend_min_norm(u, v, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_are_refused(self, bad):
+        u = line(1, 0, 0)
+        v = line(0, 1, 0)
+        with pytest.raises(ValueError, match="level point has non-finite entries"):
+            extend_min_norm(u, v, np.array([bad, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="trailing point has non-finite entries"):
+            extend_min_norm(u, v, np.zeros(3), np.array([0.0, bad, 0.0]))
 
 
 class TestSolveMinNorm:
@@ -435,6 +450,71 @@ class TestBestApproximation:
         opts = SolveOptions(max_iter=3, tol=1e-16)
         _, trace = best_approximation(np.array([0.0, 1.0]), f, pres, opts)
         assert trace.sweeps == 3 and not trace.converged
+
+
+class TestSweepMatchesTheReference:
+    """best_approximation sweeps on bases taken from the family once; it
+    must give the bits of the sweep built from affine_project and
+    prescription_residual."""
+
+    @staticmethod
+    def assert_same_run(start, family, pres, opts):
+        x, trace = best_approximation(start, family, pres, opts)
+        ref_x, ref_trace = reference_iteration(start, family, pres, opts)
+        assert trace == ref_trace
+        assert x.dtype == ref_x.dtype and x.tobytes() == ref_x.tobytes()
+        return trace
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_random_families(self, field, record_trace):
+        rng = rng_for(730)
+        for _ in range(12):
+            n = int(rng.integers(3, 12))
+            dims = random_independent_dims(rng, n, int(rng.integers(2, min(n, 5) + 1)))
+            f = random_family(rng, n, dims, field)
+            pres = random_prescription(rng, f)
+            opts = SolveOptions(max_iter=400, tol=1e-11, record_trace=record_trace)
+            self.assert_same_run(random_unit(rng, n, field) * 3, f, pres, opts)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_single_constraint(self, field):
+        rng = rng_for(731)
+        f = random_family(rng, 6, [3], field)
+        pres = random_prescription(rng, f)
+        opts = SolveOptions(record_trace=True)
+        trace = self.assert_same_run(random_unit(rng, 6, field), f, pres, opts)
+        assert trace.sweeps == 1
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_zero_dimensional_member(self, record_trace):
+        rng = rng_for(732)
+        f = Family((random_subspace(rng, 5, 2), Subspace.zero(5), random_subspace(rng, 5, 1)))
+        pres = random_prescription(rng, f)
+        opts = SolveOptions(max_iter=300, tol=1e-12, record_trace=record_trace)
+        self.assert_same_run(random_unit(rng, 5) * 2, f, pres, opts)
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_dependent_family_without_a_bound(self, record_trace):
+        f = Family((line(1, 0, 0).complement(), line(0, 1, 0).complement()))
+        opts = SolveOptions(max_iter=500, tol=1e-10, record_trace=record_trace)
+        trace = self.assert_same_run(random_unit(rng_for(733), 3), f, [np.zeros(3)] * 2, opts)
+        assert trace.alpha is None
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_run_capped_by_max_iter(self, field, record_trace):
+        rng = rng_for(734)
+        theta = 0.05  # slow pair
+        u = line(1, 0, 0)
+        v = line(np.cos(theta), np.sin(theta), 0)
+        if field == "complex":
+            u, v = Subspace(u.basis * 1j), Subspace(v.basis * np.exp(0.3j))
+        f = Family((u, v))
+        pres = random_prescription(rng, f)
+        opts = SolveOptions(max_iter=7, tol=1e-16, record_trace=record_trace)
+        trace = self.assert_same_run(random_unit(rng, 3, field) * 4, f, pres, opts)
+        assert trace.sweeps == 7 and not trace.converged
 
 
 class TestCrossChecks:

@@ -81,6 +81,21 @@ class TestProject:
             assert np.linalg.norm(u.basis.conj().T @ (x - p)) <= 1e-10
 
 
+class TestMember:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_non_finite_entries_are_an_error(self, field, bad):
+        # a NaN distance compares false against any bound
+        u = Subspace.full(3, field=field)
+        with pytest.raises(ValueError, match="point has non-finite entries"):
+            u.member(np.array([bad, 0.0, 0.0]), what="point")
+
+    def test_non_finite_imaginary_part_is_an_error(self):
+        u = Subspace.full(2, field=COMPLEX)
+        with pytest.raises(ValueError, match="non-finite"):
+            u.member(np.array([complex(0.0, np.inf), 0.0]))
+
+
 class TestComplement:
     def test_line_in_three_dims(self):
         u = Subspace.from_spanning([[1.0, 0.0, 0.0]], 3)
