@@ -31,7 +31,7 @@ from .solvers import (
     solve_min_norm,
     solve_two,
 )
-from .subspaces import COMPLEX, Subspace, as_field_vector
+from .subspaces import COMPLEX, Subspace, _rank_from_singular_values, as_field_vector
 
 
 class HypothesisError(ValueError):
@@ -254,14 +254,18 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
     row_spaces = []
     for i, (t, y) in enumerate(zip(mats, rhs)):
         y = as_field_vector(y, t.shape[0], dtype, what=f"right-hand side {i + 1}")
-        u = np.linalg.pinv(t) @ y
+        # one thin SVD of T^H = Q S W^H gives the row-space basis Q_r and
+        # the pseudoinverse solution T^+ y = Q_r S_r^(-1) W_r^H y
+        q, s, wh = np.linalg.svd(t.conj().T, full_matrices=False)
+        r = _rank_from_singular_values(s, t.shape)
+        u = q[:, :r] @ ((wh[:r] @ y) / s[:r])
         gap = float(np.linalg.norm(t @ u - y))
         if gap > FEASIBILITY_RTOL * (1.0 + float(np.linalg.norm(y))):
             raise ValueError(
                 f"right-hand side {i + 1} is not in the range of its operator "
                 f"(residual {gap:.3e})")
         points.append(u)
-        row_spaces.append(Subspace.from_spanning([row.conj() for row in t], n))
+        row_spaces.append(Subspace(q[:, :r]))
     family = Family(tuple(row_spaces))
     if not check_independence(family):
         # ker T_i + (later kernels) is the whole space exactly when the

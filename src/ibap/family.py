@@ -25,6 +25,11 @@ from .subspaces import Subspace, _check_compatible, _rank_from_singular_values, 
 #: declared inconsistent
 FEASIBILITY_RTOL = 1e-8
 
+#: max-norm tolerance on the Gram defects of biorthogonal_bounds' input
+#: sequences: they are caller-built vectors, not stored bases, so this is
+#: looser than ORTHONORMALITY_TOL, yet far below any genuine overlap
+BIORTHOGONAL_TOL = 1e-10
+
 
 class DependentFamilyError(ValueError):
     """The subspaces admit a nonzero tuple summing to zero.
@@ -346,7 +351,7 @@ class BiorthogonalReport:
     ibap: IbapReport
 
 
-def biorthogonal_bounds(sequences, tol: float = 1e-10) -> BiorthogonalReport:
+def biorthogonal_bounds(sequences) -> BiorthogonalReport:
     """Bounds relating same-index scalar products to projector norms.
 
     Takes three orthonormal vector sequences of equal finite length whose
@@ -367,7 +372,7 @@ def biorthogonal_bounds(sequences, tol: float = 1e-10) -> BiorthogonalReport:
     for i, seq in enumerate(sequences):
         cols = np.column_stack([np.asarray(v) for v in seq])
         gram_defect = np.max(np.abs(cols.conj().T @ cols - np.eye(length)))
-        if gram_defect > tol:
+        if gram_defect > BIORTHOGONAL_TOL:
             raise ValueError(f"sequence {i + 1} is not orthonormal (defect {gram_defect:.3e})")
         mats.append(cols)
     pairs = []
@@ -377,7 +382,7 @@ def biorthogonal_bounds(sequences, tol: float = 1e-10) -> BiorthogonalReport:
             cross = mats[i].conj().T @ mats[j]
             off = cross - np.diag(np.diag(cross))
             worst = float(np.max(np.abs(off))) if length > 1 else 0.0
-            if worst > tol:
+            if worst > BIORTHOGONAL_TOL:
                 raise ValueError(
                     f"sequences {i + 1} and {j + 1} are not cross-orthogonal "
                     f"off the diagonal (defect {worst:.3e})")

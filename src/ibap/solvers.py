@@ -1,20 +1,18 @@
 """Solvers for prescribed-projection problems.
 
-Four routes are provided and cross-checked by the test suite:
+Three routes are provided and cross-checked by the test suite:
 
-* a closed form for two constraints, exact when the projector-product
-  norm of the pair is below 1;
 * a finite recursion that extends a trailing minimal-norm solution one
-  level at a time, yielding the global minimal-norm solution;
+  level at a time, yielding the global minimal-norm solution; its level
+  step, the two-subspace solve, is also the solver for two constraints;
 * a direct stacked least-squares solver, which doubles as the reference
   oracle and produces the full solution set (particular point plus
   parallel subspace);
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles.
 
-The operator inverses (Id - P_U P_V)^(-1) appearing in the closed form
-and the recursion are realized as small Hermitian solves in basis
-coordinates, never as power series.
+The resolvents (Id - P_U P_V)^(-1) of the two-subspace step are realized
+as small Hermitian solves in basis coordinates, never as power series.
 """
 
 from __future__ import annotations
@@ -117,10 +115,6 @@ def affine_project(constraint: AffineConstraint, x) -> np.ndarray:
     return constraint.point + x - u.project(x)
 
 
-def _pair_gram(u: Subspace, v: Subspace) -> np.ndarray:
-    return u.basis.conj().T @ v.basis
-
-
 def _solve_id_minus(u: Subspace, v: Subspace, w: np.ndarray) -> np.ndarray:
     """Solve (Id - P_u P_v) y = w as a dim(u)-sized Hermitian system.
 
@@ -130,7 +124,7 @@ def _solve_id_minus(u: Subspace, v: Subspace, w: np.ndarray) -> np.ndarray:
     p = u.dim
     if p == 0:
         return w.copy()
-    g = _pair_gram(u, v)
+    g = u.basis.conj().T @ v.basis
     core = np.eye(p, dtype=u.dtype) - g @ g.conj().T
     rhs = g @ (v.basis.conj().T @ w)
     return w + u.basis @ np.linalg.solve(core, rhs)
@@ -148,25 +142,11 @@ def _require_pair_norm(u: Subspace, v: Subspace) -> float:
 def solve_two(c1: AffineConstraint, c2: AffineConstraint) -> np.ndarray:
     """Minimal-norm point satisfying two prescribed-projection constraints.
 
-    Closed form in basis coordinates: with g the cross-Gram matrix of the
-    bases and (a, b) the coordinates of the two prescribed points, the
-    components solve (I - g g*) and (I - g* g) systems.  The result lies
-    in the sum of the subspaces, hence is the minimal-norm solution.
+    One level step of the minimal-norm recursion, with c1 as the level
+    and c2 as the trailing solution; requires the projector-product norm
+    of the pair below 1.
     """
-    u, v = c1.subspace, c2.subspace
-    _check_compatible(u, v)
-    _require_pair_norm(u, v)
-    g = _pair_gram(u, v)
-    a = u.basis.conj().T @ c1.point
-    b = v.basis.conj().T @ c2.point
-    out = np.zeros(u.ambient_dim, dtype=u.dtype)
-    if u.dim:
-        core = np.eye(u.dim, dtype=u.dtype) - g @ g.conj().T
-        out = out + u.basis @ np.linalg.solve(core, a - g @ b)
-    if v.dim:
-        core = np.eye(v.dim, dtype=v.dtype) - g.conj().T @ g
-        out = out + v.basis @ np.linalg.solve(core, b - g.conj().T @ a)
-    return out
+    return extend_min_norm(c1.subspace, c2.subspace, c1.point, c2.point)
 
 
 def extend_min_norm(level: Subspace, trailing: Subspace, u, v) -> np.ndarray:

@@ -153,6 +153,19 @@ class TestOperatorSystems:
                 assert np.linalg.norm(t @ x - y) <= 1e-8 * (1 + np.linalg.norm(y))
             assert np.linalg.norm(x) <= np.linalg.norm(x0) + 1e-8
 
+    def test_small_singular_value_above_the_rank_cutoff_is_kept(self):
+        # 5e-15 is above the package cutoff max(2, 50) * eps but below
+        # pinv's default rcond 1e-15: the system is consistent and solved
+        rng = rng_for(819)
+        left = np.linalg.qr(random_matrix(rng, 2, 2))[0]
+        right = np.linalg.qr(random_matrix(rng, 50, 2))[0]
+        t = left @ np.diag([1.0, 5e-15]) @ right.T
+        y = t @ rng.standard_normal(50)
+        x = solve_operator_system([t], [y])
+        assert np.linalg.norm(t @ x - y) <= 1e-12 * np.linalg.norm(y)
+        # minimal norm: x lies in the row space of t
+        assert np.linalg.norm(x - right @ (right.T @ x)) <= 1e-12 * np.linalg.norm(x)
+
     def test_rhs_outside_the_range_is_refused(self):
         t = np.array([[1.0, 0.0], [1.0, 0.0]])  # range is the diagonal line
         with pytest.raises(ValueError):

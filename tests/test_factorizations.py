@@ -3,8 +3,11 @@
 Each family is factorized once per call chain: one full SVD of its
 stacked bases, cached on the Family.  Every other SVD in these chains is
 a thin one (trailing sums) or a singular-value-only one on a cross-Gram
-matrix, and none of them builds a complement.  The periodic projection
-sweep makes no per-sweep call of Subspace.project or affine_project.
+matrix, and none of them builds a complement.  The two-constraint solve
+takes only the cross-Gram SVD of its pair, and an operator system adds
+one thin SVD per operator to the chain of its family.  The periodic
+projection sweep makes no per-sweep call of Subspace.project or
+affine_project.
 """
 
 from collections import Counter
@@ -14,6 +17,7 @@ import pytest
 
 import ibap.solvers
 from ibap import (
+    AffineConstraint,
     Family,
     HypothesisError,
     SolveOptions,
@@ -23,6 +27,8 @@ from ibap import (
     min_norm_stages,
     solve_min_norm,
     solve_moments,
+    solve_operator_system,
+    solve_two,
     uniqueness_check,
     verify_ibap,
 )
@@ -42,18 +48,23 @@ def problem():
 
 @pytest.fixture
 def log(monkeypatch):
-    """Records ("svd", shape, full_u) and ("lstsq", shape) for every call,
-    and ("complement",) for every orthogonal complement built."""
+    """Records ("svd", shape, full_u, uv), ("lstsq", shape) and ("pinv", shape)
+    for every call, and ("complement",) for every orthogonal complement built."""
     calls = []
-    svd, lstsq, complement = np.linalg.svd, np.linalg.lstsq, Subspace.complement
+    svd, lstsq, pinv = np.linalg.svd, np.linalg.lstsq, np.linalg.pinv
+    complement = Subspace.complement
 
     def counted_svd(a, full_matrices=True, compute_uv=True, **kwargs):
-        calls.append(("svd", np.shape(a), full_matrices and compute_uv))
+        calls.append(("svd", np.shape(a), full_matrices and compute_uv, compute_uv))
         return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
     def counted_lstsq(a, b, *args, **kwargs):
         calls.append(("lstsq", np.shape(a)))
         return lstsq(a, b, *args, **kwargs)
+
+    def counted_pinv(a, *args, **kwargs):
+        calls.append(("pinv", np.shape(a)))
+        return pinv(a, *args, **kwargs)
 
     def counted_complement(self):
         calls.append(("complement",))
@@ -61,6 +72,7 @@ def log(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     monkeypatch.setattr(Subspace, "complement", counted_complement)
     return calls
 
@@ -107,6 +119,35 @@ def test_check_chain_factorizes_the_family_once(problem, log):
     assert full_u_svds(log) == [(N, sum(DIMS))]
     assert len([c for c in log if c[0] == "svd" and c[2]]) == 1
 
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_solve_two_takes_one_cross_gram_svd(field, log):
+    rng = rng_for(1203)
+    u, v = random_subspace(rng, N, 3, field), random_subspace(rng, N, 5, field)
+    x = rng.standard_normal(N)
+    c1, c2 = AffineConstraint(u, u.project(x)), AffineConstraint(v, v.project(x))
+    log.clear()
+    z = solve_two(c1, c2)
+    assert np.allclose(v.project(z), c2.point)
+    # the projector-product norm of the pair, and nothing else
+    assert log == [("svd", (3, 5), False, False)]
+
+
+def test_operator_system_adds_one_thin_svd_per_operator(log):
+    rng = rng_for(1204)
+    ops = [rng.standard_normal((p, N)) for p in DIMS]
+    x0 = rng.standard_normal(N)
+    x = solve_operator_system(ops, [t @ x0 for t in ops])
+    assert all(np.allclose(t @ x, t @ x0) for t in ops)
+    calls = list(log)
+    rows = Family(tuple(Subspace.from_spanning(list(t), N) for t in ops))
+    pres = [s.project(x0) for s in rows.subspaces]
+    log.clear()
+    solve_min_norm(rows, pres)
+    # one thin SVD of each operator's adjoint, then the chain of its family
+    assert calls == [("svd", (N, p), False, True) for p in DIMS] + log
+    assert not [c for c in calls if c[0] in ("pinv", "lstsq", "complement")]
 
 
 @pytest.mark.parametrize("meets_complement", [False, True])
