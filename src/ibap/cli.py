@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import math
 import os
@@ -517,7 +518,9 @@ def cmd_slowdemo(args) -> int:
 # ---------------------------------------------------------------- driver
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ibap",
         description="Decide the inverse best approximation property and solve "

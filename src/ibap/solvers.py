@@ -246,16 +246,22 @@ def best_approximation(start, family: Family, prescription,
                        options: SolveOptions | None = None):
     """Periodic projection iteration from `start` onto the solution set.
 
-    Each sweep applies the affine projectors of the constraints from the
-    last to the first, on bases taken from the family once per call.
-    Stops when the constraint residual drops to options.tol or after
-    options.max_iter sweeps; both outcomes are recorded in the returned
-    trace.  When the family satisfies the IBAP the trace carries the
-    bound values alpha^n * d0 against the true best approximation.
-    Returns (point, trace).
+    Each validated prescription vector is projected onto its subspace
+    once, so that it lies in the subspace to rounding; the reference
+    solution, d0, the sweeps and the residuals all use those projected
+    vectors.  Each sweep applies the affine projectors of the constraints
+    from the last to the first, on bases taken from the family once per
+    call.  The constraint residual max_i ||P_i x - u_i|| is measured in
+    basis coordinates, as max_i ||Q_i^H x - Q_i^H u_i||, for all members
+    with one product by the stacked rows Q_i^H.  Stops when the residual
+    drops to options.tol or after options.max_iter sweeps; both outcomes
+    are recorded in the returned trace.  When the family satisfies the
+    IBAP the trace carries the bound values alpha^n * d0 against the true
+    best approximation.  Returns (point, trace).
     """
     opts = options if options is not None else SolveOptions()
-    pres = validate_prescription(family, prescription)
+    subs = family.subspaces
+    pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
@@ -267,7 +273,18 @@ def best_approximation(start, family: Family, prescription,
     d0 = _norm(start - reference) if reference is not None else None
     # (u_i, Q_i, Q_i^H) per constraint: each affine step is u + x - Q (Q^H x),
     # with the same operands as affine_project and Subspace.project
-    steps = [(u, s.basis, s.basis.conj().T) for s, u in zip(family.subspaces, pres)]
+    steps = [(u, s.basis, s.basis.conj().T) for s, u in zip(subs, pres)]
+    # the residual rows: Q_i^H stacked over the members with dim > 0 (a
+    # zero-dimensional member's residual is exactly 0, and reduceat needs
+    # nonempty segments), their right-hand sides Q_i^H u_i, and where each
+    # member's entries start in the real view of the coordinates (two
+    # float64 entries per complex one)
+    live = [(qh, u) for u, _, qh in steps if qh.shape[0]]
+    if live:
+        rows = np.vstack([qh for qh, _ in live])
+        rhs = np.concatenate([qh @ u for qh, u in live])
+        width = 2 if rows.dtype.kind == "c" else 1
+        starts = width * np.cumsum([0] + [qh.shape[0] for qh, _ in live[:-1]])
     x = start
     records = []
     converged = False
@@ -276,7 +293,10 @@ def best_approximation(start, family: Family, prescription,
         sweeps = n
         for u, q, qh in reversed(steps):
             x = u + x - q @ (qh @ x)
-        res = max(_norm(q @ (qh @ x) - u) for u, q, qh in steps)
+        res = 0.0
+        if live:
+            c = (rows @ x - rhs).view(np.float64)
+            res = math.sqrt(np.add.reduceat(c * c, starts).max())
         dist = None
         if opts.record_trace and reference is not None:
             dist = _norm(x - reference)

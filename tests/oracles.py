@@ -5,8 +5,9 @@ Gram eigenvalues instead of basis SVDs, dense projector matrices instead
 of cross-Gram factors, truncated power series instead of direct solves,
 sampling instead of spectral maximization, real-stacked least squares
 instead of complex solves, complement chains instead of level
-cosines, and one public affine_project call per constraint instead of
-the sweep on precomputed bases.
+cosines, and one public affine_project call per constraint and one
+prescription_residual per sweep instead of the sweep on precomputed
+bases and the residual in stacked basis coordinates.
 """
 
 import numpy as np
@@ -167,11 +168,13 @@ def complement_chain_alpha(family):
 
 def reference_iteration(start, family, prescription, options=None):
     """The periodic projection iteration built from the public pieces:
+    each prescription vector projected onto its subspace once, then
     affine_project per constraint, prescription_residual per sweep, and
     np.linalg.norm for the distances.  Returns (x, trace) like
     best_approximation."""
     opts = options if options is not None else SolveOptions()
-    pres = validate_prescription(family, prescription)
+    pres = [s.project(u) for s, u in
+            zip(family.subspaces, validate_prescription(family, prescription))]
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None

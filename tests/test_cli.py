@@ -16,6 +16,7 @@ from ibap.cli import (
     _scalar,
     _vector,
     build_family,
+    build_parser,
     load_problem,
     main,
     save_problem,
@@ -550,3 +551,28 @@ class TestVectorParser:
         mixed = self.run_check(tmp_path, capsys, doc([1, [0, 1]], [0, [-1, 0]]))
         pairs = self.run_check(tmp_path, capsys, doc([[1, 0], [0, 1]], [[0, 0], [-1, 0]]))
         assert mixed[0] == EXIT_OK and mixed == pairs
+
+
+class TestParser:
+    def test_cached_parser_gives_the_runs_of_a_fresh_one(self, tmp_path, capsys):
+        axes = write_json(tmp_path / "axes.json", axes_doc())
+        sixty = write_json(tmp_path / "sixty.json", sixty_degree_doc())
+        argvs = [["check", axes], ["solve", axes, "--method", "bogus"],
+                 ["solve", sixty, "--method", "iterate"], ["iterate", sixty]]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        # one parser serves every call, argparse errors included
+        cached = [run(argv) for argv in argvs]
+        assert [code for code, _, _ in cached] == [EXIT_OK, 2, EXIT_OK, EXIT_OK]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert fresh == cached

@@ -1,0 +1,64 @@
+"""tools/compare_outputs.py: the report of two runs of the benchmark commands."""
+
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "compare_outputs", os.path.join(ROOT, "tools", "compare_outputs.py"))
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+TRACE = "iter,max_residual,dist_to_solution,bound\n1,0.5,2.0,\n2,1e-11,0.25,\n"
+
+
+def record(stdout="sweeps: 2  converged: yes\nsolution: [3.0, 4.0]\n", trace=TRACE, code=0):
+    return {"workload": "w", "seed": 1, "index": 0, "kind": "iterate",
+            "argv": ["iterate", "<workdir>/p.json"], "exit": code, "stdout": stdout,
+            "stderr": "", "trace": trace}
+
+
+def test_equal_runs_are_byte_identical():
+    lines, ok = compare_outputs.compare([record()], [record()])
+    assert ok and lines[-1].startswith("1 of 1 commands byte-identical")
+    assert "stdout equal" in lines[0] and "trace equal" in lines[0]
+
+
+def test_rounding_differences_are_measured_but_accepted():
+    new = record(stdout="sweeps: 2  converged: yes\nsolution: [3.0, 4.000001]\n",
+                 trace=TRACE.replace("0.25", "0.2500001"))
+    lines, ok = compare_outputs.compare([record()], [new])
+    assert ok and lines[-1].startswith("0 of 1 commands byte-identical")
+    assert "solution rel 2.00e-07" in lines[0]
+    assert "dist_to_solution abs 1.00e-07 rel 4.00e-07" in lines[0]
+    assert "bound abs 0.00e+00 rel 0.00e+00" in lines[0]
+
+
+@pytest.mark.parametrize("new", [
+    record(code=2),
+    record(stdout="sweeps: 3  converged: yes\nsolution: [3.0, 4.0]\n"),
+    record(trace=TRACE + "3,1e-12,0.1,\n"),
+])
+def test_a_differing_exit_code_or_sweep_count_fails(new):
+    _, ok = compare_outputs.compare([record()], [new])
+    assert not ok
+
+
+def test_complex_solutions_and_relative_norms():
+    old = "solution: [[3.0, 0.0], [0.0, 4.0]]\n"
+    new = "solution: [[3.0, 0.0], [0.0, 4.5]]\n"
+    assert compare_outputs.solution_difference(old, new) == pytest.approx(0.1)
+    assert compare_outputs.solution_difference(old, "no solution\n") is None
+
+
+def test_the_working_tree_agrees_with_itself():
+    src = os.path.join(ROOT, "src")
+    runs = [compare_outputs.run_side(src, ["applications"], [5], scale="smoke")
+            for _ in range(2)]
+    # no temporary path is left to tell the two runs apart
+    assert runs[0] and not any("ibap-compare-" in " ".join(r["argv"]) + r["stdout"] + r["stderr"]
+                               for r in runs[0])
+    lines, ok = compare_outputs.compare(*runs)
+    assert ok and lines[-1].startswith(f"{len(runs[0])} of {len(runs[0])} commands")

@@ -437,18 +437,40 @@ class TestBestApproximation:
         _, trace = best_approximation(np.array([0.0, 1.0]), f, pres, opts)
         assert trace.sweeps == 3 and not trace.converged
 
+    def test_prescription_off_its_subspace_by_the_membership_slack_converges(self):
+        # e0 + 1e-9 e2 passes the membership check of the line through e0;
+        # projected once, its gap no longer enters every sweep, so the
+        # residual falls below the tolerance instead of stalling at 1e-9
+        e = np.eye(3)
+        f = Family((line(1, 0, 0), line(1, 1, 0)))
+        pres = [e[0] + 1e-9 * e[2], np.zeros(3)]
+        _, trace = best_approximation(np.zeros(3), f, pres, SolveOptions(record_trace=True))
+        assert trace.converged and trace.sweeps < 100
+        assert trace.records[-1].dist_to_solution <= 1e-9
+
 
 class TestSweepMatchesTheReference:
-    """best_approximation sweeps on bases taken from the family once; it
-    must give the bits of the sweep built from affine_project and
-    prescription_residual."""
+    """best_approximation sweeps on bases taken from the family once and
+    measures its residual in stacked basis coordinates; it must give the
+    iterates, stopping decisions, distances and bounds of the sweep built
+    from affine_project and prescription_residual bit for bit, and its
+    residuals to rounding."""
 
     @staticmethod
     def assert_same_run(start, family, pres, opts):
         x, trace = best_approximation(start, family, pres, opts)
         ref_x, ref_trace = reference_iteration(start, family, pres, opts)
-        assert trace == ref_trace
         assert x.dtype == ref_x.dtype and x.tobytes() == ref_x.tobytes()
+        assert (trace.sweeps, trace.converged) == (ref_trace.sweeps, ref_trace.converged)
+        assert trace.alpha == ref_trace.alpha
+        assert trace.initial_distance == ref_trace.initial_distance
+        assert len(trace.records) == len(ref_trace.records)
+        # the residual in coordinates differs from ||P x - u|| by rounding
+        slack = 8 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(x)))
+        for rec, ref in zip(trace.records, ref_trace.records):
+            assert (rec.index, rec.dist_to_solution, rec.bound) == \
+                (ref.index, ref.dist_to_solution, ref.bound)
+            assert abs(rec.max_residual - ref.max_residual) <= slack
         return trace
 
     @pytest.mark.parametrize("record_trace", [False, True])
@@ -479,6 +501,27 @@ class TestSweepMatchesTheReference:
         pres = random_prescription(rng, f)
         opts = SolveOptions(max_iter=300, tol=1e-12, record_trace=record_trace)
         self.assert_same_run(random_unit(rng, 5) * 2, f, pres, opts)
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_zero_dimensional_member_at_either_end(self, field, where, record_trace):
+        rng = rng_for(735)
+        members = [random_subspace(rng, 6, 2, field), random_subspace(rng, 6, 1, field)]
+        zero = Subspace.zero(6, field)
+        f = Family(tuple([zero] + members if where == "first" else members + [zero]))
+        pres = random_prescription(rng, f)
+        opts = SolveOptions(max_iter=300, tol=1e-12, record_trace=record_trace)
+        self.assert_same_run(random_unit(rng, 6, field) * 2, f, pres, opts)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_only_zero_dimensional_members(self, field):
+        f = Family((Subspace.zero(4, field), Subspace.zero(4, field)))
+        opts = SolveOptions(record_trace=True)
+        trace = self.assert_same_run(random_unit(rng_for(736), 4, field), f,
+                                     [np.zeros(4)] * 2, opts)
+        assert trace.sweeps == 1 and trace.converged
+        assert trace.records[0].max_residual == 0.0
 
     @pytest.mark.parametrize("record_trace", [False, True])
     def test_dependent_family_without_a_bound(self, record_trace):
