@@ -5,6 +5,8 @@ of subspaces is attainable, produce the geometric certificates behind
 that decision, and compute minimal-norm and best-approximation solutions
 of the resulting prescribed-projection problems, directly or by periodic
 projections with an a-priori linear rate bound.
+
+The public API is the set of names imported below.
 """
 
 from .angles import (
@@ -80,67 +82,3 @@ from .subspaces import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineConstraint",
-    "BiorthogonalReport",
-    "COMPLEX",
-    "ConvergenceTrace",
-    "DEGENERACY_BAND",
-    "DependentFamilyError",
-    "FEASIBILITY_RTOL",
-    "Family",
-    "HypothesisError",
-    "IbapFailureError",
-    "IbapReport",
-    "InfeasibilityCertificate",
-    "InfeasiblePrescriptionError",
-    "IterationRecord",
-    "LevelCertificate",
-    "MEMBERSHIP_RTOL",
-    "MaskedSignalProblem",
-    "ORTHONORMALITY_TOL",
-    "PairBound",
-    "REAL",
-    "SlowFamilySpec",
-    "SolutionSet",
-    "SolveOptions",
-    "Subspace",
-    "add",
-    "affine_project",
-    "angle_identity_gap",
-    "as_field_vector",
-    "best_approximation",
-    "biorthogonal_bounds",
-    "check_independence",
-    "cos_friedrichs",
-    "dependent_tuple",
-    "dft",
-    "dft_matrix",
-    "direct_solve",
-    "epsilon_solve",
-    "extend_min_norm",
-    "field_dtype",
-    "idft",
-    "infeasibility_certificate",
-    "inner",
-    "intersect",
-    "is_degenerate",
-    "min_norm_stages",
-    "prescription_residual",
-    "projector_product_norm",
-    "rate_bound",
-    "recover_with_measurements",
-    "slow_convergence_demo",
-    "slow_family",
-    "solve_min_norm",
-    "solve_moments",
-    "solve_operator_system",
-    "solve_two",
-    "time_frequency_recover",
-    "trailing_sums",
-    "uniqueness_check",
-    "validate_prescription",
-    "verify_ibap",
-    "worst_aligned_start",
-]

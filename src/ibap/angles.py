@@ -2,46 +2,95 @@
 
 These two scalars carry all the geometric information used by the
 family-level feasibility certificates and the convergence rate bound.
-Both are principal cosines, read from one SVD of the cross-Gram matrix.
+Both come from one thin SVD of the residual R = B - T (T^H B) of a basis
+B of one subspace off an orthonormal basis T of the other: its singular
+values are the sines of the principal angles, accurate where the angles
+are small (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002), and the
+cosine paired with the sine s_j is ||T^H B v_j|| for its right singular
+vector v_j.  The same factorization gives each level of a family's
+trailing-sum chain (see Family) and the recursion's level step.
 """
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from .subspaces import Subspace, _check_compatible, add, intersect
+from .subspaces import Subspace, _check_compatible, _rank_from_singular_values, intersect
 
 #: norms at or above 1 minus this band are flagged numerically degenerate
 DEGENERACY_BAND = 1e-8
 
 
-def principal_cosines(u: Subspace, v: Subspace) -> np.ndarray:
-    """Cosines of the principal angles between two subspaces, descending.
+class _Level(NamedTuple):
+    """A subspace U against an orthonormal tail basis T, from one thin SVD.
 
-    They are the singular values of the cross-Gram matrix of the two
-    bases (Bjorck & Golub, Math. Comp. 27, 1973), clamped to [0, 1];
-    there are min(dim u, dim v) of them.
+    The residual R of the basis B of U off T is W diag(sines) vh, the
+    sines descending, and cosines[j] = ||C v_j|| with C = T^H B is paired
+    with sines[j].  rank counts the sines above the package cutoff at
+    unit scale, so it is dim(U + T) - dim T, and the first rank columns
+    of w extend T to a basis of U + T.
     """
-    if u.dim == 0 or v.dim == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(u.basis.conj().T @ v.basis, compute_uv=False)
-    return np.clip(s, 0.0, 1.0)
+
+    w: np.ndarray
+    sines: np.ndarray
+    vh: np.ndarray
+    cosines: np.ndarray
+    rank: int
+
+    @property
+    def norm(self) -> float:
+        """||P_U P_T||, the largest principal cosine (0 when none exists)."""
+        return float(self.cosines.max()) if self.cosines.size else 0.0
+
+    @property
+    def cos_angle(self) -> float:
+        """Friedrichs cosine: the one paired with the smallest sine above the cutoff."""
+        return float(self.cosines[self.rank - 1]) if self.rank else 0.0
+
+    @property
+    def sine(self) -> float:
+        """The sine paired with cos_angle, from the cosine at large angles
+        and from the residual at small ones, so it is accurate at both ends."""
+        c = self.cos_angle
+        return math.sqrt(1.0 - c * c) if c * c < 0.5 else float(self.sines[self.rank - 1])
+
+    @property
+    def gamma(self) -> float:
+        """1 / sine when no direction of U lies in T, infinite otherwise."""
+        return 1.0 / self.sine if self.rank == self.sines.size else math.inf
 
 
-def _nth_cosine(cosines: np.ndarray, d: int) -> float:
-    """cosines[d], or 0 when fewer than d + 1 principal angles exist."""
-    return float(cosines[d]) if d < cosines.size else 0.0
+def _factor_level(basis: np.ndarray, tail: np.ndarray) -> _Level:
+    """The _Level of the column-orthonormal basis against the tail basis."""
+    coef = tail.conj().T @ basis
+    res = basis - tail @ coef
+    # project off the tail twice: after one pass the rounding left in a
+    # direction that U shares with T reaches the rank cutoff in small
+    # dimensions, after the second it stays below a third of it
+    res -= tail @ (tail.conj().T @ res)
+    w, s, vh = np.linalg.svd(res, full_matrices=False)
+    cosines = np.clip(np.linalg.norm(coef @ vh.conj().T, axis=0), 0.0, 1.0)
+    # with dim U > dim T the first dim U - dim T sines are 1: no angle pairs them
+    cosines[:max(0, basis.shape[1] - tail.shape[1])] = 0.0
+    return _Level(w, s, vh, cosines, _rank_from_singular_values(s, basis.shape, scale=1.0))
+
+
+def _pair(u: Subspace, v: Subspace) -> _Level:
+    """u as a level against the tail v."""
+    _check_compatible(u, v)
+    return _factor_level(u.basis, v.basis)
 
 
 def projector_product_norm(u: Subspace, v: Subspace) -> float:
     """Operator norm of the composition of the two orthogonal projectors.
 
-    Equals the largest singular value of the cross-Gram matrix of the two
-    bases, clamped to [0, 1]; this is the cosine of the smallest principal
-    angle between the subspaces.  Symmetric in its arguments.
+    The cosine of the smallest principal angle between the subspaces,
+    clamped to [0, 1]; symmetric in its arguments.
     """
-    _check_compatible(u, v)
-    return _nth_cosine(principal_cosines(u, v), 0)
+    return _pair(u, v).norm
 
 
 def is_degenerate(norm: float) -> bool:
@@ -52,14 +101,12 @@ def is_degenerate(norm: float) -> bool:
 def cos_friedrichs(u: Subspace, v: Subspace) -> float:
     """Cosine of the Friedrichs angle between two subspaces.
 
-    The first d = dim u + dim v - dim(u + v) principal cosines equal 1
-    and belong to the intersection; the Friedrichs cosine is the next
-    one, s[d], read from one SVD of the cross-Gram matrix with the
-    package's rank cutoff deciding d.  When one subspace contains the
+    The principal angles whose sines fall below the package's rank cutoff
+    belong to the intersection; the Friedrichs cosine is the one paired
+    with the smallest sine above it.  When one subspace contains the
     other no principal angle is left and the value is 0.
     """
-    _check_compatible(u, v)
-    return _nth_cosine(principal_cosines(u, v), u.dim + v.dim - add(u, v).dim)
+    return _pair(u, v).cos_angle
 
 
 def angle_identity_gap(u: Subspace, v: Subspace) -> float:

@@ -14,22 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import DEGENERACY_BAND, projector_product_norm
-from .family import (
-    FEASIBILITY_RTOL,
-    Family,
-    IbapFailureError,
-    check_independence,
-    trailing_sums,
-    verify_ibap,
-)
+from .angles import _pair, is_degenerate
+from .family import FEASIBILITY_RTOL, Family, IbapFailureError, check_independence, verify_ibap
 from .solvers import (
     AffineConstraint,
     ConvergenceTrace,
     SolveOptions,
+    _level_step,
     best_approximation,
     solve_min_norm,
-    solve_two,
 )
 from .subspaces import COMPLEX, Subspace, _rank_from_singular_values, as_field_vector
 
@@ -136,17 +129,19 @@ def time_frequency_recover(problem: MaskedSignalProblem) -> np.ndarray:
     The product |time mask| * |frequency mask| < n guarantees the two
     support subspaces meet trivially (discrete uncertainty principle) and
     is accepted as a sufficient shortcut; otherwise the projector-product
-    norm is checked numerically and near-1 values are refused.
+    norm is checked numerically and near-1 values are refused.  One
+    residual SVD of the pair serves that check and the two-constraint
+    solve.
     """
     (u_time, a_ext), (u_freq, b_sig) = _signal_constraints(problem)
+    pair = _pair(u_time, u_freq)
     shortcut = len(problem.time_mask) * len(problem.freq_mask) < problem.n
-    if not shortcut:
-        norm = projector_product_norm(u_time, u_freq)
-        if norm >= 1.0 - DEGENERACY_BAND:
-            raise HypothesisError(
-                f"masks too large: the support subspaces intersect "
-                f"(projector-product norm {norm:.12g})")
-    return solve_two(AffineConstraint(u_time, a_ext), AffineConstraint(u_freq, b_sig))
+    if not shortcut and is_degenerate(pair.norm):
+        raise HypothesisError(
+            f"masks too large: the support subspaces intersect "
+            f"(projector-product norm {pair.norm:.12g})")
+    c1, c2 = AffineConstraint(u_time, a_ext), AffineConstraint(u_freq, b_sig)
+    return _level_step(pair, u_time.basis, c1.point, c2.point)
 
 
 def recover_with_measurements(problem: MaskedSignalProblem, measurements,
@@ -269,11 +264,9 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
     family = Family(tuple(row_spaces))
     if not check_independence(family):
         # ker T_i + (later kernels) is the whole space exactly when the
-        # row space of T_i meets the sum of the later row spaces trivially
-        tails = trailing_sums(family)
-        spans = [family.dim_sum] + [t.dim for t in tails]
-        level = 1 + next(i for i, tail in enumerate(tails)
-                         if row_spaces[i].dim + tail.dim > spans[i])
+        # row space of T_i meets the sum of the later row spaces trivially,
+        # which is when its level's gamma is finite
+        level = next(lev.index for lev in verify_ibap(family).levels if math.isinf(lev.gamma))
         raise HypothesisError(
             f"kernel overlap condition fails at level {level}: "
             "the kernel plus the intersection of the later kernels "

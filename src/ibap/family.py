@@ -4,10 +4,11 @@ A family (U_1, ..., U_m) satisfies the inverse best approximation
 property (IBAP) when every prescription (u_1, ..., u_m) with u_i in U_i
 is realized as the tuple of best approximations of some point x, that is
 P_i x = u_i for all i.  In finite dimension this holds exactly when the
-subspaces are linearly independent; the per-level certificates computed
-here (trailing-sum projector norms, Friedrichs angles, gamma constants)
-quantify how well-conditioned that decision is and feed the convergence
-rate bound of the iterative solver.
+subspaces are linearly independent.  The decision and the per-level
+certificates (trailing-sum projector norms, Friedrichs angles, gamma
+constants), which quantify how well-conditioned it is and feed the
+convergence rate bound of the iterative solver, all come from one
+residual SVD per level, cached on the Family.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import _nth_cosine, is_degenerate, principal_cosines, projector_product_norm
-from .subspaces import Subspace, _check_compatible, _rank_from_singular_values, add
+from .angles import _factor_level, is_degenerate, projector_product_norm
+from .subspaces import Subspace, _check_compatible, _rank_from_singular_values
 
 #: relative residual above which a stacked prescription system is
 #: declared inconsistent
@@ -72,7 +73,17 @@ class InfeasiblePrescriptionError(ValueError):
 class Family:
     """An ordered family of subspaces sharing ambient dimension and field.
 
-    The full SVD of the stacked bases is taken on first use and cached.
+    Two factorizations are taken on first use and cached.  The level
+    chain pairs each U_i, from the last but one up to the first, with an
+    orthonormal basis T of the sum of the members after it: one thin SVD
+    of the residual B_i - T (T^H B_i) gives the level's sines and cosines
+    (angles._Level), dim(U_i + T) and the columns that extend T to a
+    basis of U_i + T.  Every trailing-sum basis is thus a column prefix
+    of one basis of U_1 + ... + U_m, whose width is dim_sum.  The full
+    SVD of the stacked bases, with its own rank at the stacked matrix's
+    cutoff, serves only the stacked solve, the parallel subspace and the
+    dependent tuple.  The two ranks differ only for sines near the level
+    cutoff: for two lines in the plane, at angles between 2 and 4 eps.
     """
 
     subspaces: tuple
@@ -116,6 +127,24 @@ class Family:
         return f"Family(dims={list(self.dims)}, ambient={self.ambient_dim}, field={self.field})"
 
     @cached_property
+    def _chain(self):
+        """The levels' factorizations, top first, a basis of the sum whose
+        column prefixes span the trailing sums, and each level's prefix width."""
+        basis = self.subspaces[-1].basis
+        levels, widths = [], []
+        for s in reversed(self.subspaces[:-1]):
+            lev = _factor_level(s.basis, basis)
+            levels.append(lev)
+            widths.append(basis.shape[1])
+            # w_j leans into the tail by about eps / sines[j]: project that
+            # off and orthonormalize, so that small sines keep the basis exact
+            new = lev.w[:, :lev.rank]
+            new = np.linalg.qr(new - basis @ (basis.conj().T @ new))[0]
+            basis = np.hstack([basis, new])
+        basis.setflags(write=False)
+        return tuple(reversed(levels)), basis, tuple(reversed(widths))
+
+    @cached_property
     def _stacked(self):
         """Read-only full SVD (u, s, vh) of the stacked bases and its rank."""
         mat = np.hstack([s.basis for s in self.subspaces])
@@ -127,8 +156,8 @@ class Family:
 
     @property
     def dim_sum(self) -> int:
-        """Dimension of U_1 + ... + U_m."""
-        return self._stacked[3]
+        """Dimension of U_1 + ... + U_m: dim U_m plus each level's rank."""
+        return self._chain[1].shape[1]
 
     @cached_property
     def parallel(self) -> Subspace:
@@ -143,8 +172,10 @@ class LevelCertificate:
 
     norm is the projector-product norm of the pair, cos_angle the
     Friedrichs angle cosine, gamma the optimal constant bounding
-    ||u|| <= gamma * ||(I - P_trailing) u|| over u in U_i (infinite when
-    the pair is degenerate).  degenerate flags norms within the numerical
+    ||u|| <= gamma * ||(I - P_trailing) u|| over u in U_i, which is one
+    over the smallest sine of the level's residual SVD; it is infinite
+    exactly when a sine falls below the rank cutoff, that is when U_i
+    meets the trailing sum.  degenerate flags norms within the numerical
     band of 1.
     """
 
@@ -160,11 +191,12 @@ class IbapReport:
     """Outcome of the IBAP decision with its per-level certificates.
 
     verdict coincides with linear independence of the subspaces, the
-    exact finite-dimensional criterion; alpha is the a-priori linear
-    rate bound of the periodic projection iteration (1.0 when no
-    uniform guarantee exists).  With the property, alpha is below 1 in
-    exact arithmetic, but in double precision it rounds to 1.0 once the
-    smallest level angle is below about 1e-8.
+    exact finite-dimensional criterion, decided by the ranks of the level
+    chain; alpha is the a-priori linear rate bound of the periodic
+    projection iteration (1.0 when no uniform guarantee exists).  With
+    the property, alpha is below 1 in exact arithmetic, but in double
+    precision it rounds to 1.0 once the smallest level angle is below
+    about 1e-8.
     """
 
     verdict: bool
@@ -176,13 +208,12 @@ class IbapReport:
 
 
 def trailing_sums(family: Family) -> list:
-    """For each level i < m, the sum of the subspaces after it."""
-    subs = family.subspaces
-    out = [subs[-1]]
-    for s in reversed(subs[1:-1]):
-        out.append(add(s, out[-1]))
-    out.reverse()
-    return out
+    """For each level i < m, the sum of the subspaces after it.
+
+    Each is a column prefix of the family's cached chain basis.
+    """
+    _, basis, widths = family._chain
+    return [Subspace(basis[:, :width]) for width in widths]
 
 
 def check_independence(family: Family) -> bool:
@@ -212,37 +243,26 @@ def dependent_tuple(family: Family):
 def verify_ibap(family: Family) -> IbapReport:
     """Decide the IBAP and assemble all per-level certificates.
 
-    The verdict is exact-rank independence from the stacked SVD; the
-    level norms serve as conditioning certificates, with degenerate
-    flags for norms inside the numerical band of 1.  Each level takes one
-    cross-Gram SVD of U_i against its trailing sum for both the norm and
-    the Friedrichs cosine (see cos_friedrichs).  alpha is
-    sqrt(1 - prod_i (1 - c_i^2)) over the level cosines c_i: since
-    c(M, N) = c(M-perp, N-perp), these are the angles between each
-    complement and the intersection of the later complements that bound
-    the iteration rate.  Degenerate numerics never raise.
+    Everything comes from the family's cached level chain: the verdict is
+    independence (each level's rank equals its dimension), and each level
+    of U_i against its trailing sum gives its norm, Friedrichs cosine and
+    gamma (see angles._Level), with degenerate flags for norms inside the
+    numerical band of 1.  alpha is sqrt(1 - prod_i s_i^2) over the sines
+    s_i paired with the level cosines c_i: since c(M, N) = c(M-perp,
+    N-perp), these are the angles between each complement and the
+    intersection of the later complements that bound the iteration rate.
+    Degenerate numerics never raise.
     """
-    subs = family.subspaces
-    sum_dims = sum(family.dims)
     independent = check_independence(family)
-    levels = []
-    if len(subs) > 1:
-        tails = trailing_sums(family)
-        for i, tail in enumerate(tails):
-            cosines = principal_cosines(subs[i], tail)
-            norm = _nth_cosine(cosines, 0)
-            # dim(U_i + tail): the next trailing sum, or the whole sum at the top
-            span_dim = tails[i - 1].dim if i else family.dim_sum
-            cosang = _nth_cosine(cosines, subs[i].dim + tail.dim - span_dim)
-            gamma = 1.0 / math.sqrt(1.0 - norm * norm) if norm < 1.0 else math.inf
-            levels.append(LevelCertificate(index=i + 1, norm=norm, cos_angle=cosang,
-                                           gamma=gamma, degenerate=is_degenerate(norm)))
+    chain = family._chain[0]
+    levels = tuple(LevelCertificate(index=i + 1, norm=lev.norm, cos_angle=lev.cos_angle,
+                                    gamma=lev.gamma, degenerate=is_degenerate(lev.norm))
+                   for i, lev in enumerate(chain))
     alpha = 1.0
     if independent:
-        prod = math.prod(1.0 - lev.cos_angle ** 2 for lev in levels)
-        alpha = math.sqrt(max(0.0, 1.0 - prod))
-    return IbapReport(verdict=independent, independent=independent, levels=tuple(levels),
-                      alpha=alpha, sum_dims=sum_dims, dim_sum=family.dim_sum)
+        alpha = math.sqrt(max(0.0, 1.0 - math.prod(lev.sine ** 2 for lev in chain)))
+    return IbapReport(verdict=independent, independent=independent, levels=levels,
+                      alpha=alpha, sum_dims=sum(family.dims), dim_sum=family.dim_sum)
 
 
 def validate_prescription(family: Family, prescription) -> list:

@@ -11,8 +11,9 @@ Three routes are provided and cross-checked by the test suite:
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles.
 
-The resolvents (Id - P_U P_V)^(-1) of the two-subspace step are realized
-as small Hermitian solves in basis coordinates, never as power series.
+The resolvents (Id - P_U P_V)^(-1) of the two-subspace step are applied
+in basis coordinates from the level's residual SVD (angles._Level), never
+as power series or linear solves.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import projector_product_norm
+from .angles import _Level, _pair
 from .family import (
     Family,
     IbapFailureError,
     _feasible_point,
     check_independence,
-    trailing_sums,
     validate_prescription,
     verify_ibap,
 )
@@ -115,28 +115,22 @@ def affine_project(constraint: AffineConstraint, x) -> np.ndarray:
     return constraint.point + x - u.project(x)
 
 
-def _solve_id_minus(u: Subspace, v: Subspace, w: np.ndarray) -> np.ndarray:
-    """Solve (Id - P_u P_v) y = w as a dim(u)-sized Hermitian system.
+def _level_step(level: _Level, basis: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The point of U + T projecting to u on U and to v on T.
 
-    The solution differs from w by an element of u, so it suffices to
-    solve for those coordinates.  Requires the pair norm below 1.
+    level factors U (orthonormal basis `basis`) against T, with
+    C = T^H B and R = B - T C = W S V^H.  Since R^H R = I - C^H C, the
+    resolvents in basis coordinates are (I - C^H C)^(-1) = M = V S^-2 V^H
+    and (I - C C^H)^(-1) C = C M; together they give
+    x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  Refuses norms
+    at or beyond NORM_GUARD.
     """
-    p = u.dim
-    if p == 0:
-        return w.copy()
-    g = u.basis.conj().T @ v.basis
-    core = np.eye(p, dtype=u.dtype) - g @ g.conj().T
-    rhs = g @ (v.basis.conj().T @ w)
-    return w + u.basis @ np.linalg.solve(core, rhs)
-
-
-def _require_pair_norm(u: Subspace, v: Subspace) -> float:
-    norm = projector_product_norm(u, v)
+    norm = level.norm
     if norm >= NORM_GUARD:
         raise ValueError(
             f"projector-product norm {norm:.17g} is too close to 1: "
             "the two-subspace inverse best approximation hypothesis fails")
-    return norm
+    return v + level.w @ ((level.vh @ (basis.conj().T @ (u - v))) / level.sines)
 
 
 def solve_two(c1: AffineConstraint, c2: AffineConstraint) -> np.ndarray:
@@ -155,38 +149,29 @@ def extend_min_norm(level: Subspace, trailing: Subspace, u, v) -> np.ndarray:
     Given the prescribed point u in `level` and a point v of `trailing`
     (the minimal-norm solution of the constraints after this level),
     returns the point of level + trailing projecting to u on `level` and
-    to v on `trailing`.  Applies the two resolvent solves
-    (Id - P P')^(-1) to u - P v and v - P' u.
+    to v on `trailing`, from one residual SVD of the pair (see _level_step).
     """
     _check_compatible(level, trailing)
     u = level.member(u, what="level point")
     v = trailing.member(v, what="trailing point")
-    _require_pair_norm(level, trailing)
-    w1 = u - level.project(v)
-    w2 = v - trailing.project(u)
-    return _solve_id_minus(level, trailing, w1) + _solve_id_minus(trailing, level, w2)
+    return _level_step(_pair(level, trailing), level.basis, u, v)
 
 
 def min_norm_stages(family: Family, prescription) -> list:
     """Intermediate minimal-norm solutions of the trailing subsystems.
 
     Entry j solves the last j+1 constraints; the final entry is the
-    minimal-norm solution of the whole prescription.  Requires the IBAP.
+    minimal-norm solution of the whole prescription.  Requires the IBAP;
+    each level step comes from the family's cached level chain.
     """
     if not check_independence(family):
         raise IbapFailureError(
             "family does not satisfy the inverse best approximation property",
             verify_ibap(family))
     pres = validate_prescription(family, prescription)
-    subs = family.subspaces
     stages = [pres[-1]]
-    if len(subs) == 1:
-        return stages
-    tails = trailing_sums(family)
-    x = pres[-1]
-    for i in range(len(subs) - 2, -1, -1):
-        x = extend_min_norm(subs[i], tails[i], pres[i], x)
-        stages.append(x)
+    for s, level, u in reversed(list(zip(family.subspaces, family._chain[0], pres))):
+        stages.append(_level_step(level, s.basis, u, stages[-1]))
     return stages
 
 

@@ -54,14 +54,17 @@ def as_field_vector(x, ambient_dim: int, dtype, what: str = "vector") -> np.ndar
     return np.asarray(arr, dtype=dtype)
 
 
-def _rank_from_singular_values(s: np.ndarray, shape) -> int:
-    """Numerical rank: the singular values above max(shape) * eps times the largest.
+def _rank_from_singular_values(s: np.ndarray, shape, scale: float | None = None) -> int:
+    """Numerical rank: the singular values above max(shape) * eps times scale.
 
-    This is the package's only rank decision.
+    scale defaults to the largest singular value; a matrix whose scale is
+    known beforehand, such as a residual of orthonormal columns (scale 1),
+    passes it.  This is the package's only rank decision.
     """
-    if s.size == 0 or s[0] <= 0.0:
+    top = s[0] if s.size and scale is None else scale
+    if s.size == 0 or top <= 0.0:
         return 0
-    return int(np.sum(s > max(shape) * _EPS * s[0]))
+    return int(np.sum(s > max(shape) * _EPS * top))
 
 
 def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ Each oracle takes a different route than the implementation it checks:
 Gram eigenvalues instead of basis SVDs, dense projector matrices instead
 of cross-Gram factors, truncated power series instead of direct solves,
 sampling instead of spectral maximization, real-stacked least squares
-instead of complex solves, complement chains instead of level
-cosines, and one public affine_project call per constraint and one
-prescription_residual per sweep instead of the sweep on precomputed
-bases and the residual in stacked basis coordinates.
+instead of complex solves, complement chains instead of level cosines,
+pseudoinverse projectors of the later members instead of the level
+chain's trailing sums, and one public affine_project call per constraint
+and one prescription_residual per sweep instead of the sweep on
+precomputed bases and the residual in stacked basis coordinates.
 """
 
 import numpy as np
@@ -89,6 +90,17 @@ def neumann_inverse(u, v, w, term_tol=1e-14, max_terms=100000):
         if np.linalg.norm(term) < term_tol:
             return acc
     raise RuntimeError("power series did not reach the term tolerance")
+
+
+def trailing_sum_projectors(family, rcond=1e-10):
+    """For each level i < m, the dense projector A A^+ onto the sum of the
+    members after it, with A their stacked bases and A^+ its pseudoinverse."""
+    subs = family.subspaces
+    out = []
+    for i in range(len(subs) - 1):
+        a = np.hstack([s.basis for s in subs[i + 1:]])
+        out.append(a @ np.linalg.pinv(a, rcond=rcond))
+    return out
 
 
 def stacked_rows(family, prescription):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from ibap import (
+    Family,
     HypothesisError,
     MaskedSignalProblem,
     SlowFamilySpec,
     SolveOptions,
     Subspace,
+    check_independence,
     dft,
     dft_matrix,
     idft,
@@ -269,6 +271,27 @@ class TestTimeFrequencyRecovery:
         with pytest.raises(ValueError):
             MaskedSignalProblem(n=4, time_mask=(0,), freq_mask=(),
                                 time_values=np.zeros(2), freq_values=np.zeros(0))
+
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_comb_masks_meet_in_the_comb(self, n):
+        # both masks hold the comb of spacing sqrt(n), which is its own
+        # transform, plus sqrt(n) other random indices each
+        comb = int(round(n ** 0.5))
+        teeth = set(range(0, n, comb))
+        rng = rng_for(811)
+        extra = [int(i) for i in rng.permutation(n) if int(i) not in teeth]
+        tmask = sorted(teeth | set(extra[:comb]))
+        fmask = sorted(teeth | set(extra[comb:2 * comb]))
+        u_time = Subspace(np.eye(n, dtype=complex)[:, tmask])
+        u_freq = Subspace(dft_matrix(n).conj().T[:, fmask])
+        # the shared direction's sine is rounding, below the level rank cutoff
+        assert not check_independence(Family((u_time, u_freq)))
+        p = MaskedSignalProblem(n=n, time_mask=tmask, freq_mask=fmask,
+                                time_values=np.ones(len(tmask)),
+                                freq_values=np.ones(len(fmask)))
+        with pytest.raises(HypothesisError, match="masks too large"):
+            time_frequency_recover(p)
 
 
 class TestRecoverWithMeasurements:

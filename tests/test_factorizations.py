@@ -1,13 +1,14 @@
 """Factorization counts of the analysis layer on a fixed family.
 
-Each family is factorized once per call chain: one full SVD of its
-stacked bases, cached on the Family.  Every other SVD in these chains is
-a thin one (trailing sums) or a singular-value-only one on a cross-Gram
-matrix, and none of them builds a complement.  The two-constraint solve
-takes only the cross-Gram SVD of its pair, and an operator system adds
-one thin SVD per operator to the chain of its family.  The periodic
-projection sweep makes no per-sweep call of Subspace.project or
-affine_project.
+Each family is factorized at most once per call chain, by two
+factorizations cached on the Family: the level chain, one thin SVD of
+each level's residual off its trailing sum (m - 1 in all), and the full
+SVD of its stacked bases, which only the stacked solve takes.  None of
+these chains builds a complement or calls a linear solve.  A lone pair
+(the two-constraint solve, the Friedrichs cosine) takes one thin SVD of
+its residual, and an operator system adds one thin SVD per operator to
+the chain of its family.  The periodic projection sweep makes no
+per-sweep call of Subspace.project or affine_project.
 """
 
 from collections import Counter
@@ -23,6 +24,7 @@ from ibap import (
     SolveOptions,
     Subspace,
     best_approximation,
+    cos_friedrichs,
     direct_solve,
     min_norm_stages,
     solve_min_norm,
@@ -48,10 +50,11 @@ def problem():
 
 @pytest.fixture
 def log(monkeypatch):
-    """Records ("svd", shape, full_u, uv), ("lstsq", shape) and ("pinv", shape)
-    for every call, and ("complement",) for every orthogonal complement built."""
+    """Records ("svd", shape, full_u, uv), ("lstsq", shape), ("pinv", shape) and
+    ("solve", shape) for every call, and ("complement",) for every orthogonal
+    complement built."""
     calls = []
-    svd, lstsq, pinv = np.linalg.svd, np.linalg.lstsq, np.linalg.pinv
+    svd, lstsq, pinv, solve = np.linalg.svd, np.linalg.lstsq, np.linalg.pinv, np.linalg.solve
     complement = Subspace.complement
 
     def counted_svd(a, full_matrices=True, compute_uv=True, **kwargs):
@@ -66,6 +69,10 @@ def log(monkeypatch):
         calls.append(("pinv", np.shape(a)))
         return pinv(a, *args, **kwargs)
 
+    def counted_solve(a, b):
+        calls.append(("solve", np.shape(a)))
+        return solve(a, b)
+
     def counted_complement(self):
         calls.append(("complement",))
         return complement(self)
@@ -73,6 +80,7 @@ def log(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
     monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(Subspace, "complement", counted_complement)
     return calls
 
@@ -83,32 +91,36 @@ def full_u_svds(calls):
 
 
 def thin_svds(calls):
-    """Thin SVDs with N rows; trailing_sums takes m - 2 of them."""
-    return [c[1] for c in calls if c[0] == "svd" and not c[2] and c[1][0] == N]
+    """Shapes of the thin SVDs with singular vectors and N rows."""
+    return [c[1] for c in calls if c[0] == "svd" and not c[2] and c[3] and c[1][0] == N]
 
 
-TRAILING = len(DIMS) - 2
+#: the level chain: one thin SVD per level, of U_i's residual, from the last but one up
+LEVELS = [(N, k) for k in reversed(DIMS[:-1])]
+STACKED = [(N, sum(DIMS))]
 
-#: chain -> (call, thin SVDs it takes)
+#: chain -> (call, its thin SVDs, its full-u SVDs)
 CHAINS = {
-    "verify_ibap": (lambda f, pres: verify_ibap(f), TRAILING),
-    "min_norm_stages": (lambda f, pres: min_norm_stages(f, pres), TRAILING),
-    "solve_min_norm": (lambda f, pres: solve_min_norm(f, pres), TRAILING),
-    "direct_solve": (lambda f, pres: direct_solve(f, pres, anchor=np.ones(N)), 0),
+    "verify_ibap": (lambda f, pres: verify_ibap(f), LEVELS, []),
+    "min_norm_stages": (lambda f, pres: min_norm_stages(f, pres), LEVELS, []),
+    "solve_min_norm": (lambda f, pres: solve_min_norm(f, pres), LEVELS, []),
+    "direct_solve": (lambda f, pres: direct_solve(f, pres, anchor=np.ones(N)), [], STACKED),
     "best_approximation": (lambda f, pres: best_approximation(
-        np.ones(N), f, pres, SolveOptions(max_iter=3, record_trace=True)), TRAILING),
+        np.ones(N), f, pres, SolveOptions(max_iter=3, record_trace=True)), LEVELS, STACKED),
 }
 
 
 @pytest.mark.parametrize("chain", sorted(CHAINS))
 def test_one_stacked_svd_and_no_complement(chain, problem, log):
+    """At most one stacked SVD, taken only by the stacked solve."""
     subspaces, pres = problem
-    call, thin = CHAINS[chain]
+    call, thin, full = CHAINS[chain]
     call(Family(subspaces), pres)
-    assert full_u_svds(log) == [(N, sum(DIMS))]
-    # the trailing sums are built at most once per chain
-    assert len(thin_svds(log)) == thin
-    assert not [c for c in log if c[0] in ("lstsq", "complement")]
+    assert full_u_svds(log) == full
+    # the level chain is built at most once per chain
+    assert thin_svds(log) == thin
+    assert len([c for c in log if c[0] == "svd"]) == len(thin) + len(full)
+    assert not [c for c in log if c[0] in ("lstsq", "solve", "complement")]
 
 
 def test_check_chain_factorizes_the_family_once(problem, log):
@@ -116,13 +128,15 @@ def test_check_chain_factorizes_the_family_once(problem, log):
     report = verify_ibap(family)
     unique = uniqueness_check(family)
     assert report.verdict and not unique and 0.0 < report.alpha < 1.0
-    assert full_u_svds(log) == [(N, sum(DIMS))]
-    assert len([c for c in log if c[0] == "svd" and c[2]]) == 1
-
+    # the level chain and nothing else: no stacked or values-only SVD
+    assert log == [("svd", shape, False, True) for shape in LEVELS]
+    # the recursion reuses the cached chain
+    solve_min_norm(family, problem[1])
+    assert log == [("svd", shape, False, True) for shape in LEVELS]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_solve_two_takes_one_cross_gram_svd(field, log):
+def test_solve_two_takes_one_residual_svd(field, log):
     rng = rng_for(1203)
     u, v = random_subspace(rng, N, 3, field), random_subspace(rng, N, 5, field)
     x = rng.standard_normal(N)
@@ -130,8 +144,18 @@ def test_solve_two_takes_one_cross_gram_svd(field, log):
     log.clear()
     z = solve_two(c1, c2)
     assert np.allclose(v.project(z), c2.point)
-    # the projector-product norm of the pair, and nothing else
-    assert log == [("svd", (3, 5), False, False)]
+    # the residual of the level off the trailing member serves the guard
+    # and both resolvents
+    assert log == [("svd", (N, 3), False, True)]
+
+
+def test_friedrichs_cosine_takes_one_residual_svd(log):
+    rng = rng_for(1205)
+    u, v = random_subspace(rng, N, 6, "real"), random_subspace(rng, N, 20, "real")
+    log.clear()
+    # dim u + dim v > N, so the pair meets in two dimensions
+    assert 0.0 < cos_friedrichs(u, v) < 1.0
+    assert log == [("svd", (N, 6), False, True)]
 
 
 def test_operator_system_adds_one_thin_svd_per_operator(log):
@@ -162,10 +186,10 @@ def test_moments_build_one_complement(meets_complement, log):
     else:
         x = solve_moments(space, vectors, [1.0, 2.0, 3.0, 4.0])
         assert np.allclose([v @ x for v in vectors], [1.0, 2.0, 3.0, 4.0])
-    # the orthocomplement of the space, a member of the family that is solved
+    # the orthocomplement of the space, a member of the family that is solved,
+    # is the only full-u SVD: the decision and the recursion use the level chain
     assert [c for c in log if c[0] == "complement"] == [("complement",)]
-    # and the stacked SVD of that family: the only other full-u SVD
-    assert len(full_u_svds(log)) == 2
+    assert len(full_u_svds(log)) == 1
 
 
 def test_the_sweep_calls_no_projection_per_sweep(monkeypatch):

@@ -1,6 +1,7 @@
 """Family-level decisions: independence, the property verdict and its
 certificates, approximate solving, and feasibility certificates."""
 
+import json
 import math
 
 import numpy as np
@@ -9,17 +10,20 @@ import pytest
 from ibap import (
     DependentFamilyError,
     Family,
+    IbapFailureError,
     Subspace,
     check_independence,
     dependent_tuple,
     epsilon_solve,
     infeasibility_certificate,
     prescription_residual,
+    solve_min_norm,
     trailing_sums,
     uniqueness_check,
     validate_prescription,
     verify_ibap,
 )
+from ibap.cli import EXIT_NO_IBAP, EXIT_OK, main
 
 from conftest import (
     FIELDS,
@@ -27,9 +31,16 @@ from conftest import (
     random_family,
     random_independent_dims,
     random_prescription,
+    random_subspace,
     rng_for,
 )
-from oracles import complement_chain_alpha, dense_projector, pinv_min_norm, stacked_residual
+from oracles import (
+    complement_chain_alpha,
+    gram_rank,
+    pinv_min_norm,
+    stacked_residual,
+    trailing_sum_projectors,
+)
 
 
 def axes_family(n, m=None):
@@ -132,16 +143,45 @@ class TestVerifyIbap:
             dims = random_independent_dims(rng, 9, 3)
             f = random_family(rng, 9, dims)
             rep = verify_ibap(f)
-            tails = trailing_sums(f)
-            for lev, tail in zip(rep.levels, tails):
+            for lev, tail in zip(rep.levels, trailing_sum_projectors(f)):
                 sub = f.subspaces[lev.index - 1]
                 # oracle: the smallest norm of (I - P_tail) u over unit u in U_i
                 # is the smallest singular value of (I - P_tail) B_i
-                mat = (np.eye(9) - dense_projector(tail)) @ sub.basis
+                mat = (np.eye(9) - tail) @ sub.basis
                 smin = np.linalg.svd(mat, compute_uv=False)[-1]
                 assert abs(smin - math.sqrt(1.0 - lev.norm ** 2)) <= 1e-10
                 assert abs(lev.gamma - 1.0 / smin) <= 1e-6 * lev.gamma
 
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_gamma_is_infinite_exactly_at_rank_deficient_levels(self, field):
+        # two lines at angle 1e-9: the level norm rounds to 1, yet gamma is 1e9
+        lines = Family((Subspace.from_spanning([[1.0, 0.0]], 2, field),
+                        Subspace.from_spanning([[1.0, 1e-9]], 2, field)))
+        assert abs(verify_ibap(lines).levels[0].gamma - 1e9) <= 1e-6 * 1e9
+        rng = rng_for(506)
+        families = []
+        for trial in range(30):
+            if trial % 2:
+                families.append(dependent_family_with_witness(rng, 8, field)[0])
+            else:
+                dims = random_independent_dims(rng, 8, int(rng.integers(2, 5)))
+                families.append(random_family(rng, 8, dims, field))
+        deficient_levels = 0
+        for f in families:
+            rep = verify_ibap(f)
+            for lev, tail in zip(rep.levels, trailing_sum_projectors(f)):
+                later = [v for s in f.subspaces[lev.index:] for v in s.basis.T]
+                sub = f.subspaces[lev.index - 1]
+                deficient = gram_rank(list(sub.basis.T) + later) < sub.dim + gram_rank(later)
+                assert math.isinf(lev.gamma) == deficient
+                if deficient:
+                    deficient_levels += 1
+                    continue
+                n = f.ambient_dim
+                smin = np.linalg.svd((np.eye(n) - tail) @ sub.basis, compute_uv=False)[-1]
+                assert abs(lev.gamma - 1.0 / smin) <= 1e-6 * lev.gamma
+        assert deficient_levels == 15
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_alpha_matches_the_complement_chain(self, field):
@@ -273,3 +313,63 @@ class TestUniqueness:
         rng = rng_for(510)
         f = random_family(rng, 6, [2, 2])
         assert not uniqueness_check(f)
+
+
+#: the level rank cutoff of a line against a line in R^2: max(shape) * eps
+LINE_CUTOFF = 2 * np.finfo(np.float64).eps
+
+
+class TestRankCutoff:
+    """The verdict, the dimension of the sum, the parallel subspace, the
+    check exit code and the recursion's guard agree on either side of the
+    level rank cutoff."""
+
+    @pytest.mark.parametrize("factor, independent", [(10.0, True), (0.1, False)])
+    def test_two_lines_near_the_cutoff(self, factor, independent, tmp_path):
+        theta = factor * LINE_CUTOFF
+        f = Family((Subspace.from_spanning([[1.0, 0.0]], 2),
+                    Subspace.from_spanning([[1.0, theta]], 2)))
+        assert verify_ibap(f).verdict == check_independence(f) == independent
+        assert f.dim_sum == (2 if independent else 1)
+        assert f.parallel.dim == 2 - f.dim_sum
+        doc = {"field": "real", "ambient_dim": 2,
+               "subspaces": [{"vectors": [[1.0, 0.0]]}, {"vectors": [[1.0, theta]]}]}
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == (EXIT_OK if independent else EXIT_NO_IBAP)
+        pres = [np.array([1.0, 0.0]), np.zeros(2)]
+        # the recursion refuses either way: by its guard, since the norm of
+        # the pair rounds to 1, or for the missing property
+        if independent:
+            with pytest.raises(ValueError, match="too close to 1"):
+                solve_min_norm(f, pres)
+        else:
+            with pytest.raises(IbapFailureError):
+                solve_min_norm(f, pres)
+
+    @pytest.mark.parametrize("at_top", [True, False])
+    def test_zero_dimensional_member_at_either_end(self, at_top):
+        rng = rng_for(511)
+        subs = [random_subspace(rng, 6, 2), random_subspace(rng, 6, 3)]
+        zero = Subspace.zero(6)
+        f = Family(tuple([zero] + subs if at_top else subs + [zero]))
+        rep = verify_ibap(f)
+        lev = rep.levels[0] if at_top else rep.levels[-1]
+        assert (lev.norm, lev.gamma, lev.degenerate) == (0.0, 1.0, False)
+        assert rep.verdict and f.dim_sum == 5
+
+    @pytest.mark.parametrize("sine", [1e-6, 1e-9])
+    def test_trailing_sums_stay_orthonormal_at_a_small_middle_angle(self, sine):
+        rng = rng_for(512)
+        n = 12
+        last = random_subspace(rng, n, 4)
+        near = last.basis[:, 0] + sine * rng.standard_normal(n)
+        middle = Subspace.from_spanning(list(rng.standard_normal((2, n))) + [near], n)
+        f = Family((random_subspace(rng, n, 3), middle, last))
+        # Subspace checks each basis for orthonormality to 1e-12
+        tails = trailing_sums(f)
+        assert [t.dim for t in tails] == [7, 4]
+        for i, tail in enumerate(tails):
+            for later in f.subspaces[i + 1:]:
+                gap = later.basis - tail.basis @ (tail.basis.T @ later.basis)
+                assert np.abs(gap).max() <= 1e-12

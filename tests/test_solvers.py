@@ -22,7 +22,8 @@ from ibap import (
     solve_two,
     verify_ibap,
 )
-from ibap.solvers import _solve_id_minus
+from ibap.angles import _pair
+from ibap.solvers import _level_step
 
 from conftest import (
     FIELDS,
@@ -107,22 +108,27 @@ class TestAffineProject:
 
 
 class TestResolvent:
+    """The level step applies (Id - P_u P_v)^(-1) to u - P_u v and
+    (Id - P_v P_u)^(-1) to v - P_v u, from the pair's residual SVD."""
+
     @pytest.mark.parametrize("field", FIELDS)
     def test_matches_power_series_oracle(self, field):
         rng = rng_for(703)
         for _ in range(15):
             u = random_subspace(rng, 6, int(rng.integers(1, 4)), field)
             v = random_subspace(rng, 6, int(rng.integers(1, 4)), field)
-            w = random_unit(rng, 6, field)
-            got = _solve_id_minus(u, v, w)
-            expected = neumann_inverse(u, v, w)
+            a, b = u.project(random_unit(rng, 6, field)), v.project(random_unit(rng, 6, field))
+            got = _level_step(_pair(u, v), u.basis, a, b)
+            expected = (neumann_inverse(u, v, a - u.project(b))
+                        + neumann_inverse(v, u, b - v.project(a)))
             assert np.linalg.norm(got - expected) <= 1e-10
 
     def test_zero_dim_side_is_the_identity(self):
         rng = rng_for(704)
         v = random_subspace(rng, 5, 2)
-        w = random_unit(rng, 5)
-        assert np.allclose(_solve_id_minus(Subspace.zero(5), v, w), w)
+        w = v.project(random_unit(rng, 5))
+        zero = Subspace.zero(5)
+        assert np.allclose(_level_step(_pair(zero, v), zero.basis, np.zeros(5), w), w)
 
 
 class TestSolveTwo:
