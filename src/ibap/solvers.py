@@ -9,7 +9,9 @@ Three routes are provided and cross-checked by the test suite:
   oracle and produces the full solution set (particular point plus
   parallel subspace);
 * the periodic projection iteration onto the affine constraint sets,
-  with an a-priori linear rate bound from the level angles.
+  with an a-priori linear rate bound from the level angles; each sweep
+  is one low-rank affine map x <- x + Q (C x) + b whose product also
+  gives the residual, equal to the per-constraint sweep up to rounding.
 
 The resolvents (Id - P_U P_V)^(-1) of the two-subspace step are applied
 in basis coordinates from the level's residual SVD (angles._Level), never
@@ -53,17 +55,6 @@ class AffineConstraint:
         u = self.subspace.member(self.point, what="constraint point").copy()
         u.setflags(write=False)
         object.__setattr__(self, "point", u)
-
-    @classmethod
-    def from_affine_set(cls, point, parallel: Subspace) -> "AffineConstraint":
-        """Constraint for the affine set point + parallel.
-
-        Membership in that set is equivalent to projecting, on the
-        complement of the parallel subspace, to the point's own
-        projection there.
-        """
-        sub = parallel.complement()
-        return cls(sub, sub.project(point))
 
 
 @dataclass(frozen=True)
@@ -234,12 +225,12 @@ def best_approximation(start, family: Family, prescription,
     Each validated prescription vector is projected onto its subspace
     once, so that it lies in the subspace to rounding; the reference
     solution, d0, the sweeps and the residuals all use those projected
-    vectors.  Each sweep applies the affine projectors of the constraints
-    from the last to the first, on bases taken from the family once per
-    call.  The constraint residual max_i ||P_i x - u_i|| is measured in
-    basis coordinates, as max_i ||Q_i^H x - Q_i^H u_i||, for all members
-    with one product by the stacked rows Q_i^H.  Stops when the residual
-    drops to options.tol or after options.max_iter sweeps; both outcomes
+    vectors.  Each sweep is the affine map x <- x + Q (C x) + b, built
+    once per call without an n-by-n array; its iterates are those of the
+    affine projectors applied from the last constraint to the first, up
+    to rounding.  The product that gives C x also gives the residual
+    max_i ||Q_i^H x - Q_i^H u_i|| of the stored x.  Stops when it drops
+    to options.tol or after options.max_iter sweeps; both outcomes
     are recorded in the returned trace.  When the family satisfies the
     IBAP the trace carries the bound values alpha^n * d0 against the true
     best approximation.  Returns (point, trace).
@@ -256,32 +247,40 @@ def best_approximation(start, family: Family, prescription,
     else:
         _feasible_point(family, pres)
     d0 = _norm(start - reference) if reference is not None else None
-    # (u_i, Q_i, Q_i^H) per constraint: each affine step is u + x - Q (Q^H x),
-    # with the same operands as affine_project and Subspace.project
-    steps = [(u, s.basis, s.basis.conj().T) for s, u in zip(subs, pres)]
-    # the residual rows: Q_i^H stacked over the members with dim > 0 (a
-    # zero-dimensional member's residual is exactly 0, and reduceat needs
-    # nonempty segments), their right-hand sides Q_i^H u_i, and where each
-    # member's entries start in the real view of the coordinates (two
-    # float64 entries per complex one)
-    live = [(qh, u) for u, _, qh in steps if qh.shape[0]]
-    if live:
-        rows = np.vstack([qh for qh, _ in live])
-        rhs = np.concatenate([qh @ u for qh, u in live])
-        width = 2 if rows.dtype.kind == "c" else 1
-        starts = width * np.cumsum([0] + [qh.shape[0] for qh, _ in live[:-1]])
+    # zero-dimensional members are exact identities and drop out
+    live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start
+    if live:
+        # Q = [Q_1 ... Q_m]; C_j = -Q_j^H A_(j+1) gives member j's step, with
+        # A_(j+1) = I + Q_(>j) C_(>j) the linear part of the steps before it;
+        # b is one sweep from 0; G = [C; Q^H] gives the next C x and the
+        # residual coordinates of the stored x in one product
+        q = np.hstack([qi for qi, _ in live])
+        rows = q.conj().T
+        gram = rows @ q
+        offsets = np.cumsum([0] + [qi.shape[1] for qi, _ in live])
+        c = -rows
+        for lo, hi in reversed(list(zip(offsets[:-2], offsets[1:-1]))):
+            c[lo:hi] -= gram[lo:hi, hi:] @ c[hi:]
+        shift = np.zeros_like(start)
+        for qi, u in reversed(live):
+            shift = u + shift - qi @ (qi.conj().T @ shift)
+        g = np.vstack([c, rows])
+        rhs = np.concatenate([qi.conj().T @ u for qi, u in live])
+        k = offsets[-1]
+        # where each member's residual entries start in the real view of
+        # the coordinates (two float64 entries per complex one)
+        starts = (2 if rows.dtype.kind == "c" else 1) * offsets[:-1]
+        z = g @ x
     records = []
     converged = False
-    sweeps = 0
     for n in range(1, opts.max_iter + 1):
-        sweeps = n
-        for u, q, qh in reversed(steps):
-            x = u + x - q @ (qh @ x)
         res = 0.0
         if live:
-            c = (rows @ x - rhs).view(np.float64)
-            res = math.sqrt(np.add.reduceat(c * c, starts).max())
+            x = x + (q @ z[:k] + shift)
+            z = g @ x
+            r = (z[k:] - rhs).view(np.float64)
+            res = math.sqrt(np.add.reduceat(r * r, starts).max())
         dist = None
         if opts.record_trace and reference is not None:
             dist = _norm(x - reference)
@@ -292,5 +291,6 @@ def best_approximation(start, family: Family, prescription,
             converged = True
             break
     trace = ConvergenceTrace(records=tuple(records), alpha=alpha,
-                             initial_distance=d0, converged=converged, sweeps=sweeps)
+                             initial_distance=d0, converged=converged,
+                             sweeps=len(records))
     return x, trace

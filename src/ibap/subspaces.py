@@ -153,10 +153,6 @@ class Subspace:
     def dtype(self) -> np.dtype:
         return self.basis.dtype
 
-    @property
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of x onto this subspace."""
         x = as_field_vector(x, self.ambient_dim, self.dtype)

@@ -7,8 +7,8 @@ sampling instead of spectral maximization, real-stacked least squares
 instead of complex solves, complement chains instead of level cosines,
 pseudoinverse projectors of the later members instead of the level
 chain's trailing sums, and one public affine_project call per constraint
-and one prescription_residual per sweep instead of the sweep on
-precomputed bases and the residual in stacked basis coordinates.
+and one prescription_residual per sweep instead of the sweep as one
+low-rank affine map and the residual in stacked basis coordinates.
 """
 
 import numpy as np
@@ -39,6 +39,18 @@ def gram_rank(vectors, tol=1e-10):
     if top <= 0:
         return 0
     return int(np.sum(eig > tol * top))
+
+
+def is_zero(subspace):
+    return subspace.dim == 0
+
+
+def constraint_from_affine_set(point, parallel):
+    """AffineConstraint for the affine set point + parallel: membership in
+    it is projecting, on the complement of the parallel subspace, to the
+    point's own projection there."""
+    sub = parallel.complement()
+    return AffineConstraint(sub, sub.project(point))
 
 
 def dense_projector(subspace):

@@ -14,6 +14,7 @@ from ibap import (
     Subspace,
     check_independence,
     dependent_tuple,
+    direct_solve,
     epsilon_solve,
     infeasibility_certificate,
     prescription_residual,
@@ -30,6 +31,7 @@ from conftest import (
     dependent_family_with_witness,
     random_family,
     random_independent_dims,
+    random_orthogonal,
     random_prescription,
     random_subspace,
     rng_for,
@@ -286,6 +288,33 @@ class TestInfeasibility:
             if infeasibility_certificate(f, pres) is None:
                 x = epsilon_solve(f, pres, 1e-6)
                 assert prescription_residual(f, pres, x) <= 1e-10
+
+    def test_large_solutions_of_independent_families_are_feasible(self):
+        # a 2- and a 3-dimensional subspace of R^8 meeting at sine 1e-9:
+        # generic prescriptions have solutions of norm near 1e9, whose
+        # stacked residual is rounding of size eps ||x||, far above
+        # FEASIBILITY_RTOL (1 + ||b||) but not above the backward error bound
+        eps = np.finfo(float).eps
+        sine = 1e-9
+        for seed in range(200):
+            rng = rng_for(seed)
+            q = random_orthogonal(rng, 8)
+            u = Subspace.from_spanning([q[:, 0], q[:, 1]], 8)
+            v = Subspace.from_spanning([np.sqrt(1 - sine ** 2) * q[:, 0] + sine * q[:, 2],
+                                        q[:, 3], q[:, 4]], 8)
+            f = Family((u, v))
+            assert verify_ibap(f).verdict
+            pres = random_prescription(rng, f)
+            assert infeasibility_certificate(f, pres) is None
+            x = direct_solve(f, pres).particular
+            assert prescription_residual(f, pres, x) <= 8 * eps * np.linalg.norm(x)
+
+    def test_zero_sum_prescriptions_of_dependent_families_stay_infeasible(self):
+        for seed in range(200):
+            rng = rng_for(seed)
+            f, witness = dependent_family_with_witness(rng, int(rng.integers(6, 12)))
+            cert = infeasibility_certificate(f, witness)
+            assert cert is not None and cert.residual > 1e-8
 
     def test_certificate_mentions_membership_errors(self):
         f, pres = self.fixture_zero_sum()

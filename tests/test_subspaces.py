@@ -6,7 +6,7 @@ import pytest
 from ibap import COMPLEX, REAL, Subspace, add, inner, intersect
 
 from conftest import FIELDS, random_matrix, random_subspace, random_unit, rng_for
-from oracles import gram_rank, mutual_projection_gap
+from oracles import gram_rank, is_zero, mutual_projection_gap
 
 
 class TestFromSpanning:
@@ -18,7 +18,7 @@ class TestFromSpanning:
     def test_empty_set_gives_zero_subspace(self):
         u = Subspace.from_spanning([], 3)
         assert u.dim == 0
-        assert u.is_zero
+        assert is_zero(u)
         assert u.ambient_dim == 3
 
     def test_two_independent_vectors_fill_the_plane(self):
