@@ -294,13 +294,13 @@ def _feasible_point(family: Family, pres: list) -> np.ndarray:
     """Minimal-norm solution of a validated prescription.
 
     Raises InfeasiblePrescriptionError, carrying the certificate, when
-    the normwise backward error is too large: the stacked residual
-    exceeds FEASIBILITY_RTOL * (1 + ||b|| + sigma_max ||x||), so that a
-    large solution's own rounding does not count against it.
+    the stacked residual exceeds FEASIBILITY_RTOL * (1 + ||b||) plus the
+    solve's own rounding, 4 max(n, K) eps sigma_max ||x||.
     """
     x, residual, scale = stacked_lstsq(family, pres)
-    sigma_max = np.max(family._stacked[1], initial=0.0)
-    if residual > FEASIBILITY_RTOL * (scale + sigma_max * float(np.linalg.norm(x))):
+    u, s, vh, _ = family._stacked
+    rounding = 4 * max(u.shape[0], vh.shape[0]) * np.finfo(float).eps * np.max(s, initial=0.0)
+    if residual > FEASIBILITY_RTOL * scale + rounding * float(np.linalg.norm(x)):
         raise InfeasiblePrescriptionError(
             f"prescription is infeasible (stacked residual {residual:.3e})",
             InfeasibilityCertificate(residual=residual, best_point=x))

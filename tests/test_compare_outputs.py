@@ -69,13 +69,14 @@ def test_last_line_names_the_largest_differences_and_their_commands():
                    trace=TRACE.replace("0.25", "0.2500001"))
     large = dict(record(stdout="sweeps: 2  converged: yes\nsolution: [3.0, 4.1]\n",
                         trace=TRACE.replace("2.0", "2.0000001")), index=1)
-    olds = [record(), dict(record(), index=1)]
-    line = compare_outputs.largest_differences(olds, [small, large])
-    assert line == ("largest solution difference: rel 2.00e-02 at w seed 1 #1 iterate "
-                    "<workdir>/p.json; largest trace difference: dist_to_solution "
-                    "rel 4.00e-07 abs 1.00e-07 at w seed 1 #0 iterate <workdir>/p.json")
+    lines, ok = compare_outputs.compare([record(), dict(record(), index=1)], [small, large])
+    assert ok and lines[-1].endswith(
+        "; largest solution difference: rel 2.00e-02 at w seed 1 #1 iterate "
+        "<workdir>/p.json; largest trace difference: dist_to_solution "
+        "rel 4.00e-07 abs 1.00e-07 at w seed 1 #0 iterate <workdir>/p.json")
 
 
 def test_last_line_of_equal_runs_names_no_difference():
-    line = compare_outputs.largest_differences([record()], [record()])
-    assert line == "largest solution difference: none; largest trace difference: none"
+    lines, _ = compare_outputs.compare([record()], [record()])
+    assert lines[-1].endswith(
+        "; largest solution difference: none; largest trace difference: none")

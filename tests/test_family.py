@@ -11,7 +11,9 @@ from ibap import (
     DependentFamilyError,
     Family,
     IbapFailureError,
+    InfeasiblePrescriptionError,
     Subspace,
+    best_approximation,
     check_independence,
     dependent_tuple,
     direct_solve,
@@ -293,7 +295,7 @@ class TestInfeasibility:
         # a 2- and a 3-dimensional subspace of R^8 meeting at sine 1e-9:
         # generic prescriptions have solutions of norm near 1e9, whose
         # stacked residual is rounding of size eps ||x||, far above
-        # FEASIBILITY_RTOL (1 + ||b||) but not above the backward error bound
+        # FEASIBILITY_RTOL (1 + ||b||) but not above the rounding term
         eps = np.finfo(float).eps
         sine = 1e-9
         for seed in range(200):
@@ -315,6 +317,24 @@ class TestInfeasibility:
             f, witness = dependent_family_with_witness(rng, int(rng.integers(6, 12)))
             cert = infeasibility_certificate(f, witness)
             assert cert is not None and cert.residual > 1e-8
+
+    def test_contradiction_with_a_large_minimal_norm_point_stays_infeasible(self):
+        # lines along e0, e0 + 1e-9 e1, e2 and e2 again: the stacked matrix
+        # keeps a singular value near 7e-10, so the least-squares point has
+        # norm 1e9, yet the coordinates along e2 ask for both 0 and 1; the
+        # residual 0.707 is no rounding and must not be forgiven
+        e = np.eye(3)
+        f = Family(tuple(Subspace.from_spanning([v], 3)
+                         for v in (e[0], e[0] + 1e-9 * e[1], e[2], e[2])))
+        assert f._stacked[3] == 3 and not verify_ibap(f).verdict
+        pres = [np.zeros(3), f[1].basis[:, 0], np.zeros(3), e[2]]
+        cert = infeasibility_certificate(f, pres)
+        assert cert is not None and cert.residual > 0.7
+        assert np.linalg.norm(cert.best_point) > 1e8
+        with pytest.raises(InfeasiblePrescriptionError):
+            direct_solve(f, pres)
+        with pytest.raises(InfeasiblePrescriptionError):
+            best_approximation(np.zeros(3), f, pres)
 
     def test_certificate_mentions_membership_errors(self):
         f, pres = self.fixture_zero_sum()

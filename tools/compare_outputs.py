@@ -16,10 +16,10 @@ in argv, stdout and stderr are replaced by ``<workdir>``.
 One line per command reports its exit codes, whether stderr, stdout and
 the ``--trace`` CSV are byte-equal, and where they differ the largest
 difference: norm-wise relative for the printed solution, and per trace
-column the largest absolute and relative difference.  A summary line
-follows, and the last line names the largest solution difference and
-the largest relative trace-column difference over all commands, each
-with its command.  Exits 1 when an exit code or a sweep count differs
+column the largest absolute and relative difference.  The last line
+sums up, and names the largest solution difference and the largest
+relative trace-column difference over all commands, each with its
+command.  Exits 1 when an exit code or a sweep count differs
 (the ``sweeps:`` line or the trace's ``iter`` column), 0 otherwise.
 Run it from the repository root.
 """
@@ -176,41 +176,17 @@ def trace_difference(old_csv, new_csv):
     return columns, True
 
 
-def _head(record):
-    return (f"{record['workload']} seed {record['seed']} #{record['index']} "
-            f"{' '.join(record['argv'])}")
-
-
-def largest_differences(old_records, new_records):
-    """One line: the largest nonzero norm-wise solution difference and the
-    largest nonzero relative trace-column difference over all commands,
-    each with its command."""
-    solution = trace = None
-    for old, new in zip(old_records, new_records):
-        rel = solution_difference(old["stdout"], new["stdout"]) or 0.0
-        if rel > (solution[0] if solution else 0.0):
-            solution = (rel, _head(old))
-        if old["trace"] and new["trace"]:
-            columns, same_iter = trace_difference(old["trace"], new["trace"])
-            for name, (worst_abs, worst_rel) in columns.items() if same_iter else ():
-                if worst_rel > (trace[0] if trace else 0.0):
-                    trace = (worst_rel, worst_abs, name, _head(old))
-    text = "largest solution difference: "
-    text += f"rel {solution[0]:.2e} at {solution[1]}" if solution else "none"
-    text += "; largest trace difference: "
-    text += (f"{trace[2]} rel {trace[0]:.2e} abs {trace[1]:.2e} at {trace[3]}" if trace
-             else "none")
-    return text
-
-
 def compare(old_records, new_records):
-    """One report line per command and a summary; returns (lines, ok)."""
+    """One report line per command and a summary that ends with the largest
+    nonzero solution and relative trace-column differences, each with its
+    command; returns (lines, ok)."""
     lines, ok, identical = [], True, 0
+    solution = trace = None  # (rel, head) and (rel, abs, column, head)
     if len(old_records) != len(new_records):
         return [f"{len(old_records)} commands at the revision, "
                 f"{len(new_records)} in the working tree"], False
     for old, new in zip(old_records, new_records):
-        head = _head(old)
+        head = f"{old['workload']} seed {old['seed']} #{old['index']} {' '.join(old['argv'])}"
         if old["argv"] != new["argv"]:
             lines.append(f"{head}: argv differs: {' '.join(new['argv'])}")
             ok = False
@@ -223,6 +199,8 @@ def compare(old_records, new_records):
         else:
             rel = solution_difference(old["stdout"], new["stdout"])
             note = "" if rel is None else f"solution rel {rel:.2e}; "
+            if rel and rel > (solution[0] if solution else 0.0):
+                solution = (rel, head)
             parts.append(f"stdout DIFFERS ({note}lines: "
                          f"{', '.join(differing_lines(old['stdout'], new['stdout']))})")
             if _sweeps(old["stdout"]) != _sweeps(new["stdout"]):
@@ -237,6 +215,9 @@ def compare(old_records, new_records):
         else:
             columns, same_iter = trace_difference(old["trace"], new["trace"])
             ok = ok and same_iter
+            for name, (worst_abs, worst_rel) in columns.items() if same_iter else ():
+                if worst_rel > (trace[0] if trace else 0.0):
+                    trace = (worst_rel, worst_abs, name, head)
             parts.append("trace DIFFERS (" + "; ".join(
                 f"{k} {v}" if isinstance(v, str) else f"{k} abs {v[0]:.2e} rel {v[1]:.2e}"
                 for k, v in columns.items()) + ")")
@@ -245,7 +226,12 @@ def compare(old_records, new_records):
         lines.append(f"{head}: " + ", ".join(parts))
     lines.append(f"{identical} of {len(old_records)} commands byte-identical; "
                  + ("exit codes and sweep counts agree" if ok
-                    else "exit codes or sweep counts DIFFER"))
+                    else "exit codes or sweep counts DIFFER")
+                 + "; largest solution difference: "
+                 + (f"rel {solution[0]:.2e} at {solution[1]}" if solution else "none")
+                 + "; largest trace difference: "
+                 + (f"{trace[2]} rel {trace[0]:.2e} abs {trace[1]:.2e} at {trace[3]}"
+                    if trace else "none"))
     return lines, ok
 
 
@@ -276,7 +262,6 @@ def main(argv=None) -> int:
     new = run_side(os.path.join(ROOT, "src"), args.workloads, args.seeds, args.scale)
     lines, ok = compare(old, new)
     print("\n".join(lines))
-    print(largest_differences(old, new))
     return 0 if ok else 1
 
 
