@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
 import json
 import math
@@ -339,16 +338,14 @@ def _report_dict(report: IbapReport, unique: bool) -> dict:
 
 
 def _write_trace_csv(path: str, trace) -> None:
+    """The trace as CSV: a header, then one row of repr fields per record, CRLF line ends."""
+    def field(v):
+        return "" if v is None else repr(v)
+
+    rows = "".join(f"{r.index},{r.max_residual!r},{field(r.dist_to_solution)},{field(r.bound)}\r\n"
+                   for r in trace.records)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "max_residual", "dist_to_solution", "bound"])
-        for rec in trace.records:
-            writer.writerow([
-                rec.index,
-                repr(rec.max_residual),
-                "" if rec.dist_to_solution is None else repr(rec.dist_to_solution),
-                "" if rec.bound is None else repr(rec.bound),
-            ])
+        fh.write("iter,max_residual,dist_to_solution,bound\r\n" + rows)
 
 
 # ---------------------------------------------------------------- commands

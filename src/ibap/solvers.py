@@ -11,7 +11,8 @@ Three routes are provided and cross-checked by the test suite:
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles; each sweep
   is one low-rank affine map x <- x + Q (C x) + b whose product also
-  gives the residual, equal to the per-constraint sweep up to rounding.
+  gives the residual, equal to the per-constraint sweep up to rounding;
+  the residuals and the trace are taken once per block of sweeps.
 
 The resolvents (Id - P_U P_V)^(-1) of the two-subspace step are applied
 in basis coordinates from the level's residual SVD (angles._Level), never
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,9 @@ from .subspaces import Subspace, _check_compatible, as_field_vector
 
 #: pair solves refuse projector-product norms at or beyond this value
 NORM_GUARD = 1.0 - 1e-12
+
+#: most sweeps of best_approximation per block of residual and trace bookkeeping
+_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +75,7 @@ class SolveOptions:
             raise ValueError("tol must be positive")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """State after one full sweep: constraint residual, optional distance
     to the true best approximation, and the theoretical bound value."""
 
@@ -233,7 +237,9 @@ def best_approximation(start, family: Family, prescription,
     to options.tol or after options.max_iter sweeps; both outcomes
     are recorded in the returned trace.  When the family satisfies the
     IBAP the trace carries the bound values alpha^n * d0 against the true
-    best approximation.  Returns (point, trace).
+    best approximation.  Only the map's two products run per sweep, the
+    rest once per block of at most _BLOCK sweeps, bit for bit as one sweep
+    at a time; sweeps past the stopping one are dropped.  Returns (point, trace).
     """
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
@@ -272,25 +278,34 @@ def best_approximation(start, family: Family, prescription,
         # the coordinates (two float64 entries per complex one)
         starts = (2 if rows.dtype.kind == "c" else 1) * offsets[:-1]
         z = g @ x
-    records = []
-    converged = False
-    for n in range(1, opts.max_iter + 1):
-        res = 0.0
-        if live:
+    tracing = opts.record_trace and reference is not None
+    residuals = [] if live else [0.0]
+    dists = [_norm(x - reference)] if tracing and not live else []
+    size = _BLOCK
+    while live and len(residuals) < opts.max_iter:
+        xl, zl = [], []
+        for _ in range(min(size, opts.max_iter - len(residuals))):
             x = x + (q @ z[:k] + shift)
             z = g @ x
-            r = (z[k:] - rhs).view(np.float64)
-            res = math.sqrt(np.add.reduceat(r * r, starts).max())
-        dist = None
-        if opts.record_trace and reference is not None:
-            dist = _norm(x - reference)
-        bound = alpha ** n * d0 if alpha is not None else None
-        records.append(IterationRecord(index=n, max_residual=res,
-                                       dist_to_solution=dist, bound=bound))
-        if res <= opts.tol:
-            converged = True
+            xl.append(x)
+            zl.append(z)
+        r = (np.array(zl)[:, k:] - rhs).view(np.float64)
+        res = np.sqrt(np.add.reduceat(r * r, starts, axis=1).max(axis=1))
+        hit = np.flatnonzero(res <= opts.tol)
+        take = int(hit[0]) + 1 if hit.size else len(xl)
+        residuals += res[:take].tolist()
+        if tracing:
+            dists += [_norm(v - reference) for v in xl[:take]]
+        x, z = xl[take - 1], zl[take - 1]
+        if hit.size:
             break
-    trace = ConvergenceTrace(records=tuple(records), alpha=alpha,
-                             initial_distance=d0, converged=converged,
-                             sweeps=len(records))
-    return x, trace
+        # end the next block near where this block's mean ratio reaches tol
+        drop = (math.log(res[0]) - math.log(res[-1])) / max(len(res) - 1, 1)
+        size = (min(_BLOCK, math.ceil((math.log(res[-1]) - math.log(opts.tol)) / drop) + 1)
+                if drop > 0 else _BLOCK)
+    sweeps = len(residuals)
+    index = range(1, sweeps + 1)
+    bounds = [alpha ** n * d0 for n in index] if alpha is not None else [None] * sweeps
+    records = tuple(map(IterationRecord, index, residuals, dists or [None] * sweeps, bounds))
+    return x, ConvergenceTrace(records=records, alpha=alpha, initial_distance=d0,
+                               converged=residuals[-1] <= opts.tol, sweeps=sweeps)

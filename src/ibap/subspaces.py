@@ -130,10 +130,6 @@ class Subspace:
         return cls(_orthonormal_columns(np.column_stack(cols)))
 
     @classmethod
-    def zero(cls, ambient_dim: int, field: str = REAL) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0), dtype=field_dtype(field)))
-
-    @classmethod
     def full(cls, ambient_dim: int, field: str = REAL) -> "Subspace":
         return cls(np.eye(ambient_dim, dtype=field_dtype(field)))
 

@@ -6,26 +6,35 @@ of cross-Gram factors, truncated power series instead of direct solves,
 sampling instead of spectral maximization, real-stacked least squares
 instead of complex solves, complement chains instead of level cosines,
 pseudoinverse projectors of the later members instead of the level
-chain's trailing sums, and one public affine_project call per constraint
+chain's trailing sums, one public affine_project call per constraint
 and one prescription_residual per sweep instead of the sweep as one
-low-rank affine map and the residual in stacked basis coordinates.
+low-rank affine map and the residual in stacked basis coordinates, and
+the one-map loop with its bookkeeping after every sweep instead of once
+per block of sweeps.
 """
+
+import math
 
 import numpy as np
 
 from ibap import (
+    REAL,
     AffineConstraint,
     ConvergenceTrace,
     IterationRecord,
     SolveOptions,
+    Subspace,
     affine_project,
     as_field_vector,
     direct_solve,
+    field_dtype,
     intersect,
     prescription_residual,
     validate_prescription,
     verify_ibap,
 )
+from ibap.family import _feasible_point
+from ibap.solvers import _norm
 
 
 def gram_rank(vectors, tol=1e-10):
@@ -39,6 +48,10 @@ def gram_rank(vectors, tol=1e-10):
     if top <= 0:
         return 0
     return int(np.sum(eig > tol * top))
+
+
+def zero_subspace(ambient_dim, field=REAL):
+    return Subspace(np.zeros((ambient_dim, 0), dtype=field_dtype(field)))
 
 
 def is_zero(subspace):
@@ -225,3 +238,68 @@ def reference_iteration(start, family, prescription, options=None):
             break
     return x, ConvergenceTrace(records=tuple(records), alpha=alpha, initial_distance=d0,
                                converged=converged, sweeps=len(records))
+
+
+def one_map_iteration(start, family, prescription, options=None):
+    """best_approximation as one loop over sweeps: each sweep applies the
+    low-rank affine map x <- x + Q (C x) + b, then takes its residual,
+    distance and record before the next one.  Returns (x, trace)."""
+    opts = options if options is not None else SolveOptions()
+    subs = family.subspaces
+    pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
+    start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
+    report = verify_ibap(family)
+    alpha = report.alpha if report.verdict else None
+    reference = None
+    if report.verdict or opts.record_trace:
+        reference = direct_solve(family, pres, anchor=start).particular
+    else:
+        _feasible_point(family, pres)
+    d0 = _norm(start - reference) if reference is not None else None
+    # zero-dimensional members are exact identities and drop out
+    live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
+    x = start
+    if live:
+        # Q = [Q_1 ... Q_m]; C_j = -Q_j^H A_(j+1) gives member j's step, with
+        # A_(j+1) = I + Q_(>j) C_(>j) the linear part of the steps before it;
+        # b is one sweep from 0; G = [C; Q^H] gives the next C x and the
+        # residual coordinates of the stored x in one product
+        q = np.hstack([qi for qi, _ in live])
+        rows = q.conj().T
+        gram = rows @ q
+        offsets = np.cumsum([0] + [qi.shape[1] for qi, _ in live])
+        c = -rows
+        for lo, hi in reversed(list(zip(offsets[:-2], offsets[1:-1]))):
+            c[lo:hi] -= gram[lo:hi, hi:] @ c[hi:]
+        shift = np.zeros_like(start)
+        for qi, u in reversed(live):
+            shift = u + shift - qi @ (qi.conj().T @ shift)
+        g = np.vstack([c, rows])
+        rhs = np.concatenate([qi.conj().T @ u for qi, u in live])
+        k = offsets[-1]
+        # where each member's residual entries start in the real view of
+        # the coordinates (two float64 entries per complex one)
+        starts = (2 if rows.dtype.kind == "c" else 1) * offsets[:-1]
+        z = g @ x
+    records = []
+    converged = False
+    for n in range(1, opts.max_iter + 1):
+        res = 0.0
+        if live:
+            x = x + (q @ z[:k] + shift)
+            z = g @ x
+            r = (z[k:] - rhs).view(np.float64)
+            res = math.sqrt(np.add.reduceat(r * r, starts).max())
+        dist = None
+        if opts.record_trace and reference is not None:
+            dist = _norm(x - reference)
+        bound = alpha ** n * d0 if alpha is not None else None
+        records.append(IterationRecord(index=n, max_residual=res,
+                                       dist_to_solution=dist, bound=bound))
+        if res <= opts.tol:
+            converged = True
+            break
+    trace = ConvergenceTrace(records=tuple(records), alpha=alpha,
+                             initial_distance=d0, converged=converged,
+                             sweeps=len(records))
+    return x, trace

@@ -173,6 +173,29 @@ class TestOperatorSystems:
         with pytest.raises(ValueError):
             solve_operator_system([t], [np.array([1.0, 2.0])])
 
+    @pytest.mark.parametrize("smallest", [1e-9, 1e-11])
+    def test_range_of_an_ill_conditioned_operator_is_accepted(self, smallest):
+        # the solution's norm is about 1 / smallest, so the solve's rounding
+        # eps ||T|| ||x|| of the residual exceeds FEASIBILITY_RTOL (1 + ||y||)
+        rng = rng_for(820)
+        for _ in range(20):
+            left = np.linalg.qr(random_matrix(rng, 4, 4))[0]
+            right = np.linalg.qr(random_matrix(rng, 4, 4))[0]
+            t = left @ np.diag([1.0, 1.0, 1.0, smallest]) @ right.T
+            x0 = right @ (rng.standard_normal(4) * [1.0, 1.0, 1.0, 1.0 / smallest])
+            x = solve_operator_system([t], [t @ x0])
+            assert np.linalg.norm(x - x0) <= 1e-3 * np.linalg.norm(x0)
+
+    def test_rhs_a_little_outside_the_range_is_refused(self):
+        rng = rng_for(821)
+        for _ in range(20):
+            left = np.linalg.qr(random_matrix(rng, 4, 4))[0]
+            right = np.linalg.qr(random_matrix(rng, 4, 4))[0]
+            t = left @ np.diag([1.0, 1.0, 1.0, 0.0]) @ right.T
+            y = t @ rng.standard_normal(4) + 1e-3 * left[:, 3]
+            with pytest.raises(ValueError, match="not in the range"):
+                solve_operator_system([t], [y])
+
     def test_kernel_condition_failure_names_the_level(self):
         t = np.array([[1.0, 0.0]])
         with pytest.raises(HypothesisError) as err:

@@ -25,7 +25,7 @@ from ibap import (
     verify_ibap,
 )
 from ibap.angles import _pair
-from ibap.solvers import _level_step
+from ibap.solvers import _BLOCK, _level_step
 
 from conftest import (
     FIELDS,
@@ -41,7 +41,9 @@ from oracles import (
     constraint_from_affine_set,
     neumann_inverse,
     pinv_min_norm,
+    one_map_iteration,
     reference_iteration,
+    zero_subspace,
 )
 
 
@@ -134,7 +136,7 @@ class TestResolvent:
         rng = rng_for(704)
         v = random_subspace(rng, 5, 2)
         w = v.project(random_unit(rng, 5))
-        zero = Subspace.zero(5)
+        zero = zero_subspace(5)
         assert np.allclose(_level_step(_pair(zero, v), zero.basis, np.zeros(5), w), w)
 
 
@@ -272,7 +274,7 @@ class TestSolveMinNorm:
     def test_zero_subspace_members_are_fine(self):
         rng = rng_for(713)
         u = random_subspace(rng, 5, 2)
-        f = Family((u, Subspace.zero(5)))
+        f = Family((u, zero_subspace(5)))
         pres = [u.project(random_unit(rng, 5)), np.zeros(5)]
         x = solve_min_norm(f, pres)
         assert np.linalg.norm(u.project(x) - pres[0]) <= 1e-10
@@ -521,7 +523,7 @@ class TestSweepMatchesTheReference:
     @pytest.mark.parametrize("record_trace", [False, True])
     def test_zero_dimensional_member(self, record_trace):
         rng = rng_for(732)
-        f = Family((random_subspace(rng, 5, 2), Subspace.zero(5), random_subspace(rng, 5, 1)))
+        f = Family((random_subspace(rng, 5, 2), zero_subspace(5), random_subspace(rng, 5, 1)))
         pres = random_prescription(rng, f)
         opts = SolveOptions(max_iter=300, tol=1e-12, record_trace=record_trace)
         self.assert_same_run(random_unit(rng, 5) * 2, f, pres, opts)
@@ -532,7 +534,7 @@ class TestSweepMatchesTheReference:
     def test_zero_dimensional_member_at_either_end(self, field, where, record_trace):
         rng = rng_for(735)
         members = [random_subspace(rng, 6, 2, field), random_subspace(rng, 6, 1, field)]
-        zero = Subspace.zero(6, field)
+        zero = zero_subspace(6, field)
         f = Family(tuple([zero] + members if where == "first" else members + [zero]))
         pres = random_prescription(rng, f)
         opts = SolveOptions(max_iter=300, tol=1e-12, record_trace=record_trace)
@@ -540,7 +542,7 @@ class TestSweepMatchesTheReference:
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_only_zero_dimensional_members(self, field):
-        f = Family((Subspace.zero(4, field), Subspace.zero(4, field)))
+        f = Family((zero_subspace(4, field), zero_subspace(4, field)))
         opts = SolveOptions(record_trace=True)
         trace = self.assert_same_run(random_unit(rng_for(736), 4, field), f,
                                      [np.zeros(4)] * 2, opts)
@@ -570,6 +572,104 @@ class TestSweepMatchesTheReference:
         assert trace.sweeps == 7 and not trace.converged
 
 
+class TestBlocksMatchOneSweepAtATime:
+    """best_approximation applies the sweep map every sweep but takes the
+    residuals, distances, stopping test and records once per block of
+    _BLOCK sweeps; its iterate and trace must equal, bit for bit, those
+    of the one-map loop that does all of that after every sweep."""
+
+    @staticmethod
+    def assert_identical(start, family, pres, opts):
+        x, trace = best_approximation(start, family, pres, opts)
+        ref_x, ref_trace = one_map_iteration(start, family, pres, opts)
+        assert x.dtype == ref_x.dtype and np.array_equal(x, ref_x)
+        assert trace == ref_trace
+        # repr tells float from np.float64 and gives every bit of each value
+        assert repr(trace) == repr(ref_trace)
+        return trace
+
+    @staticmethod
+    def slow_pair(field, theta):
+        u = line(1, 0, 0)
+        v = line(np.cos(theta), np.sin(theta), 0)
+        if field == "complex":
+            u, v = Subspace(u.basis * 1j), Subspace(v.basis * np.exp(0.3j))
+        return Family((u, v))
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("max_iter", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_runs_capped_around_the_block_size(self, max_iter, field, record_trace):
+        rng = rng_for(740)
+        f = self.slow_pair(field, 0.05)
+        opts = SolveOptions(max_iter=max_iter, tol=1e-16, record_trace=record_trace)
+        trace = self.assert_identical(random_unit(rng, 3, field) * 4, f,
+                                      random_prescription(rng, f), opts)
+        assert trace.sweeps == max_iter and not trace.converged
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_run_converging_mid_block(self, field, record_trace):
+        rng = rng_for(741)
+        f = self.slow_pair(field, 0.5)
+        opts = SolveOptions(tol=1e-12, record_trace=record_trace)
+        trace = self.assert_identical(random_unit(rng, 3, field) * 4, f,
+                                      random_prescription(rng, f), opts)
+        assert trace.converged and trace.sweeps > _BLOCK and trace.sweeps % _BLOCK
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("stop", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+    def test_run_stopping_at_a_chosen_sweep(self, stop, field):
+        # tol is that sweep's residual in a longer run; the residuals of
+        # this slow pair decrease strictly, so the run stops right there
+        rng = rng_for(746)
+        f = self.slow_pair(field, 0.05)
+        start, pres = random_unit(rng, 3, field) * 4, random_prescription(rng, f)
+        _, longer = one_map_iteration(start, f, pres, SolveOptions(max_iter=3 * _BLOCK, tol=1e-300))
+        opts = SolveOptions(tol=longer.records[stop - 1].max_residual, record_trace=True)
+        trace = self.assert_identical(start, f, pres, opts)
+        assert trace.sweeps == stop and trace.converged
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_random_families(self, field, record_trace):
+        rng = rng_for(742)
+        for _ in range(12):
+            n = int(rng.integers(3, 12))
+            dims = random_independent_dims(rng, n, int(rng.integers(1, min(n, 5) + 1)))
+            f = random_family(rng, n, dims, field)
+            opts = SolveOptions(max_iter=int(rng.integers(1, 4 * _BLOCK)), tol=1e-11,
+                                record_trace=record_trace)
+            self.assert_identical(random_unit(rng, n, field) * 3, f,
+                                  random_prescription(rng, f), opts)
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_dependent_family_without_a_bound(self, record_trace):
+        f = Family((line(1, 0, 0).complement(), line(0, 1, 0).complement()))
+        opts = SolveOptions(max_iter=500, tol=1e-10, record_trace=record_trace)
+        self.assert_identical(random_unit(rng_for(743), 3), f, [np.zeros(3)] * 2, opts)
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_zero_dimensional_member_at_either_end(self, field, where, record_trace):
+        rng = rng_for(744)
+        members = [random_subspace(rng, 6, 2, field), random_subspace(rng, 6, 1, field)]
+        zero = zero_subspace(6, field)
+        f = Family(tuple([zero] + members if where == "first" else members + [zero]))
+        opts = SolveOptions(max_iter=300, tol=1e-12, record_trace=record_trace)
+        self.assert_identical(random_unit(rng, 6, field) * 2, f, random_prescription(rng, f), opts)
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_only_zero_dimensional_members(self, field, record_trace):
+        f = Family((zero_subspace(4, field), zero_subspace(4, field)))
+        opts = SolveOptions(record_trace=record_trace)
+        trace = self.assert_identical(random_unit(rng_for(745), 4, field), f,
+                                      [np.zeros(4)] * 2, opts)
+        assert trace.sweeps == 1 and trace.converged
+
+
 class TestSweepMap:
     """One sweep is the affine map x <- x + Q (C x) + b, built once per call
     from the bases without an n-by-n array."""
@@ -582,7 +682,7 @@ class TestSweepMap:
             n = int(rng.integers(2, 41))
             m = 1 if trial % 4 == 0 else int(rng.integers(2, min(n, 8) + 1))
             members = list(random_family(rng, n, random_independent_dims(rng, n, m), field))
-            zero = Subspace.zero(n, field)
+            zero = zero_subspace(n, field)
             if trial % 3 == 1:
                 members = [zero] + members
             if trial % 3 == 2:
@@ -672,7 +772,7 @@ class TestAffineFeasibility:
     def test_full_space_member_is_handled(self):
         rng = rng_for(726)
         full = Subspace.full(5)
-        f = Family((full, Subspace.zero(5)))
+        f = Family((full, zero_subspace(5)))
         rep = verify_ibap(f)
         assert rep.verdict
         target = random_unit(rng, 5)

@@ -6,7 +6,7 @@ import pytest
 from ibap import COMPLEX, REAL, Subspace, add, inner, intersect
 
 from conftest import FIELDS, random_matrix, random_subspace, random_unit, rng_for
-from oracles import gram_rank, is_zero, mutual_projection_gap
+from oracles import gram_rank, is_zero, mutual_projection_gap, zero_subspace
 
 
 class TestFromSpanning:
@@ -54,7 +54,7 @@ class TestProject:
         assert np.allclose(u.project([3.0, 4.0]), [3.0, 0.0])
 
     def test_zero_subspace_projects_to_zero(self):
-        z = Subspace.zero(4)
+        z = zero_subspace(4)
         assert np.array_equal(z.project([1.0, 2.0, 3.0, 4.0]), np.zeros(4))
 
     def test_diagonal_projection_matches_hand_value(self):
@@ -107,7 +107,7 @@ class TestComplement:
         assert Subspace.full(4).complement().dim == 0
 
     def test_zero_subspace_has_full_complement(self):
-        assert Subspace.zero(4).complement().dim == 4
+        assert zero_subspace(4).complement().dim == 4
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_double_complement_restores_the_span(self, field):
@@ -128,7 +128,7 @@ class TestSumAndIntersection:
     def test_sum_with_zero_is_identity(self):
         rng = rng_for(7)
         u = random_subspace(rng, 5, 2)
-        s = add(u, Subspace.zero(5))
+        s = add(u, zero_subspace(5))
         assert s.dim == u.dim
         assert mutual_projection_gap(u, s) <= 1e-12
 
