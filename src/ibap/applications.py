@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import _pair, is_degenerate
-from .family import FEASIBILITY_RTOL, Family, IbapFailureError, check_independence, verify_ibap
+from .family import Family, IbapFailureError, _checked_lstsq, check_independence, verify_ibap
 from .solvers import (
     AffineConstraint,
     ConvergenceTrace,
@@ -24,7 +24,7 @@ from .solvers import (
     best_approximation,
     solve_min_norm,
 )
-from .subspaces import COMPLEX, _EPS, Subspace, _rank_from_singular_values, as_field_vector
+from .subspaces import COMPLEX, Subspace, _rank_from_singular_values, as_field_vector
 
 
 class HypothesisError(ValueError):
@@ -228,8 +228,8 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
 def solve_operator_system(operators, rhs) -> np.ndarray:
     """Minimal-norm x with T_i x = y_i for the given matrices.
 
-    Each right-hand side must lie in the range of its operator, to
-    FEASIBILITY_RTOL * (1 + ||y||) plus the solve's own rounding, and every
+    Each right-hand side must lie in the range of its operator, under the
+    feasibility rule of the stacked solve (family._checked_lstsq), and every
     kernel must together with the intersection of the later kernels cover
     the whole space; the deficient level is reported otherwise.
     """
@@ -254,10 +254,8 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
         # the pseudoinverse solution T^+ y = Q_r S_r^(-1) W_r^H y
         q, s, wh = np.linalg.svd(t.conj().T, full_matrices=False)
         r = _rank_from_singular_values(s, t.shape)
-        u = q[:, :r] @ ((wh[:r] @ y) / s[:r])
-        gap = float(np.linalg.norm(t @ u - y))
-        rounding = 4 * max(t.shape) * _EPS * s[0] * float(np.linalg.norm(u))
-        if gap > FEASIBILITY_RTOL * (1.0 + float(np.linalg.norm(y))) + rounding:
+        u, gap, feasible = _checked_lstsq(t, y, (q, s, wh, r))
+        if not feasible:
             raise ValueError(
                 f"right-hand side {i + 1} is not in the range of its operator "
                 f"(residual {gap:.3e})")

@@ -11,7 +11,7 @@ Exit codes, stable across commands:
   0  success
   2  infeasible prescription (a certificate is printed)
   3  independence or inverse-best-approximation failure where required
-  4  parse or validation error
+  4  parse or validation error, or an output file that cannot be written
 
 The environment variable IBAP_DEFAULT_TOL, when set, overrides the
 default iteration tolerance of 1e-10.
@@ -40,7 +40,6 @@ from .applications import (
     slow_convergence_demo,
     slow_family,
     solve_moments,
-    time_frequency_recover,
     worst_aligned_start,
 )
 from .family import (
@@ -54,6 +53,7 @@ from .family import (
 )
 from .solvers import (
     SolveOptions,
+    _toward_anchor,
     best_approximation,
     direct_solve,
     prescription_residual,
@@ -220,12 +220,17 @@ def _field_of(doc: dict, path: str) -> str:
     return field
 
 
+def _positive_int(doc: dict, key: str, path: str) -> int:
+    n = doc.get(key)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ParseError(f"{path}: {key} must be a positive integer")
+    return n
+
+
 def load_problem(path: str) -> Problem:
     doc = _load_json(path)
     field = _field_of(doc, path)
-    n = doc.get("ambient_dim")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError(f"{path}: ambient_dim must be a positive integer")
+    n = _positive_int(doc, "ambient_dim", path)
     raw_subs = doc.get("subspaces")
     if not isinstance(raw_subs, list) or not raw_subs:
         raise ParseError(f"{path}: subspaces must be a nonempty list")
@@ -258,24 +263,6 @@ def load_problem(path: str) -> Problem:
                    prescription=prescription, anchor=anchor)
 
 
-def save_problem(path: str, problem: Problem) -> None:
-    doc = {
-        "field": problem.field,
-        "ambient_dim": problem.ambient_dim,
-        "subspaces": [
-            {"name": name, "vectors": [_encode_vector(v, problem.field) for v in span]}
-            for name, span in zip(problem.names, problem.spans)
-        ],
-    }
-    if problem.prescription is not None:
-        doc["prescription"] = [_encode_vector(v, problem.field) for v in problem.prescription]
-    if problem.anchor is not None:
-        doc["anchor"] = _encode_vector(problem.anchor, problem.field)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def build_family(problem: Problem) -> Family:
     subs = tuple(Subspace.from_spanning(list(span), problem.ambient_dim, field=problem.field)
                  for span in problem.spans)
@@ -297,22 +284,6 @@ def _parse_cli_vector(text: str, n: int, field: str, what: str) -> np.ndarray:
 
 def _fmt_vector(vec, field: str) -> str:
     return json.dumps(_encode_vector(vec, field))
-
-
-def _print_report(report: IbapReport, family: Family, names) -> None:
-    print(f"ambient dimension: {family.ambient_dim} ({family.field})")
-    print("subspaces: " + ", ".join(f"{name} (dim {s.dim})"
-                                    for name, s in zip(names, family.subspaces)))
-    print(f"independent: {'yes' if report.independent else 'no'}")
-    print(f"inverse best approximation property: {'yes' if report.verdict else 'no'}")
-    for lev in report.levels:
-        gamma = "inf" if math.isinf(lev.gamma) else f"{lev.gamma:.12g}"
-        flag = "  [degenerate]" if lev.degenerate else ""
-        print(f"level {lev.index}: norm = {lev.norm:.12g}  cos angle = {lev.cos_angle:.12g}"
-              f"  gamma = {gamma}{flag}")
-    print(f"rate bound alpha: {report.alpha:.12g}")
-    print(f"sum of dims: {report.sum_dims}  dim of sum: {report.dim_sum}")
-    print("trailing sums closed: yes (finite dimension)")
 
 
 def _report_dict(report: IbapReport, unique: bool) -> dict:
@@ -337,15 +308,52 @@ def _report_dict(report: IbapReport, unique: bool) -> dict:
     }
 
 
-def _write_trace_csv(path: str, trace) -> None:
-    """The trace as CSV: a header, then one row of repr fields per record, CRLF line ends."""
+def _print_report(doc: dict, family: Family, names) -> None:
+    """The check report: the family's shape, then _report_dict's content."""
+    print(f"ambient dimension: {family.ambient_dim} ({family.field})")
+    print("subspaces: " + ", ".join(f"{name} (dim {s.dim})"
+                                    for name, s in zip(names, family.subspaces)))
+    print(f"independent: {'yes' if doc['independent'] else 'no'}")
+    print(f"inverse best approximation property: {'yes' if doc['verdict'] else 'no'}")
+    for lev in doc["levels"]:
+        gamma = "inf" if lev["gamma"] is None else f"{lev['gamma']:.12g}"
+        flag = "  [degenerate]" if lev["degenerate"] else ""
+        print(f"level {lev['index']}: norm = {lev['norm']:.12g}"
+              f"  cos angle = {lev['cos_angle']:.12g}  gamma = {gamma}{flag}")
+    print(f"rate bound alpha: {doc['alpha']:.12g}")
+    print(f"sum of dims: {doc['sum_dims']}  dim of sum: {doc['dim_sum']}")
+    print(f"trailing sums closed: {'yes' if doc['sums_closed'] else 'no'} (finite dimension)")
+    print(f"unique solutions: {'yes' if doc['unique'] else 'no'}")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text untranslated; an unwritable path is a ParseError naming it."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_trace_csv(path: str | None, trace) -> None:
+    """With a path, write the trace as CSV (repr fields, CRLF line ends) and say so."""
+    if not path:
+        return
+
     def field(v):
         return "" if v is None else repr(v)
 
     rows = "".join(f"{r.index},{r.max_residual!r},{field(r.dist_to_solution)},{field(r.bound)}\r\n"
                    for r in trace.records)
-    with open(path, "w", newline="") as fh:
-        fh.write("iter,max_residual,dist_to_solution,bound\r\n" + rows)
+    _write_text(path, "iter,max_residual,dist_to_solution,bound\r\n" + rows)
+    print(f"trace written to {path}")
+
+
+def _iterate(args, family: Family, prescription, anchor, record_trace: bool):
+    """best_approximation from the anchor, or from zero, under the command's options."""
+    start = anchor if anchor is not None else np.zeros(family.ambient_dim, dtype=family.dtype)
+    opts = SolveOptions(max_iter=args.max_iter, tol=args.tol, record_trace=record_trace)
+    return best_approximation(start, family, prescription, opts)
 
 
 # ---------------------------------------------------------------- commands
@@ -355,13 +363,10 @@ def cmd_check(args) -> int:
     problem = load_problem(args.problem)
     family = build_family(problem)
     report = verify_ibap(family)
-    unique = uniqueness_check(family)
-    _print_report(report, family, problem.names)
-    print(f"unique solutions: {'yes' if unique else 'no'}")
+    doc = _report_dict(report, uniqueness_check(family))
+    _print_report(doc, family, problem.names)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(_report_dict(report, unique), fh, indent=1)
-            fh.write("\n")
+        _write_text(args.json_out, json.dumps(doc, indent=1) + "\n")
     return EXIT_OK if report.verdict else EXIT_NO_IBAP
 
 
@@ -375,14 +380,9 @@ def cmd_solve(args) -> int:
     if args.method == "direct":
         x = direct_solve(family, prescription, anchor=anchor).particular
     elif args.method == "recursion":
-        x = solve_min_norm(family, prescription)
-        if anchor is not None:
-            x = x + family.parallel.project(anchor - x)
+        x = _toward_anchor(family, solve_min_norm(family, prescription), anchor)
     else:
-        opts = SolveOptions(max_iter=args.max_iter, tol=args.tol)
-        start = anchor if anchor is not None else np.zeros(problem.ambient_dim,
-                                                           dtype=family.dtype)
-        x, trace = best_approximation(start, family, prescription, opts)
+        x, trace = _iterate(args, family, prescription, anchor, record_trace=False)
         if not trace.converged:
             print(f"warning: stopped after {trace.sweeps} sweeps above tolerance",
                   file=sys.stderr)
@@ -399,13 +399,8 @@ def cmd_iterate(args) -> int:
     problem = load_problem(args.problem)
     family = build_family(problem)
     prescription = _require_prescription(problem, args.problem)
-    start = problem.anchor if problem.anchor is not None else np.zeros(
-        problem.ambient_dim, dtype=family.dtype)
-    opts = SolveOptions(max_iter=args.max_iter, tol=args.tol, record_trace=True)
-    x, trace = best_approximation(start, family, prescription, opts)
-    if args.trace:
-        _write_trace_csv(args.trace, trace)
-        print(f"trace written to {args.trace}")
+    x, trace = _iterate(args, family, prescription, problem.anchor, record_trace=True)
+    _write_trace_csv(args.trace, trace)
     alpha = "none" if trace.alpha is None else f"{trace.alpha!r}"
     print(f"sweeps: {trace.sweeps}  converged: {'yes' if trace.converged else 'no'}")
     print(f"rate bound alpha: {alpha}")
@@ -418,9 +413,7 @@ def cmd_moments(args) -> int:
     path = args.problem
     doc = _load_json(path)
     field = _field_of(doc, path)
-    n = doc.get("ambient_dim")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError(f"{path}: ambient_dim must be a positive integer")
+    n = _positive_int(doc, "ambient_dim", path)
     if doc.get("space") is None:
         space = Subspace.full(n, field=field)
     else:
@@ -444,9 +437,7 @@ def cmd_moments(args) -> int:
 def cmd_signal(args) -> int:
     path = args.problem
     doc = _load_json(path)
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError(f"{path}: n must be a positive integer")
+    n = _positive_int(doc, "n", path)
     for key in ("time_mask", "freq_mask", "time_values", "freq_values"):
         if not isinstance(doc.get(key), list):
             raise ParseError(f"{path}: {key} must be a list")
@@ -463,10 +454,7 @@ def cmd_signal(args) -> int:
     if doc.get("measurements") is not None:
         measurements, values = _vector_value_entries(doc["measurements"], n, COMPLEX,
                                                      "measurement", path)
-    if measurements:
-        x = recover_with_measurements(problem, measurements, values)
-    else:
-        x = time_frequency_recover(problem)
+    x = recover_with_measurements(problem, measurements, values)
     spectrum = dft(x)
     print(f"solution: {_fmt_vector(x, COMPLEX)}")
     terr = max((abs(x[i] - problem.time_values[k]) for k, i in enumerate(problem.time_mask)),
@@ -494,10 +482,8 @@ def cmd_slowdemo(args) -> int:
             raise ParseError("either --alphas or --truncation is required")
         spec = SlowFamilySpec.harmonic(args.truncation)
     family, predicted = slow_family(spec)
-    if args.start is not None:
-        start = _parse_cli_vector(args.start, family.ambient_dim, REAL, "--start")
-    else:
-        start = worst_aligned_start(spec)
+    start = (worst_aligned_start(spec) if args.start is None
+             else _parse_cli_vector(args.start, family.ambient_dim, REAL, "--start"))
     opts = SolveOptions(max_iter=args.max_iter, tol=args.tol, record_trace=True)
     trace = slow_convergence_demo(spec, start, opts)
     print(f"predicted norm: {predicted!r}")
@@ -506,13 +492,21 @@ def cmd_slowdemo(args) -> int:
     print(f"rate bound alpha: {alpha!r}")
     print(f"per-sweep contraction (squared norm): {predicted * predicted!r}")
     print(f"sweeps: {trace.sweeps}  converged: {'yes' if trace.converged else 'no'}")
-    if args.trace:
-        _write_trace_csv(args.trace, trace)
-        print(f"trace written to {args.trace}")
+    _write_trace_csv(args.trace, trace)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- driver
+
+#: (error type, stderr prefix, exit code); the first matching entry applies
+_FAILURES = (
+    (ParseError, "parse error", EXIT_PARSE),
+    (InfeasiblePrescriptionError, "infeasible", EXIT_INFEASIBLE),
+    (DependentFamilyError, "dependent family", EXIT_NO_IBAP),
+    (IbapFailureError, "property failure", EXIT_NO_IBAP),
+    (HypothesisError, "hypothesis failure", EXIT_NO_IBAP),
+    (ValueError, "invalid input", EXIT_PARSE),
+)
 
 
 @functools.cache
@@ -523,43 +517,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide the inverse best approximation property and solve "
                     "prescribed-projection problems from JSON problem files.")
     sub = parser.add_subparsers(dest="command", required=True)
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("problem")
+    iteration = argparse.ArgumentParser(add_help=False)
+    iteration.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    iteration.add_argument("--tol", type=float, default=None)
+    tracing = argparse.ArgumentParser(add_help=False)
+    tracing.add_argument("--trace", default=None, help="write a CSV convergence trace")
 
-    p = sub.add_parser("check", help="decide the property and print certificates")
-    p.add_argument("problem")
+    p = sub.add_parser("check", parents=[problem],
+                       help="decide the property and print certificates")
     p.add_argument("--json-out", default=None, help="write a machine-readable report")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", help="solve the prescription in the problem file")
-    p.add_argument("problem")
+    p = sub.add_parser("solve", parents=[problem, iteration],
+                       help="solve the prescription in the problem file")
     p.add_argument("--method", choices=["direct", "recursion", "iterate"], default="direct")
     p.add_argument("--anchor", default=None,
                    help="JSON vector; computes the best approximation to it")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("iterate", help="run the periodic projection iteration")
-    p.add_argument("problem")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--trace", default=None, help="write a CSV convergence trace")
+    p = sub.add_parser("iterate", parents=[problem, iteration, tracing],
+                       help="run the periodic projection iteration")
     p.set_defaults(func=cmd_iterate)
 
-    p = sub.add_parser("moments", help="constrained moment problem")
-    p.add_argument("problem")
+    p = sub.add_parser("moments", parents=[problem], help="constrained moment problem")
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("signal", help="masked time/frequency recovery")
-    p.add_argument("problem")
+    p = sub.add_parser("signal", parents=[problem], help="masked time/frequency recovery")
     p.set_defaults(func=cmd_signal)
 
-    p = sub.add_parser("slowdemo", help="angle-degradation demonstration family")
+    p = sub.add_parser("slowdemo", parents=[iteration, tracing],
+                       help="angle-degradation demonstration family")
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--alphas", default=None, help="JSON list of positive weights")
     p.add_argument("--start", default=None, help="JSON start vector")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--trace", default=None, help="write a CSV convergence trace")
     p.set_defaults(func=cmd_slowdemo)
 
     return parser
@@ -576,25 +568,12 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfeasiblePrescriptionError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        print(f"certificate residual: {exc.certificate.residual:.6e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DependentFamilyError as exc:
-        print(f"dependent family: {exc}", file=sys.stderr)
-        return EXIT_NO_IBAP
-    except IbapFailureError as exc:
-        print(f"property failure: {exc}", file=sys.stderr)
-        return EXIT_NO_IBAP
-    except HypothesisError as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return EXIT_NO_IBAP
     except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        prefix, code = next((p, c) for kind, p, c in _FAILURES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        if isinstance(exc, InfeasiblePrescriptionError):
+            print(f"certificate residual: {exc.certificate.residual:.6e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

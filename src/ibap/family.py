@@ -20,10 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from .angles import _factor_level, is_degenerate, projector_product_norm
-from .subspaces import Subspace, _check_compatible, _rank_from_singular_values
+from .subspaces import _EPS, Subspace, _check_compatible, _rank_from_singular_values
 
-#: relative residual above which a stacked prescription system is
-#: declared inconsistent
+#: relative residual above which a least-squares system is declared
+#: inconsistent (see _checked_lstsq)
 FEASIBILITY_RTOL = 1e-8
 
 #: max-norm tolerance on the Gram defects of biorthogonal_bounds' input
@@ -274,33 +274,37 @@ def validate_prescription(family: Family, prescription) -> list:
             for i, (s, u) in enumerate(zip(family.subspaces, prescription))]
 
 
-def stacked_lstsq(family: Family, prescription: list):
-    """Minimal-norm least-squares solution of the stacked coordinate system.
+def _checked_lstsq(a: np.ndarray, b: np.ndarray, factors):
+    """Minimal-norm least-squares x of a x = b from (u, s, vh, rank), an SVD of a^H.
 
-    Rows are the conjugate-transposed bases, so the system is equivalent
-    to P_i x = u_i for prescriptions inside their subspaces; solved from
-    the family's stacked SVD.  Returns (x, residual, scale) with
-    scale = 1 + norm of the right-hand side.
+    Returns (x, residual, feasible) under the package's one feasibility
+    rule: a residual up to FEASIBILITY_RTOL * (1 + ||b||) plus the solve's
+    own rounding, 4 max(shape) eps sigma_max ||x||.
+    """
+    u, s, vh, rank = factors
+    x = u[:, :rank] @ ((vh[:rank] @ b) / s[:rank])
+    residual = float(np.linalg.norm(a @ x - b))
+    rounding = 4 * max(a.shape) * _EPS * np.max(s, initial=0.0) * float(np.linalg.norm(x))
+    bound = FEASIBILITY_RTOL * (1.0 + float(np.linalg.norm(b))) + rounding
+    return x, residual, not residual > bound
+
+
+def stacked_lstsq(family: Family, prescription: list):
+    """_checked_lstsq on the stacked coordinate system, from the family's stacked SVD.
+
+    Its rows are the conjugate-transposed bases, so it is equivalent to
+    P_i x = u_i for prescriptions inside their subspaces.
     """
     a = np.vstack([s.basis.conj().T for s in family.subspaces])
     b = np.concatenate([s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)])
-    u, s, vh, rank = family._stacked
-    x = u[:, :rank] @ ((vh[:rank] @ b) / s[:rank])
-    residual = float(np.linalg.norm(a @ x - b))
-    return x, residual, 1.0 + float(np.linalg.norm(b))
+    return _checked_lstsq(a, b, family._stacked)
 
 
 def _feasible_point(family: Family, pres: list) -> np.ndarray:
-    """Minimal-norm solution of a validated prescription.
-
-    Raises InfeasiblePrescriptionError, carrying the certificate, when
-    the stacked residual exceeds FEASIBILITY_RTOL * (1 + ||b||) plus the
-    solve's own rounding, 4 max(n, K) eps sigma_max ||x||.
-    """
-    x, residual, scale = stacked_lstsq(family, pres)
-    u, s, vh, _ = family._stacked
-    rounding = 4 * max(u.shape[0], vh.shape[0]) * np.finfo(float).eps * np.max(s, initial=0.0)
-    if residual > FEASIBILITY_RTOL * scale + rounding * float(np.linalg.norm(x)):
+    """Minimal-norm solution of a validated prescription; raises
+    InfeasiblePrescriptionError, with the certificate, where it is infeasible."""
+    x, residual, feasible = stacked_lstsq(family, pres)
+    if not feasible:
         raise InfeasiblePrescriptionError(
             f"prescription is infeasible (stacked residual {residual:.3e})",
             InfeasibilityCertificate(residual=residual, best_point=x))
@@ -312,12 +316,8 @@ def infeasibility_certificate(family: Family, prescription):
 
     A zero-sum prescription with nonzero members always produces one.
     """
-    pres = validate_prescription(family, prescription)
-    try:
-        _feasible_point(family, pres)
-    except InfeasiblePrescriptionError as exc:
-        return exc.certificate
-    return None
+    x, residual, feasible = stacked_lstsq(family, validate_prescription(family, prescription))
+    return None if feasible else InfeasibilityCertificate(residual=residual, best_point=x)
 
 
 def epsilon_solve(family: Family, prescription, epsilon: float) -> np.ndarray:

@@ -191,12 +191,16 @@ def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
     stacked system is inconsistent.
     """
     pres = validate_prescription(family, prescription)
-    x = _feasible_point(family, pres)
-    parallel = family.parallel
-    if anchor is not None:
-        anchor = as_field_vector(anchor, family.ambient_dim, family.dtype, what="anchor")
-        x = x + parallel.project(anchor - x)
-    return SolutionSet(particular=x, parallel=parallel)
+    x = _toward_anchor(family, _feasible_point(family, pres), anchor)
+    return SolutionSet(particular=x, parallel=family.parallel)
+
+
+def _toward_anchor(family: Family, x, anchor) -> np.ndarray:
+    """x, or with an anchor the point of x + family.parallel closest to it."""
+    if anchor is None:
+        return x
+    anchor = as_field_vector(anchor, family.ambient_dim, family.dtype, what="anchor")
+    return x + family.parallel.project(anchor - x)
 
 
 def rate_bound(family: Family) -> float:

@@ -10,9 +10,11 @@ chain's trailing sums, one public affine_project call per constraint
 and one prescription_residual per sweep instead of the sweep as one
 low-rank affine map and the residual in stacked basis coordinates, and
 the one-map loop with its bookkeeping after every sweep instead of once
-per block of sweeps.
+per block of sweeps.  It also holds helpers that only tests use, such as
+save_problem, the writer of problem files.
 """
 
+import json
 import math
 
 import numpy as np
@@ -33,6 +35,7 @@ from ibap import (
     validate_prescription,
     verify_ibap,
 )
+from ibap.cli import _encode_vector
 from ibap.family import _feasible_point
 from ibap.solvers import _norm
 
@@ -303,3 +306,22 @@ def one_map_iteration(start, family, prescription, options=None):
                              initial_distance=d0, converged=converged,
                              sweeps=len(records))
     return x, trace
+
+
+def save_problem(path, problem):
+    """Write a cli.Problem as a problem file that load_problem reads back."""
+    doc = {
+        "field": problem.field,
+        "ambient_dim": problem.ambient_dim,
+        "subspaces": [
+            {"name": name, "vectors": [_encode_vector(v, problem.field) for v in span]}
+            for name, span in zip(problem.names, problem.spans)
+        ],
+    }
+    if problem.prescription is not None:
+        doc["prescription"] = [_encode_vector(v, problem.field) for v in problem.prescription]
+    if problem.anchor is not None:
+        doc["anchor"] = _encode_vector(problem.anchor, problem.field)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ibap.cli import (
+    DEFAULT_MAX_ITER,
     EXIT_INFEASIBLE,
     EXIT_NO_IBAP,
     EXIT_OK,
@@ -19,11 +20,11 @@ from ibap.cli import (
     build_parser,
     load_problem,
     main,
-    save_problem,
 )
 from ibap.subspaces import field_dtype
 
 from conftest import rng_for
+from oracles import save_problem
 
 
 def write_json(path, doc):
@@ -149,6 +150,13 @@ class TestCheck:
         assert len(doc["levels"]) == 2
         assert all(lev["gamma"] == 1.0 for lev in doc["levels"])
 
+    def test_unwritable_json_out_exit_four(self, tmp_path, capsys):
+        path = write_json(tmp_path / "axes.json", axes_doc())
+        out = tmp_path / "missing" / "report.json"
+        assert main(["check", path, "--json-out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(out) in err[0]
+
     def test_gamma_values_finite_on_a_random_fixture(self, tmp_path, capsys):
         rng = rng_for(902)
         doc = {
@@ -220,14 +228,24 @@ class TestSolve:
         pres = [s.project(rng.standard_normal(6)) for s in family.subspaces]
         doc["prescription"] = [list(map(float, u)) for u in pres]
         path = write_json(tmp_path / "fam.json", doc)
+        # dims 2 + 1 + 2 in R^6: a one-dimensional parallel subspace, so the
+        # anchor picks a different point of the solution set
+        assert family.parallel.dim == 1
+        anchor = json.dumps(list(map(float, 3 * rng.standard_normal(6))))
         solutions = {}
-        for method in ("direct", "recursion", "iterate"):
-            assert main(["solve", path, "--method", method]) == EXIT_OK
-            out = capsys.readouterr().out
-            line = next(l for l in out.splitlines() if l.startswith("solution:"))
-            solutions[method] = np.array(json.loads(line.split("solution: ")[1]))
-        assert np.linalg.norm(solutions["direct"] - solutions["recursion"]) <= 1e-8
-        assert np.linalg.norm(solutions["direct"] - solutions["iterate"]) <= 1e-8
+        for extra in ([], ["--anchor", anchor]):
+            for method in ("direct", "recursion", "iterate"):
+                assert main(["solve", path, "--method", method, *extra]) == EXIT_OK
+                out = capsys.readouterr().out
+                line = next(l for l in out.splitlines() if l.startswith("solution:"))
+                solutions[method, bool(extra)] = np.array(json.loads(line.split("solution: ")[1]))
+        for anchored in (False, True):
+            direct = solutions["direct", anchored]
+            assert np.linalg.norm(direct - solutions["recursion", anchored]) <= 1e-8
+            assert np.linalg.norm(direct - solutions["iterate", anchored]) <= 1e-8
+        moved = solutions["direct", True] - solutions["direct", False]
+        assert np.linalg.norm(moved) > 1e-3
+        assert np.linalg.norm(family.parallel.project(moved) - moved) <= 1e-10
 
     def test_recursion_on_dependent_family_exit_three(self, tmp_path):
         path = write_json(tmp_path / "dep.json", dependent_planes_doc())
@@ -311,6 +329,13 @@ class TestIterate:
     def test_infeasible_fixture_exit_two(self, tmp_path):
         path = write_json(tmp_path / "zs.json", zero_sum_doc())
         assert main(["iterate", path]) == EXIT_INFEASIBLE
+
+    def test_unwritable_trace_exit_four(self, tmp_path, capsys):
+        path = write_json(tmp_path / "axes.json", axes_doc())
+        # a directory cannot be opened for writing
+        assert main(["iterate", path, "--trace", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(tmp_path) in err[0]
 
     def test_env_var_overrides_the_default_tolerance(self, tmp_path, monkeypatch, capsys):
         path = write_json(tmp_path / "sixty.json", sixty_degree_doc())
@@ -425,6 +450,12 @@ class TestSlowdemoCommand:
     def test_missing_arguments_exit_four(self):
         assert main(["slowdemo"]) == EXIT_PARSE
         assert main(["slowdemo", "--alphas", "nonsense"]) == EXIT_PARSE
+
+    def test_unwritable_trace_exit_four(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "demo.csv"
+        assert main(["slowdemo", "--truncation", "4", "--trace", str(trace)]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(trace) in err[0]
 
 
 class TestNonFiniteInput:
@@ -576,3 +607,24 @@ class TestParser:
             build_parser.cache_clear()
             fresh.append(run(argv))
         assert fresh == cached
+
+    def test_iteration_options_are_shared(self):
+        parser = build_parser()
+        argvs = {"solve": ["solve", "p.json"], "iterate": ["iterate", "p.json"],
+                 "slowdemo": ["slowdemo"]}
+        for command, argv in argvs.items():
+            args = parser.parse_args(argv)
+            assert (args.max_iter, args.tol) == (DEFAULT_MAX_ITER, None), command
+            assert getattr(args, "trace", "absent") == ("absent" if command == "solve" else None)
+            args = parser.parse_args([*argv, "--max-iter", "7", "--tol", "1e-3"])
+            assert (args.max_iter, args.tol) == (7, 1e-3), command
+        for argv in (["iterate", "p.json"], ["slowdemo"]):
+            assert parser.parse_args([*argv, "--trace", "t.csv"]).trace == "t.csv"
+        for argv in (["check", "p.json"], ["moments", "p.json"], ["signal", "p.json"]):
+            assert not {"max_iter", "tol", "trace"} & set(vars(parser.parse_args(argv)))
+
+    def test_solve_has_no_trace_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "p.json", "--trace", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace x" in capsys.readouterr().err

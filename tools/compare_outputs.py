@@ -4,7 +4,7 @@
     python3 tools/compare_outputs.py 3b27fd2 --seeds 3 --workloads applications
 
 Runs every command that ``bench/workloads.build`` makes, on the chosen
-workloads and seeds (default: both workloads, seeds 3 and 11), once with
+workloads and seeds (default: both workloads, seeds 3, 7 and 11), once with
 the ``src/`` of the revision (extracted with ``git archive`` into a
 temporary directory) and once with the ``src/`` of the working tree.
 Both sides take their commands from the working tree's ``bench/``, so
@@ -41,7 +41,7 @@ from contextlib import redirect_stderr, redirect_stdout
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 WORKLOADS = ("dense-families", "applications")
-SEEDS = (3, 11)
+SEEDS = (3, 7, 11)
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 PLACEHOLDER = "<workdir>"
