@@ -53,7 +53,6 @@ from .family import (
 )
 from .solvers import (
     SolveOptions,
-    _toward_anchor,
     best_approximation,
     direct_solve,
     prescription_residual,
@@ -326,10 +325,10 @@ def _print_report(doc: dict, family: Family, names) -> None:
     print(f"unique solutions: {'yes' if doc['unique'] else 'no'}")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str, mode: str = "w") -> None:
     """Write text untranslated; an unwritable path is a ParseError naming it."""
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path, mode, newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from None
@@ -380,7 +379,7 @@ def cmd_solve(args) -> int:
     if args.method == "direct":
         x = direct_solve(family, prescription, anchor=anchor).particular
     elif args.method == "recursion":
-        x = _toward_anchor(family, solve_min_norm(family, prescription), anchor)
+        x = solve_min_norm(family, prescription, anchor=anchor)
     else:
         x, trace = _iterate(args, family, prescription, anchor, record_trace=False)
         if not trace.converged:
@@ -567,6 +566,10 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
     try:
+        # open each output before the work, so that an unwritable path fails
+        # fast; appending nothing leaves an existing file as it is
+        for path in filter(None, (getattr(args, "trace", None), getattr(args, "json_out", None))):
+            _write_text(path, "", mode="a")
         return args.func(args)
     except ValueError as exc:
         prefix, code = next((p, c) for kind, p, c in _FAILURES if isinstance(exc, kind))

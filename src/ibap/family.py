@@ -79,11 +79,12 @@ class Family:
     of the residual B_i - T (T^H B_i) gives the level's sines and cosines
     (angles._Level), dim(U_i + T) and the columns that extend T to a
     basis of U_i + T.  Every trailing-sum basis is thus a column prefix
-    of one basis of U_1 + ... + U_m, whose width is dim_sum.  The full
-    SVD of the stacked bases, with its own rank at the stacked matrix's
-    cutoff, serves only the stacked solve, the parallel subspace and the
-    dependent tuple.  The two ranks differ only for sines near the level
-    cutoff: for two lines in the plane, at angles between 2 and 4 eps.
+    of one basis of U_1 + ... + U_m, whose width is dim_sum; it serves
+    check, the recursion and an independent family's iteration.  The full
+    SVD of the stacked bases, with its own rank, serves only the stacked
+    route: direct_solve, stacked_lstsq and the dependent tuple.  The two
+    ranks differ only for sines near the level cutoff: for two lines in
+    the plane, at angles between 2 and 4 eps.
     """
 
     subspaces: tuple
@@ -158,12 +159,6 @@ class Family:
     def dim_sum(self) -> int:
         """Dimension of U_1 + ... + U_m: dim U_m plus each level's rank."""
         return self._chain[1].shape[1]
-
-    @cached_property
-    def parallel(self) -> Subspace:
-        """Complement of U_1 + ... + U_m, parallel to every solution set."""
-        u, _, _, rank = self._stacked
-        return Subspace(u[:, rank:])
 
 
 @dataclass(frozen=True)
@@ -298,17 +293,6 @@ def stacked_lstsq(family: Family, prescription: list):
     a = np.vstack([s.basis.conj().T for s in family.subspaces])
     b = np.concatenate([s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)])
     return _checked_lstsq(a, b, family._stacked)
-
-
-def _feasible_point(family: Family, pres: list) -> np.ndarray:
-    """Minimal-norm solution of a validated prescription; raises
-    InfeasiblePrescriptionError, with the certificate, where it is infeasible."""
-    x, residual, feasible = stacked_lstsq(family, pres)
-    if not feasible:
-        raise InfeasiblePrescriptionError(
-            f"prescription is infeasible (stacked residual {residual:.3e})",
-            InfeasibilityCertificate(residual=residual, best_point=x))
-    return x
 
 
 def infeasibility_certificate(family: Family, prescription):

@@ -1,13 +1,15 @@
 """Solvers for prescribed-projection problems.
 
-Three routes are provided and cross-checked by the test suite:
+Three routes are provided and cross-checked by the test suite; each
+factorizes a family once (see Family) and shifts toward an anchor along
+its own orthonormal basis of the sum of the members:
 
 * a finite recursion that extends a trailing minimal-norm solution one
   level at a time, yielding the global minimal-norm solution; its level
   step, the two-subspace solve, is also the solver for two constraints;
-* a direct stacked least-squares solver, which doubles as the reference
-  oracle and produces the full solution set (particular point plus
-  parallel subspace);
+* a direct stacked least-squares solver, the only one that takes the
+  stacked SVD, which produces the full solution set (particular point
+  plus parallel subspace);
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles; each sweep
   is one low-rank affine map x <- x + Q (C x) + b whose product also
@@ -31,15 +33,14 @@ from .angles import _Level, _pair
 from .family import (
     Family,
     IbapFailureError,
-    _feasible_point,
+    InfeasibilityCertificate,
+    InfeasiblePrescriptionError,
     check_independence,
+    stacked_lstsq,
     validate_prescription,
     verify_ibap,
 )
 from .subspaces import Subspace, _check_compatible, as_field_vector
-
-#: pair solves refuse projector-product norms at or beyond this value
-NORM_GUARD = 1.0 - 1e-12
 
 #: most sweeps of best_approximation per block of residual and trace bookkeeping
 _BLOCK = 32
@@ -89,7 +90,7 @@ class IterationRecord(NamedTuple):
 class ConvergenceTrace:
     records: tuple
     alpha: float | None
-    initial_distance: float | None
+    initial_distance: float
     converged: bool
     sweeps: int
 
@@ -117,13 +118,12 @@ def _level_step(level: _Level, basis: np.ndarray, u: np.ndarray, v: np.ndarray) 
     C = T^H B and R = B - T C = W S V^H.  Since R^H R = I - C^H C, the
     resolvents in basis coordinates are (I - C^H C)^(-1) = M = V S^-2 V^H
     and (I - C C^H)^(-1) C = C M; together they give
-    x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  Refuses norms
-    at or beyond NORM_GUARD.
+    x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  Refuses where
+    the level's rank decision does: a sine at or below the rank cutoff.
     """
-    norm = level.norm
-    if norm >= NORM_GUARD:
+    if level.rank < level.sines.size:
         raise ValueError(
-            f"projector-product norm {norm:.17g} is too close to 1: "
+            f"projector-product norm {level.norm:.17g} is too close to 1: "
             "the two-subspace inverse best approximation hypothesis fails")
     return v + level.w @ ((level.vh @ (basis.conj().T @ (u - v))) / level.sines)
 
@@ -170,9 +170,11 @@ def min_norm_stages(family: Family, prescription) -> list:
     return stages
 
 
-def solve_min_norm(family: Family, prescription) -> np.ndarray:
-    """Minimal-norm solution of the prescribed-projection problem."""
-    return min_norm_stages(family, prescription)[-1]
+def solve_min_norm(family: Family, prescription, anchor=None) -> np.ndarray:
+    """Minimal-norm solution of the prescribed-projection problem, or with
+    an anchor the solution closest to it, as in direct_solve."""
+    x = min_norm_stages(family, prescription)[-1]
+    return _toward_anchor(family._chain[1], x, anchor)
 
 
 def prescription_residual(family: Family, prescription, x) -> float:
@@ -190,17 +192,24 @@ def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
     solution set.  Raises with an infeasibility certificate when the
     stacked system is inconsistent.
     """
-    pres = validate_prescription(family, prescription)
-    x = _toward_anchor(family, _feasible_point(family, pres), anchor)
-    return SolutionSet(particular=x, parallel=family.parallel)
+    x, residual, feasible = stacked_lstsq(family, validate_prescription(family, prescription))
+    if not feasible:
+        raise InfeasiblePrescriptionError(
+            f"prescription is infeasible (stacked residual {residual:.3e})",
+            InfeasibilityCertificate(residual=residual, best_point=x))
+    u, _, _, rank = family._stacked
+    return SolutionSet(particular=_toward_anchor(u[:, :rank], x, anchor),
+                       parallel=Subspace(u[:, rank:]))
 
 
-def _toward_anchor(family: Family, x, anchor) -> np.ndarray:
-    """x, or with an anchor the point of x + family.parallel closest to it."""
+def _toward_anchor(basis: np.ndarray, x, anchor) -> np.ndarray:
+    """x, or with an anchor the point of x + span(basis)^perp closest to it."""
     if anchor is None:
         return x
-    anchor = as_field_vector(anchor, family.ambient_dim, family.dtype, what="anchor")
-    return x + family.parallel.project(anchor - x)
+    d = as_field_vector(anchor, basis.shape[0], basis.dtype, what="anchor") - x
+    if not np.isfinite(d).all():
+        raise ValueError("anchor has non-finite entries")
+    return x + d - basis @ (basis.conj().T @ d)
 
 
 def rate_bound(family: Family) -> float:
@@ -232,11 +241,13 @@ def best_approximation(start, family: Family, prescription,
 
     Each validated prescription vector is projected onto its subspace
     once, so that it lies in the subspace to rounding; the reference
-    solution, d0, the sweeps and the residuals all use those projected
-    vectors.  Each sweep is the affine map x <- x + Q (C x) + b, built
-    once per call without an n-by-n array; its iterates are those of the
-    affine projectors applied from the last constraint to the first, up
-    to rounding.  The product that gives C x also gives the residual
+    solution (solve_min_norm's toward start, or for a dependent family,
+    whose feasibility the level chain cannot decide, direct_solve's), d0,
+    the sweeps and the residuals all use those projected vectors.  Each
+    sweep is the affine map x <- x + Q (C x) + b, built once per call
+    without an n-by-n array; its iterates are those of the affine
+    projectors applied from the last constraint to the first, up to
+    rounding.  The product that gives C x also gives the residual
     max_i ||Q_i^H x - Q_i^H u_i|| of the stored x.  Stops when it drops
     to options.tol or after options.max_iter sweeps; both outcomes
     are recorded in the returned trace.  When the family satisfies the
@@ -249,14 +260,15 @@ def best_approximation(start, family: Family, prescription,
     subs = family.subspaces
     pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
+    if not np.isfinite(start).all():
+        raise ValueError("start has non-finite entries")
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
-    reference = None
-    if report.verdict or opts.record_trace:
-        reference = direct_solve(family, pres, anchor=start).particular
+    if report.verdict:
+        reference = solve_min_norm(family, pres, anchor=start)
     else:
-        _feasible_point(family, pres)
-    d0 = _norm(start - reference) if reference is not None else None
+        reference = direct_solve(family, pres, anchor=start).particular
+    d0 = _norm(start - reference)
     # zero-dimensional members are exact identities and drop out
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start
@@ -282,9 +294,8 @@ def best_approximation(start, family: Family, prescription,
         # the coordinates (two float64 entries per complex one)
         starts = (2 if rows.dtype.kind == "c" else 1) * offsets[:-1]
         z = g @ x
-    tracing = opts.record_trace and reference is not None
     residuals = [] if live else [0.0]
-    dists = [_norm(x - reference)] if tracing and not live else []
+    dists = [_norm(x - reference)] if opts.record_trace and not live else []
     size = _BLOCK
     while live and len(residuals) < opts.max_iter:
         xl, zl = [], []
@@ -298,7 +309,7 @@ def best_approximation(start, family: Family, prescription,
         hit = np.flatnonzero(res <= opts.tol)
         take = int(hit[0]) + 1 if hit.size else len(xl)
         residuals += res[:take].tolist()
-        if tracing:
+        if opts.record_trace:
             dists += [_norm(v - reference) for v in xl[:take]]
         x, z = xl[take - 1], zl[take - 1]
         if hit.size:

@@ -32,11 +32,11 @@ from ibap import (
     field_dtype,
     intersect,
     prescription_residual,
+    solve_min_norm,
     validate_prescription,
     verify_ibap,
 )
 from ibap.cli import _encode_vector
-from ibap.family import _feasible_point
 from ibap.solvers import _norm
 
 
@@ -206,6 +206,14 @@ def complement_chain_alpha(family):
     return float(np.sqrt(max(0.0, 1.0 - prod)))
 
 
+def reference_point(start, family, pres, report):
+    """The solution closest to start by the public calls best_approximation
+    makes: the recursion on an independent family, else the stacked solve."""
+    if report.verdict:
+        return solve_min_norm(family, pres, anchor=start)
+    return direct_solve(family, pres, anchor=start).particular
+
+
 def reference_iteration(start, family, prescription, options=None):
     """The periodic projection iteration built from the public pieces:
     each prescription vector projected onto its subspace once, then
@@ -218,10 +226,8 @@ def reference_iteration(start, family, prescription, options=None):
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
-    reference = None
-    if report.verdict or opts.record_trace:
-        reference = direct_solve(family, pres, anchor=start).particular
-    d0 = float(np.linalg.norm(start - reference)) if reference is not None else None
+    reference = reference_point(start, family, pres, report)
+    d0 = float(np.linalg.norm(start - reference))
     constraints = [AffineConstraint(s, u) for s, u in zip(family.subspaces, pres)]
     x = start
     records = []
@@ -231,7 +237,7 @@ def reference_iteration(start, family, prescription, options=None):
             x = affine_project(c, x)
         res = prescription_residual(family, pres, x)
         dist = None
-        if opts.record_trace and reference is not None:
+        if opts.record_trace:
             dist = float(np.linalg.norm(x - reference))
         bound = alpha ** n * d0 if alpha is not None else None
         records.append(IterationRecord(index=n, max_residual=res,
@@ -253,12 +259,8 @@ def one_map_iteration(start, family, prescription, options=None):
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
-    reference = None
-    if report.verdict or opts.record_trace:
-        reference = direct_solve(family, pres, anchor=start).particular
-    else:
-        _feasible_point(family, pres)
-    d0 = _norm(start - reference) if reference is not None else None
+    reference = reference_point(start, family, pres, report)
+    d0 = _norm(start - reference)
     # zero-dimensional members are exact identities and drop out
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start
@@ -294,7 +296,7 @@ def one_map_iteration(start, family, prescription, options=None):
             r = (z[k:] - rhs).view(np.float64)
             res = math.sqrt(np.add.reduceat(r * r, starts).max())
         dist = None
-        if opts.record_trace and reference is not None:
+        if opts.record_trace:
             dist = _norm(x - reference)
         bound = alpha ** n * d0 if alpha is not None else None
         records.append(IterationRecord(index=n, max_residual=res,

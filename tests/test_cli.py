@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ibap import direct_solve
 from ibap.cli import (
     DEFAULT_MAX_ITER,
     EXIT_INFEASIBLE,
@@ -154,8 +155,19 @@ class TestCheck:
         path = write_json(tmp_path / "axes.json", axes_doc())
         out = tmp_path / "missing" / "report.json"
         assert main(["check", path, "--json-out", str(out)]) == EXIT_PARSE
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        # the path is checked before the work: nothing is reported on stdout
+        assert captured.out == ""
+        err = captured.err.splitlines()
         assert len(err) == 1 and str(out) in err[0]
+
+    def test_failed_check_leaves_an_existing_report_as_it_is(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{ not json")
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        assert main(["check", str(bad), "--json-out", str(out)]) == EXIT_PARSE
+        assert out.read_text() == "earlier report\n"
 
     def test_gamma_values_finite_on_a_random_fixture(self, tmp_path, capsys):
         rng = rng_for(902)
@@ -230,7 +242,8 @@ class TestSolve:
         path = write_json(tmp_path / "fam.json", doc)
         # dims 2 + 1 + 2 in R^6: a one-dimensional parallel subspace, so the
         # anchor picks a different point of the solution set
-        assert family.parallel.dim == 1
+        parallel = direct_solve(family, pres).parallel
+        assert parallel.dim == 1
         anchor = json.dumps(list(map(float, 3 * rng.standard_normal(6))))
         solutions = {}
         for extra in ([], ["--anchor", anchor]):
@@ -245,7 +258,7 @@ class TestSolve:
             assert np.linalg.norm(direct - solutions["iterate", anchored]) <= 1e-8
         moved = solutions["direct", True] - solutions["direct", False]
         assert np.linalg.norm(moved) > 1e-3
-        assert np.linalg.norm(family.parallel.project(moved) - moved) <= 1e-10
+        assert np.linalg.norm(parallel.project(moved) - moved) <= 1e-10
 
     def test_recursion_on_dependent_family_exit_three(self, tmp_path):
         path = write_json(tmp_path / "dep.json", dependent_planes_doc())
@@ -334,7 +347,10 @@ class TestIterate:
         path = write_json(tmp_path / "axes.json", axes_doc())
         # a directory cannot be opened for writing
         assert main(["iterate", path, "--trace", str(tmp_path)]) == EXIT_PARSE
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        # the path is checked before the work: nothing is reported on stdout
+        assert captured.out == ""
+        err = captured.err.splitlines()
         assert len(err) == 1 and str(tmp_path) in err[0]
 
     def test_env_var_overrides_the_default_tolerance(self, tmp_path, monkeypatch, capsys):
@@ -454,7 +470,10 @@ class TestSlowdemoCommand:
     def test_unwritable_trace_exit_four(self, tmp_path, capsys):
         trace = tmp_path / "missing" / "demo.csv"
         assert main(["slowdemo", "--truncation", "4", "--trace", str(trace)]) == EXIT_PARSE
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        # the path is checked before the work: nothing is reported on stdout
+        assert captured.out == ""
+        err = captured.err.splitlines()
         assert len(err) == 1 and str(trace) in err[0]
 
 

@@ -1,10 +1,13 @@
 """Factorization counts of the analysis layer on a fixed family.
 
-Each family is factorized at most once per call chain, by two
+Each family is factorized at most once per call chain, by one of two
 factorizations cached on the Family: the level chain, one thin SVD of
 each level's residual off its trailing sum (m - 1 in all), and the full
-SVD of its stacked bases, which only the stacked solve takes.  None of
-these chains builds a complement or calls a linear solve.  A lone pair
+SVD of its stacked bases.  Check, the recursion and the iteration on an
+independent family, with or without an anchor or a trace, take only the
+chain; direct_solve takes only the stacked SVD; only a dependent
+family's iteration takes both, the stacked one to decide feasibility.
+None of these chains builds a complement or calls a linear solve.  A lone pair
 (the two-constraint solve, the Friedrichs cosine) takes one thin SVD of
 its residual, and an operator system adds one thin SVD per operator to
 the chain of its family.  The periodic projection sweep makes no
@@ -98,23 +101,43 @@ def thin_svds(calls):
 #: the level chain: one thin SVD per level, of U_i's residual, from the last but one up
 LEVELS = [(N, k) for k in reversed(DIMS[:-1])]
 STACKED = [(N, sum(DIMS))]
+#: the dependent family repeats the first member at the end
+DEPENDENT_LEVELS = [(N, k) for k in reversed(DIMS)]
+DEPENDENT_STACKED = [(N, sum(DIMS) + DIMS[0])]
 
-#: chain -> (call, its thin SVDs, its full-u SVDs)
+
+def iterate(record_trace):
+    options = SolveOptions(max_iter=3, record_trace=record_trace)
+    return lambda f, pres: best_approximation(np.ones(N), f, pres, options)
+
+
+#: chain -> (call, whether its family is the dependent one, its thin SVDs, its full-u SVDs)
 CHAINS = {
-    "verify_ibap": (lambda f, pres: verify_ibap(f), LEVELS, []),
-    "min_norm_stages": (lambda f, pres: min_norm_stages(f, pres), LEVELS, []),
-    "solve_min_norm": (lambda f, pres: solve_min_norm(f, pres), LEVELS, []),
-    "direct_solve": (lambda f, pres: direct_solve(f, pres, anchor=np.ones(N)), [], STACKED),
-    "best_approximation": (lambda f, pres: best_approximation(
-        np.ones(N), f, pres, SolveOptions(max_iter=3, record_trace=True)), LEVELS, STACKED),
+    "verify_ibap": (lambda f, pres: verify_ibap(f), False, LEVELS, []),
+    "min_norm_stages": (lambda f, pres: min_norm_stages(f, pres), False, LEVELS, []),
+    "solve_min_norm": (lambda f, pres: solve_min_norm(f, pres), False, LEVELS, []),
+    "solve_min_norm-anchor": (lambda f, pres: solve_min_norm(f, pres, anchor=np.ones(N)),
+                              False, LEVELS, []),
+    "direct_solve": (lambda f, pres: direct_solve(f, pres, anchor=np.ones(N)),
+                     False, [], STACKED),
+    "best_approximation-trace": (iterate(True), False, LEVELS, []),
+    "best_approximation": (iterate(False), False, LEVELS, []),
+    "best_approximation-dependent-trace": (iterate(True), True,
+                                           DEPENDENT_LEVELS, DEPENDENT_STACKED),
+    "best_approximation-dependent": (iterate(False), True,
+                                     DEPENDENT_LEVELS, DEPENDENT_STACKED),
 }
 
 
 @pytest.mark.parametrize("chain", sorted(CHAINS))
 def test_one_stacked_svd_and_no_complement(chain, problem, log):
-    """At most one stacked SVD, taken only by the stacked solve."""
+    """At most one stacked SVD, taken only by the stacked solve and by a
+    dependent family's iteration."""
     subspaces, pres = problem
-    call, thin, full = CHAINS[chain]
+    call, dependent, thin, full = CHAINS[chain]
+    if dependent:
+        # feasible: the repeated member is prescribed the same vector
+        subspaces, pres = subspaces + subspaces[:1], pres + pres[:1]
     call(Family(subspaces), pres)
     assert full_u_svds(log) == full
     # the level chain is built at most once per chain

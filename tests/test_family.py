@@ -381,18 +381,27 @@ class TestRankCutoff:
                     Subspace.from_spanning([[1.0, theta]], 2)))
         assert verify_ibap(f).verdict == check_independence(f) == independent
         assert f.dim_sum == (2 if independent else 1)
-        assert f.parallel.dim == 2 - f.dim_sum
+        assert direct_solve(f, [np.zeros(2)] * 2).parallel.dim == 2 - f.dim_sum
+        pres = [np.array([1.0, 0.0]), np.zeros(2)]
         doc = {"field": "real", "ambient_dim": 2,
-               "subspaces": [{"vectors": [[1.0, 0.0]]}, {"vectors": [[1.0, theta]]}]}
+               "subspaces": [{"vectors": [[1.0, 0.0]]}, {"vectors": [[1.0, theta]]}],
+               "prescription": [list(u) for u in pres]}
         path = tmp_path / "lines.json"
         path.write_text(json.dumps(doc))
-        assert main(["check", str(path)]) == (EXIT_OK if independent else EXIT_NO_IBAP)
-        pres = [np.array([1.0, 0.0]), np.zeros(2)]
-        # the recursion refuses either way: by its guard, since the norm of
-        # the pair rounds to 1, or for the missing property
+        code = EXIT_OK if independent else EXIT_NO_IBAP
+        assert main(["check", str(path)]) == code
+        assert main(["solve", str(path), "--method", "recursion"]) == code
+        # the recursion refuses exactly where the level's rank decision does
         if independent:
-            with pytest.raises(ValueError, match="too close to 1"):
-                solve_min_norm(f, pres)
+            # the stored lines are componentwise within eps of (1, 0) and
+            # (1, theta), so both routes land within a few eps, relative, of
+            # the exact solution (1, -1/theta), whose norm is 2e14
+            eps = np.finfo(float).eps
+            x = solve_min_norm(f, pres)
+            assert prescription_residual(f, pres, x) <= 4 * eps
+            y = direct_solve(f, pres).particular
+            assert np.linalg.norm(x - y) <= 4 * eps * np.linalg.norm(y)
+            assert abs(x[1] * theta + 1.0) <= 4 * eps
         else:
             with pytest.raises(IbapFailureError):
                 solve_min_norm(f, pres)
