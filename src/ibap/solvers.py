@@ -12,8 +12,8 @@ its own orthonormal basis of the sum of the members:
   plus parallel subspace);
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles; each sweep
-  is one low-rank affine map x <- x + Q (C x) + b whose product also
-  gives the residual, equal to the per-constraint sweep up to rounding;
+  is one small square map on the iterate's coordinates in the chain
+  basis of the sum, equal to the per-constraint sweep up to rounding;
   the residuals and the trace are taken once per block of sweeps.
 
 The resolvents (Id - P_U P_V)^(-1) of the two-subspace step are applied
@@ -243,18 +243,19 @@ def best_approximation(start, family: Family, prescription,
     once, so that it lies in the subspace to rounding; the reference
     solution (solve_min_norm's toward start, or for a dependent family,
     whose feasibility the level chain cannot decide, direct_solve's), d0,
-    the sweeps and the residuals all use those projected vectors.  Each
-    sweep is the affine map x <- x + Q (C x) + b, built once per call
-    without an n-by-n array; its iterates are those of the affine
-    projectors applied from the last constraint to the first, up to
-    rounding.  The product that gives C x also gives the residual
-    max_i ||Q_i^H x - Q_i^H u_i|| of the stored x.  Stops when it drops
-    to options.tol or after options.max_iter sweeps; both outcomes
-    are recorded in the returned trace.  When the family satisfies the
-    IBAP the trace carries the bound values alpha^n * d0 against the true
-    best approximation.  Only the map's two products run per sweep, the
-    rest once per block of at most _BLOCK sweeps, bit for bit as one sweep
-    at a time; sweeps past the stopping one are dropped.  Returns (point, trace).
+    the sweeps and the residuals all use those projected vectors.  The
+    sweeps move x = start + T y only inside the sum of the members, whose
+    orthonormal basis T the level chain holds, so each is one (d+1)-square
+    map of [y; 1], d = dim_sum, built once per call; its iterates are those
+    of the affine projectors applied from the last constraint to the first,
+    up to rounding, and the residual max_i ||Q_i^H x - Q_i^H u_i|| is taken
+    in the same coordinates.  Stops when it drops to options.tol or after
+    options.max_iter sweeps; both outcomes are recorded in the returned
+    trace.  When the family satisfies the IBAP the trace carries the bound
+    values alpha^n * d0 against the true best approximation.  Only the map
+    runs per sweep, the rest once per block of at most _BLOCK sweeps, bit
+    for bit as one sweep at a time; sweeps past the stopping one are
+    dropped; the point is formed once, at the stop.  Returns (point, trace).
     """
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
@@ -273,51 +274,59 @@ def best_approximation(start, family: Family, prescription,
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start
     if live:
-        # Q = [Q_1 ... Q_m]; C_j = -Q_j^H A_(j+1) gives member j's step, with
-        # A_(j+1) = I + Q_(>j) C_(>j) the linear part of the steps before it;
-        # b is one sweep from 0; G = [C; Q^H] gives the next C x and the
-        # residual coordinates of the stored x in one product
+        # T is orthonormal to rounding only, so y follows member j's step
+        # x <- u_j + x - Q_j Q_j^H x through T^+ ~ (2I - T^H T) T^H: with
+        # g = T^H [Q, u] = [G, ...] and kv = T^+ [Q, u] = [K, ...] it is
+        # y <- y - K_j (G_j^H y + Q_j^H start) + T^+ u_j.  C_j = -G_j^H A_(j+1)
+        # with A_(j+1) = I + K_(>j) C_(>j) of members j+1..m; f is one sweep
+        # from 0; [G^H, Q^H (start - u)] gives the residual coordinates of [y; 1]
+        t = family._chain[1]
         q = np.hstack([qi for qi, _ in live])
-        rows = q.conj().T
-        gram = rows @ q
+        k = q.shape[1]
+        g = t.conj().T @ np.column_stack([q] + [u for _, u in live])
+        kv = 2 * g - (t.conj().T @ t) @ g
+        gram = q.conj().T @ q
         offsets = np.cumsum([0] + [qi.shape[1] for qi, _ in live])
-        c = -rows
+        c = -g[:, :k].conj().T
         for lo, hi in reversed(list(zip(offsets[:-2], offsets[1:-1]))):
             c[lo:hi] -= gram[lo:hi, hi:] @ c[hi:]
-        shift = np.zeros_like(start)
-        for qi, u in reversed(live):
-            shift = u + shift - qi @ (qi.conj().T @ shift)
-        g = np.vstack([c, rows])
-        rhs = np.concatenate([qi.conj().T @ u for qi, u in live])
-        k = offsets[-1]
+        qs = q.conj().T @ start
+        f = np.zeros(t.shape[1], dtype=start.dtype)
+        for j, (lo, hi) in reversed(list(enumerate(zip(offsets[:-1], offsets[1:])))):
+            f = f - kv[:, lo:hi] @ (g[:, lo:hi].conj().T @ f + qs[lo:hi]) + kv[:, k + j]
+        m = np.block([[np.eye(f.size) + kv[:, :k] @ c, f[:, None]], [np.zeros(f.size), 1.0]])
+        coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
+        y = np.append(np.zeros_like(f), 1.0)
         # where each member's residual entries start in the real view of
         # the coordinates (two float64 entries per complex one)
-        starts = (2 if rows.dtype.kind == "c" else 1) * offsets[:-1]
-        z = g @ x
+        starts = (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
     residuals = [] if live else [0.0]
-    dists = [_norm(x - reference)] if opts.record_trace and not live else []
+    dists = [d0] if opts.record_trace and not live else []
     size = _BLOCK
     while live and len(residuals) < opts.max_iter:
-        xl, zl = [], []
+        yl = []
         for _ in range(min(size, opts.max_iter - len(residuals))):
-            x = x + (q @ z[:k] + shift)
-            z = g @ x
-            xl.append(x)
-            zl.append(z)
-        r = (np.array(zl)[:, k:] - rhs).view(np.float64)
+            y = m @ y
+            yl.append(y)
+        ys = np.array(yl)
+        # stacks of one-vector products round each sweep as a lone product
+        r = np.matmul(ys[:, None], coords)[:, 0].view(np.float64)
         res = np.sqrt(np.add.reduceat(r * r, starts, axis=1).max(axis=1))
         hit = np.flatnonzero(res <= opts.tol)
-        take = int(hit[0]) + 1 if hit.size else len(xl)
+        take = int(hit[0]) + 1 if hit.size else len(yl)
         residuals += res[:take].tolist()
         if opts.record_trace:
-            dists += [_norm(v - reference) for v in xl[:take]]
-        x, z = xl[take - 1], zl[take - 1]
+            v = (start + np.matmul(t, ys[:take, :-1, None])[..., 0] - reference).view(np.float64)
+            dists += np.sqrt((v * v).sum(axis=1)).tolist()
+        y = yl[take - 1]
         if hit.size:
             break
         # end the next block near where this block's mean ratio reaches tol
         drop = (math.log(res[0]) - math.log(res[-1])) / max(len(res) - 1, 1)
         size = (min(_BLOCK, math.ceil((math.log(res[-1]) - math.log(opts.tol)) / drop) + 1)
                 if drop > 0 else _BLOCK)
+    if live:
+        x = start + t @ y[:-1]
     sweeps = len(residuals)
     index = range(1, sweeps + 1)
     bounds = [alpha ** n * d0 for n in index] if alpha is not None else [None] * sweeps

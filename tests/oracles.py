@@ -8,10 +8,12 @@ instead of complex solves, complement chains instead of level cosines,
 pseudoinverse projectors of the later members instead of the level
 chain's trailing sums, one public affine_project call per constraint
 and one prescription_residual per sweep instead of the sweep as one
-low-rank affine map and the residual in stacked basis coordinates, and
-the one-map loop with its bookkeeping after every sweep instead of once
-per block of sweeps.  It also holds helpers that only tests use, such as
-save_problem, the writer of problem files.
+small map on the coordinates of the iterate in the chain basis of the
+sum with the residual in those coordinates, the one-map loop with its
+bookkeeping after every sweep instead of once per block of sweeps, and
+the spectral radius of the dense product of complement projectors
+instead of the level angles.  It also holds helpers that only tests
+use, such as save_problem, the writer of problem files.
 """
 
 import json
@@ -206,6 +208,21 @@ def complement_chain_alpha(family):
     return float(np.sqrt(max(0.0, 1.0 - prod)))
 
 
+def complement_product_radius(family):
+    """Spectral radius of (I - P_1) ... (I - P_m), the map that one sweep
+    applies to the distance from the solution set, on the sum of the
+    members: dense projector matrices, and a basis of the sum from the
+    SVD of the stacked bases."""
+    n = family.ambient_dim
+    prod = np.eye(n, dtype=family.dtype)
+    for s in family.subspaces:
+        prod = prod @ (np.eye(n) - dense_projector(s))
+    stacked = np.hstack([s.basis for s in family.subspaces])
+    u, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+    w = u[:, :int(np.sum(sv > 1e-10 * sv[0]))]
+    return float(np.max(np.abs(np.linalg.eigvals(w.conj().T @ prod @ w))))
+
+
 def reference_point(start, family, pres, report):
     """The solution closest to start by the public calls best_approximation
     makes: the recursion on an independent family, else the stacked solve."""
@@ -250,9 +267,10 @@ def reference_iteration(start, family, prescription, options=None):
 
 
 def one_map_iteration(start, family, prescription, options=None):
-    """best_approximation as one loop over sweeps: each sweep applies the
-    low-rank affine map x <- x + Q (C x) + b, then takes its residual,
-    distance and record before the next one.  Returns (x, trace)."""
+    """best_approximation as one loop over sweeps: each sweep takes [y; 1]
+    on by the (d+1)-square map in the coordinates y of x = start + T y, T
+    the chain basis of the sum, then takes its residual, iterate, distance
+    and record before the next one.  Returns (x, trace)."""
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
     pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
@@ -265,39 +283,44 @@ def one_map_iteration(start, family, prescription, options=None):
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start
     if live:
-        # Q = [Q_1 ... Q_m]; C_j = -Q_j^H A_(j+1) gives member j's step, with
-        # A_(j+1) = I + Q_(>j) C_(>j) the linear part of the steps before it;
-        # b is one sweep from 0; G = [C; Q^H] gives the next C x and the
-        # residual coordinates of the stored x in one product
+        # member j's step is y <- y - K_j (G_j^H y + Q_j^H start) + T^+ u_j
+        # with G = T^H Q, K = T^+ Q and T^+ = (2I - T^H T) T^H to first
+        # order; C_j = -G_j^H A_(j+1) with A_(j+1) = I + K_(>j) C_(>j); f is
+        # one sweep from 0; [G^H, Q^H (start - u)] gives the residual
+        # coordinates of [y; 1]
+        t = family._chain[1]
         q = np.hstack([qi for qi, _ in live])
-        rows = q.conj().T
-        gram = rows @ q
+        k = q.shape[1]
+        g = t.conj().T @ np.column_stack([q] + [u for _, u in live])
+        kv = 2 * g - (t.conj().T @ t) @ g
+        gram = q.conj().T @ q
         offsets = np.cumsum([0] + [qi.shape[1] for qi, _ in live])
-        c = -rows
+        c = -g[:, :k].conj().T
         for lo, hi in reversed(list(zip(offsets[:-2], offsets[1:-1]))):
             c[lo:hi] -= gram[lo:hi, hi:] @ c[hi:]
-        shift = np.zeros_like(start)
-        for qi, u in reversed(live):
-            shift = u + shift - qi @ (qi.conj().T @ shift)
-        g = np.vstack([c, rows])
-        rhs = np.concatenate([qi.conj().T @ u for qi, u in live])
-        k = offsets[-1]
+        qs = q.conj().T @ start
+        f = np.zeros(t.shape[1], dtype=start.dtype)
+        for j, (lo, hi) in reversed(list(enumerate(zip(offsets[:-1], offsets[1:])))):
+            f = f - kv[:, lo:hi] @ (g[:, lo:hi].conj().T @ f + qs[lo:hi]) + kv[:, k + j]
+        m = np.block([[np.eye(f.size) + kv[:, :k] @ c, f[:, None]], [np.zeros(f.size), 1.0]])
+        coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
+        y = np.append(np.zeros_like(f), 1.0)
         # where each member's residual entries start in the real view of
         # the coordinates (two float64 entries per complex one)
-        starts = (2 if rows.dtype.kind == "c" else 1) * offsets[:-1]
-        z = g @ x
+        starts = (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
     records = []
     converged = False
     for n in range(1, opts.max_iter + 1):
         res = 0.0
         if live:
-            x = x + (q @ z[:k] + shift)
-            z = g @ x
-            r = (z[k:] - rhs).view(np.float64)
+            y = m @ y
+            r = (y @ coords).view(np.float64)
             res = math.sqrt(np.add.reduceat(r * r, starts).max())
+            x = start + t @ y[:-1]
         dist = None
         if opts.record_trace:
-            dist = _norm(x - reference)
+            v = (x - reference).view(np.float64)
+            dist = math.sqrt((v * v).sum()) if live else d0
         bound = alpha ** n * d0 if alpha is not None else None
         records.append(IterationRecord(index=n, max_residual=res,
                                        dist_to_solution=dist, bound=bound))

@@ -42,6 +42,7 @@ from oracles import (
     complement_chain_alpha,
     gram_rank,
     pinv_min_norm,
+    reference_iteration,
     stacked_residual,
     trailing_sum_projectors,
     zero_subspace,
@@ -391,12 +392,21 @@ class TestRankCutoff:
         code = EXIT_OK if independent else EXIT_NO_IBAP
         assert main(["check", str(path)]) == code
         assert main(["solve", str(path), "--method", "recursion"]) == code
+        eps = np.finfo(float).eps
+        # the iteration sweeps in the chain basis T of the sum; below the
+        # cutoff T is one column and drops a direction of the first line,
+        # yet from a start on that line it ends like the per-constraint sweep
+        start, zero = np.array([1.0, 0.0]), [np.zeros(2)] * 2
+        x, trace = best_approximation(start, f, zero)
+        _, ref = reference_iteration(start, f, zero)
+        assert (trace.sweeps, trace.converged) == (ref.sweeps, ref.converged)
+        assert trace.records[-1].max_residual <= 4 * eps
+        assert prescription_residual(f, zero, x) <= 4 * eps
         # the recursion refuses exactly where the level's rank decision does
         if independent:
             # the stored lines are componentwise within eps of (1, 0) and
             # (1, theta), so both routes land within a few eps, relative, of
             # the exact solution (1, -1/theta), whose norm is 2e14
-            eps = np.finfo(float).eps
             x = solve_min_norm(f, pres)
             assert prescription_residual(f, pres, x) <= 4 * eps
             y = direct_solve(f, pres).particular

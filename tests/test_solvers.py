@@ -12,6 +12,7 @@ from ibap import (
     Family,
     IbapFailureError,
     InfeasiblePrescriptionError,
+    SlowFamilySpec,
     SolveOptions,
     Subspace,
     affine_project,
@@ -21,6 +22,7 @@ from ibap import (
     min_norm_stages,
     prescription_residual,
     rate_bound,
+    slow_family,
     solve_min_norm,
     solve_two,
     verify_ibap,
@@ -40,6 +42,7 @@ from conftest import (
     rng_for,
 )
 from oracles import (
+    complement_product_radius,
     constraint_from_affine_set,
     neumann_inverse,
     pinv_min_norm,
@@ -357,6 +360,25 @@ class TestRateBound:
         with pytest.raises(IbapFailureError):
             rate_bound(f)
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_alpha_bounds_the_spectral_radius_of_a_sweep(self, field):
+        # a sweep maps the distance from the solution set, which lies in
+        # the sum of the members, by (I - P_1) ... (I - P_m); alpha bounds
+        # its norm there, so also its spectral radius
+        rng = rng_for(723)
+        eps = np.finfo(float).eps
+        for _ in range(40):
+            n = int(rng.integers(2, 16))
+            dims = random_independent_dims(rng, n, int(rng.integers(1, min(n, 5) + 1)))
+            f = random_family(rng, n, dims, field)
+            assert complement_product_radius(f) <= rate_bound(f) + 64 * eps
+
+    def test_two_members_contract_at_the_squared_norm(self):
+        # Kayalar & Weinert (1988): for two subspaces the spectral radius is
+        # the squared Friedrichs cosine, the norm that slow_family predicts
+        family, predicted = slow_family(SlowFamilySpec.harmonic(16))
+        assert abs(complement_product_radius(family) - predicted ** 2) <= 1e-12
+
 
 class TestBestApproximation:
     def test_start_on_the_solution_set_converges_in_one_sweep(self):
@@ -467,12 +489,12 @@ class TestBestApproximation:
 
 
 class TestSweepMatchesTheReference:
-    """best_approximation applies each sweep as one low-rank affine map
-    x <- x + Q (C x) + b and measures its residual in stacked basis
-    coordinates; it must give the stopping decisions, alpha, d0 and
-    bounds of the sweep built from affine_project and
-    prescription_residual exactly, and its iterates, distances and
-    residuals to rounding."""
+    """best_approximation runs each sweep as one small map on the
+    coordinates y of x = start + T y, T the chain basis of the sum, and
+    measures its residual in those coordinates; it must give the stopping
+    decisions, alpha, d0 and bounds of the sweep built from
+    affine_project and prescription_residual exactly, and its iterates,
+    distances and residuals to rounding."""
 
     @staticmethod
     def assert_same_run(start, family, pres, opts):
@@ -483,8 +505,8 @@ class TestSweepMatchesTheReference:
         assert trace.initial_distance == ref_trace.initial_distance
         assert len(trace.records) == len(ref_trace.records)
         eps = np.finfo(float).eps
-        # the factored sweep rounds differently; its error may grow by
-        # rounding of the iterate's size per sweep
+        # the sweep in coordinates rounds differently; its error may grow
+        # by rounding of the iterate's size per sweep
         drift = 2 * eps * max(1.0, float(np.linalg.norm(ref_x))) * trace.sweeps
         assert x.dtype == ref_x.dtype
         assert np.linalg.norm(x - ref_x) <= drift
@@ -673,8 +695,10 @@ class TestBlocksMatchOneSweepAtATime:
 
 
 class TestSweepMap:
-    """One sweep is the affine map x <- x + Q (C x) + b, built once per call
-    from the bases without an n-by-n array."""
+    """A sweep is one (d+1)-square map of [y; 1], x = start + T y with T the
+    chain basis of the sum, built once per call without an n-by-n array.
+    The first sweep from y = 0 gives the map's offset f, the second also
+    its linear part A."""
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_one_sweep_is_the_per_constraint_composition(self, field):
@@ -692,13 +716,15 @@ class TestSweepMap:
             f = Family(tuple(members))
             pres = random_prescription(rng, f)
             start = random_unit(rng, n, field) * 3
-            x, trace = best_approximation(start, f, pres, SolveOptions(max_iter=1))
-            assert trace.sweeps == 1
             y = start
-            for s, u in reversed(list(zip(f.subspaces, pres))):
-                y = affine_project(AffineConstraint(s, s.project(u)), y)
-            bound = 4 * len(members) * eps * max(1.0, float(np.linalg.norm(x)))
-            assert np.linalg.norm(x - y) <= bound
+            for sweeps in (1, 2):
+                for s, u in reversed(list(zip(f.subspaces, pres))):
+                    y = affine_project(AffineConstraint(s, s.project(u)), y)
+                opts = SolveOptions(max_iter=sweeps, tol=1e-300)
+                x, trace = best_approximation(start, f, pres, opts)
+                assert trace.sweeps == sweeps
+                bound = 4 * len(members) * eps * max(1.0, float(np.linalg.norm(x))) * sweeps
+                assert np.linalg.norm(x - y) <= bound
 
     def test_no_square_array_is_built(self):
         # two planes in R^2000: one n-by-n float64 array would be 32 MB
