@@ -10,10 +10,8 @@ The public API is the set of names imported below.
 """
 
 from .angles import (
-    DEGENERACY_BAND,
     angle_identity_gap,
     cos_friedrichs,
-    is_degenerate,
     projector_product_norm,
 )
 from .applications import (

@@ -8,7 +8,9 @@ values are the sines of the principal angles, accurate where the angles
 are small (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002), and the
 cosine paired with the sine s_j is ||T^H B v_j|| for its right singular
 vector v_j.  The same factorization gives each level of a family's
-trailing-sum chain (see Family) and the recursion's level step.
+trailing-sum chain (see Family) and the recursion's level step; its rank
+(the sines above the cutoff at unit scale) is the one rank decision that
+the verdict, the degenerate flags, gamma and the level step's refusal read.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .subspaces import Subspace, _check_compatible, _rank_from_singular_values, intersect
-
-#: norms at or above 1 minus this band are flagged numerically degenerate
-DEGENERACY_BAND = 1e-8
 
 
 class _Level(NamedTuple):
@@ -58,9 +57,14 @@ class _Level(NamedTuple):
         return math.sqrt(1.0 - c * c) if c * c < 0.5 else float(self.sines[self.rank - 1])
 
     @property
+    def degenerate(self) -> bool:
+        """Whether a sine falls to the rank cutoff, that is U meets T."""
+        return self.rank < self.sines.size
+
+    @property
     def gamma(self) -> float:
         """1 / sine when no direction of U lies in T, infinite otherwise."""
-        return 1.0 / self.sine if self.rank == self.sines.size else math.inf
+        return math.inf if self.degenerate else 1.0 / self.sine
 
 
 def _factor_level(basis: np.ndarray, tail: np.ndarray) -> _Level:
@@ -91,11 +95,6 @@ def projector_product_norm(u: Subspace, v: Subspace) -> float:
     clamped to [0, 1]; symmetric in its arguments.
     """
     return _pair(u, v).norm
-
-
-def is_degenerate(norm: float) -> bool:
-    """Whether a projector-product norm sits in the near-1 degeneracy band."""
-    return norm >= 1.0 - DEGENERACY_BAND
 
 
 def cos_friedrichs(u: Subspace, v: Subspace) -> float:

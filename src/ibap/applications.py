@@ -14,16 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import _pair, is_degenerate
-from .family import Family, IbapFailureError, _checked_lstsq, check_independence, verify_ibap
-from .solvers import (
-    AffineConstraint,
-    ConvergenceTrace,
-    SolveOptions,
-    _level_step,
-    best_approximation,
-    solve_min_norm,
-)
+from .family import Family, _checked_lstsq, check_independence, verify_ibap
+from .solvers import ConvergenceTrace, SolveOptions, best_approximation, solve_min_norm
 from .subspaces import COMPLEX, Subspace, _rank_from_singular_values, as_field_vector
 
 
@@ -126,22 +118,11 @@ def _signal_constraints(problem: MaskedSignalProblem):
 def time_frequency_recover(problem: MaskedSignalProblem) -> np.ndarray:
     """Minimal-norm signal matching the masked time and frequency data.
 
-    The product |time mask| * |frequency mask| < n guarantees the two
-    support subspaces meet trivially (discrete uncertainty principle) and
-    is accepted as a sufficient shortcut; otherwise the projector-product
-    norm is checked numerically and near-1 values are refused.  One
-    residual SVD of the pair serves that check and the two-constraint
-    solve.
+    recover_with_measurements without measurements: the level chain of
+    the time and frequency support subspaces decides whether they meet
+    trivially, and its one level step solves the pair.
     """
-    (u_time, a_ext), (u_freq, b_sig) = _signal_constraints(problem)
-    pair = _pair(u_time, u_freq)
-    shortcut = len(problem.time_mask) * len(problem.freq_mask) < problem.n
-    if not shortcut and is_degenerate(pair.norm):
-        raise HypothesisError(
-            f"masks too large: the support subspaces intersect "
-            f"(projector-product norm {pair.norm:.12g})")
-    c1, c2 = AffineConstraint(u_time, a_ext), AffineConstraint(u_freq, b_sig)
-    return _level_step(pair, u_time.basis, c1.point, c2.point)
+    return recover_with_measurements(problem, [], [])
 
 
 def recover_with_measurements(problem: MaskedSignalProblem, measurements,
@@ -150,17 +131,15 @@ def recover_with_measurements(problem: MaskedSignalProblem, measurements,
 
     Each measurement vector contributes the constraint <x, m_i> = value_i.
     Measurement supports must be pairwise disjoint and must not be
-    contained in the time mask; the assembled family must satisfy the
-    inverse best approximation property.  With no measurements this is
-    exactly the plain masked recovery.
+    contained in the time mask; the assembled family, the measurement
+    lines followed by the time and frequency supports, must be linearly
+    independent, as its level chain decides.
     """
     measurements = [as_field_vector(m, problem.n, np.complex128, what=f"measurement {i + 1}")
                     for i, m in enumerate(measurements)]
     values = [complex(v) for v in values]
     if len(values) != len(measurements):
         raise ValueError(f"{len(measurements)} measurement vectors but {len(values)} values")
-    if not measurements:
-        return time_frequency_recover(problem)
     time_set = set(problem.time_mask)
     supports = []
     for i, m in enumerate(measurements):
@@ -182,8 +161,8 @@ def recover_with_measurements(problem: MaskedSignalProblem, measurements,
     pres += [a_ext, b_sig]
     family = Family(tuple(subs))
     if not check_independence(family):
-        raise IbapFailureError("measurement and mask subspaces are linearly dependent",
-                               verify_ibap(family))
+        raise HypothesisError("masks too large: the time and frequency supports and the "
+                              "measurements are linearly dependent")
     return solve_min_norm(family, pres)
 
 
@@ -191,10 +170,10 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
     """Minimal-norm member of `space` with prescribed scalar products.
 
     Solves for x in the space with <x, v_i> = values[i] for each moment
-    vector.  The moment vectors must be nonzero and linearly independent,
-    and their span must meet the orthocomplement of the space trivially:
-    the moment lines together with that orthocomplement, the family that
-    is solved, must be independent.
+    vector.  The moment vectors must be nonzero, and the moment lines
+    together with the orthocomplement of the space, the family that is
+    solved, must be linearly independent: the vectors themselves are
+    independent and their span meets that orthocomplement trivially.
     """
     n = space.ambient_dim
     vs = [as_field_vector(v, n, space.dtype, what=f"moment vector {i + 1}")
@@ -205,12 +184,10 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
     for i, v in enumerate(vs):
         if not np.linalg.norm(v) > 0:
             raise HypothesisError(f"moment vector {i + 1} is zero", level=i + 1)
-    if vs and Subspace.from_spanning(vs, n).dim != len(vs):
-        raise HypothesisError("moment vectors are linearly dependent")
     family = Family(tuple(Subspace.from_spanning([v], n) for v in vs) + (space.complement(),))
     if not check_independence(family):
-        raise HypothesisError(
-            "the span of the moment vectors meets the orthocomplement of the space")
+        raise HypothesisError("the moment vectors are linearly dependent or their span "
+                              "meets the orthocomplement of the space")
     if space.field == COMPLEX:
         etas = [complex(v) for v in values]
     else:
@@ -246,6 +223,8 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
     for i, t in enumerate(mats):
         if t.shape[1] != n:
             raise ValueError(f"operator {i + 1} has {t.shape[1]} columns, expected {n}")
+        if not np.isfinite(t).all():
+            raise ValueError(f"operator {i + 1} has non-finite entries")
     points = []
     row_spaces = []
     for i, (t, y) in enumerate(zip(mats, rhs)):
@@ -265,8 +244,8 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
     if not check_independence(family):
         # ker T_i + (later kernels) is the whole space exactly when the
         # row space of T_i meets the sum of the later row spaces trivially,
-        # which is when its level's gamma is finite
-        level = next(lev.index for lev in verify_ibap(family).levels if math.isinf(lev.gamma))
+        # which is when its level is not degenerate
+        level = next(lev.index for lev in verify_ibap(family).levels if lev.degenerate)
         raise HypothesisError(
             f"kernel overlap condition fails at level {level}: "
             "the kernel plus the intersection of the later kernels "
@@ -292,6 +271,8 @@ class SlowFamilySpec:
         alphas = tuple(float(a) for a in self.alphas)
         if len(alphas) != self.truncation:
             raise ValueError(f"{len(alphas)} weights for truncation {self.truncation}")
+        if not all(map(math.isfinite, alphas)):
+            raise ValueError("weights have non-finite entries")
         if any(not a > 0 for a in alphas):
             raise ValueError("all weights must be positive")
         object.__setattr__(self, "alphas", alphas)
@@ -308,19 +289,20 @@ def slow_family(spec: SlowFamilySpec):
     The first subspace is spanned by the even coordinate directions, the
     second by per-block unit mixtures of the even and odd directions.
     Returns (family, predicted_norm) with predicted_norm the largest
-    per-block value 1 / sqrt(1 + alpha^2); as the weights shrink, the
-    norm approaches 1 and the iteration rate degrades.
+    per-block value 1 / sqrt(1 + alpha^2), taken as 1 / hypot(1, alpha)
+    so that no weight overflows; as the weights shrink, the norm
+    approaches 1 and the iteration rate degrades.
     """
     n = 2 * spec.truncation
     basis_even = np.zeros((n, spec.truncation))
     basis_mixed = np.zeros((n, spec.truncation))
     for j, a in enumerate(spec.alphas):
-        scale = 1.0 / math.sqrt(1.0 + a * a)
+        scale = 1.0 / math.hypot(1.0, a)
         basis_even[2 * j, j] = 1.0
         basis_mixed[2 * j, j] = scale
         basis_mixed[2 * j + 1, j] = a * scale
     family = Family((Subspace(basis_even), Subspace(basis_mixed)))
-    predicted = max(1.0 / math.sqrt(1.0 + a * a) for a in spec.alphas)
+    predicted = max(1.0 / math.hypot(1.0, a) for a in spec.alphas)
     return family, predicted
 
 

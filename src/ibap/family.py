@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import _factor_level, is_degenerate, projector_product_norm
+from .angles import _factor_level, projector_product_norm
 from .subspaces import _EPS, Subspace, _check_compatible, _rank_from_singular_values
 
 #: relative residual above which a least-squares system is declared
@@ -170,8 +170,8 @@ class LevelCertificate:
     ||u|| <= gamma * ||(I - P_trailing) u|| over u in U_i, which is one
     over the smallest sine of the level's residual SVD; it is infinite
     exactly when a sine falls below the rank cutoff, that is when U_i
-    meets the trailing sum.  degenerate flags norms within the numerical
-    band of 1.
+    meets the trailing sum.  degenerate flags that same rank decision,
+    the one the verdict is made of.
     """
 
     index: int
@@ -241,8 +241,9 @@ def verify_ibap(family: Family) -> IbapReport:
     Everything comes from the family's cached level chain: the verdict is
     independence (each level's rank equals its dimension), and each level
     of U_i against its trailing sum gives its norm, Friedrichs cosine and
-    gamma (see angles._Level), with degenerate flags for norms inside the
-    numerical band of 1.  alpha is sqrt(1 - prod_i s_i^2) over the sines
+    gamma (see angles._Level), and is flagged degenerate exactly when its
+    gamma is infinite, so the verdict holds exactly when no level is
+    degenerate.  alpha is sqrt(1 - prod_i s_i^2) over the sines
     s_i paired with the level cosines c_i: since c(M, N) = c(M-perp,
     N-perp), these are the angles between each complement and the
     intersection of the later complements that bound the iteration rate.
@@ -251,7 +252,7 @@ def verify_ibap(family: Family) -> IbapReport:
     independent = check_independence(family)
     chain = family._chain[0]
     levels = tuple(LevelCertificate(index=i + 1, norm=lev.norm, cos_angle=lev.cos_angle,
-                                    gamma=lev.gamma, degenerate=is_degenerate(lev.norm))
+                                    gamma=lev.gamma, degenerate=lev.degenerate)
                    for i, lev in enumerate(chain))
     alpha = 1.0
     if independent:

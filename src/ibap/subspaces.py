@@ -39,10 +39,11 @@ def inner(x, y):
 
 
 def as_field_vector(x, ambient_dim: int, dtype, what: str = "vector") -> np.ndarray:
-    """Coerce x to a length-ambient_dim vector of the given dtype.
+    """Coerce x to a finite length-ambient_dim vector of the given dtype.
 
     Complex input with a nonzero imaginary part is rejected when the
-    target dtype is real.
+    target dtype is real, and non-finite entries, whose norms and
+    distances would compare false against any bound, always are.
     """
     arr = np.asarray(x)
     if arr.shape != (ambient_dim,):
@@ -51,7 +52,10 @@ def as_field_vector(x, ambient_dim: int, dtype, what: str = "vector") -> np.ndar
         if np.any(arr.imag != 0):
             raise ValueError(f"{what} has nonzero imaginary entries in a real problem")
         arr = arr.real
-    return np.asarray(arr, dtype=dtype)
+    arr = np.asarray(arr, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return arr
 
 
 def _rank_from_singular_values(s: np.ndarray, shape, scale: float | None = None) -> int:
@@ -92,6 +96,8 @@ class Subspace:
         dtype = np.complex128 if np.iscomplexobj(basis) else np.float64
         basis = np.array(basis, dtype=dtype)
         n, k = basis.shape
+        if not np.isfinite(basis).all():
+            raise ValueError("basis has non-finite entries")
         if n < 1:
             raise ValueError("ambient dimension must be positive")
         if k > n:
@@ -157,16 +163,13 @@ class Subspace:
         return self.basis @ (self.basis.conj().T @ x)
 
     def member(self, x, what: str = "vector") -> np.ndarray:
-        """x coerced to the field, checked to be finite and to lie in the subspace.
+        """x coerced to the field (see as_field_vector), checked to lie in the subspace.
 
-        Raises ValueError for non-finite entries, whose distance would
-        compare false against any bound, and when the distance to the
-        subspace exceeds MEMBERSHIP_RTOL * max(1, ||x||); membership
-        violations are errors, never silent projections.
+        Raises ValueError when the distance to the subspace exceeds
+        MEMBERSHIP_RTOL * max(1, ||x||); membership violations are
+        errors, never silent projections.
         """
         x = as_field_vector(x, self.ambient_dim, self.dtype, what=what)
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{what} has non-finite entries")
         gap = float(np.linalg.norm(self.project(x) - x))
         if gap > MEMBERSHIP_RTOL * max(1.0, float(np.linalg.norm(x))):
             raise ValueError(f"{what} is not in its subspace (distance {gap:.3e})")

@@ -1,6 +1,8 @@
 """Application reductions: moments, operator systems, masked signal
 recovery, and the angle-degradation family."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,18 +108,25 @@ class TestMoments:
             assert abs(inner(x, v) - eta) <= 1e-8
 
     def test_dependent_vectors_are_refused(self):
+        # a zero combination of the vectors lies in the orthocomplement, so
+        # the family check refuses them with the one message
         v = np.array([1.0, 2.0, 0.0])
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="linearly dependent or .* orthocomplement"):
             solve_moments(Subspace.full(3), [v, 2 * v], [1.0, 2.0])
 
     def test_span_meeting_the_complement_is_refused(self):
         space = Subspace.from_spanning([np.eye(3)[:, 0]], 3)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="orthocomplement"):
             solve_moments(space, [np.eye(3)[:, 1]], [1.0])
 
     def test_zero_vector_is_refused(self):
         with pytest.raises(HypothesisError):
             solve_moments(Subspace.full(3), [np.zeros(3)], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_is_refused(self, bad):
+        with pytest.raises(ValueError, match="moment vector 2 has non-finite entries"):
+            solve_moments(Subspace.full(3), [np.eye(3)[:, 0], [0.0, bad, 0.0]], [1.0, 2.0])
 
 
 class TestOperatorSystems:
@@ -195,6 +204,12 @@ class TestOperatorSystems:
             y = t @ rng.standard_normal(4) + 1e-3 * left[:, 3]
             with pytest.raises(ValueError, match="not in the range"):
                 solve_operator_system([t], [y])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_is_refused(self, bad):
+        t = np.array([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="operator 2 has non-finite entries"):
+            solve_operator_system([np.eye(2), t], [np.ones(2), np.ones(2)])
 
     def test_kernel_condition_failure_names_the_level(self):
         t = np.array([[1.0, 0.0]])
@@ -276,6 +291,14 @@ class TestTimeFrequencyRecovery:
             u2 = Subspace(dft_matrix(n).conj().T[:, list(fmask)])
             assert intersect(u1, u2).dim == 0
             assert projector_product_norm(u1, u2) < 1.0
+            # the level chain, the only judge, accepts these masks too
+            a = rng.standard_normal(ta) + 1j * rng.standard_normal(ta)
+            b = rng.standard_normal(tb) + 1j * rng.standard_normal(tb)
+            p = MaskedSignalProblem(n=n, time_mask=tmask, freq_mask=fmask,
+                                    time_values=a, freq_values=b)
+            x = time_frequency_recover(p)
+            assert np.abs(x[list(tmask)] - a).max() <= 1e-8
+            assert np.abs(dft(x)[list(fmask)] - b).max() <= 1e-8
 
     def test_full_masks_are_refused(self):
         n = 4
@@ -385,6 +408,24 @@ class TestRecoverWithMeasurements:
         with pytest.raises(HypothesisError):
             recover_with_measurements(p, [m1, m2], [1.0, 2.0])
 
+    def test_dependent_measurement_is_a_hypothesis_failure(self):
+        rng = rng_for(823)
+        p = self.base_problem(rng)
+        # ones - e0 - e1 lies in the sum of the time support {0, 1} and the
+        # frequency support {0}, the constant signals
+        m = np.ones(8, dtype=complex)
+        m[[0, 1]] = 0.0
+        with pytest.raises(HypothesisError, match="masks too large"):
+            recover_with_measurements(p, [m], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurement_is_refused(self, bad):
+        p = self.base_problem(rng_for(822))
+        m = np.zeros(8, dtype=complex)
+        m[5] = bad
+        with pytest.raises(ValueError, match="measurement 1 has non-finite entries"):
+            recover_with_measurements(p, [m], [1.0])
+
 
 class TestSlowFamily:
     def test_single_block_norm_by_hand(self):
@@ -421,6 +462,17 @@ class TestSlowFamily:
             SlowFamilySpec(1, (0.0,))
         with pytest.raises(ValueError):
             SlowFamilySpec(0, ())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_is_refused(self, bad):
+        with pytest.raises(ValueError, match="weights have non-finite entries"):
+            SlowFamilySpec(2, (1.0, bad))
+
+    def test_huge_weight_keeps_the_basis_orthonormal(self):
+        # a * a overflows; the scale 1 / hypot(1, a) does not
+        fam, predicted = slow_family(SlowFamilySpec(1, (1e200,)))
+        assert predicted == 1.0 / math.hypot(1.0, 1e200)
+        assert np.array_equal(fam[1].basis, [[1e-200], [1.0]])
 
 
 class TestSlowConvergenceDemo:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -432,7 +433,7 @@ class TestSignalCommand:
         assert main(["signal", path]) == EXIT_PARSE
         assert "measurements must be a list" in capsys.readouterr().err
 
-    def test_oversized_masks_exit_three(self, tmp_path):
+    def test_oversized_masks_exit_three(self, tmp_path, capsys):
         doc = {
             "n": 4,
             "time_mask": [0, 1, 2, 3],
@@ -442,6 +443,21 @@ class TestSignalCommand:
         }
         path = write_json(tmp_path / "sig.json", doc)
         assert main(["signal", path]) == EXIT_NO_IBAP
+        assert capsys.readouterr().err.startswith("hypothesis failure: masks too large")
+
+    def test_dependent_measurement_exits_three(self, tmp_path, capsys):
+        # the one refusal of a dependent family, with or without measurements
+        doc = {
+            "n": 4,
+            "time_mask": [0, 1, 2],
+            "freq_mask": [0, 1, 2, 3],
+            "time_values": [1, 1, 1],
+            "freq_values": [1, 1, 1, 1],
+            "measurements": [{"vector": [0, 0, 0, 1], "value": 1.0}],
+        }
+        path = write_json(tmp_path / "sig.json", doc)
+        assert main(["signal", path]) == EXIT_NO_IBAP
+        assert capsys.readouterr().err.startswith("hypothesis failure: masks too large")
 
 
 class TestSlowdemoCommand:
@@ -462,6 +478,11 @@ class TestSlowdemoCommand:
         assert main(["slowdemo", "--alphas", "[1.0, 1.0]", "--max-iter", "30"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "predicted norm: 0.7071067811865475" in out
+
+    def test_huge_weight_exits_zero(self, capsys):
+        assert main(["slowdemo", "--alphas", "[1e200]"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"predicted norm: {1 / math.hypot(1, 1e200)!r}" in out
 
     def test_missing_arguments_exit_four(self):
         assert main(["slowdemo"]) == EXIT_PARSE

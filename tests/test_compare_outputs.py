@@ -46,6 +46,19 @@ def test_a_differing_exit_code_or_sweep_count_fails(new):
     assert not ok
 
 
+def test_differing_stderr_is_printed_under_its_command():
+    old = dict(record(code=3), stderr="property failure: dependent\n")
+    new = dict(record(code=3), stderr="hypothesis failure: masks too large\nsecond line\n")
+    lines, ok = compare_outputs.compare([old, record()], [new, record()])
+    assert ok and "stderr DIFFERS" in lines[0]
+    assert lines[1:5] == ["    - property failure: dependent",
+                          "    + hypothesis failure: masks too large",
+                          "    + second line",
+                          "w seed 1 #0 iterate <workdir>/p.json: exit 0/0, stderr equal, "
+                          "stdout equal, trace equal"]
+    assert lines[-1].startswith("1 of 2 commands byte-identical")
+
+
 def test_complex_solutions_and_relative_norms():
     old = "solution: [[3.0, 0.0], [0.0, 4.0]]\n"
     new = "solution: [[3.0, 0.0], [0.0, 4.5]]\n"

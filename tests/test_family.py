@@ -12,6 +12,7 @@ from ibap import (
     Family,
     IbapFailureError,
     InfeasiblePrescriptionError,
+    SlowFamilySpec,
     Subspace,
     best_approximation,
     check_independence,
@@ -20,6 +21,7 @@ from ibap import (
     epsilon_solve,
     infeasibility_certificate,
     prescription_residual,
+    slow_family,
     solve_min_norm,
     trailing_sums,
     uniqueness_check,
@@ -165,6 +167,11 @@ class TestVerifyIbap:
         lines = Family((Subspace.from_spanning([[1.0, 0.0]], 2, field),
                         Subspace.from_spanning([[1.0, 1e-9]], 2, field)))
         assert abs(verify_ibap(lines).levels[0].gamma - 1e9) <= 1e-6 * 1e9
+        # the slow family at that angle: its level norm rounds to 1, and the
+        # level is not degenerate, as the verdict says
+        rep = verify_ibap(slow_family(SlowFamilySpec(1, (1e-9,)))[0])
+        assert rep.levels[0].norm == 1.0
+        assert rep.verdict and not rep.levels[0].degenerate
         rng = rng_for(506)
         families = []
         for trial in range(30):
@@ -180,13 +187,15 @@ class TestVerifyIbap:
                 later = [v for s in f.subspaces[lev.index:] for v in s.basis.T]
                 sub = f.subspaces[lev.index - 1]
                 deficient = gram_rank(list(sub.basis.T) + later) < sub.dim + gram_rank(later)
-                assert math.isinf(lev.gamma) == deficient
+                assert math.isinf(lev.gamma) == deficient == lev.degenerate
                 if deficient:
                     deficient_levels += 1
                     continue
                 n = f.ambient_dim
                 smin = np.linalg.svd((np.eye(n) - tail) @ sub.basis, compute_uv=False)[-1]
                 assert abs(lev.gamma - 1.0 / smin) <= 1e-6 * lev.gamma
+            # the verdict, the flags and gamma read one rank decision
+            assert rep.verdict == (not any(lev.degenerate for lev in rep.levels))
         assert deficient_levels == 15
 
     @pytest.mark.parametrize("field", FIELDS)
@@ -380,7 +389,9 @@ class TestRankCutoff:
         theta = factor * LINE_CUTOFF
         f = Family((Subspace.from_spanning([[1.0, 0.0]], 2),
                     Subspace.from_spanning([[1.0, theta]], 2)))
-        assert verify_ibap(f).verdict == check_independence(f) == independent
+        report = verify_ibap(f)
+        assert report.verdict == check_independence(f) == independent
+        assert [lev.degenerate for lev in report.levels] == [not independent]
         assert f.dim_sum == (2 if independent else 1)
         assert direct_solve(f, [np.zeros(2)] * 2).parallel.dim == 2 - f.dim_sum
         pres = [np.array([1.0, 0.0]), np.zeros(2)]

@@ -506,19 +506,23 @@ class TestSweepMatchesTheReference:
         assert len(trace.records) == len(ref_trace.records)
         eps = np.finfo(float).eps
         # the sweep in coordinates rounds differently; its error may grow
-        # by rounding of the iterate's size per sweep
-        drift = 2 * eps * max(1.0, float(np.linalg.norm(ref_x))) * trace.sweeps
+        # by rounding of the iterate's size per sweep.  Over 3000 seeds of
+        # test_single_constraint and 1000 of test_random_families per field,
+        # a correct sweep reached 2.4 of these units for the iterate, 1.9
+        # for a distance and 10.6 for a residual: the factors are 1.5 to 2
+        # times those
+        drift = 4 * eps * max(1.0, float(np.linalg.norm(ref_x))) * trace.sweeps
         assert x.dtype == ref_x.dtype
         assert np.linalg.norm(x - ref_x) <= drift
         # the residual in coordinates differs from ||P x - u|| by rounding
-        slack = 8 * eps * max(1.0, float(np.linalg.norm(x)))
+        slack = 16 * eps * max(1.0, float(np.linalg.norm(x)))
         for rec, ref in zip(trace.records, ref_trace.records):
             assert (rec.index, rec.bound) == (ref.index, ref.bound)
             if ref.dist_to_solution is None:
                 assert rec.dist_to_solution is None
             else:
                 # a distance rounds with its own size too
-                dist_drift = max(drift, 2 * eps * ref.dist_to_solution * trace.sweeps)
+                dist_drift = max(drift, 4 * eps * ref.dist_to_solution * trace.sweeps)
                 assert abs(rec.dist_to_solution - ref.dist_to_solution) <= dist_drift
             assert abs(rec.max_residual - ref.max_residual) <= slack
         return trace

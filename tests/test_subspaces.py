@@ -43,6 +43,13 @@ class TestFromSpanning:
         with pytest.raises(ValueError):
             Subspace.from_spanning([[1.0 + 1.0j, 0.0]], 2, field=REAL)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        with pytest.raises(ValueError, match="basis has non-finite entries"):
+            Subspace(np.array([[bad], [0.0]]))
+        with pytest.raises(ValueError, match="spanning vector 0 has non-finite entries"):
+            Subspace.from_spanning([[bad, 0.0]], 2)
+
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -16,7 +16,9 @@ in argv, stdout and stderr are replaced by ``<workdir>``.
 One line per command reports its exit codes, whether stderr, stdout and
 the ``--trace`` CSV are byte-equal, and where they differ the largest
 difference: norm-wise relative for the printed solution, and per trace
-column the largest absolute and relative difference.  The last line
+column the largest absolute and relative difference.  Where stderr
+differs, the revision's and the working tree's stderr follow that line,
+indented and marked ``-`` and ``+`` line by line.  The last line
 sums up, and names the largest solution difference and the largest
 relative trace-column difference over all commands, each with its
 command.  Exits 1 when an exit code or a sweep count differs
@@ -224,6 +226,9 @@ def compare(old_records, new_records):
         same = all(old[k] == new[k] for k in ("exit", "stderr", "stdout", "trace"))
         identical += same
         lines.append(f"{head}: " + ", ".join(parts))
+        if old["stderr"] != new["stderr"]:
+            lines += [f"    {sign} {text}" for sign, side in (("-", old), ("+", new))
+                      for text in side["stderr"].splitlines() or [""]]
     lines.append(f"{identical} of {len(old_records)} commands byte-identical; "
                  + ("exit codes and sweep counts agree" if ok
                     else "exit codes or sweep counts DIFFER")
