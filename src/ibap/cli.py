@@ -118,39 +118,52 @@ def _scalar(value, field: str, what: str):
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _finite_array(values: list, field: str) -> np.ndarray | None:
-    """values in one numpy conversion, or None when some entry needs _scalar.
+def _finite_array(rows: list, n: int, field: str) -> np.ndarray | None:
+    """rows as one (len(rows), n) array, or None when some row or entry needs _scalar.
 
-    Complex entries must all be [re, im] pairs; the pairs are reinterpreted
-    as complex128 rather than combined arithmetically, which keeps -0.0.
+    One type scan per nesting level, one conversion and one finiteness check.
+    [re, im] pairs are reinterpreted as complex128, which keeps -0.0.
     """
+    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {n}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if field == COMPLEX:
+        if not set(map(type, flat)) <= {list} or not set(map(len, flat)) <= {2}:
+            return None
+        flat = list(chain.from_iterable(flat))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return None
     try:
-        if field == COMPLEX:
-            if (set(map(type, values)) != {list} or set(map(len, values)) != {2}
-                    or not set(map(type, chain.from_iterable(values))) <= _NUMBER_TYPES):
-                return None
-            arr = np.array(values, dtype=np.float64).reshape(len(values), 2)
-            arr = arr.view(np.complex128).ravel()
-        else:
-            if not set(map(type, values)) <= _NUMBER_TYPES:
-                return None
-            arr = np.array(values, dtype=np.float64)
+        arr = np.fromiter(flat, np.float64, len(flat))
     except OverflowError:
         return None
+    if field == COMPLEX:
+        arr = arr.view(np.complex128)
+    arr = arr.reshape(len(rows), n)
     return arr if np.isfinite(arr).all() else None
 
 
-def _vector(values, n: int, field: str, what: str) -> np.ndarray:
-    if not isinstance(values, list):
-        raise ParseError(f"{what}: expected a list of scalars")
-    if len(values) != n:
-        raise ParseError(f"{what}: has {len(values)} entries, expected {n}")
-    arr = _finite_array(values, field)
+def _vectors(rows: list, n: int, field: str, what) -> np.ndarray:
+    """A list of vectors as the rows of one (len(rows), n) array, by _finite_array;
+    where that fails, the _scalar walk names the first offending row, what(j)
+    for row j from 1, or entry, and reads plain numbers in a complex file.
+    """
+    arr = _finite_array(rows, n, field)
     if arr is not None:
         return arr
-    # the per-entry path names the offending entry
-    entries = [_scalar(v, field, f"{what}[{i}]") for i, v in enumerate(values)]
-    return np.asarray(entries, dtype=field_dtype(field))
+    out = []
+    for j, values in enumerate(rows, 1):
+        if not isinstance(values, list):
+            raise ParseError(f"{what(j)}: expected a list of scalars")
+        if len(values) != n:
+            raise ParseError(f"{what(j)}: has {len(values)} entries, expected {n}")
+        out.append([_scalar(v, field, f"{what(j)}[{i}]") for i, v in enumerate(values)])
+    return np.array(out, dtype=field_dtype(field)).reshape(len(rows), n)
+
+
+def _vector(values, n: int, field: str, what: str) -> np.ndarray:
+    """One vector, named `what` in errors: the one-row case of _vectors."""
+    return _vectors([values], n, field, lambda _: what)[0]
 
 
 def _vector_value_entries(raw, n: int, field: str, what: str, path: str):
@@ -167,17 +180,6 @@ def _vector_value_entries(raw, n: int, field: str, what: str, path: str):
     return vectors, values
 
 
-def _encode_scalar(z, field: str):
-    if field == COMPLEX:
-        z = complex(z)
-        return [z.real, z.imag]
-    return float(np.real(z))
-
-
-def _encode_vector(vec, field: str):
-    return [_encode_scalar(z, field) for z in np.asarray(vec)]
-
-
 @dataclass(frozen=True)
 class Problem:
     """Raw content of a check/solve/iterate problem file."""
@@ -185,8 +187,8 @@ class Problem:
     field: str
     ambient_dim: int
     names: tuple
-    spans: tuple          # one tuple of vectors per subspace
-    prescription: tuple | None
+    spans: tuple          # one (k, n) array of spanning vectors, as rows, per subspace
+    prescription: np.ndarray | None   # (m, n), a row per subspace
     anchor: np.ndarray | None
 
 
@@ -244,17 +246,14 @@ def load_problem(path: str) -> Problem:
         vectors = entry["vectors"]
         if not isinstance(vectors, list):
             raise ParseError(f"{path}: subspace {name}: vectors must be a list")
-        span = tuple(_vector(v, n, field, f"subspace {name} vector {j + 1}")
-                     for j, v in enumerate(vectors))
         names.append(name)
-        spans.append(span)
+        spans.append(_vectors(vectors, n, field, lambda j: f"subspace {name} vector {j}"))
     prescription = None
     if doc.get("prescription") is not None:
         raw = doc["prescription"]
         if not isinstance(raw, list) or len(raw) != len(spans):
             raise ParseError(f"{path}: prescription must list one vector per subspace")
-        prescription = tuple(_vector(v, n, field, f"prescription vector {j + 1}")
-                             for j, v in enumerate(raw))
+        prescription = _vectors(raw, n, field, lambda j: f"prescription vector {j}")
     anchor = None
     if doc.get("anchor") is not None:
         anchor = _vector(doc["anchor"], n, field, "anchor")
@@ -263,7 +262,7 @@ def load_problem(path: str) -> Problem:
 
 
 def build_family(problem: Problem) -> Family:
-    subs = tuple(Subspace.from_spanning(list(span), problem.ambient_dim, field=problem.field)
+    subs = tuple(Subspace.from_spanning(span, problem.ambient_dim, field=problem.field)
                  for span in problem.spans)
     return Family(subs)
 
@@ -274,15 +273,14 @@ def _require_prescription(problem: Problem, path: str) -> list:
     return list(problem.prescription)
 
 
-def _parse_cli_vector(text: str, n: int, field: str, what: str) -> np.ndarray:
-    return _vector(_loads(text, what), n, field, what)
-
-
 # ---------------------------------------------------------------- output
 
 
 def _fmt_vector(vec, field: str) -> str:
-    return json.dumps(_encode_vector(vec, field))
+    """vec as JSON from one tolist(), complex entries as [re, im] pairs."""
+    vec = np.asarray(vec)
+    parts = np.column_stack((vec.real, vec.imag)) if field == COMPLEX else vec.real
+    return json.dumps(parts.astype(np.float64, copy=False).tolist())
 
 
 def _report_dict(report: IbapReport, unique: bool) -> dict:
@@ -375,7 +373,8 @@ def cmd_solve(args) -> int:
     prescription = _require_prescription(problem, args.problem)
     anchor = problem.anchor
     if args.anchor is not None:
-        anchor = _parse_cli_vector(args.anchor, problem.ambient_dim, problem.field, "--anchor")
+        anchor = _vector(_loads(args.anchor, "--anchor"), problem.ambient_dim, problem.field,
+                         "--anchor")
     if args.method == "direct":
         x = direct_solve(family, prescription, anchor=anchor).particular
     elif args.method == "recursion":
@@ -418,9 +417,8 @@ def cmd_moments(args) -> int:
     else:
         if not isinstance(doc["space"], list):
             raise ParseError(f"{path}: space must be a list of spanning vectors")
-        vecs = [_vector(v, n, field, f"space vector {i + 1}")
-                for i, v in enumerate(doc["space"])]
-        space = Subspace.from_spanning(vecs, n, field=field)
+        rows = _vectors(doc["space"], n, field, lambda j: f"space vector {j}")
+        space = Subspace.from_spanning(rows, n, field=field)
     vectors, values = _vector_value_entries(doc.get("constraints"), n, field, "constraint", path)
     x = solve_moments(space, vectors, values)
     print(f"solution: {_fmt_vector(x, field)}")
@@ -482,7 +480,7 @@ def cmd_slowdemo(args) -> int:
         spec = SlowFamilySpec.harmonic(args.truncation)
     family, predicted = slow_family(spec)
     start = (worst_aligned_start(spec) if args.start is None
-             else _parse_cli_vector(args.start, family.ambient_dim, REAL, "--start"))
+             else _vector(_loads(args.start, "--start"), family.ambient_dim, REAL, "--start"))
     opts = SolveOptions(max_iter=args.max_iter, tol=args.tol, record_trace=True)
     trace = slow_convergence_demo(spec, start, opts)
     print(f"predicted norm: {predicted!r}")

@@ -395,7 +395,7 @@ def biorthogonal_bounds(sequences) -> BiorthogonalReport:
                     f"sequences {i + 1} and {j + 1} are not cross-orthogonal "
                     f"off the diagonal (defect {worst:.3e})")
             sup_inners[(i, j)] = float(np.max(np.abs(np.diag(cross))))
-    spans = [Subspace.from_spanning(list(m.T), m.shape[0]) for m in mats]
+    spans = [Subspace.from_spanning(m.T, m.shape[0]) for m in mats]
     for i in range(3):
         for j in range(i + 1, 3):
             sup = sup_inners[(i, j)]

@@ -112,28 +112,35 @@ class Subspace:
     @classmethod
     def from_spanning(cls, vectors, ambient_dim: int | None = None,
                       field: str | None = None) -> "Subspace":
-        """Subspace spanned by the given vectors.
+        """Subspace spanned by the rows of a (k, n) array, or by a list of vectors.
 
-        The numerical rank is the number of singular values exceeding
-        max(shape) * machine epsilon times the largest one.  An empty
-        spanning set yields the zero subspace; ambient_dim is then required.
+        A list is stacked once.  The shape, a nonzero imaginary part in the
+        real field and finiteness are checked on the stack; a failure names
+        the first offending vector with as_field_vector's message.  The
+        rank counts singular values above max(shape) * eps times the
+        largest.  An empty set gives the zero subspace; ambient_dim is then
+        required.
         """
-        vectors = [np.asarray(v) for v in vectors]
         if ambient_dim is None:
-            if not vectors:
+            if not len(vectors):
                 raise ValueError("ambient_dim is required for an empty spanning set")
-            if vectors[0].ndim != 1:
+            if np.ndim(vectors[0]) != 1:
                 raise ValueError("spanning vectors must be 1-D arrays")
-            ambient_dim = vectors[0].shape[0]
-        if field is None:
-            dtype = np.complex128 if any(np.iscomplexobj(v) for v in vectors) else np.float64
-        else:
-            dtype = field_dtype(field)
-        cols = [as_field_vector(v, ambient_dim, dtype, what=f"spanning vector {i}")
-                for i, v in enumerate(vectors)]
-        if not cols:
-            return cls(np.zeros((ambient_dim, 0), dtype=dtype))
-        return cls(_orthonormal_columns(np.column_stack(cols)))
+            ambient_dim = len(vectors[0])
+        try:
+            stack = np.asarray(vectors) if len(vectors) else np.zeros((0, ambient_dim))
+        except ValueError:  # vectors of different lengths do not stack
+            stack = np.zeros(0)
+        dtype = field_dtype(field or (COMPLEX if np.iscomplexobj(stack) else REAL))
+        imag = np.iscomplexobj(stack) and dtype == np.float64
+        mat = np.asarray(stack.real if imag else stack, dtype=dtype)
+        if (stack.shape[1:] == (ambient_dim,) and not (imag and np.any(stack.imag != 0))
+                and np.isfinite(mat).all()):
+            return cls(_orthonormal_columns(mat.T))
+        # name the first offending vector; without a field no imaginary part is rejected
+        for i, v in enumerate(vectors):
+            as_field_vector(v, ambient_dim, field_dtype(field or COMPLEX),
+                            what=f"spanning vector {i}")
 
     @classmethod
     def full(cls, ambient_dim: int, field: str = REAL) -> "Subspace":

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from ibap import (
+    COMPLEX,
     REAL,
     AffineConstraint,
     ConvergenceTrace,
@@ -38,7 +39,6 @@ from ibap import (
     validate_prescription,
     verify_ibap,
 )
-from ibap.cli import _encode_vector
 from ibap.solvers import _norm
 
 
@@ -331,6 +331,17 @@ def one_map_iteration(start, family, prescription, options=None):
                              initial_distance=d0, converged=converged,
                              sweeps=len(records))
     return x, trace
+
+
+def _encode_scalar(z, field):
+    if field == COMPLEX:
+        z = complex(z)
+        return [z.real, z.imag]
+    return float(np.real(z))
+
+
+def _encode_vector(vec, field):
+    return [_encode_scalar(z, field) for z in np.asarray(vec)]
 
 
 def save_problem(path, problem):

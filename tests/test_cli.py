@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ibap.cli import (
     Problem,
     _scalar,
     _vector,
+    _vectors,
     build_family,
     build_parser,
     load_problem,
@@ -25,7 +27,7 @@ from ibap.cli import (
 )
 from ibap.subspaces import field_dtype
 
-from conftest import rng_for
+from conftest import FIELDS, random_matrix, rng_for
 from oracles import save_problem
 
 
@@ -545,9 +547,24 @@ def parse_outcome(parse):
     return arr.dtype, arr.shape, arr.tobytes()
 
 
+def per_row_walk(rows, n, field):
+    """rows parsed one row and one entry at a time, each row checked for
+    its type and length and each entry read by _scalar, row j named
+    f"v {j}" as _vectors' callers name theirs."""
+    out = []
+    for j, row in enumerate(rows, 1):
+        if not isinstance(row, list):
+            raise ParseError(f"v {j}: expected a list of scalars")
+        if len(row) != n:
+            raise ParseError(f"v {j}: has {len(row)} entries, expected {n}")
+        out.append([_scalar(x, field, f"v {j}[{i}]") for i, x in enumerate(row)])
+    return np.asarray(out, dtype=field_dtype(field)).reshape(len(rows), n)
+
+
 class TestVectorParser:
-    """_vector converts a list in one step where it can; it must give the
-    bits and the errors of the per-entry _scalar parse."""
+    """_vectors converts a list of vectors in one step where it can, and
+    _vector is its one-row case; they must give the bits and the first
+    error of the per-row, per-entry _scalar parse."""
 
     EDGE_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
                     2 ** 53 + 1, 2 ** 63 + 1, 2 ** 64 + 3, -(2 ** 70) - 1, 10 ** 308]
@@ -592,6 +609,92 @@ class TestVectorParser:
             self.same_as_per_entry(values, "complex")
 
         check()
+
+    @staticmethod
+    def same_as_per_row(n, rows, field):
+        got = parse_outcome(lambda: _vectors(rows, n, field, lambda j: f"v {j}"))
+        assert got == parse_outcome(lambda: per_row_walk(rows, n, field))
+
+    @classmethod
+    def check_rows(cls, field, good, bad):
+        """Lists of rows, mostly of valid entries, with ragged, non-list and
+        empty rows and bad entries in any row."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        entry = st.one_of(good, good, good, bad)
+
+        def rows_of(n):
+            row = st.one_of(st.lists(good, min_size=n, max_size=n),
+                            st.lists(good, min_size=n, max_size=n),
+                            st.lists(entry, min_size=n, max_size=n),
+                            st.lists(entry, max_size=n + 2),
+                            st.sampled_from([None, 1.0, "1.0", True, {"v": 1}]))
+            return st.tuples(st.just(n), st.lists(row, max_size=5))
+
+        @hyp.settings(max_examples=300, deadline=None, database=None)
+        @hyp.given(st.integers(1, 6).flatmap(rows_of))
+        def check(case):
+            cls.same_as_per_row(*case, field)
+
+        check()
+
+    def test_rows_property_real(self):
+        st = pytest.importorskip("hypothesis").strategies
+        number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-(2 ** 80), 2 ** 80), st.sampled_from(self.EDGE_NUMBERS))
+        bad = st.one_of(st.just(True), st.just(10 ** 400), st.just(None),
+                        st.lists(number, min_size=2, max_size=2))
+        self.check_rows("real", number, bad)
+
+    def test_rows_property_complex(self):
+        st = pytest.importorskip("hypothesis").strategies
+        number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-(2 ** 80), 2 ** 80), st.sampled_from(self.EDGE_NUMBERS))
+        # a plain number is valid in a complex file, but only the walk reads it
+        bad = st.one_of(number, st.just([1.0, True]), st.just([10 ** 400, 0]), st.just("1"),
+                        st.lists(number, min_size=3, max_size=3))
+        self.check_rows("complex", st.lists(number, min_size=2, max_size=2), bad)
+
+    @pytest.mark.parametrize("n, rows, field", [
+        (3, [], "real"),
+        (2, [[-0.0, 5e-324], [2 ** 53 + 1, 1.7976931348623157e308]], "real"),
+        (3, [[1, 2, 3], [4, True, 6]], "real"),
+        (2, [[1, 2], [1, 2, 3]], "real"),
+        (2, [[1, 2], 5, [1, True]], "real"),
+        (2, [[1, 2], [3, 10 ** 400]], "real"),
+        (2, [[1, 2], [3, 1e999]], "real"),
+        (2, [[[1, 0], [0, 1]], [1, [0, -0.0]]], "complex"),
+        (2, [[[-0.0, -0.0], [5e-324, 2 ** 64 + 3]], [[1, 0], [0, 1, 2]]], "complex"),
+        (1, [[[1, 0]], [[10 ** 400, 0]]], "complex"),
+    ], ids=["empty", "edge-numbers", "bool-in-row-2", "ragged", "non-list-row", "10**400",
+            "1e999", "plain-number-in-complex", "triple-in-row-2", "complex-10**400"])
+    def test_rows_examples(self, n, rows, field):
+        self.same_as_per_row(n, rows, field)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_valid_file_converts_each_list_once(self, tmp_path, monkeypatch, field):
+        import ibap.cli
+        import ibap.subspaces
+
+        calls = Counter()
+        for module, name in ((ibap.cli, "_scalar"), (ibap.subspaces, "as_field_vector"),
+                             (ibap.cli, "_finite_array")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        rng = rng_for(960)
+        n, dims = 9, (2, 1, 3, 2)
+        spans = tuple(random_matrix(rng, n, k, field).T for k in dims)
+        problem = Problem(field=field, ambient_dim=n, names=("A", "B", "C", "D"), spans=spans,
+                          prescription=np.array([s[0] for s in spans]),
+                          anchor=random_matrix(rng, n, 1, field)[:, 0])
+        path = tmp_path / "p.json"
+        save_problem(str(path), problem)
+        family = build_family(load_problem(str(path)))
+        assert family.dims == dims
+        # one conversion per numeric list: each subspace, the prescription, the anchor
+        assert calls == {"_finite_array": len(dims) + 2}
 
     @staticmethod
     def run_check(tmp_path, capsys, doc):

@@ -1,6 +1,7 @@
 """Closed forms, the minimal-norm recursion, the direct solver, and the
 periodic projection iteration with its rate bound."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -494,35 +495,49 @@ class TestSweepMatchesTheReference:
     measures its residual in those coordinates; it must give the stopping
     decisions, alpha, d0 and bounds of the sweep built from
     affine_project and prescription_residual exactly, and its iterates,
-    distances and residuals to rounding."""
+    distances and residuals to rounding.  The one exception is a residual
+    within rounding of tol, where one may stop a sweep before the other."""
 
     @staticmethod
     def assert_same_run(start, family, pres, opts):
         x, trace = best_approximation(start, family, pres, opts)
         ref_x, ref_trace = reference_iteration(start, family, pres, opts)
-        assert (trace.sweeps, trace.converged) == (ref_trace.sweeps, ref_trace.converged)
         assert trace.alpha == ref_trace.alpha
         assert trace.initial_distance == ref_trace.initial_distance
-        assert len(trace.records) == len(ref_trace.records)
         eps = np.finfo(float).eps
+        # the residual in coordinates differs from ||P x - u|| by rounding
+        slack = 16 * eps * max(1.0, float(np.linalg.norm(x)))
+        if (trace.sweeps, trace.converged) != (ref_trace.sweeps, ref_trace.converged):
+            # where a residual lands within rounding of tol, one run may stop
+            # there and the other a sweep later, or at max_iter unconverged:
+            # the first to stop converged within the residual slack of tol
+            early = min(trace, ref_trace, key=lambda t: (t.sweeps, not t.converged))
+            assert early.converged and early.records[-1].max_residual > opts.tol - slack
+            assert abs(trace.sweeps - ref_trace.sweeps) <= 1
+            # the iterates are compared after the sweeps both runs share
+            shared = dataclasses.replace(opts, max_iter=early.sweeps)
+            if trace.sweeps > early.sweeps:
+                x, _ = best_approximation(start, family, pres, shared)
+            elif ref_trace.sweeps > early.sweeps:
+                ref_x, _ = reference_iteration(start, family, pres, shared)
         # the sweep in coordinates rounds differently; its error may grow
         # by rounding of the iterate's size per sweep.  Over 3000 seeds of
         # test_single_constraint and 1000 of test_random_families per field,
         # a correct sweep reached 2.4 of these units for the iterate, 1.9
         # for a distance and 10.6 for a residual: the factors are 1.5 to 2
         # times those
-        drift = 4 * eps * max(1.0, float(np.linalg.norm(ref_x))) * trace.sweeps
+        sweeps = min(trace.sweeps, ref_trace.sweeps)
+        drift = 4 * eps * max(1.0, float(np.linalg.norm(ref_x))) * sweeps
         assert x.dtype == ref_x.dtype
         assert np.linalg.norm(x - ref_x) <= drift
-        # the residual in coordinates differs from ||P x - u|| by rounding
-        slack = 16 * eps * max(1.0, float(np.linalg.norm(x)))
+        # the records of the sweeps both runs share
         for rec, ref in zip(trace.records, ref_trace.records):
             assert (rec.index, rec.bound) == (ref.index, ref.bound)
             if ref.dist_to_solution is None:
                 assert rec.dist_to_solution is None
             else:
                 # a distance rounds with its own size too
-                dist_drift = max(drift, 4 * eps * ref.dist_to_solution * trace.sweeps)
+                dist_drift = max(drift, 4 * eps * ref.dist_to_solution * sweeps)
                 assert abs(rec.dist_to_solution - ref.dist_to_solution) <= dist_drift
             assert abs(rec.max_residual - ref.max_residual) <= slack
         return trace

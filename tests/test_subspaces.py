@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ibap import COMPLEX, REAL, Subspace, add, inner, intersect
+from ibap.subspaces import _orthonormal_columns
 
 from conftest import FIELDS, random_matrix, random_subspace, random_unit, rng_for
 from oracles import gram_rank, is_zero, mutual_projection_gap, zero_subspace
@@ -49,6 +50,44 @@ class TestFromSpanning:
             Subspace(np.array([[bad], [0.0]]))
         with pytest.raises(ValueError, match="spanning vector 0 has non-finite entries"):
             Subspace.from_spanning([[bad, 0.0]], 2)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_array_and_list_give_the_same_bits(self, field):
+        rows = random_matrix(rng_for(950), 7, 4, field).T
+        # the basis of the vectors as separate columns
+        ref = _orthonormal_columns(np.column_stack(list(rows)))
+        for vectors in (rows, list(rows), rows.tolist()):
+            basis = Subspace.from_spanning(vectors, 7, field=field).basis
+            assert basis.dtype == ref.dtype and basis.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_messages_name_the_first_offending_vector(self, as_array):
+        def message(vectors, field=None):
+            with pytest.raises(ValueError) as exc:
+                Subspace.from_spanning(np.array(vectors) if as_array else vectors, 2, field=field)
+            return str(exc.value)
+
+        assert message([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) == \
+            "spanning vector 0 has shape (3,), expected (2,)"
+        assert message([[1.0, 0.0], [1.0, 1j]], REAL) == \
+            "spanning vector 1 has nonzero imaginary entries in a real problem"
+        for field in (None, REAL, COMPLEX):
+            assert message([[1.0, 0.0], [np.nan, 0.0]], field) == \
+                "spanning vector 1 has non-finite entries"
+        assert message([[np.nan, 0.0], [1.0, 1j]], REAL) == \
+            "spanning vector 0 has non-finite entries"
+        assert message([[1.0, 1j], [np.inf, 0.0]], REAL) == \
+            "spanning vector 0 has nonzero imaginary entries in a real problem"
+
+    def test_messages_of_vectors_that_do_not_stack(self):
+        with pytest.raises(ValueError, match=r"^spanning vector 1 has shape \(3,\), expected"):
+            Subspace.from_spanning([[1.0, 0.0], [1.0, 0.0, 0.0]], 2)
+        # an earlier vector's fault comes first; without a field no
+        # imaginary part is a fault
+        with pytest.raises(ValueError, match="^spanning vector 0 has non-finite entries"):
+            Subspace.from_spanning([[np.nan, 0.0], [1.0, 0.0, 0.0]], 2)
+        with pytest.raises(ValueError, match=r"^spanning vector 2 has shape \(1,\)"):
+            Subspace.from_spanning([[1j, 0.0], [1.0, 0.0], [1.0]], 2)
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError):
