@@ -155,7 +155,7 @@ def recover_with_measurements(problem: MaskedSignalProblem, measurements,
                     f"measurements {j + 1} and {i + 1} have overlapping supports", level=i + 1)
         supports.append(supp)
     (u_time, a_ext), (u_freq, b_sig) = _signal_constraints(problem)
-    subs = [Subspace.from_spanning([m], problem.n) for m in measurements]
+    subs = [Subspace((m / np.linalg.norm(m))[:, None]) for m in measurements]
     pres = [eta * m / float(np.linalg.norm(m)) ** 2 for m, eta in zip(measurements, values)]
     subs += [u_time, u_freq]
     pres += [a_ext, b_sig]
@@ -184,7 +184,8 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
     for i, v in enumerate(vs):
         if not np.linalg.norm(v) > 0:
             raise HypothesisError(f"moment vector {i + 1} is zero", level=i + 1)
-    family = Family(tuple(Subspace.from_spanning([v], n) for v in vs) + (space.complement(),))
+    family = Family(tuple(Subspace((v / np.linalg.norm(v))[:, None]) for v in vs)
+                    + (space.complement(),))
     if not check_independence(family):
         raise HypothesisError("the moment vectors are linearly dependent or their span "
                               "meets the orthocomplement of the space")

@@ -397,7 +397,7 @@ def cmd_iterate(args) -> int:
     problem = load_problem(args.problem)
     family = build_family(problem)
     prescription = _require_prescription(problem, args.problem)
-    x, trace = _iterate(args, family, prescription, problem.anchor, record_trace=True)
+    x, trace = _iterate(args, family, prescription, problem.anchor, bool(args.trace))
     _write_trace_csv(args.trace, trace)
     alpha = "none" if trace.alpha is None else f"{trace.alpha!r}"
     print(f"sweeps: {trace.sweeps}  converged: {'yes' if trace.converged else 'no'}")
@@ -481,7 +481,7 @@ def cmd_slowdemo(args) -> int:
     family, predicted = slow_family(spec)
     start = (worst_aligned_start(spec) if args.start is None
              else _vector(_loads(args.start, "--start"), family.ambient_dim, REAL, "--start"))
-    opts = SolveOptions(max_iter=args.max_iter, tol=args.tol, record_trace=True)
+    opts = SolveOptions(max_iter=args.max_iter, tol=args.tol, record_trace=bool(args.trace))
     trace = slow_convergence_demo(spec, start, opts)
     print(f"predicted norm: {predicted!r}")
     # trace.alpha is None without the property; rate_bound then raises

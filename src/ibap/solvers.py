@@ -42,8 +42,10 @@ from .family import (
 )
 from .subspaces import Subspace, _check_compatible, as_field_vector
 
-#: most sweeps of best_approximation per block of residual and trace bookkeeping
+#: sweeps in the first block of best_approximation's residual and trace bookkeeping
 _BLOCK = 32
+#: most sweeps in any block; each block may be twice the one before
+_MAX_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,9 +252,12 @@ def best_approximation(start, family: Family, prescription,
     in the same coordinates.  Stops when it drops to options.tol or after
     options.max_iter sweeps; both outcomes are recorded in the returned
     trace.  When the family satisfies the IBAP the trace carries the bound
-    values alpha^n * d0 against the true best approximation.  Only the map
-    runs per sweep, the rest once per block of at most _BLOCK sweeps, bit
-    for bit as one sweep at a time; sweeps past the stopping one are
+    values alpha^n * d0 against the true best approximation; the distances
+    to it are computed only with options.record_trace.  Only the map runs
+    per sweep, the rest once per block, bit for bit as one sweep at a time:
+    the first block has _BLOCK sweeps, each later one up to twice the one
+    before and at most _MAX_BLOCK, ending about where the previous block's
+    mean residual ratio reaches tol.  Sweeps past the stopping one are
     dropped; the point is formed once, at the stop.  Returns (point, trace).
     """
     opts = options if options is not None else SolveOptions()
@@ -293,6 +298,9 @@ def best_approximation(start, family: Family, prescription,
         m = np.block([[np.eye(f.size) + kv[:, :k] @ c, f[:, None]], [np.zeros(f.size), 1.0]])
         coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
         y = np.append(np.zeros_like(f), 1.0)
+        # each sweep of a block writes its [y; 1] into a row of one buffer
+        buf = np.empty((min(_MAX_BLOCK, opts.max_iter), y.size), dtype=y.dtype)
+        rows = list(buf)
         # where each member's residual entries start in the real view of
         # the coordinates (two float64 entries per complex one)
         starts = (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
@@ -300,27 +308,31 @@ def best_approximation(start, family: Family, prescription,
     dists = [d0] if opts.record_trace and not live else []
     size = _BLOCK
     while live and len(residuals) < opts.max_iter:
-        yl = []
-        for _ in range(min(size, opts.max_iter - len(residuals))):
-            y = m @ y
-            yl.append(y)
-        ys = np.array(yl)
+        ys = buf[:min(size, opts.max_iter - len(residuals))]
+        for row in rows[:len(ys)]:
+            y = np.matmul(m, y, out=row)
         # stacks of one-vector products round each sweep as a lone product
         r = np.matmul(ys[:, None], coords)[:, 0].view(np.float64)
-        res = np.sqrt(np.add.reduceat(r * r, starts, axis=1).max(axis=1))
+        res = np.sqrt(np.add.reduceat(np.square(r, out=r), starts, axis=1).max(axis=1))
         hit = np.flatnonzero(res <= opts.tol)
-        take = int(hit[0]) + 1 if hit.size else len(yl)
+        take = int(hit[0]) + 1 if hit.size else len(ys)
         residuals += res[:take].tolist()
         if opts.record_trace:
-            v = (start + np.matmul(t, ys[:take, :-1, None])[..., 0] - reference).view(np.float64)
-            dists += np.sqrt((v * v).sum(axis=1)).tolist()
-        y = yl[take - 1]
+            # in place, bit for bit start + T y - reference, squared
+            p = np.matmul(t, ys[:take, :-1, None])[..., 0]
+            p += start
+            p -= reference
+            v = p.view(np.float64)
+            dists += np.sqrt(np.square(v, out=v).sum(axis=1)).tolist()
+        y = ys[take - 1]
         if hit.size:
             break
-        # end the next block near where this block's mean ratio reaches tol
+        # the next block may double, and ends near where this block's mean
+        # ratio reaches tol
+        size = min(2 * len(ys), _MAX_BLOCK)
         drop = (math.log(res[0]) - math.log(res[-1])) / max(len(res) - 1, 1)
-        size = (min(_BLOCK, math.ceil((math.log(res[-1]) - math.log(opts.tol)) / drop) + 1)
-                if drop > 0 else _BLOCK)
+        if drop > 0:
+            size = min(size, math.ceil((math.log(res[-1]) - math.log(opts.tol)) / drop) + 1)
     if live:
         x = start + t @ y[:-1]
     sweeps = len(residuals)

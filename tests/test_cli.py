@@ -8,7 +8,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ibap import direct_solve
+import ibap.applications
+import ibap.cli
+from ibap import best_approximation, direct_solve
 from ibap.cli import (
     DEFAULT_MAX_ITER,
     EXIT_INFEASIBLE,
@@ -498,6 +500,39 @@ class TestSlowdemoCommand:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and str(trace) in err[0]
+
+
+class TestDistancesOnlyWithATrace:
+    """iterate and slowdemo take the distances to the solution only for a
+    --trace file; stdout is the same with and without one, but for the line
+    that names the file."""
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        """The record_trace option of every best_approximation call."""
+        seen = []
+
+        def spy(start, family, prescription, options=None):
+            seen.append(options.record_trace)
+            return best_approximation(start, family, prescription, options)
+
+        monkeypatch.setattr(ibap.cli, "best_approximation", spy)
+        monkeypatch.setattr(ibap.applications, "best_approximation", spy)
+        return seen
+
+    @pytest.mark.parametrize("command", ["iterate", "slowdemo"])
+    def test_stdout_is_the_same_without_the_distances(self, command, tmp_path, capsys, traced):
+        argv = (["iterate", write_json(tmp_path / "sixty.json", sixty_degree_doc())]
+                if command == "iterate" else ["slowdemo", "--truncation", "6"])
+        trace = tmp_path / "trace.csv"
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(argv + ["--trace", str(trace)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert traced == [False, True]
+        assert out.replace(f"trace written to {trace}\n", "") == plain
+        assert plain.count("\n") + 1 == out.count("\n")
+        assert all(row[2] for row in list(csv.reader(trace.open()))[1:])
 
 
 class TestNonFiniteInput:

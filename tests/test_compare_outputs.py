@@ -73,6 +73,10 @@ def test_the_working_tree_agrees_with_itself():
     # no temporary path is left to tell the two runs apart
     assert runs[0] and not any("ibap-compare-" in " ".join(r["argv"]) + r["stdout"] + r["stderr"]
                                for r in runs[0])
+    # each slowdemo runs twice, the second time with a trace
+    slowdemo = [r for r in runs[0] if r["kind"] == "slowdemo"]
+    assert [r["trace"] is not None for r in slowdemo] == [False, True]
+    assert slowdemo[1]["argv"] == slowdemo[0]["argv"] + ["--trace", slowdemo[1]["argv"][-1]]
     lines, ok = compare_outputs.compare(*runs)
     assert ok and lines[-1].startswith(f"{len(runs[0])} of {len(runs[0])} commands")
 

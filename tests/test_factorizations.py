@@ -24,12 +24,14 @@ from ibap import (
     AffineConstraint,
     Family,
     HypothesisError,
+    MaskedSignalProblem,
     SolveOptions,
     Subspace,
     best_approximation,
     cos_friedrichs,
     direct_solve,
     min_norm_stages,
+    recover_with_measurements,
     solve_min_norm,
     solve_moments,
     solve_operator_system,
@@ -213,6 +215,35 @@ def test_moments_build_one_complement(meets_complement, log):
     # is the only full-u SVD: the decision and the recursion use the level chain
     assert [c for c in log if c[0] == "complement"] == [("complement",)]
     assert len(full_u_svds(log)) == 1
+
+
+def line_svds(calls):
+    """Shapes of the SVDs of one N-vector."""
+    return [c[1] for c in calls if c[0] == "svd" and c[1] == (N, 1)]
+
+
+def test_moment_lines_take_no_svd_of_their_own(log):
+    # each moment line's basis is v / ||v||; the (N, 1) SVDs left are the
+    # chain's, one residual SVD per line level
+    rng = rng_for(1203)
+    space = random_subspace(rng, N, 15, "real")
+    vectors = list(rng.standard_normal((4, N)))
+    solve_moments(space, vectors, [1.0, 2.0, 3.0, 4.0])
+    assert line_svds(log) == [(N, 1)] * len(vectors)
+
+
+def test_measurement_lines_take_no_svd_of_their_own(log):
+    # the family is the measurement lines, then the time and frequency
+    # supports; its chain has one level per line and one for the time support
+    rng = rng_for(1204)
+    problem = MaskedSignalProblem(n=N, time_mask=(0, 1, 2), freq_mask=(0, 5),
+                                  time_values=rng.standard_normal(3),
+                                  freq_values=rng.standard_normal(2))
+    measurements = np.zeros((3, N), dtype=complex)
+    for i, m in enumerate(measurements):
+        m[3 + 2 * i: 5 + 2 * i] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    recover_with_measurements(problem, list(measurements), [1.0, -2.0, 0.5j])
+    assert [c[1] for c in log if c[0] == "svd"] == [(N, 3)] + [(N, 1)] * len(measurements)
 
 
 def test_the_sweep_calls_no_projection_per_sweep(monkeypatch):

@@ -18,18 +18,21 @@ from ibap import (
     Subspace,
     affine_project,
     best_approximation,
+    check_independence,
     direct_solve,
     extend_min_norm,
     min_norm_stages,
     prescription_residual,
     rate_bound,
+    slow_convergence_demo,
     slow_family,
     solve_min_norm,
     solve_two,
     verify_ibap,
+    worst_aligned_start,
 )
 from ibap.angles import _pair
-from ibap.solvers import _BLOCK, _level_step
+from ibap.solvers import _BLOCK, _MAX_BLOCK, _level_step
 
 from conftest import (
     FIELDS,
@@ -380,6 +383,45 @@ class TestRateBound:
         family, predicted = slow_family(SlowFamilySpec.harmonic(16))
         assert abs(complement_product_radius(family) - predicted ** 2) <= 1e-12
 
+    def test_observed_contraction_approaches_the_spectral_radius(self):
+        # the distance ratio of the last sweeps is the exact asymptotic rate
+        # rho, not the a-priori alpha
+        spec = SlowFamilySpec.harmonic(16)
+        family, _ = slow_family(spec)
+        rho = complement_product_radius(family)
+        trace = slow_convergence_demo(spec, worst_aligned_start(spec),
+                                      SolveOptions(record_trace=True))
+        assert trace.converged and trace.sweeps > 5000
+        d = [r.dist_to_solution for r in trace.records[-21:]]
+        assert max(abs(b / a - rho) for a, b in zip(d, d[1:])) <= 1e-6
+        assert abs(rho - 0.996109) <= 1e-6 and trace.alpha - rho > 1e-3
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_long_random_runs_contract_at_the_spectral_radius(self, field):
+        # the geometric mean ratio of the last 50 distances; a second
+        # eigenvalue near rho in modulus slows the approach, so the bound is looser
+        rng = rng_for(749)
+        long_runs = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 10))
+            f = random_family(rng, n, random_independent_dims(rng, n, int(rng.integers(2, 5))),
+                              field)
+            pres, start = random_prescription(rng, f), random_unit(rng, n, field) * 3
+            if not check_independence(f):
+                continue
+            _, trace = best_approximation(start, f, pres,
+                                          SolveOptions(max_iter=20000, record_trace=True))
+            if trace.sweeps <= 200:
+                continue
+            assert trace.converged
+            d = [r.dist_to_solution for r in trace.records]
+            observed = (d[-1] / d[-51]) ** (1 / 50)
+            assert abs(observed - complement_product_radius(f)) <= 1e-4
+            long_runs += 1
+            if long_runs == 4:
+                break
+        assert long_runs == 4
+
 
 class TestBestApproximation:
     def test_start_on_the_solution_set_converges_in_one_sweep(self):
@@ -617,9 +659,11 @@ class TestSweepMatchesTheReference:
 
 class TestBlocksMatchOneSweepAtATime:
     """best_approximation applies the sweep map every sweep but takes the
-    residuals, distances, stopping test and records once per block of
-    _BLOCK sweeps; its iterate and trace must equal, bit for bit, those
-    of the one-map loop that does all of that after every sweep."""
+    residuals, distances, stopping test and records once per block: the
+    first of _BLOCK sweeps, each later one up to twice the one before and
+    at most _MAX_BLOCK, cut at the predicted stop.  Its iterate and trace
+    must equal, bit for bit, those of the one-map loop that does all of
+    that after every sweep."""
 
     @staticmethod
     def assert_identical(start, family, pres, opts):
@@ -638,6 +682,40 @@ class TestBlocksMatchOneSweepAtATime:
         if field == "complex":
             u, v = Subspace(u.basis * 1j), Subspace(v.basis * np.exp(0.3j))
         return Family((u, v))
+
+    @staticmethod
+    def whole_blocks(count):
+        """The lengths of the first `count` blocks of a run far from its stop:
+        _BLOCK, then each twice the one before, at most _MAX_BLOCK."""
+        lengths = [_BLOCK]
+        while len(lengths) < count:
+            lengths.append(min(2 * lengths[-1], _MAX_BLOCK))
+        return lengths
+
+    def stopping_at(self, stop, field, record_trace):
+        """A slow-pair run whose tol is its residual at sweep `stop` in a
+        longer run; those residuals decrease strictly, so it stops there."""
+        rng = rng_for(748)
+        f = self.slow_pair(field, 0.05)
+        start, pres = random_unit(rng, 3, field) * 4, random_prescription(rng, f)
+        _, longer = one_map_iteration(start, f, pres, SolveOptions(max_iter=stop + 1, tol=1e-300))
+        res = [r.max_residual for r in longer.records]
+        assert all(a > b for a, b in zip(res, res[1:]))
+        return start, f, pres, SolveOptions(tol=res[stop - 1], record_trace=record_trace)
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The number of sweeps in each block: best_approximation tests a
+        block's residuals for the stop with one np.flatnonzero."""
+        lengths = []
+        flatnonzero = np.flatnonzero
+
+        def counted(a):
+            lengths.append(len(a))
+            return flatnonzero(a)
+
+        monkeypatch.setattr(np, "flatnonzero", counted)
+        return lengths
 
     @pytest.mark.parametrize("record_trace", [False, True])
     @pytest.mark.parametrize("field", FIELDS)
@@ -663,15 +741,45 @@ class TestBlocksMatchOneSweepAtATime:
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("stop", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
     def test_run_stopping_at_a_chosen_sweep(self, stop, field):
-        # tol is that sweep's residual in a longer run; the residuals of
-        # this slow pair decrease strictly, so the run stops right there
-        rng = rng_for(746)
-        f = self.slow_pair(field, 0.05)
-        start, pres = random_unit(rng, 3, field) * 4, random_prescription(rng, f)
-        _, longer = one_map_iteration(start, f, pres, SolveOptions(max_iter=3 * _BLOCK, tol=1e-300))
-        opts = SolveOptions(tol=longer.records[stop - 1].max_residual, record_trace=True)
-        trace = self.assert_identical(start, f, pres, opts)
+        trace = self.assert_identical(*self.stopping_at(stop, field, record_trace=True))
         assert trace.sweeps == stop and trace.converged
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_run_reaching_the_block_cap_several_times(self, field, record_trace, blocks):
+        # far from tol every block is whole; max_iter cuts the last one
+        rng = rng_for(747)
+        f = self.slow_pair(field, 0.05)
+        whole = self.whole_blocks(5)
+        assert whole.count(_MAX_BLOCK) >= 3
+        opts = SolveOptions(max_iter=sum(whole) + 5, tol=1e-16, record_trace=record_trace)
+        trace = self.assert_identical(random_unit(rng, 3, field) * 4, f,
+                                      random_prescription(rng, f), opts)
+        assert trace.sweeps == sum(whole) + 5 and not trace.converged
+        assert blocks == whole + [5]
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_run_stopping_on_the_first_sweep_of_a_grown_block(self, count, field,
+                                                              record_trace, blocks):
+        # the slow pair's residuals fall at one rate, so every block but the
+        # last runs whole; the predicted stop cuts the last one, which is
+        # still longer than the one sweep it keeps
+        whole = self.whole_blocks(count)
+        trace = self.assert_identical(*self.stopping_at(sum(whole) + 1, field, record_trace))
+        assert trace.sweeps == sum(whole) + 1 and trace.converged
+        assert blocks[:-1] == whole and blocks[-1] > 1
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    def test_run_stopping_on_the_last_sweep_of_a_grown_block(self, count, field,
+                                                             record_trace, blocks):
+        whole = self.whole_blocks(count)
+        trace = self.assert_identical(*self.stopping_at(sum(whole), field, record_trace))
+        assert trace.sweeps == sum(whole) and trace.converged
+        assert blocks == whole
 
     @pytest.mark.parametrize("record_trace", [False, True])
     @pytest.mark.parametrize("field", FIELDS)

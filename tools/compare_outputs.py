@@ -4,7 +4,9 @@
     python3 tools/compare_outputs.py 3b27fd2 --seeds 3 --workloads applications
 
 Runs every command that ``bench/workloads.build`` makes, on the chosen
-workloads and seeds (default: both workloads, seeds 3, 7 and 11), once with
+workloads and seeds (default: both workloads, seeds 3, 7 and 11), and
+each ``slowdemo`` command a second time with ``--trace`` into its
+workdir, so that its distances are compared too; once with
 the ``src/`` of the revision (extracted with ``git archive`` into a
 temporary directory) and once with the ``src/`` of the working tree.
 Both sides take their commands from the working tree's ``bench/``, so
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -64,8 +67,14 @@ def _run_side_here(src, workdir, workloads_, seeds, scale):
     records = []
     for workload in workloads_:
         for seed in seeds:
-            cmds = workloads.build(workload, seed, os.path.join(workdir, f"{workload}-{seed}"),
-                                   scale=scale)
+            wd = os.path.join(workdir, f"{workload}-{seed}")
+            cmds = []
+            for cmd in workloads.build(workload, seed, wd, scale=scale):
+                cmds.append(cmd)
+                if cmd.kind == "slowdemo":
+                    path = os.path.join(wd, f"slowdemo-{len(cmds)}.csv")
+                    cmds.append(dataclasses.replace(cmd, argv=cmd.argv + ("--trace", path),
+                                                    trace_path=path))
             for i, cmd in enumerate(cmds):
                 out, err = io.StringIO(), io.StringIO()
                 with redirect_stdout(out), redirect_stderr(err):
