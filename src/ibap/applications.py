@@ -96,23 +96,15 @@ class MaskedSignalProblem:
         object.__setattr__(self, "freq_values", fvals)
 
 
-def _time_support_subspace(n: int, mask: tuple) -> Subspace:
-    return Subspace(np.eye(n, dtype=np.complex128)[:, list(mask)])
-
-
-def _freq_support_subspace(n: int, mask: tuple) -> Subspace:
-    return Subspace(dft_matrix(n).conj().T[:, list(mask)])
-
-
 def _signal_constraints(problem: MaskedSignalProblem):
-    n = problem.n
-    u_time = _time_support_subspace(n, problem.time_mask)
+    """The time and frequency support subspaces, each with its prescribed point."""
+    n, tmask, fmask = problem.n, list(problem.time_mask), list(problem.freq_mask)
     a_ext = np.zeros(n, dtype=np.complex128)
-    a_ext[list(problem.time_mask)] = problem.time_values
-    u_freq = _freq_support_subspace(n, problem.freq_mask)
+    a_ext[tmask] = problem.time_values
     b_ext = np.zeros(n, dtype=np.complex128)
-    b_ext[list(problem.freq_mask)] = problem.freq_values
-    return (u_time, a_ext), (u_freq, idft(b_ext))
+    b_ext[fmask] = problem.freq_values
+    return ((Subspace(np.eye(n, dtype=np.complex128)[:, tmask]), a_ext),
+            (Subspace(dft_matrix(n).conj().T[:, fmask]), idft(b_ext)))
 
 
 def time_frequency_recover(problem: MaskedSignalProblem) -> np.ndarray:
@@ -123,6 +115,17 @@ def time_frequency_recover(problem: MaskedSignalProblem) -> np.ndarray:
     trivially, and its one level step solves the pair.
     """
     return recover_with_measurements(problem, [], [])
+
+
+def _line(v: np.ndarray, eta):
+    """The line spanned by the nonzero v and its point eta v / ||v||^2, both
+    from w = v / p, p the power of two that puts the largest entry in [1, 2),
+    as (eta / p) w / ||w||^2: dividing by p is exact, and no square of w
+    underflows or overflows."""
+    p = 2.0 ** (int(np.frexp(np.max(np.abs(v)))[1]) - 1)
+    w = v / p
+    norm = float(np.linalg.norm(w))
+    return Subspace((w / norm)[:, None]), eta / p * w / norm ** 2
 
 
 def recover_with_measurements(problem: MaskedSignalProblem, measurements,
@@ -155,15 +158,12 @@ def recover_with_measurements(problem: MaskedSignalProblem, measurements,
                     f"measurements {j + 1} and {i + 1} have overlapping supports", level=i + 1)
         supports.append(supp)
     (u_time, a_ext), (u_freq, b_sig) = _signal_constraints(problem)
-    subs = [Subspace((m / np.linalg.norm(m))[:, None]) for m in measurements]
-    pres = [eta * m / float(np.linalg.norm(m)) ** 2 for m, eta in zip(measurements, values)]
-    subs += [u_time, u_freq]
-    pres += [a_ext, b_sig]
-    family = Family(tuple(subs))
+    lines = [_line(m, eta) for m, eta in zip(measurements, values)]
+    family = Family(tuple(sub for sub, _ in lines) + (u_time, u_freq))
     if not check_independence(family):
         raise HypothesisError("masks too large: the time and frequency supports and the "
                               "measurements are linearly dependent")
-    return solve_min_norm(family, pres)
+    return solve_min_norm(family, [u for _, u in lines] + [a_ext, b_sig])
 
 
 def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
@@ -182,25 +182,20 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
     if len(values) != len(vs):
         raise ValueError(f"{len(vs)} moment vectors but {len(values)} values")
     for i, v in enumerate(vs):
-        if not np.linalg.norm(v) > 0:
+        if not v.any():
             raise HypothesisError(f"moment vector {i + 1} is zero", level=i + 1)
-    family = Family(tuple(Subspace((v / np.linalg.norm(v))[:, None]) for v in vs)
-                    + (space.complement(),))
+    etas = [complex(v) for v in values]
+    if space.field != COMPLEX:
+        for i, z in enumerate(etas):
+            if z.imag != 0:
+                raise ValueError(f"moment value {i + 1} is complex in a real problem")
+        etas = [z.real for z in etas]
+    lines = [_line(v, eta) for v, eta in zip(vs, etas)]
+    family = Family(tuple(sub for sub, _ in lines) + (space.complement(),))
     if not check_independence(family):
         raise HypothesisError("the moment vectors are linearly dependent or their span "
                               "meets the orthocomplement of the space")
-    if space.field == COMPLEX:
-        etas = [complex(v) for v in values]
-    else:
-        etas = []
-        for i, v in enumerate(values):
-            z = complex(v)
-            if z.imag != 0:
-                raise ValueError(f"moment value {i + 1} is complex in a real problem")
-            etas.append(z.real)
-    pres = [eta * v / float(np.linalg.norm(v)) ** 2 for v, eta in zip(vs, etas)]
-    pres.append(np.zeros(n, dtype=space.dtype))
-    return solve_min_norm(family, pres)
+    return solve_min_norm(family, [u for _, u in lines] + [np.zeros(n, dtype=space.dtype)])
 
 
 def solve_operator_system(operators, rhs) -> np.ndarray:
@@ -234,7 +229,7 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
         # the pseudoinverse solution T^+ y = Q_r S_r^(-1) W_r^H y
         q, s, wh = np.linalg.svd(t.conj().T, full_matrices=False)
         r = _rank_from_singular_values(s, t.shape)
-        u, gap, feasible = _checked_lstsq(t, y, (q, s, wh, r))
+        u, gap, feasible = _checked_lstsq(y, (q, s, wh, r))
         if not feasible:
             raise ValueError(
                 f"right-hand side {i + 1} is not in the range of its operator "

@@ -56,7 +56,8 @@ class IbapFailureError(ValueError):
 class InfeasibilityCertificate:
     """Witness that a prescription admits no exact solution.
 
-    residual is the stacked least-squares gap; best_point attains it.
+    residual is the distance of the stacked coordinates b from the kept
+    range (see _checked_lstsq); best_point attains it.
     """
 
     residual: float
@@ -81,10 +82,10 @@ class Family:
     basis of U_i + T.  Every trailing-sum basis is thus a column prefix
     of one basis of U_1 + ... + U_m, whose width is dim_sum; it serves
     check, the recursion and an independent family's iteration.  The full
-    SVD of the stacked bases, with its own rank, serves only the stacked
-    route: direct_solve, stacked_lstsq and the dependent tuple.  The two
-    ranks differ only for sines near the level cutoff: for two lines in
-    the plane, at angles between 2 and 4 eps.
+    SVD of the stacked bases serves only the stacked route (direct_solve,
+    stacked_lstsq, the dependent tuple), cut at dim_sum: its smallest
+    singular value is at most every level sine, so where it shows full
+    column rank the chain is not built.
     """
 
     subspaces: tuple
@@ -147,10 +148,11 @@ class Family:
 
     @cached_property
     def _stacked(self):
-        """Read-only full SVD (u, s, vh) of the stacked bases and its rank."""
+        """Read-only full SVD (u, s, vh) of the stacked bases and its rank, dim_sum."""
         mat = np.hstack([s.basis for s in self.subspaces])
         u, s, vh = np.linalg.svd(mat, full_matrices=True)
-        rank = _rank_from_singular_values(s, mat.shape)
+        full = _rank_from_singular_values(s, mat.shape) == mat.shape[1]
+        rank = mat.shape[1] if full else self.dim_sum
         for arr in (u, s, vh):
             arr.setflags(write=False)
         return u, s, vh, rank
@@ -270,19 +272,21 @@ def validate_prescription(family: Family, prescription) -> list:
             for i, (s, u) in enumerate(zip(family.subspaces, prescription))]
 
 
-def _checked_lstsq(a: np.ndarray, b: np.ndarray, factors):
+def _checked_lstsq(b: np.ndarray, factors):
     """Minimal-norm least-squares x of a x = b from (u, s, vh, rank), an SVD of a^H.
 
-    Returns (x, residual, feasible) under the package's one feasibility
-    rule: a residual up to FEASIBILITY_RTOL * (1 + ||b||) plus the solve's
-    own rounding, 4 max(shape) eps sigma_max ||x||.
+    Returns (x, residual, feasible): the residual is b's distance from the
+    kept range, ||b - V_r c|| with c = V_r^H b, and b is feasible within
+    FEASIBILITY_RTOL (1 + ||b||) plus that range's rounding: the backward
+    error e leans V_r by up to e / (s_i - s_(rank+1)) at each kept i.
     """
     u, s, vh, rank = factors
-    x = u[:, :rank] @ ((vh[:rank] @ b) / s[:rank])
-    residual = float(np.linalg.norm(a @ x - b))
-    rounding = 4 * max(a.shape) * _EPS * np.max(s, initial=0.0) * float(np.linalg.norm(x))
-    bound = FEASIBILITY_RTOL * (1.0 + float(np.linalg.norm(b))) + rounding
-    return x, residual, not residual > bound
+    c = vh[:rank] @ b
+    x = u[:, :rank] @ (c / s[:rank])
+    residual = float(np.linalg.norm(b - vh[:rank].conj().T @ c))
+    e = 4 * max(u.shape[0], vh.shape[1]) * _EPS * np.max(s, initial=0.0)
+    lean = float(np.linalg.norm(c / (s[:rank] - (s[rank] if rank < len(s) else 0.0))))
+    return x, residual, not residual > FEASIBILITY_RTOL * (1.0 + float(np.linalg.norm(b))) + e * lean
 
 
 def stacked_lstsq(family: Family, prescription: list):
@@ -291,9 +295,8 @@ def stacked_lstsq(family: Family, prescription: list):
     Its rows are the conjugate-transposed bases, so it is equivalent to
     P_i x = u_i for prescriptions inside their subspaces.
     """
-    a = np.vstack([s.basis.conj().T for s in family.subspaces])
     b = np.concatenate([s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)])
-    return _checked_lstsq(a, b, family._stacked)
+    return _checked_lstsq(b, family._stacked)
 
 
 def infeasibility_certificate(family: Family, prescription):
@@ -309,7 +312,8 @@ def epsilon_solve(family: Family, prescription, epsilon: float) -> np.ndarray:
     """Point whose projections approximate the prescription within epsilon.
 
     Linear independence is required and, in finite dimension, yields the
-    exact solution; the returned residual is limited only by numerics.
+    exact solution; ArithmeticError reports a stacked residual of the point
+    above epsilon, which only numerics can cause.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -319,7 +323,9 @@ def epsilon_solve(family: Family, prescription, epsilon: float) -> np.ndarray:
         raise DependentFamilyError(
             "the subspaces are linearly dependent; approximate prescriptions are unattainable",
             cert)
-    x, residual, _ = stacked_lstsq(family, pres)
+    x = stacked_lstsq(family, pres)[0]
+    residual = float(np.linalg.norm(np.concatenate(
+        [s.basis.conj().T @ (x - u) for s, u in zip(family.subspaces, pres)])))
     if residual > epsilon:
         raise ArithmeticError(
             f"stacked solve residual {residual:.3e} exceeds epsilon {epsilon:.3e}")

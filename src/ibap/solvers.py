@@ -189,10 +189,11 @@ def prescription_residual(family: Family, prescription, x) -> float:
 def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
     """Stacked least-squares reference solver.
 
-    Solves all constraints at once by minimal-norm least squares; with an
-    anchor, shifts the particular solution to the closest point of the
-    solution set.  Raises with an infeasibility certificate when the
-    stacked system is inconsistent.
+    Solves all constraints at once by minimal-norm least squares on the
+    stacked SVD cut at dim_sum; with an anchor, shifts the particular
+    solution to the closest point of the solution set.  Raises with an
+    infeasibility certificate where family._checked_lstsq finds the
+    stacked coordinates b infeasible.
     """
     x, residual, feasible = stacked_lstsq(family, validate_prescription(family, prescription))
     if not feasible:
@@ -225,14 +226,6 @@ def rate_bound(family: Family) -> float:
         raise IbapFailureError("rate bound presupposes the inverse best approximation property",
                                report)
     return report.alpha
-
-
-def _norm(r: np.ndarray) -> float:
-    """np.linalg.norm of a 1-D vector, bit for bit, without its dispatch."""
-    if r.dtype.kind == "c":
-        re, im = r.real, r.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(r.dot(r))
 
 
 def best_approximation(start, family: Family, prescription,
@@ -270,7 +263,7 @@ def best_approximation(start, family: Family, prescription,
         reference = solve_min_norm(family, pres, anchor=start)
     else:
         reference = direct_solve(family, pres, anchor=start).particular
-    d0 = _norm(start - reference)
+    d0 = float(np.linalg.norm(start - reference))
     # zero-dimensional members are exact identities and drop out
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start

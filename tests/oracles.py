@@ -39,7 +39,6 @@ from ibap import (
     validate_prescription,
     verify_ibap,
 )
-from ibap.solvers import _norm
 
 
 def gram_rank(vectors, tol=1e-10):
@@ -278,7 +277,7 @@ def one_map_iteration(start, family, prescription, options=None):
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
     reference = reference_point(start, family, pres, report)
-    d0 = _norm(start - reference)
+    d0 = float(np.linalg.norm(start - reference))
     # zero-dimensional members are exact identities and drop out
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start

@@ -123,6 +123,26 @@ class TestMoments:
         with pytest.raises(HypothesisError):
             solve_moments(Subspace.full(3), [np.zeros(3)], [1.0])
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_tiny_and_huge_vectors_scale_out(self, scale):
+        # each norm is taken after scaling by a power of two, so the squares
+        # of entries near 1e-170 or 1e170 neither underflow nor overflow
+        rng = rng_for(804)
+        space = Subspace.from_spanning(list(random_matrix(rng, 8, 5).T), 8)
+        vs = [rng.standard_normal(8) for _ in range(2)]
+        x = solve_moments(space, vs, [1.0, -2.0])
+        y = solve_moments(space, [scale * v for v in vs], [scale, -2.0 * scale])
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+        e5 = np.eye(8)[5]
+        z = solve_moments(Subspace.full(8), [scale * e5], [scale])
+        assert np.max(np.abs(z - e5)) <= 2 * np.finfo(float).eps
+
+    def test_a_complex_value_is_reported_before_a_failing_hypothesis(self):
+        # the values are checked before the family is built
+        e0 = np.eye(2)[0]
+        with pytest.raises(ValueError, match="moment value 2 is complex in a real problem"):
+            solve_moments(Subspace.full(2), [e0, e0], [1.0, 1j])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_is_refused(self, bad):
         with pytest.raises(ValueError, match="moment vector 2 has non-finite entries"):
@@ -182,16 +202,20 @@ class TestOperatorSystems:
         with pytest.raises(ValueError):
             solve_operator_system([t], [np.array([1.0, 2.0])])
 
+    @pytest.mark.parametrize("kernel", [False, True])
     @pytest.mark.parametrize("smallest", [1e-9, 1e-11])
-    def test_range_of_an_ill_conditioned_operator_is_accepted(self, smallest):
+    def test_range_of_an_ill_conditioned_operator_is_accepted(self, smallest, kernel):
         # the solution's norm is about 1 / smallest, so the solve's rounding
-        # eps ||T|| ||x|| of the residual exceeds FEASIBILITY_RTOL (1 + ||y||)
+        # eps ||T|| ||x|| of the residual exceeds FEASIBILITY_RTOL (1 + ||y||);
+        # with a kernel, rounding also turns the kept range, which ends at
+        # smallest, toward the discarded direction by about eps / smallest
         rng = rng_for(820)
         for _ in range(20):
             left = np.linalg.qr(random_matrix(rng, 4, 4))[0]
             right = np.linalg.qr(random_matrix(rng, 4, 4))[0]
-            t = left @ np.diag([1.0, 1.0, 1.0, smallest]) @ right.T
-            x0 = right @ (rng.standard_normal(4) * [1.0, 1.0, 1.0, 1.0 / smallest])
+            diag = [1.0, 1.0, smallest, 0.0] if kernel else [1.0, 1.0, 1.0, smallest]
+            t = left @ np.diag(diag) @ right.T
+            x0 = right @ (rng.standard_normal(4) * [1.0 / d if d else 0.0 for d in diag])
             x = solve_operator_system([t], [t @ x0])
             assert np.linalg.norm(x - x0) <= 1e-3 * np.linalg.norm(x0)
 
@@ -417,6 +441,20 @@ class TestRecoverWithMeasurements:
         m[[0, 1]] = 0.0
         with pytest.raises(HypothesisError, match="masks too large"):
             recover_with_measurements(p, [m], [1.0])
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_tiny_and_huge_measurements_scale_out(self, scale):
+        rng = rng_for(824)
+        p = self.base_problem(rng)
+        m = np.zeros(8, dtype=complex)
+        m[5] = 1.0 + 0.5j
+        m[6] = -0.25j
+        x = recover_with_measurements(p, [m], [0.3 - 0.1j])
+        y = recover_with_measurements(p, [scale * m], [(0.3 - 0.1j) * scale])
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+        e5 = np.eye(8, dtype=complex)[5]
+        z = recover_with_measurements(p, [scale * e5], [scale])
+        assert abs(z[5] - 1.0) <= 2 * np.finfo(float).eps
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurement_is_refused(self, bad):

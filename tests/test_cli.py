@@ -478,6 +478,20 @@ class TestSlowdemoCommand:
         ratios = [dists[k + 1] / dists[k] for k in range(len(dists) - 1) if dists[k] > 1e-11]
         assert abs(max(ratios) - predicted ** 2) <= 1e-6
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_random_start_converges_within_its_bound(self, seed, tmp_path, capsys):
+        # the worst-aligned start lies in one block, where an accelerated
+        # sweep could finish at once; a random start excites all sixteen
+        start = json.dumps(rng_for(seed).standard_normal(32).tolist())
+        trace = tmp_path / "demo.csv"
+        assert main(["slowdemo", "--truncation", "16", "--start", start,
+                     "--trace", str(trace)]) == EXIT_OK
+        assert "converged: yes" in capsys.readouterr().out
+        rows = list(csv.reader(trace.open()))[1:]
+        # 4694 to 5251 sweeps over these seeds, distance at most 0.64 of the bound
+        assert 4000 < len(rows) < DEFAULT_MAX_ITER
+        assert all(float(r[2]) <= float(r[3]) for r in rows)
+
     def test_explicit_alphas(self, capsys):
         assert main(["slowdemo", "--alphas", "[1.0, 1.0]", "--max-iter", "30"]) == EXIT_OK
         out = capsys.readouterr().out

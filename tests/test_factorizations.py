@@ -5,9 +5,13 @@ factorizations cached on the Family: the level chain, one thin SVD of
 each level's residual off its trailing sum (m - 1 in all), and the full
 SVD of its stacked bases.  Check, the recursion and the iteration on an
 independent family, with or without an anchor or a trace, take only the
-chain; direct_solve takes only the stacked SVD; only a dependent
-family's iteration takes both, the stacked one to decide feasibility.
-None of these chains builds a complement or calls a linear solve.  A lone pair
+chain; direct_solve on a generic family takes only the stacked SVD.
+The stacked route cuts that SVD at dim_sum and reads the chain for it
+only where the stacked singular values do not show full column rank, so
+two chains take both: a dependent family's iteration, whose stacked
+solve decides feasibility, and direct_solve on an independent family
+whose stack is numerically deficient.  None of these chains builds a
+complement or calls a linear solve.  A lone pair
 (the two-constraint solve, the Friedrichs cosine) takes one thin SVD of
 its residual, and an operator system adds one thin SVD per operator to
 the chain of its family.  The periodic projection sweep makes no
@@ -106,6 +110,17 @@ STACKED = [(N, sum(DIMS))]
 #: the dependent family repeats the first member at the end
 DEPENDENT_LEVELS = [(N, k) for k in reversed(DIMS)]
 DEPENDENT_STACKED = [(N, sum(DIMS) + DIMS[0])]
+#: the deficient family is three lines (0, 1, s), (1, s, 0) and e0 at s = 1e-8:
+#: level sines s, stacked smallest singular value s^2 / sqrt(2)
+DEFICIENT_LEVELS = [(N, 1), (N, 1)]
+DEFICIENT_STACKED = [(N, 3)]
+
+
+def deficient_problem():
+    s, e = 1e-8, np.eye(N)
+    subspaces = tuple(Subspace.from_spanning([v], N)
+                      for v in (e[1] + s * e[2], e[0] + s * e[1], e[0]))
+    return subspaces, [u.basis[:, 0] * c for u, c in zip(subspaces, (1.0, -2.0, 0.5))]
 
 
 def iterate(record_trace):
@@ -113,20 +128,25 @@ def iterate(record_trace):
     return lambda f, pres: best_approximation(np.ones(N), f, pres, options)
 
 
-#: chain -> (call, whether its family is the dependent one, its thin SVDs, its full-u SVDs)
+def direct(f, pres):
+    return direct_solve(f, pres, anchor=np.ones(N))
+
+
+#: chain -> (call, its family: "generic", "dependent" or "deficient",
+#: its thin SVDs, its full-u SVDs)
 CHAINS = {
-    "verify_ibap": (lambda f, pres: verify_ibap(f), False, LEVELS, []),
-    "min_norm_stages": (lambda f, pres: min_norm_stages(f, pres), False, LEVELS, []),
-    "solve_min_norm": (lambda f, pres: solve_min_norm(f, pres), False, LEVELS, []),
+    "verify_ibap": (lambda f, pres: verify_ibap(f), "generic", LEVELS, []),
+    "min_norm_stages": (lambda f, pres: min_norm_stages(f, pres), "generic", LEVELS, []),
+    "solve_min_norm": (lambda f, pres: solve_min_norm(f, pres), "generic", LEVELS, []),
     "solve_min_norm-anchor": (lambda f, pres: solve_min_norm(f, pres, anchor=np.ones(N)),
-                              False, LEVELS, []),
-    "direct_solve": (lambda f, pres: direct_solve(f, pres, anchor=np.ones(N)),
-                     False, [], STACKED),
-    "best_approximation-trace": (iterate(True), False, LEVELS, []),
-    "best_approximation": (iterate(False), False, LEVELS, []),
-    "best_approximation-dependent-trace": (iterate(True), True,
+                              "generic", LEVELS, []),
+    "direct_solve": (direct, "generic", [], STACKED),
+    "direct_solve-deficient": (direct, "deficient", DEFICIENT_LEVELS, DEFICIENT_STACKED),
+    "best_approximation-trace": (iterate(True), "generic", LEVELS, []),
+    "best_approximation": (iterate(False), "generic", LEVELS, []),
+    "best_approximation-dependent-trace": (iterate(True), "dependent",
                                            DEPENDENT_LEVELS, DEPENDENT_STACKED),
-    "best_approximation-dependent": (iterate(False), True,
+    "best_approximation-dependent": (iterate(False), "dependent",
                                      DEPENDENT_LEVELS, DEPENDENT_STACKED),
 }
 
@@ -134,12 +154,15 @@ CHAINS = {
 @pytest.mark.parametrize("chain", sorted(CHAINS))
 def test_one_stacked_svd_and_no_complement(chain, problem, log):
     """At most one stacked SVD, taken only by the stacked solve and by a
-    dependent family's iteration."""
+    dependent family's iteration; at most one chain."""
     subspaces, pres = problem
-    call, dependent, thin, full = CHAINS[chain]
-    if dependent:
+    call, kind, thin, full = CHAINS[chain]
+    if kind == "dependent":
         # feasible: the repeated member is prescribed the same vector
         subspaces, pres = subspaces + subspaces[:1], pres + pres[:1]
+    elif kind == "deficient":
+        subspaces, pres = deficient_problem()
+        log.clear()
     call(Family(subspaces), pres)
     assert full_u_svds(log) == full
     # the level chain is built at most once per chain

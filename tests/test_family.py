@@ -3,6 +3,7 @@ certificates, approximate solving, and feasibility certificates."""
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ibap import (
     IbapFailureError,
     InfeasiblePrescriptionError,
     SlowFamilySpec,
+    SolveOptions,
     Subspace,
     best_approximation,
     check_independence,
@@ -28,7 +30,7 @@ from ibap import (
     validate_prescription,
     verify_ibap,
 )
-from ibap.cli import EXIT_NO_IBAP, EXIT_OK, main
+from ibap.cli import EXIT_INFEASIBLE, EXIT_NO_IBAP, EXIT_OK, main
 
 from conftest import (
     FIELDS,
@@ -36,6 +38,7 @@ from conftest import (
     random_family,
     random_independent_dims,
     random_orthogonal,
+    random_matrix,
     random_prescription,
     random_subspace,
     rng_for,
@@ -55,6 +58,19 @@ def axes_family(n, m=None):
     m = n if m is None else m
     eye = np.eye(n)
     return Family(tuple(Subspace.from_spanning([eye[:, i]], n) for i in range(m)))
+
+
+def lines(*vectors):
+    return Family(tuple(Subspace.from_spanning([v], len(v)) for v in vectors))
+
+
+def pair_at_sine(rng, sine):
+    """A 2- and a 3-dimensional subspace of R^8 meeting at the given sine."""
+    q = random_orthogonal(rng, 8)
+    u = Subspace.from_spanning([q[:, 0], q[:, 1]], 8)
+    v = Subspace.from_spanning([np.sqrt(1 - sine ** 2) * q[:, 0] + sine * q[:, 2],
+                                q[:, 3], q[:, 4]], 8)
+    return Family((u, v))
 
 
 class TestIndependence:
@@ -255,6 +271,18 @@ class TestEpsilonSolve:
         with pytest.raises(ValueError, match="non-finite"):
             validate_prescription(f, [np.array([bad, 0.0]), np.array([0.0, 3.0])])
 
+    def test_the_achieved_residual_of_a_large_solution_is_checked(self):
+        # every prescription of the pair is feasible, yet its solution has
+        # norm near 1e9, and the stacked residual that the point achieves,
+        # rounding of size eps ||x||, is far above epsilon
+        for seed in range(5):
+            rng = rng_for(seed)
+            f = pair_at_sine(rng, 1e-9)
+            pres = random_prescription(rng, f)
+            assert infeasibility_certificate(f, pres) is None
+            with pytest.raises(ArithmeticError, match="exceeds epsilon"):
+                epsilon_solve(f, pres, 1e-12)
+
     def test_nonpositive_epsilon_is_an_error(self):
         f = axes_family(2)
         with pytest.raises(ValueError):
@@ -306,16 +334,13 @@ class TestInfeasibility:
         # a 2- and a 3-dimensional subspace of R^8 meeting at sine 1e-9:
         # generic prescriptions have solutions of norm near 1e9, whose
         # stacked residual is rounding of size eps ||x||, far above
-        # FEASIBILITY_RTOL (1 + ||b||) but not above the rounding term
+        # FEASIBILITY_RTOL (1 + ||b||); the test reads the distance of b
+        # from the kept range instead, which for an independent family is
+        # the whole coefficient space, so that only b's rounding enters
         eps = np.finfo(float).eps
-        sine = 1e-9
         for seed in range(200):
             rng = rng_for(seed)
-            q = random_orthogonal(rng, 8)
-            u = Subspace.from_spanning([q[:, 0], q[:, 1]], 8)
-            v = Subspace.from_spanning([np.sqrt(1 - sine ** 2) * q[:, 0] + sine * q[:, 2],
-                                        q[:, 3], q[:, 4]], 8)
-            f = Family((u, v))
+            f = pair_at_sine(rng, 1e-9)
             assert verify_ibap(f).verdict
             pres = random_prescription(rng, f)
             assert infeasibility_certificate(f, pres) is None
@@ -329,23 +354,69 @@ class TestInfeasibility:
             cert = infeasibility_certificate(f, witness)
             assert cert is not None and cert.residual > 1e-8
 
-    def test_contradiction_with_a_large_minimal_norm_point_stays_infeasible(self):
-        # lines along e0, e0 + 1e-9 e1, e2 and e2 again: the stacked matrix
-        # keeps a singular value near 7e-10, so the least-squares point has
-        # norm 1e9, yet the coordinates along e2 ask for both 0 and 1; the
-        # residual 0.707 is no rounding and must not be forgiven
-        e = np.eye(3)
-        f = Family(tuple(Subspace.from_spanning([v], 3)
-                         for v in (e[0], e[0] + 1e-9 * e[1], e[2], e[2])))
-        assert f._stacked[3] == 3 and not verify_ibap(f).verdict
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("delta", [1e-9, 1e-13])
+    def test_contradiction_with_a_large_minimal_norm_point_stays_infeasible(self, delta,
+                                                                            rotated, tmp_path):
+        # lines along e0, e0 + delta e1, e2 and e2 again: the first two meet
+        # at sine delta, so the least-squares point has norm near 1 / delta,
+        # yet the coordinates along e2 ask for both 0 and 1: b = (0, 1, 0, 1)
+        # lies at 1/sqrt(2) from the range of the stacked system.  The
+        # rounding allowance of that range grows like 1 / delta and passes
+        # 1/sqrt(2) near delta = 7e-15 (it is 2.5 at 2e-15), below which the
+        # contradiction is undecidable; the rotated copy applies one random
+        # orthogonal matrix to every vector, so no block structure helps
+        e = random_orthogonal(rng_for(1602), 3).T if rotated else np.eye(3)
+        vectors = (e[0], e[0] + delta * e[1], e[2], e[2])
+        f = lines(*vectors)
+        assert f._stacked[3] == f.dim_sum == 3 and not verify_ibap(f).verdict
         pres = [np.zeros(3), f[1].basis[:, 0], np.zeros(3), e[2]]
         cert = infeasibility_certificate(f, pres)
-        assert cert is not None and cert.residual > 0.7
         assert np.linalg.norm(cert.best_point) > 1e8
-        with pytest.raises(InfeasiblePrescriptionError):
+        with pytest.raises(InfeasiblePrescriptionError) as err:
             direct_solve(f, pres)
+        if not rotated:
+            assert abs(cert.residual - math.sqrt(0.5)) <= 1e-12
+            assert abs(err.value.certificate.residual - math.sqrt(0.5)) <= 1e-12
         with pytest.raises(InfeasiblePrescriptionError):
             best_approximation(np.zeros(3), f, pres)
+        doc = {"field": "real", "ambient_dim": 3,
+               "subspaces": [{"vectors": [list(v)]} for v in vectors],
+               "prescription": [list(u) for u in pres]}
+        path = tmp_path / "contradiction.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--method", "direct"]) == EXIT_INFEASIBLE
+        assert main(["iterate", str(path)]) == EXIT_INFEASIBLE
+
+    def test_large_solutions_of_dependent_families_are_feasible(self, tmp_path):
+        # the pair at sine 1e-9 with its first member repeated and given the
+        # same vector: feasible, with solutions of norm near 1e9.  Rounding
+        # turns the computed kept range toward its boundary direction by
+        # about eps / 1e-9, so b's distance from it is near 1e-7 ||b||, far
+        # above FEASIBILITY_RTOL (1 + ||b||) but within the rounding allowance
+        eps = np.finfo(float).eps
+        for seed in range(10):
+            rng = rng_for(seed)
+            pair = pair_at_sine(rng, 1e-9)
+            f = Family(pair.subspaces + (pair[0],))
+            assert f.dim_sum == 5 and not verify_ibap(f).verdict
+            u, v = random_prescription(rng, pair)
+            pres = [u, v, u]
+            assert infeasibility_certificate(f, pres) is None
+            solution = direct_solve(f, pres)
+            x = solution.particular
+            reference = direct_solve(pair, [u, v]).particular
+            assert np.linalg.norm(x - reference) <= 1e-5 * np.linalg.norm(reference)
+            assert prescription_residual(f, pres, x) <= 8 * eps * np.linalg.norm(x)
+            assert solution.parallel.dim == 8 - 5
+            best_approximation(np.zeros(8), f, pres, SolveOptions(max_iter=2))
+        doc = {"field": "real", "ambient_dim": 8,
+               "subspaces": [{"vectors": [list(c) for c in s.basis.T]} for s in f],
+               "prescription": [list(p) for p in pres]}
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--method", "direct"]) == EXIT_OK
+        assert main(["iterate", str(path), "--max-iter", "2"]) == EXIT_OK
 
     def test_certificate_mentions_membership_errors(self):
         f, pres = self.fixture_zero_sum()
@@ -384,7 +455,7 @@ class TestRankCutoff:
     check exit code and the recursion's guard agree on either side of the
     level rank cutoff."""
 
-    @pytest.mark.parametrize("factor, independent", [(10.0, True), (0.1, False)])
+    @pytest.mark.parametrize("factor, independent", [(10.0, True), (1.5, True), (0.1, False)])
     def test_two_lines_near_the_cutoff(self, factor, independent, tmp_path):
         theta = factor * LINE_CUTOFF
         f = Family((Subspace.from_spanning([[1.0, 0.0]], 2),
@@ -453,3 +524,59 @@ class TestRankCutoff:
             for later in f.subspaces[i + 1:]:
                 gap = later.basis - tail.basis @ (tail.basis.T @ later.basis)
                 assert np.abs(gap).max() <= 1e-12
+
+
+def near_dependent_family(rng, field):
+    """A random family, n from 3 to 13 with 2 to 4 members, in which one
+    spanning column is a combination of the other members' columns plus a
+    perturbation of norm 1e-17 to 1e-12."""
+    n = int(rng.integers(3, 14))
+    dims = random_independent_dims(rng, n, int(rng.integers(2, min(4, n) + 1)))
+    mats = [random_matrix(rng, n, k, field) for k in dims]
+    j = int(rng.integers(len(mats)))
+    others = np.hstack(mats[:j] + mats[j + 1:])
+    col = others @ random_matrix(rng, others.shape[1], 1, field)[:, 0]
+    pert = random_matrix(rng, n, 1, field)[:, 0]
+    delta = 10 ** rng.uniform(-17, -12)
+    mats[j][:, int(rng.integers(dims[j]))] = (col / np.linalg.norm(col)
+                                              + delta * pert / np.linalg.norm(pert))
+    return Family(tuple(Subspace.from_spanning(list(m.T), n, field=field) for m in mats))
+
+
+class TestStackedRoute:
+    """direct_solve, infeasibility_certificate and a dependent family's
+    iteration cut the stacked SVD at dim_sum, the level chain's rank, and
+    call a prescription infeasible by the distance of its stacked
+    coordinates b from the range kept at that rank, beyond that range's
+    rounding."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_the_stacked_rank_is_dim_sum_next_to_dependence(self, field):
+        rng = rng_for(1601)
+        built = Counter()
+        for _ in range(300):
+            f = near_dependent_family(rng, field)
+            rank = f._stacked[3]
+            # where the stacked values showed full rank the chain was not
+            # built; dim_sum builds it now, and it must agree
+            built["_chain" in f.__dict__] += 1
+            assert rank == f.dim_sum
+            zero = [np.zeros(f.ambient_dim, dtype=f.dtype)] * len(f)
+            assert direct_solve(f, zero).parallel.dim == f.ambient_dim - f.dim_sum
+        assert built[True] > 50 and built[False] > 50
+
+    @pytest.mark.parametrize("s", [3e-8, 1e-8, 1e-9])
+    def test_three_lines_with_a_deficient_stack_are_solved(self, s):
+        # (0, 1, s), (1, s, 0) and e0: both level sines are s, far above
+        # the cutoff, but the stacked smallest singular value is s^2 / sqrt(2),
+        # below the stacked matrix's own cutoff
+        f = lines(np.array([0.0, 1.0, s]), np.array([1.0, s, 0.0]), np.eye(3)[0])
+        _, sv, _, rank = f._stacked
+        assert verify_ibap(f).verdict and rank == f.dim_sum == 3
+        assert sv[-1] <= 3 * np.finfo(float).eps * sv[0]
+        for seed in range(5):
+            pres = random_prescription(rng_for(seed), f)
+            solution = direct_solve(f, pres)
+            x = solve_min_norm(f, pres)
+            assert np.linalg.norm(solution.particular - x) <= 1e-6 * np.linalg.norm(x)
+            assert solution.parallel.dim == 3 - f.dim_sum == 0
