@@ -16,7 +16,8 @@ import numpy as np
 
 from .family import Family, _checked_lstsq, check_independence, verify_ibap
 from .solvers import ConvergenceTrace, SolveOptions, best_approximation, solve_min_norm
-from .subspaces import COMPLEX, Subspace, _rank_from_singular_values, as_field_vector
+from .subspaces import (COMPLEX, Subspace, _binary_scale, _rank_from_singular_values,
+                        as_field_vector)
 
 
 class HypothesisError(ValueError):
@@ -119,10 +120,9 @@ def time_frequency_recover(problem: MaskedSignalProblem) -> np.ndarray:
 
 def _line(v: np.ndarray, eta):
     """The line spanned by the nonzero v and its point eta v / ||v||^2, both
-    from w = v / p, p the power of two that puts the largest entry in [1, 2),
-    as (eta / p) w / ||w||^2: dividing by p is exact, and no square of w
-    underflows or overflows."""
-    p = 2.0 ** (int(np.frexp(np.max(np.abs(v)))[1]) - 1)
+    from w = v / p, p = _binary_scale(v), as (eta / p) w / ||w||^2: dividing
+    by p is exact, and no square of w underflows or overflows."""
+    p = _binary_scale(v)
     w = v / p
     norm = float(np.linalg.norm(w))
     return Subspace((w / norm)[:, None]), eta / p * w / norm ** 2

@@ -37,7 +37,6 @@ from .applications import (
     SlowFamilySpec,
     dft,
     recover_with_measurements,
-    slow_convergence_demo,
     slow_family,
     solve_moments,
     worst_aligned_start,
@@ -481,8 +480,9 @@ def cmd_slowdemo(args) -> int:
     family, predicted = slow_family(spec)
     start = (worst_aligned_start(spec) if args.start is None
              else _vector(_loads(args.start, "--start"), family.ambient_dim, REAL, "--start"))
-    opts = SolveOptions(max_iter=args.max_iter, tol=args.tol, record_trace=bool(args.trace))
-    trace = slow_convergence_demo(spec, start, opts)
+    # slow_convergence_demo's run, on this family, whose level chain rate_bound reuses
+    zeros = np.zeros(family.ambient_dim)
+    _, trace = _iterate(args, family, [zeros, zeros], start, bool(args.trace))
     print(f"predicted norm: {predicted!r}")
     # trace.alpha is None without the property; rate_bound then raises
     alpha = trace.alpha if trace.alpha is not None else rate_bound(family)

@@ -23,6 +23,7 @@ as power series or linear solves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -292,6 +293,8 @@ def best_approximation(start, family: Family, prescription,
         coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
         y = np.append(np.zeros_like(f), 1.0)
         # each sweep of a block writes its [y; 1] into a row of one buffer
+        # by ndarray.dot, the gemv of m @ y without the ufunc dispatch
+        dot = m.dot
         buf = np.empty((min(_MAX_BLOCK, opts.max_iter), y.size), dtype=y.dtype)
         rows = list(buf)
         # where each member's residual entries start in the real view of
@@ -303,7 +306,7 @@ def best_approximation(start, family: Family, prescription,
     while live and len(residuals) < opts.max_iter:
         ys = buf[:min(size, opts.max_iter - len(residuals))]
         for row in rows[:len(ys)]:
-            y = np.matmul(m, y, out=row)
+            y = dot(y, row)
         # stacks of one-vector products round each sweep as a lone product
         r = np.matmul(ys[:, None], coords)[:, 0].view(np.float64)
         res = np.sqrt(np.add.reduceat(np.square(r, out=r), starts, axis=1).max(axis=1))
@@ -331,6 +334,8 @@ def best_approximation(start, family: Family, prescription,
     sweeps = len(residuals)
     index = range(1, sweeps + 1)
     bounds = [alpha ** n * d0 for n in index] if alpha is not None else [None] * sweeps
-    records = tuple(map(IterationRecord, index, residuals, dists or [None] * sweeps, bounds))
+    # tuple.__new__ makes the same IterationRecords without a Python frame each
+    records = tuple(map(tuple.__new__, itertools.repeat(IterationRecord, sweeps),
+                        zip(index, residuals, dists or [None] * sweeps, bounds)))
     return x, ConvergenceTrace(records=records, alpha=alpha, initial_distance=d0,
                                converged=residuals[-1] <= opts.tol, sweeps=sweeps)

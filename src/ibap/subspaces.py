@@ -8,6 +8,7 @@ no operation mutates its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,16 @@ def as_field_vector(x, ambient_dim: int, dtype, what: str = "vector") -> np.ndar
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} has non-finite entries")
     return arr
+
+
+def _binary_scale(x: np.ndarray) -> float:
+    """The power of two that puts the largest real or imaginary part of x
+    in [1, 2), but at least 2^-1022, and 1/2 for x = 0.  Dividing by it is
+    exact: numpy divides a complex array by multiplying with the
+    reciprocal, which the floor keeps finite.  It is read from the float64
+    view, so the modulus of no complex entry can overflow."""
+    top = np.abs(np.ascontiguousarray(x).view(np.float64)).max()
+    return 2.0 ** max(math.frexp(top)[1] - 1, -1022)
 
 
 def _rank_from_singular_values(s: np.ndarray, shape, scale: float | None = None) -> int:
@@ -174,12 +185,16 @@ class Subspace:
 
         Raises ValueError when the distance to the subspace exceeds
         MEMBERSHIP_RTOL * max(1, ||x||); membership violations are
-        errors, never silent projections.
+        errors, never silent projections.  The norms are taken of x / p,
+        p = _binary_scale(x), so that none overflows; p times them is the
+        norms of x, bit for bit, wherever those neither over- nor underflow.
         """
         x = as_field_vector(x, self.ambient_dim, self.dtype, what=what)
-        gap = float(np.linalg.norm(self.project(x) - x))
-        if gap > MEMBERSHIP_RTOL * max(1.0, float(np.linalg.norm(x))):
-            raise ValueError(f"{what} is not in its subspace (distance {gap:.3e})")
+        p = _binary_scale(x)
+        w = x / p
+        gap = float(np.linalg.norm(self.project(w) - w))
+        if p * gap > MEMBERSHIP_RTOL and gap > MEMBERSHIP_RTOL * float(np.linalg.norm(w)):
+            raise ValueError(f"{what} is not in its subspace (distance {p * gap:.3e})")
         return x
 
     def complement(self) -> "Subspace":

@@ -137,6 +137,13 @@ class TestMoments:
         z = solve_moments(Subspace.full(8), [scale * e5], [scale])
         assert np.max(np.abs(z - e5)) <= 2 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("c", [1.5e308 + 1.5e308j, 1e-308 + 1e-308j])
+    def test_complex_entries_at_the_ends_of_the_range(self, c):
+        # the modulus of 1.5e308 (1 + i) overflows; below 2^-1022 numpy's
+        # complex division by a power of two overflows forming its reciprocal
+        x = solve_moments(Subspace.full(3, "complex"), [[c, 0, 0]], [np.conj(c)])
+        assert np.max(np.abs(x - np.eye(3)[0])) <= 2 * np.finfo(float).eps
+
     def test_a_complex_value_is_reported_before_a_failing_hypothesis(self):
         # the values are checked before the family is built
         e0 = np.eye(2)[0]
@@ -454,6 +461,12 @@ class TestRecoverWithMeasurements:
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
         e5 = np.eye(8, dtype=complex)[5]
         z = recover_with_measurements(p, [scale * e5], [scale])
+        assert abs(z[5] - 1.0) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("c", [1.5e308 + 1.5e308j, 1e-308 + 1e-308j])
+    def test_complex_measurements_at_the_ends_of_the_range(self, c):
+        p = self.base_problem(rng_for(824))
+        z = recover_with_measurements(p, [c * np.eye(8)[5]], [np.conj(c)])
         assert abs(z[5] - 1.0) <= 2 * np.finfo(float).eps
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -8,8 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import ibap.angles
 import ibap.applications
 import ibap.cli
+import ibap.family
 from ibap import best_approximation, direct_solve
 from ibap.cli import (
     DEFAULT_MAX_ITER,
@@ -269,6 +271,15 @@ class TestSolve:
         path = write_json(tmp_path / "dep.json", dependent_planes_doc())
         assert main(["solve", path, "--method", "recursion"]) == EXIT_NO_IBAP
 
+    @pytest.mark.parametrize("method", ["direct", "recursion", "iterate"])
+    def test_huge_prescription_off_its_subspace_exit_four(self, tmp_path, capsys, method):
+        # the squares of 1e200 overflow; the vector still lies 1e200 off U1
+        doc = axes_doc()
+        doc["prescription"][0] = [1e200, 1e200, 0]
+        path = write_json(tmp_path / "huge.json", doc)
+        assert main(["solve", path, "--method", method]) == EXIT_PARSE
+        assert "is not in its subspace (distance 1.000e+200)" in capsys.readouterr().err
+
     def test_missing_prescription_exit_four(self, tmp_path):
         path = write_json(tmp_path / "nopres.json", axes_doc(prescription=False))
         assert main(["solve", path]) == EXIT_PARSE
@@ -501,6 +512,23 @@ class TestSlowdemoCommand:
         assert main(["slowdemo", "--alphas", "[1e200]"]) == EXIT_OK
         out = capsys.readouterr().out
         assert f"predicted norm: {1 / math.hypot(1, 1e200)!r}" in out
+
+    @pytest.mark.parametrize("argv, code", [(["--alphas", "[1e-300]"], EXIT_NO_IBAP),
+                                            (["--truncation", "4"], EXIT_OK)],
+                             ids=["without-the-property", "harmonic"])
+    def test_the_family_is_factorized_once(self, argv, code, monkeypatch):
+        # the run and, without the property, rate_bound share one level chain
+        calls = []
+        factor = ibap.angles._factor_level
+
+        def counted(basis, tail):
+            calls.append(basis.shape)
+            return factor(basis, tail)
+
+        monkeypatch.setattr(ibap.angles, "_factor_level", counted)
+        monkeypatch.setattr(ibap.family, "_factor_level", counted)
+        assert main(["slowdemo", *argv]) == code
+        assert len(calls) == 1
 
     def test_missing_arguments_exit_four(self):
         assert main(["slowdemo"]) == EXIT_PARSE

@@ -795,6 +795,47 @@ class TestBlocksMatchOneSweepAtATime:
                                   random_prescription(rng, f), opts)
 
     @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("n, dims, field", [(120, [12] * 8, "real"), (100, [12] * 4, "complex")],
+                             ids=["real-d96", "complex-d48"])
+    def test_families_of_the_benchmark_sizes(self, n, dims, field, record_trace):
+        rng = rng_for(749)
+        f = random_family(rng, n, dims, field)
+        opts = SolveOptions(tol=1e-11, record_trace=record_trace)
+        trace = self.assert_identical(random_unit(rng, n, field) * 3, f,
+                                      random_prescription(rng, f), opts)
+        assert trace.converged and f.dim_sum == sum(dims)
+
+    @staticmethod
+    def harmonic_run():
+        """The slowdemo --truncation 16 run: start, family, prescription."""
+        spec = SlowFamilySpec.harmonic(16)
+        f, _ = slow_family(spec)
+        zeros = np.zeros(f.ambient_dim)
+        return worst_aligned_start(spec), f, [zeros, zeros]
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_the_harmonic_slow_family(self, record_trace):
+        start, f, pres = self.harmonic_run()
+        trace = self.assert_identical(start, f, pres, SolveOptions(record_trace=record_trace))
+        assert trace.sweeps == 5195 and trace.converged and f.dim_sum == 32
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_products_follow_the_blocks_not_the_sweeps(self, record_trace, blocks, monkeypatch):
+        # each sweep is one ndarray.dot; np.matmul forms a block's residuals
+        # and, with a trace, its iterates
+        calls = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        _, trace = best_approximation(*self.harmonic_run(), SolveOptions(record_trace=record_trace))
+        assert trace.sweeps == 5195 and len(blocks) == 82
+        assert len(calls) == (2 if record_trace else 1) * len(blocks)
+
+    @pytest.mark.parametrize("record_trace", [False, True])
     def test_dependent_family_without_a_bound(self, record_trace):
         f = Family((line(1, 0, 0).complement(), line(0, 1, 0).complement()))
         opts = SolveOptions(max_iter=500, tol=1e-10, record_trace=record_trace)

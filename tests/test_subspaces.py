@@ -1,10 +1,12 @@
 """Subspace construction, projection, and lattice operations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ibap import COMPLEX, REAL, Subspace, add, inner, intersect
-from ibap.subspaces import _orthonormal_columns
+from ibap.subspaces import MEMBERSHIP_RTOL, _orthonormal_columns
 
 from conftest import FIELDS, random_matrix, random_subspace, random_unit, rng_for
 from oracles import gram_rank, is_zero, mutual_projection_gap, zero_subspace
@@ -140,6 +142,52 @@ class TestMember:
         u = Subspace.full(2, field=COMPLEX)
         with pytest.raises(ValueError, match="non-finite"):
             u.member(np.array([complex(0.0, np.inf), 0.0]))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_vector_whose_squares_overflow_is_judged(self, field):
+        # the squares of 1e200 overflow, and an infinite gap would meet an
+        # infinite bound; the norms are taken after a power-of-two scaling
+        u = Subspace.from_spanning([[1.0, 0.0, 0.0]], 3, field=field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not in its subspace \(distance 1\.000e\+200\)"):
+                u.member([1e200, 1e200, 0.0])
+            assert np.array_equal(u.member([1e200, 0.0, 0.0]), [1e200, 0.0, 0.0])
+            if field == COMPLEX:
+                # the modulus of this entry overflows; its parts do not
+                assert u.member([1.5e308 + 1.5e308j, 0.0, 0.0])[0] == 1.5e308 + 1.5e308j
+                with pytest.raises(ValueError, match="not in its subspace"):
+                    u.member([1.5e308 + 1.5e308j, 0.0, 1.5e308j])
+
+    def test_complex_vectors_below_the_normal_range_are_judged(self):
+        # numpy divides a complex vector by a power of two through its
+        # reciprocal, which must stay finite
+        u = Subspace.from_spanning([[1.0, 0.0, 0.0]], 3, field=COMPLEX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in ([1e-308 + 1e-308j, 0, 0], [5e-324j, 0, 0], [1e-310, 1e-310j, 0]):
+                assert np.array_equal(u.member(x), x)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_decisions_in_the_normal_range_are_those_of_the_unscaled_norms(self, field):
+        # the scaling is exact, so at every scale a gap just either side of
+        # MEMBERSHIP_RTOL * max(1, ||x||) is judged as by the plain norms
+        rng = rng_for(104)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            u = random_subspace(rng, 6, 2, field)
+            x = u.basis @ random_matrix(rng, 2, 1, field)[:, 0] * 10.0 ** rng.uniform(-6, 6)
+            off = u.complement().basis[:, 0]
+            for rel in (1 - 4 * eps, 1 + 4 * eps, 1 - 1e-9, 1 + 1e-9):
+                v = x + off * (rel * MEMBERSHIP_RTOL * max(1.0, float(np.linalg.norm(x))))
+                gap = float(np.linalg.norm(u.project(v) - v))
+                inside = not gap > MEMBERSHIP_RTOL * max(1.0, float(np.linalg.norm(v)))
+                try:
+                    u.member(v)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == inside
 
 
 class TestComplement:
