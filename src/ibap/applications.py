@@ -128,6 +128,17 @@ def _line(v: np.ndarray, eta):
     return Subspace((w / norm)[:, None]), eta / p * w / norm ** 2
 
 
+def _lines(vectors, values, what: str) -> list:
+    """_line of each vector and value; a point that overflows float64 is
+    refused, naming its vector as what i."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines = [_line(v, eta) for v, eta in zip(vectors, values)]
+    if not np.isfinite([u for _, u in lines]).all():
+        i = next(i for i, (_, u) in enumerate(lines) if not np.isfinite(u).all())
+        raise ValueError(f"{what} {i + 1}: its prescribed point is not representable in float64")
+    return lines
+
+
 def recover_with_measurements(problem: MaskedSignalProblem, measurements,
                               values) -> np.ndarray:
     """Masked time/frequency recovery with extra scalar measurements.
@@ -158,7 +169,7 @@ def recover_with_measurements(problem: MaskedSignalProblem, measurements,
                     f"measurements {j + 1} and {i + 1} have overlapping supports", level=i + 1)
         supports.append(supp)
     (u_time, a_ext), (u_freq, b_sig) = _signal_constraints(problem)
-    lines = [_line(m, eta) for m, eta in zip(measurements, values)]
+    lines = _lines(measurements, values, "measurement")
     family = Family(tuple(sub for sub, _ in lines) + (u_time, u_freq))
     if not check_independence(family):
         raise HypothesisError("masks too large: the time and frequency supports and the "
@@ -190,7 +201,7 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
             if z.imag != 0:
                 raise ValueError(f"moment value {i + 1} is complex in a real problem")
         etas = [z.real for z in etas]
-    lines = [_line(v, eta) for v, eta in zip(vs, etas)]
+    lines = _lines(vs, etas, "moment vector")
     family = Family(tuple(sub for sub, _ in lines) + (space.complement(),))
     if not check_independence(family):
         raise HypothesisError("the moment vectors are linearly dependent or their span "

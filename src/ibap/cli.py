@@ -121,23 +121,28 @@ def _finite_array(rows: list, n: int, field: str) -> np.ndarray | None:
     """rows as one (len(rows), n) array, or None when some row or entry needs _scalar.
 
     One type scan per nesting level, one conversion and one finiteness check.
-    [re, im] pairs are reinterpreted as complex128, which keeps -0.0.
+    In a complex file, entries that are all [re, im] pairs are reinterpreted
+    as complex128 and entries that are all plain numbers converted to it;
+    both keep -0.0.  A list mixing the two goes to _scalar.
     """
     if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {n}:
         return None
     flat = list(chain.from_iterable(rows))
-    if field == COMPLEX:
-        if not set(map(type, flat)) <= {list} or not set(map(len, flat)) <= {2}:
+    types = set(map(type, flat))
+    pairs = field == COMPLEX and types <= {list}
+    if pairs:
+        if not set(map(len, flat)) <= {2}:
             return None
         flat = list(chain.from_iterable(flat))
-    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        types = set(map(type, flat))
+    if not types <= _NUMBER_TYPES:
         return None
     try:
         arr = np.fromiter(flat, np.float64, len(flat))
     except OverflowError:
         return None
     if field == COMPLEX:
-        arr = arr.view(np.complex128)
+        arr = arr.view(np.complex128) if pairs else arr.astype(np.complex128)
     arr = arr.reshape(len(rows), n)
     return arr if np.isfinite(arr).all() else None
 
@@ -145,7 +150,8 @@ def _finite_array(rows: list, n: int, field: str) -> np.ndarray | None:
 def _vectors(rows: list, n: int, field: str, what) -> np.ndarray:
     """A list of vectors as the rows of one (len(rows), n) array, by _finite_array;
     where that fails, the _scalar walk names the first offending row, what(j)
-    for row j from 1, or entry, and reads plain numbers in a complex file.
+    for row j from 1, or entry, and reads a complex file's list that mixes
+    plain numbers and [re, im] pairs.
     """
     arr = _finite_array(rows, n, field)
     if arr is not None:
@@ -402,7 +408,7 @@ def cmd_iterate(args) -> int:
     print(f"sweeps: {trace.sweeps}  converged: {'yes' if trace.converged else 'no'}")
     print(f"rate bound alpha: {alpha}")
     print(f"solution: {_fmt_vector(x, problem.field)}")
-    print(f"max residual: {trace.records[-1].max_residual:.6e}")
+    print(f"max residual: {trace.residuals[-1]:.6e}")
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ as power series or linear solves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from .subspaces import Subspace, _check_compatible, as_field_vector
 #: sweeps in the first block of best_approximation's residual and trace bookkeeping
 _BLOCK = 32
 #: most sweeps in any block; each block may be twice the one before
-_MAX_BLOCK = 64
+_MAX_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +92,29 @@ class IterationRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    records: tuple
+    """A run of the iteration as per-sweep columns: each sweep's residual
+    and, with record_trace, its distance to the solution (else None).
+    records, one IterationRecord per sweep with its bound alpha^n * d0, is
+    built from them when first read."""
+
+    residuals: tuple
+    distances: tuple | None
     alpha: float | None
     initial_distance: float
     converged: bool
-    sweeps: int
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.residuals)
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        sweeps, alpha, d0 = self.sweeps, self.alpha, self.initial_distance
+        index = range(1, sweeps + 1)
+        bounds = [alpha ** n * d0 for n in index] if alpha is not None else [None] * sweeps
+        # tuple.__new__ makes the IterationRecords without a Python frame each
+        return tuple(map(tuple.__new__, itertools.repeat(IterationRecord, sweeps),
+                         zip(index, self.residuals, self.distances or [None] * sweeps, bounds)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +248,37 @@ def rate_bound(family: Family) -> float:
     return report.alpha
 
 
+def _sweep_map(t: np.ndarray, live: list, start: np.ndarray):
+    """best_approximation's sweep in the coordinates y of x = start + T y,
+    T = t: the (d+1)-square map m of [y; 1], the coordinates whose product
+    with [y; 1] holds each live member's residual Q_j^H (x - u_j), and
+    where each member's entries start in that product's real view.  Its
+    intermediate products are freed before the sweeps run."""
+    # T is orthonormal to rounding only, so y follows member j's step
+    # x <- u_j + x - Q_j Q_j^H x through T^+ ~ (2I - T^H T) T^H: with
+    # g = T^H [Q, u] = [G, ...] and kv = T^+ [Q, u] = [K, ...] it is
+    # y <- y - K_j (G_j^H y + Q_j^H start) + T^+ u_j.  C_j = -G_j^H A_(j+1)
+    # with A_(j+1) = I + K_(>j) C_(>j) of members j+1..m; f is one sweep
+    # from 0; [G^H, Q^H (start - u)] gives the residual coordinates of [y; 1]
+    q = np.hstack([qi for qi, _ in live])
+    k = q.shape[1]
+    g = t.conj().T @ np.column_stack([q] + [u for _, u in live])
+    kv = 2 * g - (t.conj().T @ t) @ g
+    gram = q.conj().T @ q
+    offsets = np.cumsum([0] + [qi.shape[1] for qi, _ in live])
+    c = -g[:, :k].conj().T
+    for lo, hi in reversed(list(zip(offsets[:-2], offsets[1:-1]))):
+        c[lo:hi] -= gram[lo:hi, hi:] @ c[hi:]
+    qs = q.conj().T @ start
+    f = np.zeros(t.shape[1], dtype=start.dtype)
+    for j, (lo, hi) in reversed(list(enumerate(zip(offsets[:-1], offsets[1:])))):
+        f = f - kv[:, lo:hi] @ (g[:, lo:hi].conj().T @ f + qs[lo:hi]) + kv[:, k + j]
+    m = np.block([[np.eye(f.size) + kv[:, :k] @ c, f[:, None]], [np.zeros(f.size), 1.0]])
+    coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
+    # two float64 entries per complex one
+    return m, coords, (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
+
+
 def best_approximation(start, family: Family, prescription,
                        options: SolveOptions | None = None):
     """Periodic projection iteration from `start` onto the solution set.
@@ -245,9 +295,10 @@ def best_approximation(start, family: Family, prescription,
     up to rounding, and the residual max_i ||Q_i^H x - Q_i^H u_i|| is taken
     in the same coordinates.  Stops when it drops to options.tol or after
     options.max_iter sweeps; both outcomes are recorded in the returned
-    trace.  When the family satisfies the IBAP the trace carries the bound
-    values alpha^n * d0 against the true best approximation; the distances
-    to it are computed only with options.record_trace.  Only the map runs
+    trace, which holds each sweep's residual and, only with
+    options.record_trace, its distance to the true best approximation; its
+    records, with the bound values alpha^n * d0 when the family satisfies
+    the IBAP, are built on first read.  Only the map runs
     per sweep, the rest once per block, bit for bit as one sweep at a time:
     the first block has _BLOCK sweeps, each later one up to twice the one
     before and at most _MAX_BLOCK, ending about where the previous block's
@@ -269,37 +320,14 @@ def best_approximation(start, family: Family, prescription,
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start
     if live:
-        # T is orthonormal to rounding only, so y follows member j's step
-        # x <- u_j + x - Q_j Q_j^H x through T^+ ~ (2I - T^H T) T^H: with
-        # g = T^H [Q, u] = [G, ...] and kv = T^+ [Q, u] = [K, ...] it is
-        # y <- y - K_j (G_j^H y + Q_j^H start) + T^+ u_j.  C_j = -G_j^H A_(j+1)
-        # with A_(j+1) = I + K_(>j) C_(>j) of members j+1..m; f is one sweep
-        # from 0; [G^H, Q^H (start - u)] gives the residual coordinates of [y; 1]
         t = family._chain[1]
-        q = np.hstack([qi for qi, _ in live])
-        k = q.shape[1]
-        g = t.conj().T @ np.column_stack([q] + [u for _, u in live])
-        kv = 2 * g - (t.conj().T @ t) @ g
-        gram = q.conj().T @ q
-        offsets = np.cumsum([0] + [qi.shape[1] for qi, _ in live])
-        c = -g[:, :k].conj().T
-        for lo, hi in reversed(list(zip(offsets[:-2], offsets[1:-1]))):
-            c[lo:hi] -= gram[lo:hi, hi:] @ c[hi:]
-        qs = q.conj().T @ start
-        f = np.zeros(t.shape[1], dtype=start.dtype)
-        for j, (lo, hi) in reversed(list(enumerate(zip(offsets[:-1], offsets[1:])))):
-            f = f - kv[:, lo:hi] @ (g[:, lo:hi].conj().T @ f + qs[lo:hi]) + kv[:, k + j]
-        m = np.block([[np.eye(f.size) + kv[:, :k] @ c, f[:, None]], [np.zeros(f.size), 1.0]])
-        coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
-        y = np.append(np.zeros_like(f), 1.0)
+        m, coords, starts = _sweep_map(t, live, start)
+        y = np.append(np.zeros(t.shape[1], dtype=start.dtype), 1.0)
         # each sweep of a block writes its [y; 1] into a row of one buffer
         # by ndarray.dot, the gemv of m @ y without the ufunc dispatch
         dot = m.dot
         buf = np.empty((min(_MAX_BLOCK, opts.max_iter), y.size), dtype=y.dtype)
         rows = list(buf)
-        # where each member's residual entries start in the real view of
-        # the coordinates (two float64 entries per complex one)
-        starts = (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
     residuals = [] if live else [0.0]
     dists = [d0] if opts.record_trace and not live else []
     size = _BLOCK
@@ -331,11 +359,7 @@ def best_approximation(start, family: Family, prescription,
             size = min(size, math.ceil((math.log(res[-1]) - math.log(opts.tol)) / drop) + 1)
     if live:
         x = start + t @ y[:-1]
-    sweeps = len(residuals)
-    index = range(1, sweeps + 1)
-    bounds = [alpha ** n * d0 for n in index] if alpha is not None else [None] * sweeps
-    # tuple.__new__ makes the same IterationRecords without a Python frame each
-    records = tuple(map(tuple.__new__, itertools.repeat(IterationRecord, sweeps),
-                        zip(index, residuals, dists or [None] * sweeps, bounds)))
-    return x, ConvergenceTrace(records=records, alpha=alpha, initial_distance=d0,
-                               converged=residuals[-1] <= opts.tol, sweeps=sweeps)
+    return x, ConvergenceTrace(residuals=tuple(residuals),
+                               distances=tuple(dists) if opts.record_trace else None,
+                               alpha=alpha, initial_distance=d0,
+                               converged=residuals[-1] <= opts.tol)

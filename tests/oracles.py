@@ -234,8 +234,10 @@ def reference_iteration(start, family, prescription, options=None):
     """The periodic projection iteration built from the public pieces:
     each prescription vector projected onto its subspace once, then
     affine_project per constraint, prescription_residual per sweep, and
-    np.linalg.norm for the distances.  Returns (x, trace) like
-    best_approximation."""
+    np.linalg.norm for the distances.  Returns (x, trace, records): the
+    point and trace as best_approximation returns them, the trace built
+    from the per-sweep columns, and the IterationRecords made sweep by
+    sweep, each bound alpha^n * d0 taken at its sweep."""
     opts = options if options is not None else SolveOptions()
     pres = [s.project(u) for s, u in
             zip(family.subspaces, validate_prescription(family, prescription))]
@@ -246,30 +248,35 @@ def reference_iteration(start, family, prescription, options=None):
     d0 = float(np.linalg.norm(start - reference))
     constraints = [AffineConstraint(s, u) for s, u in zip(family.subspaces, pres)]
     x = start
-    records = []
+    residuals, dists, records = [], [], []
     converged = False
     for n in range(1, opts.max_iter + 1):
         for c in reversed(constraints):
             x = affine_project(c, x)
         res = prescription_residual(family, pres, x)
+        residuals.append(res)
         dist = None
         if opts.record_trace:
             dist = float(np.linalg.norm(x - reference))
+            dists.append(dist)
         bound = alpha ** n * d0 if alpha is not None else None
         records.append(IterationRecord(index=n, max_residual=res,
                                        dist_to_solution=dist, bound=bound))
         if res <= opts.tol:
             converged = True
             break
-    return x, ConvergenceTrace(records=tuple(records), alpha=alpha, initial_distance=d0,
-                               converged=converged, sweeps=len(records))
+    trace = ConvergenceTrace(residuals=tuple(residuals),
+                             distances=tuple(dists) if opts.record_trace else None,
+                             alpha=alpha, initial_distance=d0, converged=converged)
+    return x, trace, tuple(records)
 
 
 def one_map_iteration(start, family, prescription, options=None):
     """best_approximation as one loop over sweeps: each sweep takes [y; 1]
     on by the (d+1)-square map in the coordinates y of x = start + T y, T
     the chain basis of the sum, then takes its residual, iterate, distance
-    and record before the next one.  Returns (x, trace)."""
+    and record before the next one.  Returns (x, trace, records) as
+    reference_iteration does."""
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
     pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
@@ -307,7 +314,7 @@ def one_map_iteration(start, family, prescription, options=None):
         # where each member's residual entries start in the real view of
         # the coordinates (two float64 entries per complex one)
         starts = (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
-    records = []
+    residuals, dists, records = [], [], []
     converged = False
     for n in range(1, opts.max_iter + 1):
         res = 0.0
@@ -316,20 +323,22 @@ def one_map_iteration(start, family, prescription, options=None):
             r = (y @ coords).view(np.float64)
             res = math.sqrt(np.add.reduceat(r * r, starts).max())
             x = start + t @ y[:-1]
+        residuals.append(res)
         dist = None
         if opts.record_trace:
             v = (x - reference).view(np.float64)
             dist = math.sqrt((v * v).sum()) if live else d0
+            dists.append(dist)
         bound = alpha ** n * d0 if alpha is not None else None
         records.append(IterationRecord(index=n, max_residual=res,
                                        dist_to_solution=dist, bound=bound))
         if res <= opts.tol:
             converged = True
             break
-    trace = ConvergenceTrace(records=tuple(records), alpha=alpha,
-                             initial_distance=d0, converged=converged,
-                             sweeps=len(records))
-    return x, trace
+    trace = ConvergenceTrace(residuals=tuple(residuals),
+                             distances=tuple(dists) if opts.record_trace else None,
+                             alpha=alpha, initial_distance=d0, converged=converged)
+    return x, trace, tuple(records)
 
 
 def _encode_scalar(z, field):

@@ -155,6 +155,15 @@ class TestMoments:
         with pytest.raises(ValueError, match="moment vector 2 has non-finite entries"):
             solve_moments(Subspace.full(3), [np.eye(3)[:, 0], [0.0, bad, 0.0]], [1.0, 2.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("v, value", [(1e-200, 1e200), (1e-320, 1.0)])
+    def test_a_point_beyond_float64_names_its_moment(self, v, value):
+        # the solution value / v * e0 overflows; the error names the moment
+        # the caller gave, without a warning on the way
+        with pytest.raises(ValueError, match="^moment vector 2: its prescribed point is not "
+                                             "representable in float64$"):
+            solve_moments(Subspace.full(3), [np.eye(3)[1], [v, 0, 0]], [1.0, value])
+
 
 class TestOperatorSystems:
     def test_two_coordinate_rows(self):
@@ -476,6 +485,14 @@ class TestRecoverWithMeasurements:
         m[5] = bad
         with pytest.raises(ValueError, match="measurement 1 has non-finite entries"):
             recover_with_measurements(p, [m], [1.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_point_beyond_float64_names_its_measurement(self):
+        p = self.base_problem(rng_for(822))
+        ms = [np.eye(8, dtype=complex)[5], 1e-200 * np.eye(8, dtype=complex)[6]]
+        with pytest.raises(ValueError, match="^measurement 2: its prescribed point is not "
+                                             "representable in float64$"):
+            recover_with_measurements(p, ms, [1.0, 1e200j])
 
 
 class TestSlowFamily:

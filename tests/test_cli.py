@@ -1,8 +1,11 @@
 """Command-line front end: file formats, exit codes, and trace output."""
 
 import csv
+import importlib.util
 import json
 import math
+import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -33,6 +36,8 @@ from ibap.subspaces import field_dtype
 
 from conftest import FIELDS, random_matrix, rng_for
 from oracles import save_problem
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_json(path, doc):
@@ -403,6 +408,16 @@ class TestMomentsCommand:
         path = write_json(tmp_path / "mom.json", doc)
         assert main(["moments", path]) == EXIT_NO_IBAP
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_solution_beyond_float64_exits_four(self, tmp_path, capsys):
+        doc = {"field": "real", "ambient_dim": 3,
+               "constraints": [{"vector": [1e-200, 0, 0], "value": 1e200}]}
+        assert main(["moments", write_json(tmp_path / "mom.json", doc)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid input: moment vector 1: its prescribed point is not "
+                                "representable in float64\n")
+
 
 class TestSignalCommand:
     def test_empty_time_mask_is_the_inverse_transform(self, tmp_path, capsys):
@@ -545,18 +560,19 @@ class TestSlowdemoCommand:
 
 
 class TestDistancesOnlyWithATrace:
-    """iterate and slowdemo take the distances to the solution only for a
-    --trace file; stdout is the same with and without one, but for the line
-    that names the file."""
+    """iterate and slowdemo take the distances to the solution, and build
+    the trace's records, only for a --trace file; stdout is the same with
+    and without one, but for the line that names the file."""
 
     @pytest.fixture
     def traced(self, monkeypatch):
-        """The record_trace option of every best_approximation call."""
+        """(options.record_trace, trace) of every best_approximation call."""
         seen = []
 
         def spy(start, family, prescription, options=None):
-            seen.append(options.record_trace)
-            return best_approximation(start, family, prescription, options)
+            x, trace = best_approximation(start, family, prescription, options)
+            seen.append((options.record_trace, trace))
+            return x, trace
 
         monkeypatch.setattr(ibap.cli, "best_approximation", spy)
         monkeypatch.setattr(ibap.applications, "best_approximation", spy)
@@ -571,10 +587,15 @@ class TestDistancesOnlyWithATrace:
         plain = capsys.readouterr().out
         assert main(argv + ["--trace", str(trace)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert traced == [False, True]
+        assert [(r, "records" in t.__dict__) for r, t in traced] == [(False, False), (True, True)]
         assert out.replace(f"trace written to {trace}\n", "") == plain
         assert plain.count("\n") + 1 == out.count("\n")
         assert all(row[2] for row in list(csv.reader(trace.open()))[1:])
+
+    def test_solve_builds_no_records(self, tmp_path, traced):
+        path = write_json(tmp_path / "sixty.json", sixty_degree_doc())
+        assert main(["solve", path, "--method", "iterate"]) == EXIT_OK
+        assert [(r, "records" in t.__dict__) for r, t in traced] == [(False, False)]
 
 
 class TestNonFiniteInput:
@@ -680,8 +701,10 @@ class TestVectorParser:
                           st.lists(number, min_size=3, max_size=3))
 
         @hyp.settings(max_examples=300, deadline=None, database=None)
-        @hyp.given(st.lists(entry, min_size=1, max_size=20))
+        @hyp.given(st.one_of(st.lists(entry, min_size=1, max_size=20),
+                             st.lists(number, min_size=1, max_size=20)))
         @hyp.example([[-0.0, -0.0], [5e-324, 2 ** 53 + 1], [1, 2.5]])
+        @hyp.example([-0.0, 5e-324, 2 ** 53 + 1, 1, 2.5])
         def check(values):
             self.same_as_per_entry(values, "complex")
 
@@ -727,10 +750,13 @@ class TestVectorParser:
         st = pytest.importorskip("hypothesis").strategies
         number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                            st.integers(-(2 ** 80), 2 ** 80), st.sampled_from(self.EDGE_NUMBERS))
-        # a plain number is valid in a complex file, but only the walk reads it
+        # a plain number is valid in a complex file; a list mixing plain
+        # numbers and pairs is read by the walk
         bad = st.one_of(number, st.just([1.0, True]), st.just([10 ** 400, 0]), st.just("1"),
                         st.lists(number, min_size=3, max_size=3))
         self.check_rows("complex", st.lists(number, min_size=2, max_size=2), bad)
+        self.check_rows("complex", number, st.one_of(st.just(True), st.just(10 ** 400),
+                                                     st.lists(number, min_size=2, max_size=2)))
 
     @pytest.mark.parametrize("n, rows, field", [
         (3, [], "real"),
@@ -743,10 +769,39 @@ class TestVectorParser:
         (2, [[[1, 0], [0, 1]], [1, [0, -0.0]]], "complex"),
         (2, [[[-0.0, -0.0], [5e-324, 2 ** 64 + 3]], [[1, 0], [0, 1, 2]]], "complex"),
         (1, [[[1, 0]], [[10 ** 400, 0]]], "complex"),
+        (2, [[-0.0, 5e-324], [2 ** 53 + 1, 1.7976931348623157e308]], "complex"),
+        (2, [[1, 2], [3, [0, 1]]], "complex"),
+        (2, [[1, 2], [3, 10 ** 400]], "complex"),
+        (2, [[1, 2], [True, 0]], "complex"),
     ], ids=["empty", "edge-numbers", "bool-in-row-2", "ragged", "non-list-row", "10**400",
-            "1e999", "plain-number-in-complex", "triple-in-row-2", "complex-10**400"])
+            "1e999", "plain-number-in-complex", "triple-in-row-2", "complex-10**400",
+            "complex-edge-numbers", "pair-after-numbers", "complex-plain-10**400",
+            "complex-plain-bool"])
     def test_rows_examples(self, n, rows, field):
         self.same_as_per_row(n, rows, field)
+
+    def test_the_signal_workload_reads_its_measurement_vectors_at_once(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "workloads", os.path.join(ROOT, "bench", "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up in sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        cmd = next(c for c in workloads.build("applications", 7, str(tmp_path))
+                   if c.kind == "signal")
+        named = []
+
+        def counted(value, field, what):
+            named.append(what)
+            return _scalar(value, field, what)
+
+        monkeypatch.setattr(ibap.cli, "_scalar", counted)
+        assert main(list(cmd.argv)) == EXIT_OK
+        assert cmd.verify(capsys.readouterr().out) is None
+        # the values still go through _scalar, one call each
+        assert sum(w.startswith("measurement value") for w in named) == 4
+        assert not [w for w in named if w.startswith("measurement vector")]
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_a_valid_file_converts_each_list_once(self, tmp_path, monkeypatch, field):

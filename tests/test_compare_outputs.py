@@ -1,6 +1,7 @@
 """tools/compare_outputs.py: the report of two runs of the benchmark commands."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -73,10 +74,18 @@ def test_the_working_tree_agrees_with_itself():
     # no temporary path is left to tell the two runs apart
     assert runs[0] and not any("ibap-compare-" in " ".join(r["argv"]) + r["stdout"] + r["stderr"]
                                for r in runs[0])
-    # each slowdemo runs twice, the second time with a trace
+    # each slowdemo runs from its default start and from a random unit
+    # start, each without and with a trace
     slowdemo = [r for r in runs[0] if r["kind"] == "slowdemo"]
-    assert [r["trace"] is not None for r in slowdemo] == [False, True]
-    assert slowdemo[1]["argv"] == slowdemo[0]["argv"] + ["--trace", slowdemo[1]["argv"][-1]]
+    assert [r["trace"] is not None for r in slowdemo] == [False, True, False, True]
+    plain, start = slowdemo[0]["argv"], slowdemo[2]["argv"]
+    assert slowdemo[1]["argv"] == plain + ["--trace", slowdemo[1]["argv"][-1]]
+    assert start[:-2] == plain and start[-2] == "--start"
+    assert slowdemo[3]["argv"] == start + ["--trace", slowdemo[3]["argv"][-1]]
+    unit = json.loads(start[-1])
+    assert len(unit) == 2 * int(plain[plain.index("--truncation") + 1])
+    assert abs(sum(v * v for v in unit) - 1.0) <= 1e-12
+    assert all("converged: yes" in r["stdout"] for r in slowdemo)
     lines, ok = compare_outputs.compare(*runs)
     assert ok and lines[-1].startswith(f"{len(runs[0])} of {len(runs[0])} commands")
 

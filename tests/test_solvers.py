@@ -543,7 +543,7 @@ class TestSweepMatchesTheReference:
     @staticmethod
     def assert_same_run(start, family, pres, opts):
         x, trace = best_approximation(start, family, pres, opts)
-        ref_x, ref_trace = reference_iteration(start, family, pres, opts)
+        ref_x, ref_trace, ref_records = reference_iteration(start, family, pres, opts)
         assert trace.alpha == ref_trace.alpha
         assert trace.initial_distance == ref_trace.initial_distance
         eps = np.finfo(float).eps
@@ -554,14 +554,14 @@ class TestSweepMatchesTheReference:
             # there and the other a sweep later, or at max_iter unconverged:
             # the first to stop converged within the residual slack of tol
             early = min(trace, ref_trace, key=lambda t: (t.sweeps, not t.converged))
-            assert early.converged and early.records[-1].max_residual > opts.tol - slack
+            assert early.converged and early.residuals[-1] > opts.tol - slack
             assert abs(trace.sweeps - ref_trace.sweeps) <= 1
             # the iterates are compared after the sweeps both runs share
             shared = dataclasses.replace(opts, max_iter=early.sweeps)
             if trace.sweeps > early.sweeps:
                 x, _ = best_approximation(start, family, pres, shared)
             elif ref_trace.sweeps > early.sweeps:
-                ref_x, _ = reference_iteration(start, family, pres, shared)
+                ref_x = reference_iteration(start, family, pres, shared)[0]
         # the sweep in coordinates rounds differently; its error may grow
         # by rounding of the iterate's size per sweep.  Over 3000 seeds of
         # test_single_constraint and 1000 of test_random_families per field,
@@ -572,8 +572,15 @@ class TestSweepMatchesTheReference:
         drift = 4 * eps * max(1.0, float(np.linalg.norm(ref_x))) * sweeps
         assert x.dtype == ref_x.dtype
         assert np.linalg.norm(x - ref_x) <= drift
-        # the records of the sweeps both runs share
-        for rec, ref in zip(trace.records, ref_trace.records):
+        # the records, built from the trace's columns, of the sweeps both
+        # runs share: indices and bounds bit for bit, the rest to rounding
+        records = trace.records
+        assert [r.max_residual for r in records] == list(trace.residuals)
+        assert ([r.dist_to_solution for r in records]
+                == list(trace.distances or [None] * trace.sweeps))
+        assert (repr([(r.index, r.bound) for r in records[:sweeps]])
+                == repr([(r.index, r.bound) for r in ref_records[:sweeps]]))
+        for rec, ref in zip(records, ref_records):
             assert (rec.index, rec.bound) == (ref.index, ref.bound)
             if ref.dist_to_solution is None:
                 assert rec.dist_to_solution is None
@@ -659,20 +666,24 @@ class TestSweepMatchesTheReference:
 
 class TestBlocksMatchOneSweepAtATime:
     """best_approximation applies the sweep map every sweep but takes the
-    residuals, distances, stopping test and records once per block: the
-    first of _BLOCK sweeps, each later one up to twice the one before and
-    at most _MAX_BLOCK, cut at the predicted stop.  Its iterate and trace
-    must equal, bit for bit, those of the one-map loop that does all of
-    that after every sweep."""
+    residuals, distances and stopping test once per block: the first of
+    _BLOCK sweeps, each later one up to twice the one before and at most
+    _MAX_BLOCK, cut at the predicted stop; its records are built on first
+    read.  Its iterate, trace and records must equal, bit for bit, those
+    of the one-map loop that does all of that after every sweep."""
 
     @staticmethod
     def assert_identical(start, family, pres, opts):
         x, trace = best_approximation(start, family, pres, opts)
-        ref_x, ref_trace = one_map_iteration(start, family, pres, opts)
+        ref_x, ref_trace, ref_records = one_map_iteration(start, family, pres, opts)
         assert x.dtype == ref_x.dtype and np.array_equal(x, ref_x)
         assert trace == ref_trace
         # repr tells float from np.float64 and gives every bit of each value
         assert repr(trace) == repr(ref_trace)
+        # the records built on first read are those made sweep by sweep
+        assert "records" not in trace.__dict__
+        assert trace.records == ref_records
+        assert repr(trace.records) == repr(ref_records)
         return trace
 
     @staticmethod
@@ -698,8 +709,9 @@ class TestBlocksMatchOneSweepAtATime:
         rng = rng_for(748)
         f = self.slow_pair(field, 0.05)
         start, pres = random_unit(rng, 3, field) * 4, random_prescription(rng, f)
-        _, longer = one_map_iteration(start, f, pres, SolveOptions(max_iter=stop + 1, tol=1e-300))
-        res = [r.max_residual for r in longer.records]
+        _, longer, _ = one_map_iteration(start, f, pres,
+                                         SolveOptions(max_iter=stop + 1, tol=1e-300))
+        res = longer.residuals
         assert all(a > b for a, b in zip(res, res[1:]))
         return start, f, pres, SolveOptions(tol=res[stop - 1], record_trace=record_trace)
 
@@ -832,7 +844,7 @@ class TestBlocksMatchOneSweepAtATime:
 
         monkeypatch.setattr(np, "matmul", counted)
         _, trace = best_approximation(*self.harmonic_run(), SolveOptions(record_trace=record_trace))
-        assert trace.sweeps == 5195 and len(blocks) == 82
+        assert trace.sweeps == 5195 and len(blocks) == 42
         assert len(calls) == (2 if record_trace else 1) * len(blocks)
 
     @pytest.mark.parametrize("record_trace", [False, True])

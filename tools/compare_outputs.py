@@ -6,7 +6,10 @@
 Runs every command that ``bench/workloads.build`` makes, on the chosen
 workloads and seeds (default: both workloads, seeds 3, 7 and 11), and
 each ``slowdemo`` command a second time with ``--trace`` into its
-workdir, so that its distances are compared too; once with
+workdir, so that its distances are compared too, and twice more from a
+random unit ``--start`` drawn from a generator seeded by the workload
+seed, without and with ``--trace``: that run crosses several blocks of
+sweeps before it settles; once with
 the ``src/`` of the revision (extracted with ``git archive`` into a
 temporary directory) and once with the ``src/`` of the working tree.
 Both sides take their commands from the working tree's ``bench/``, so
@@ -58,6 +61,7 @@ PLACEHOLDER = "<workdir>"
 def _run_side_here(src, workdir, workloads_, seeds, scale):
     """Run every command in this interpreter; returns one record per command."""
     sys.path[:0] = [src, BENCH]
+    import numpy as np
     import workloads
     from ibap.cli import main
 
@@ -72,9 +76,15 @@ def _run_side_here(src, workdir, workloads_, seeds, scale):
             for cmd in workloads.build(workload, seed, wd, scale=scale):
                 cmds.append(cmd)
                 if cmd.kind == "slowdemo":
-                    path = os.path.join(wd, f"slowdemo-{len(cmds)}.csv")
-                    cmds.append(dataclasses.replace(cmd, argv=cmd.argv + ("--trace", path),
-                                                    trace_path=path))
+                    n = 2 * int(cmd.argv[cmd.argv.index("--truncation") + 1])
+                    start = np.random.default_rng(seed).standard_normal(n)
+                    start_argv = ("--start", json.dumps((start / np.linalg.norm(start)).tolist()))
+                    for extra in ((), start_argv):
+                        if extra:
+                            cmds.append(dataclasses.replace(cmd, argv=cmd.argv + extra))
+                        path = os.path.join(wd, f"slowdemo-{len(cmds)}.csv")
+                        cmds.append(dataclasses.replace(
+                            cmd, argv=cmd.argv + extra + ("--trace", path), trace_path=path))
             for i, cmd in enumerate(cmds):
                 out, err = io.StringIO(), io.StringIO()
                 with redirect_stdout(out), redirect_stderr(err):
