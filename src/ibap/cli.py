@@ -1,6 +1,6 @@
 """File-driven command-line front end.
 
-Problem descriptions are JSON documents (schemas in the README): a
+Problem descriptions are UTF-8 JSON documents (schemas in the README): a
 `check`/`solve`/`iterate` problem lists a field tag, the ambient
 dimension, named spanning-vector lists, and optionally a prescription
 and an anchor; `moments` and `signal` have their own small schemas.
@@ -14,7 +14,8 @@ Exit codes, stable across commands:
   4  parse or validation error, or an output file that cannot be written
 
 The environment variable IBAP_DEFAULT_TOL, when set, overrides the
-default iteration tolerance of 1e-10.
+default iteration tolerance of 1e-10; like --tol, it must be positive and
+finite.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ import functools
 import json
 import math
 import os
+import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .applications import (
     HypothesisError,
@@ -82,8 +86,8 @@ def default_tol() -> float:
         val = float(raw)
     except ValueError:
         raise ParseError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
-    if not val > 0:
-        raise ParseError(f"{TOL_ENV_VAR} must be positive")
+    if not 0 < val < math.inf:
+        raise ParseError(f"{TOL_ENV_VAR} must be positive and finite")
     return val
 
 
@@ -104,12 +108,13 @@ def _scalar(value, field: str, what: str):
                 raise ParseError(f"{what}: complex scalars must be [re, im] number pairs")
             z = complex(float(value[0]), float(value[1]))
         else:
-            raise ParseError(f"{what}: expected a number or [re, im] pair, got {value!r}")
+            raise ParseError(f"{what}: expected a number or [re, im] pair, "
+                             f"got {reprlib.repr(value)}")
     except OverflowError:
         z = math.inf
     if cmath.isfinite(z):
         return z
-    # decimals beyond the float range decode as infinities
+    # _loads refuses non-finite numbers; a value built in Python may still be one
     raise ParseError(f"{what}: not a finite number")
 
 
@@ -197,23 +202,38 @@ class Problem:
     anchor: np.ndarray | None
 
 
-def _loads(text: str, what: str):
-    """Decode JSON text, rejecting the NaN and Infinity tokens json accepts."""
-    def reject(token):
-        raise ParseError(f"{what}: non-finite number {token}")
+#: orjson's message for each non-finite token it refuses, and that token's pattern
+_NON_FINITE = {
+    "unexpected character": re.compile("NaN|Infinity"),
+    "no digit after minus sign": re.compile("-Infinity"),
+    "number is infinity when parsed as double":
+        re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"),
+}
+
+
+def _loads(data: bytes | str, what: str):
+    """Decode a JSON document, UTF-8 bytes or text, with orjson.
+
+    NaN, Infinity, -Infinity and numbers beyond the float range are refused
+    as non-finite, naming the token; any other error is invalid JSON.
+    """
     try:
-        return json.loads(text, parse_constant=reject)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        pattern = _NON_FINITE.get(exc.msg)
+        token = pattern and pattern.match(exc.doc, exc.pos)
+        if token:
+            raise ParseError(f"{what}: non-finite number {token.group()}") from None
         raise ParseError(f"{what}: invalid JSON ({exc})") from None
 
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    doc = _loads(text, path)
+    doc = _loads(data, path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
@@ -222,7 +242,8 @@ def _load_json(path: str) -> dict:
 def _field_of(doc: dict, path: str) -> str:
     field = doc.get("field", REAL)
     if field not in (REAL, COMPLEX):
-        raise ParseError(f"{path}: field must be 'real' or 'complex', got {field!r}")
+        raise ParseError(f"{path}: field must be 'real' or 'complex', "
+                         f"got {reprlib.repr(field)}")
     return field
 
 

@@ -1,12 +1,14 @@
 """Command-line front end: file formats, exit codes, and trace output."""
 
 import csv
+import decimal
 import importlib.util
 import json
 import math
 import os
 import sys
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -598,9 +600,22 @@ class TestDistancesOnlyWithATrace:
         assert [(r, "records" in t.__dict__) for r, t in traced] == [(False, False)]
 
 
+NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "-1.8e308", "9" * 400]
+NON_FINITE_IDS = ["nan", "inf", "-inf", "1e999", "-1.8e308", "400-digit-int"]
+
+
+def assert_refused(argv, message, capsys):
+    """main(argv) exits 4 with nothing on stdout and `message` as its one stderr line."""
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 class TestNonFiniteInput:
-    """JSON NaN/Infinity tokens and decimals beyond the float range are
-    rejected where they enter, never carried to a NaN answer."""
+    """JSON NaN/Infinity tokens and numbers beyond the float range are
+    refused where they enter, as a non-finite number that names the token,
+    never carried to a NaN answer."""
 
     def test_check_rejects_a_nan_spanning_vector(self, tmp_path, capsys):
         doc = axes_doc(prescription=False)
@@ -608,32 +623,180 @@ class TestNonFiniteInput:
         assert main(["check", write_json(tmp_path / "p.json", doc)]) == EXIT_PARSE
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, old, new", [
+        ("check", axes_doc(prescription=False), "[0, 1, 0]", "[0, {}, 0]"),
+        ("moments", {"ambient_dim": 3, "constraints": [{"vector": [1, 0, 0], "value": 5}]},
+         '"value": 5', '"value": {}'),
+        ("signal", {"n": 4, "time_mask": [], "freq_mask": [0], "time_values": [],
+                    "freq_values": [[2.0, 0.0]]}, "[2.0, 0.0]", "[{}, 0.0]"),
+    ], ids=["check", "moments", "signal"])
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS, ids=NON_FINITE_IDS)
+    def test_every_problem_file_names_the_token(self, tmp_path, capsys, command, doc, old, new,
+                                                token):
+        text = json.dumps(doc).replace(old, new.format(token))
+        assert token in text
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert_refused([command, str(path)], f"parse error: {path}: non-finite number {token}",
+                       capsys)
+
     @pytest.mark.parametrize("method", ["direct", "recursion", "iterate"])
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "9" * 400],
-                             ids=["nan", "inf", "-inf", "1e999", "400-digit-int"])
-    def test_solve_rejects_a_non_finite_prescription(self, tmp_path, method, token):
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS, ids=NON_FINITE_IDS)
+    def test_solve_rejects_a_non_finite_prescription(self, tmp_path, capsys, method, token):
         text = json.dumps(axes_doc()).replace("[2, 0, 0]", f"[{token}, 0, 0]")
         assert token in text
         path = tmp_path / "bad.json"
         path.write_text(text)
-        assert main(["solve", str(path), "--method", method]) == EXIT_PARSE
+        assert_refused(["solve", str(path), "--method", method],
+                       f"parse error: {path}: non-finite number {token}", capsys)
 
-    def test_solve_rejects_a_non_finite_anchor_option(self, tmp_path):
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS, ids=NON_FINITE_IDS)
+    def test_solve_rejects_a_non_finite_anchor_option(self, tmp_path, capsys, token):
         path = write_json(tmp_path / "p.json", axes_doc())
-        assert main(["solve", path, "--anchor", "[1, NaN, 0]"]) == EXIT_PARSE
+        assert_refused(["solve", path, "--anchor", f"[1, {token}, 0]"],
+                       f"parse error: --anchor: non-finite number {token}", capsys)
 
-    def test_iterate_rejects_a_nan_anchor(self, tmp_path):
+    def test_iterate_rejects_a_nan_anchor(self, tmp_path, capsys):
         doc = axes_doc()
         doc["anchor"] = [0, float("nan"), 0]
-        assert main(["iterate", write_json(tmp_path / "p.json", doc)]) == EXIT_PARSE
+        path = write_json(tmp_path / "p.json", doc)
+        assert_refused(["iterate", path], f"parse error: {path}: non-finite number NaN", capsys)
 
-    def test_slowdemo_rejects_a_nan_start(self, capsys):
-        assert main(["slowdemo", "--truncation", "2", "--start", "[0, NaN, 0, 0]"]) == EXIT_PARSE
-        assert "sweeps" not in capsys.readouterr().out
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS, ids=NON_FINITE_IDS)
+    def test_slowdemo_rejects_a_non_finite_start(self, capsys, token):
+        assert_refused(["slowdemo", "--truncation", "2", "--start", f"[0, {token}, 0, 0]"],
+                       f"parse error: --start: non-finite number {token}", capsys)
 
-    @pytest.mark.parametrize("alphas", ["[1.0, NaN]", "[1e999]", "[\"1.0\"]"])
-    def test_slowdemo_rejects_non_finite_or_non_numeric_weights(self, alphas):
-        assert main(["slowdemo", "--alphas", alphas]) == EXIT_PARSE
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS, ids=NON_FINITE_IDS)
+    def test_slowdemo_rejects_non_finite_weights(self, capsys, token):
+        assert_refused(["slowdemo", "--alphas", f"[1.0, {token}]"],
+                       f"parse error: --alphas: non-finite number {token}", capsys)
+
+    def test_slowdemo_rejects_non_numeric_weights(self):
+        assert main(["slowdemo", "--alphas", "[\"1.0\"]"]) == EXIT_PARSE
+
+
+class TestNonFiniteTolerance:
+    """An infinite tolerance would stop every iteration after one sweep and
+    call it converged: --tol and IBAP_DEFAULT_TOL must be positive and finite."""
+
+    @staticmethod
+    def argvs(tmp_path):
+        path = write_json(tmp_path / "sixty.json", sixty_degree_doc())
+        return [["iterate", path], ["solve", path, "--method", "iterate"],
+                ["slowdemo", "--truncation", "4"]]
+
+    @pytest.mark.parametrize("tol", ["inf", "1e999"])
+    def test_option(self, tmp_path, capsys, tol):
+        for argv in self.argvs(tmp_path):
+            assert_refused([*argv, "--tol", tol],
+                           "invalid input: tol must be positive and finite", capsys)
+
+    @pytest.mark.parametrize("tol", ["inf", "1e999", "nan", "0", "-1e-10"])
+    def test_environment_variable(self, tmp_path, capsys, monkeypatch, tol):
+        monkeypatch.setenv("IBAP_DEFAULT_TOL", tol)
+        for argv in self.argvs(tmp_path):
+            assert_refused(argv, "error: IBAP_DEFAULT_TOL must be positive and finite", capsys)
+
+
+class TestDecoderIsExact:
+    """cli._loads, on UTF-8 bytes and on text, decodes every number to the
+    float json.loads gives, bit for bit, on the decimals that stress correct
+    rounding."""
+
+    @staticmethod
+    def literals():
+        rng = rng_for(19)
+        doubles = np.frombuffer(rng.bytes(8 * 20000), np.float64)
+        doubles = doubles[np.isfinite(doubles)]
+        # a zero exponent field: subnormals of either sign
+        subnormals = (np.frombuffer(rng.bytes(8 * 2000), np.uint64)
+                      & np.uint64(0x800F_FFFF_FFFF_FFFF)).view(np.float64)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308]
+        out = [repr(float(x)) for x in chain(doubles, subnormals, edges)]
+        out += ["2.2250738585072011e-308", "2.2250738585072012e-308", "1.7976931348623157e308",
+                "1.7976931348623158e308", "4.9406564584124654e-324", "2.4703282292062327e-324",
+                "2.4703282292062328e-324", "-0", "0e-999", "1e-400"]
+        # non-shortest decimals of 20 to 30 digits
+        for digits, exp in zip(rng.integers(20, 31, 5000), rng.integers(-345, 308, 5000)):
+            mantissa = "".join(map(str, rng.integers(0, 10, digits)))
+            out.append(f"{rng.choice(['', '-'])}{mantissa[0]}.{mantissa[1:]}e{exp}")
+        # exact halfway points between adjacent doubles, where ties go to even
+        with decimal.localcontext() as ctx:
+            ctx.prec = 1200
+            for x in chain(doubles[:500], subnormals[:200], edges[:-2]):
+                up = np.nextafter(x, np.inf)
+                mid = (decimal.Decimal(float(x)) + decimal.Decimal(float(up))) / 2
+                out.append(f"{mid:e}")
+        # integers at and beyond 2**64, which json.loads keeps as int
+        big = [2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1,
+               2 ** 64 + 2 ** 11, 2 ** 64 + 3 * 2 ** 11, 10 ** 20, 10 ** 308, -(2 ** 64),
+               -(2 ** 64) - 2 ** 11, -(2 ** 63) - 1]
+        big += [int("".join(map(str, rng.integers(1, 10, d)))) for d in rng.integers(20, 300, 500)]
+        return out + [str(v) for v in big]
+
+    def test_same_floats_as_the_standard_library(self):
+        literals = self.literals()
+        text = "[" + ",".join(literals) + "]"
+        ref = np.array([float(v) for v in json.loads(text)])
+        assert np.isfinite(ref).all()
+        for doc in (text.encode(), text):
+            got = np.array([float(v) for v in ibap.cli._loads(doc, "doc")])
+            diff = got.view(np.uint64) != ref.view(np.uint64)
+            assert [lit for lit, d in zip(literals, diff) if d] == []
+
+
+class TestOneDecoder:
+    """Every JSON input goes through cli._loads; a document that is not
+    UTF-8, or holds a lone surrogate, is invalid JSON."""
+
+    @pytest.mark.parametrize("name", [b'"U\xff1"', b'"\xed\xa0\x80"', b'"\\ud800"'],
+                             ids=["invalid-utf8", "encoded-surrogate", "escaped-surrogate"])
+    def test_a_name_that_is_not_unicode_text_is_invalid_json(self, tmp_path, capsys, name):
+        data = json.dumps(axes_doc(prescription=False)).encode()
+        path = tmp_path / "bad.json"
+        path.write_bytes(data.replace(b'"U1"', name))
+        assert main(["check", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {path}: invalid JSON (")
+        assert captured.err.count("\n") == 1
+
+    def test_deep_nesting_exits_four(self, tmp_path, capsys):
+        # json.loads raised RecursionError at this depth, and so did repr
+        # of such a value in a message: a traceback with exit 1
+        deep = "[" * 100000 + "]" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text(f'{{"field": {deep}, "ambient_dim": 1, "subspaces": []}}')
+        for argv, message in (
+                (["check", str(path)], f"{path}: field must be 'real' or 'complex', "
+                                       "got [[[[[[[...]]]]]]]"),
+                (["slowdemo", "--alphas", f'[{{"a": {deep}}}]'],
+                 "--alphas[0]: expected a number or [re, im] pair, got {'a': [[[[[[...]]]]]]}"),
+                (["slowdemo", "--truncation", "2", "--start", deep],
+                 "--start: has 1 entries, expected 4")):
+            assert_refused(argv, f"parse error: {message}", capsys)
+
+    def test_no_command_decodes_with_the_standard_library(self, tmp_path, monkeypatch, capsys):
+        axes = write_json(tmp_path / "axes.json", axes_doc())
+        moments = write_json(tmp_path / "mom.json", {
+            "ambient_dim": 3, "constraints": [{"vector": [1, 0, 0], "value": 5}]})
+        signal = write_json(tmp_path / "sig.json", {
+            "n": 4, "time_mask": [], "freq_mask": [0], "time_values": [],
+            "freq_values": [[2.0, 0.0]]})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the standard library decoder was called")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        monkeypatch.setattr(json, "load", refuse)
+        for argv in (["check", axes], ["solve", axes, "--anchor", "[1, 2, 3]"],
+                     ["moments", moments], ["signal", signal],
+                     ["slowdemo", "--alphas", "[1.0, 0.5]", "--start", "[1, 0, 0, 1]",
+                      "--max-iter", "30"]):
+            assert main(argv) == EXIT_OK, argv
+        assert "solution:" in capsys.readouterr().out
 
 
 def parse_outcome(parse):

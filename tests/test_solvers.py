@@ -2,6 +2,7 @@
 periodic projection iteration with its rate bound."""
 
 import dataclasses
+import math
 import tracemalloc
 from collections import Counter
 
@@ -424,6 +425,12 @@ class TestRateBound:
 
 
 class TestBestApproximation:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_the_tolerance_is_positive_and_finite(self, tol):
+        # an infinite tolerance would stop every run after its first sweep
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            SolveOptions(tol=tol)
+
     def test_start_on_the_solution_set_converges_in_one_sweep(self):
         rng = rng_for(717)
         f = random_family(rng, 6, [2, 1])
