@@ -31,30 +31,42 @@ class HypothesisError(ValueError):
         self.level = level
 
 
+def dft_rows(n: int, rows) -> np.ndarray:
+    """The given rows of the unitary discrete Fourier matrix of length n,
+    entries exp(-2 pi i jk / n) / sqrt(n), as a (len(rows), n) array.
+
+    Every entry is read from one table of the n scaled roots of unity at
+    the exponent (j k) mod n, so each phase is rounded from a fraction of
+    one turn, never from the unreduced product j k, and no n x n array is
+    formed for a few rows.
+    """
+    if n < 1:
+        raise ValueError("transform length must be positive")
+    roots = np.exp(-2j * np.pi / n * np.arange(n)) / math.sqrt(n)
+    return roots[np.multiply.outer(np.asarray(rows, dtype=np.int64), np.arange(n)) % n]
+
+
 @lru_cache(maxsize=None)
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary discrete Fourier matrix, entries exp(-2 pi i jk / n) / sqrt(n).
+    """Unitary discrete Fourier matrix, dft_rows of all n rows.
 
     Cached per length and returned read-only; forward and inverse carry
     the same 1/sqrt(n) scaling, so frequency-support projectors are
     orthogonal without weights.
     """
-    if n < 1:
-        raise ValueError("transform length must be positive")
-    j = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+    w = dft_rows(n, range(n))
     w.setflags(write=False)
     return w
 
 
 def dft(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    return dft_matrix(x.shape[0]) @ x
+    """dft_matrix(n) @ x by the FFT, along the first axis."""
+    return np.fft.fft(np.asarray(x, dtype=np.complex128), axis=0, norm="ortho")
 
 
 def idft(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    return dft_matrix(x.shape[0]).conj().T @ x
+    """dft_matrix(n).conj().T @ x by the FFT, along the first axis."""
+    return np.fft.ifft(np.asarray(x, dtype=np.complex128), axis=0, norm="ortho")
 
 
 def _validated_mask(mask, n: int, what: str) -> tuple:
@@ -98,14 +110,20 @@ class MaskedSignalProblem:
 
 
 def _signal_constraints(problem: MaskedSignalProblem):
-    """The time and frequency support subspaces, each with its prescribed point."""
-    n, tmask, fmask = problem.n, list(problem.time_mask), list(problem.freq_mask)
+    """The time and frequency support subspaces, each with its prescribed point.
+
+    The time support is spanned by unit columns, the frequency support by
+    the conjugates of the sampled DFT rows, which hold its point as the
+    combination freq_values of them: O(n (|T| + |F|)) work and memory.
+    """
+    n, tmask = problem.n, list(problem.time_mask)
+    time_basis = np.zeros((n, len(tmask)), dtype=np.complex128)
+    time_basis[tmask, range(len(tmask))] = 1.0
     a_ext = np.zeros(n, dtype=np.complex128)
     a_ext[tmask] = problem.time_values
-    b_ext = np.zeros(n, dtype=np.complex128)
-    b_ext[fmask] = problem.freq_values
-    return ((Subspace(np.eye(n, dtype=np.complex128)[:, tmask]), a_ext),
-            (Subspace(dft_matrix(n).conj().T[:, fmask]), idft(b_ext)))
+    freq_basis = dft_rows(n, problem.freq_mask).conj().T
+    return ((Subspace(time_basis), a_ext),
+            (Subspace(freq_basis), freq_basis @ problem.freq_values))
 
 
 def time_frequency_recover(problem: MaskedSignalProblem) -> np.ndarray:

@@ -39,7 +39,7 @@ from .applications import (
     HypothesisError,
     MaskedSignalProblem,
     SlowFamilySpec,
-    dft,
+    dft_rows,
     recover_with_measurements,
     slow_family,
     solve_moments,
@@ -224,6 +224,12 @@ def _loads(data: bytes | str, what: str):
         token = pattern and pattern.match(exc.doc, exc.pos)
         if token:
             raise ParseError(f"{what}: non-finite number {token.group()}") from None
+        # orjson checks the encoding first and reports it at position 0;
+        # the codec's error names the offending byte or character
+        try:
+            data.decode() if isinstance(data, bytes) else data.encode()
+        except UnicodeError as bad:
+            exc = bad
         raise ParseError(f"{what}: invalid JSON ({exc})") from None
 
 
@@ -478,12 +484,11 @@ def cmd_signal(args) -> int:
         measurements, values = _vector_value_entries(doc["measurements"], n, COMPLEX,
                                                      "measurement", path)
     x = recover_with_measurements(problem, measurements, values)
-    spectrum = dft(x)
+    spectrum = dft_rows(n, problem.freq_mask) @ x
     print(f"solution: {_fmt_vector(x, COMPLEX)}")
     terr = max((abs(x[i] - problem.time_values[k]) for k, i in enumerate(problem.time_mask)),
                default=0.0)
-    ferr = max((abs(spectrum[i] - problem.freq_values[k])
-                for k, i in enumerate(problem.freq_mask)), default=0.0)
+    ferr = max((abs(s - b) for s, b in zip(spectrum, problem.freq_values)), default=0.0)
     print(f"time residual: {terr:.6e}")
     print(f"frequency residual: {ferr:.6e}")
     for i, (m, eta) in enumerate(zip(measurements, values)):

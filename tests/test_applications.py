@@ -2,6 +2,7 @@
 recovery, and the angle-degradation family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ibap import (
     time_frequency_recover,
     worst_aligned_start,
 )
+from ibap.angles import _pair
 
 from conftest import random_matrix, rng_for
 from oracles import min_norm_complex_via_real, constrained_min_norm_in_space
@@ -56,6 +58,23 @@ class TestDft:
         assert dft_matrix(8) is dft_matrix(8)
         with pytest.raises(ValueError):
             dft_matrix(8)[0, 0] = 0
+
+    def test_matrix_matches_the_fft_entrywise(self):
+        # each entry's phase is rounded from (jk) mod n, not from jk: at
+        # n = 1024 the entries built from exp(-2 pi i jk / n) were 2.2e-14 off
+        n = 1024
+        ref = np.fft.fft(np.eye(n), axis=0, norm="ortho")
+        assert np.abs(dft_matrix(n) - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (97,), (112,), (256,), (12, 3)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_transforms_are_the_dense_products(self, shape):
+        # the FFT acts on the first axis, as dft_matrix(n) @ x does on columns
+        n = shape[0]
+        x = 3 * random_matrix(rng_for(820 + n), n, math.prod(shape[1:]), "complex").reshape(shape)
+        bound = 1e-13 * np.linalg.norm(x)
+        assert np.linalg.norm(dft(x) - dft_matrix(n) @ x) <= bound
+        assert np.linalg.norm(idft(x) - dft_matrix(n).conj().T @ x) <= bound
 
 
 class TestMoments:
@@ -371,13 +390,32 @@ class TestTimeFrequencyRecovery:
         fmask = sorted(teeth | set(extra[comb:2 * comb]))
         u_time = Subspace(np.eye(n, dtype=complex)[:, tmask])
         u_freq = Subspace(dft_matrix(n).conj().T[:, fmask])
-        # the shared direction's sine is rounding, below the level rank cutoff
+        # the shared direction's sine is rounding, far below the level rank
+        # cutoff: 0.002-0.02 of it (0.32-0.42 with phases rounded from jk)
         assert not check_independence(Family((u_time, u_freq)))
+        assert _pair(u_time, u_freq).sines[-1] <= 0.05 * n * np.finfo(np.float64).eps
         p = MaskedSignalProblem(n=n, time_mask=tmask, freq_mask=fmask,
                                 time_values=np.ones(len(tmask)),
                                 freq_values=np.ones(len(fmask)))
         with pytest.raises(HypothesisError, match="masks too large"):
             time_frequency_recover(p)
+
+    def test_memory_grows_with_the_samples_not_with_n_squared(self):
+        # the supports are n x 64 each; one n x n complex array is 64 MiB
+        rng = rng_for(816)
+        n = 2048
+        tmask = tuple(sorted(rng.choice(n, size=64, replace=False).tolist()))
+        fmask = tuple(sorted(rng.choice(n, size=64, replace=False).tolist()))
+        x = complex_unit(rng, n)
+        p = MaskedSignalProblem(n=n, time_mask=tmask, freq_mask=fmask,
+                                time_values=x[list(tmask)], freq_values=dft(x)[list(fmask)])
+        tracemalloc.start()
+        try:
+            recover_with_measurements(p, [], [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestRecoverWithMeasurements:

@@ -437,6 +437,22 @@ class TestSignalCommand:
         got = np.array([complex(re, im) for re, im in json.loads(line.split("solution: ")[1])])
         assert np.allclose(got, np.ones(4), atol=1e-10)  # idft of 2 e_0 with n = 4
 
+    def test_only_the_sampled_rows_are_transformed(self, tmp_path, monkeypatch, capsys):
+        # the supports, the prescribed point and the frequency residual come
+        # from the |F| sampled DFT rows: no FFT and no n x n matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("a whole transform was computed")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        monkeypatch.setattr(ibap.applications, "dft_matrix", refuse)
+        doc = {"n": 16, "time_mask": [0, 5], "freq_mask": [1, 2, 9],
+               "time_values": [1.0, [0.0, 2.0]], "freq_values": [0.5, [1.0, -1.0], 2.0]}
+        path = write_json(tmp_path / "sig.json", doc)
+        assert main(["signal", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert float(out.split("frequency residual: ")[1].split()[0]) <= 1e-14
+
     def test_measurements_are_reported(self, tmp_path, capsys):
         doc = {
             "n": 8,
@@ -751,17 +767,21 @@ class TestOneDecoder:
     """Every JSON input goes through cli._loads; a document that is not
     UTF-8, or holds a lone surrogate, is invalid JSON."""
 
-    @pytest.mark.parametrize("name", [b'"U\xff1"', b'"\xed\xa0\x80"', b'"\\ud800"'],
-                             ids=["invalid-utf8", "encoded-surrogate", "escaped-surrogate"])
-    def test_a_name_that_is_not_unicode_text_is_invalid_json(self, tmp_path, capsys, name):
+    @pytest.mark.parametrize("name, detail", [
+        # a byte that is not UTF-8 is named where it is; orjson alone
+        # reports every encoding error at position 0
+        (b'"U\xff1"', "'utf-8' codec can't decode byte 0xff in position 61: invalid start byte"),
+        (b'"\xed\xa0\x80"',
+         "'utf-8' codec can't decode byte 0xed in position 60: invalid continuation byte"),
+        (b'"\\ud800"', "no matched low surrogate in string: line 1 column 67 (char 66)")],
+        ids=["invalid-utf8", "encoded-surrogate", "escaped-surrogate"])
+    def test_a_name_that_is_not_unicode_text_is_invalid_json(self, tmp_path, capsys, name,
+                                                             detail):
         data = json.dumps(axes_doc(prescription=False)).encode()
         path = tmp_path / "bad.json"
         path.write_bytes(data.replace(b'"U1"', name))
-        assert main(["check", str(path)]) == EXIT_PARSE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"parse error: {path}: invalid JSON (")
-        assert captured.err.count("\n") == 1
+        assert_refused(["check", str(path)], f"parse error: {path}: invalid JSON ({detail})",
+                       capsys)
 
     def test_deep_nesting_exits_four(self, tmp_path, capsys):
         # json.loads raised RecursionError at this depth, and so did repr
