@@ -30,7 +30,8 @@ class _Level(NamedTuple):
     sines descending, and cosines[j] = ||C v_j|| with C = T^H B is paired
     with sines[j].  rank counts the sines above the package cutoff at
     unit scale, so it is dim(U + T) - dim T, and the first rank columns
-    of w extend T to a basis of U + T.
+    of w, projected off T after the SVD, extend T to a basis of U + T;
+    they are the only columns that the chain and the level step read.
     """
 
     w: np.ndarray
@@ -68,7 +69,8 @@ class _Level(NamedTuple):
 
 
 def _factor_level(basis: np.ndarray, tail: np.ndarray) -> _Level:
-    """The _Level of the column-orthonormal basis against the tail basis."""
+    """The _Level of the column-orthonormal basis against the tail basis,
+    its first rank columns of w orthogonal to the tail to rounding."""
     coef = tail.conj().T @ basis
     res = basis - tail @ coef
     # project off the tail twice: after one pass the rounding left in a
@@ -79,7 +81,11 @@ def _factor_level(basis: np.ndarray, tail: np.ndarray) -> _Level:
     cosines = np.clip(np.linalg.norm(coef @ vh.conj().T, axis=0), 0.0, 1.0)
     # with dim U > dim T the first dim U - dim T sines are 1: no angle pairs them
     cosines[:max(0, basis.shape[1] - tail.shape[1])] = 0.0
-    return _Level(w, s, vh, cosines, _rank_from_singular_values(s, basis.shape, scale=1.0))
+    rank = _rank_from_singular_values(s, basis.shape, scale=1.0)
+    # w_j leans into the tail by about eps / s[j]: project that off, so
+    # that small sines keep the chain basis and the level step exact
+    w[:, :rank] -= tail @ (tail.conj().T @ w[:, :rank])
+    return _Level(w, s, vh, cosines, rank)
 
 
 def _pair(u: Subspace, v: Subspace) -> _Level:

@@ -21,7 +21,6 @@ finite.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -95,27 +94,20 @@ def default_tol() -> float:
 
 
 def _scalar(value, field: str, what: str):
+    """One decoded scalar; _loads has already refused non-finite numbers."""
     if isinstance(value, bool):
         raise ParseError(f"{what}: booleans are not numbers")
-    try:
-        if isinstance(value, (int, float)):
-            z = float(value)
-        elif isinstance(value, list):
-            if field != COMPLEX:
-                raise ParseError(f"{what}: [re, im] scalars require the complex field")
-            if len(value) != 2 or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                                          for p in value):
-                raise ParseError(f"{what}: complex scalars must be [re, im] number pairs")
-            z = complex(float(value[0]), float(value[1]))
-        else:
-            raise ParseError(f"{what}: expected a number or [re, im] pair, "
-                             f"got {reprlib.repr(value)}")
-    except OverflowError:
-        z = math.inf
-    if cmath.isfinite(z):
-        return z
-    # _loads refuses non-finite numbers; a value built in Python may still be one
-    raise ParseError(f"{what}: not a finite number")
+    if isinstance(value, (int, float)):
+        return float(value)
+    if not isinstance(value, list):
+        raise ParseError(f"{what}: expected a number or [re, im] pair, "
+                         f"got {reprlib.repr(value)}")
+    if field != COMPLEX:
+        raise ParseError(f"{what}: [re, im] scalars require the complex field")
+    if len(value) != 2 or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                                  for p in value):
+        raise ParseError(f"{what}: complex scalars must be [re, im] number pairs")
+    return complex(float(value[0]), float(value[1]))
 
 
 #: JSON numbers decode to exactly these types; bool is a subclass of int
@@ -125,7 +117,8 @@ _NUMBER_TYPES = frozenset((int, float))
 def _finite_array(rows: list, n: int, field: str) -> np.ndarray | None:
     """rows as one (len(rows), n) array, or None when some row or entry needs _scalar.
 
-    One type scan per nesting level, one conversion and one finiteness check.
+    One type scan per nesting level and one conversion; _loads has already
+    refused non-finite numbers.
     In a complex file, entries that are all [re, im] pairs are reinterpreted
     as complex128 and entries that are all plain numbers converted to it;
     both keep -0.0.  A list mixing the two goes to _scalar.
@@ -142,14 +135,10 @@ def _finite_array(rows: list, n: int, field: str) -> np.ndarray | None:
         types = set(map(type, flat))
     if not types <= _NUMBER_TYPES:
         return None
-    try:
-        arr = np.fromiter(flat, np.float64, len(flat))
-    except OverflowError:
-        return None
+    arr = np.fromiter(flat, np.float64, len(flat))
     if field == COMPLEX:
         arr = arr.view(np.complex128) if pairs else arr.astype(np.complex128)
-    arr = arr.reshape(len(rows), n)
-    return arr if np.isfinite(arr).all() else None
+    return arr.reshape(len(rows), n)
 
 
 def _vectors(rows: list, n: int, field: str, what) -> np.ndarray:

@@ -78,10 +78,10 @@ class Family:
     chain pairs each U_i, from the last but one up to the first, with an
     orthonormal basis T of the sum of the members after it: one thin SVD
     of the residual B_i - T (T^H B_i) gives the level's sines and cosines
-    (angles._Level), dim(U_i + T) and the columns that extend T to a
-    basis of U_i + T.  Every trailing-sum basis is thus a column prefix
-    of one basis of U_1 + ... + U_m, whose width is dim_sum; it serves
-    check, the recursion and an independent family's iteration.  The full
+    (angles._Level), dim(U_i + T) and the columns, projected off T, whose
+    QR extends T to a basis of U_i + T.  Every trailing-sum basis is thus
+    a column prefix of one basis of U_1 + ... + U_m, of width dim_sum; it
+    serves check, the recursion and an independent family's iteration.  The full
     SVD of the stacked bases serves only the stacked route (direct_solve,
     stacked_lstsq, the dependent tuple), cut at dim_sum: its smallest
     singular value is at most every level sine, so where it shows full
@@ -138,11 +138,7 @@ class Family:
             lev = _factor_level(s.basis, basis)
             levels.append(lev)
             widths.append(basis.shape[1])
-            # w_j leans into the tail by about eps / sines[j]: project that
-            # off and orthonormalize, so that small sines keep the basis exact
-            new = lev.w[:, :lev.rank]
-            new = np.linalg.qr(new - basis @ (basis.conj().T @ new))[0]
-            basis = np.hstack([basis, new])
+            basis = np.hstack([basis, np.linalg.qr(lev.w[:, :lev.rank])[0]])
         basis.setflags(write=False)
         return tuple(reversed(levels)), basis, tuple(reversed(widths))
 
@@ -227,8 +223,10 @@ def dependent_tuple(family: Family):
 
     Such a tuple certifies both linear dependence and, by the zero-sum
     infeasibility argument, a prescription with empty solution set.
+    Independence is read from the stacked SVD's rank, so a generic family
+    takes that one factorization and no level chain.
     """
-    if check_independence(family):
+    if family._stacked[3] == sum(family.dims):
         return None
     coeff = family._stacked[2][-1].conj()
     chunks = np.split(coeff, np.cumsum(family.dims)[:-1])

@@ -140,8 +140,10 @@ def _level_step(level: _Level, basis: np.ndarray, u: np.ndarray, v: np.ndarray) 
     C = T^H B and R = B - T C = W S V^H.  Since R^H R = I - C^H C, the
     resolvents in basis coordinates are (I - C^H C)^(-1) = M = V S^-2 V^H
     and (I - C C^H)^(-1) C = C M; together they give
-    x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  Refuses where
-    the level's rank decision does: a sine at or below the rank cutoff.
+    x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  W holds no
+    component in T (see angles._factor_level), so dividing by the sines
+    keeps the step backward stable down to the rank cutoff.  Refuses where
+    the level's rank decision does: a sine at or below that cutoff.
     """
     if level.degenerate:
         raise ValueError(

@@ -5,7 +5,8 @@ factorizations cached on the Family: the level chain, one thin SVD of
 each level's residual off its trailing sum (m - 1 in all), and the full
 SVD of its stacked bases.  Check, the recursion and the iteration on an
 independent family, with or without an anchor or a trace, take only the
-chain; direct_solve on a generic family takes only the stacked SVD.
+chain; direct_solve and epsilon_solve on a generic family take only the
+stacked SVD.
 The stacked route cuts that SVD at dim_sum and reads the chain for it
 only where the stacked singular values do not show full column rank, so
 two chains take both: a dependent family's iteration, whose stacked
@@ -34,6 +35,7 @@ from ibap import (
     best_approximation,
     cos_friedrichs,
     direct_solve,
+    epsilon_solve,
     min_norm_stages,
     recover_with_measurements,
     solve_min_norm,
@@ -142,6 +144,7 @@ CHAINS = {
                               "generic", LEVELS, []),
     "direct_solve": (direct, "generic", [], STACKED),
     "direct_solve-deficient": (direct, "deficient", DEFICIENT_LEVELS, DEFICIENT_STACKED),
+    "epsilon_solve": (lambda f, pres: epsilon_solve(f, pres, 1e-6), "generic", [], STACKED),
     "best_approximation-trace": (iterate(True), "generic", LEVELS, []),
     "best_approximation": (iterate(False), "generic", LEVELS, []),
     "best_approximation-dependent-trace": (iterate(True), "dependent",

@@ -290,6 +290,65 @@ class TestSolveMinNorm:
         assert np.linalg.norm(u.project(x) - pres[0]) <= 1e-10
 
 
+def near_dependent_draws(seed, count):
+    """Families of 2-4 members in R^3..R^13, one spanning row of one member
+    replaced by a combination of the other members' rows plus a perturbation
+    of 1e-17 to 1e-12, with prescriptions P_i x0; about half are independent,
+    many with a level sine within a few eps of the rank cutoff."""
+    rng = rng_for(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 14))
+        m = int(rng.integers(2, 5))
+        rows = [rng.standard_normal((int(rng.integers(1, max(1, n // m) + 1)), n))
+                for _ in range(m)]
+        i = int(rng.integers(m))
+        others = np.vstack(rows[:i] + rows[i + 1:])
+        delta = 10.0 ** rng.uniform(-17, -12)
+        rows[i][0] = rng.standard_normal(len(others)) @ others + delta * rng.standard_normal(n)
+        family = Family(tuple(Subspace.from_spanning(list(r), n) for r in rows))
+        x0 = rng.standard_normal(n)
+        yield family, [s.project(x0) for s in family]
+
+
+class TestNearTheRankCutoff:
+    """The level step divides by the level sine, so it is backward stable
+    only where the kept columns of W hold no component in the tail."""
+
+    def test_recursion_is_as_accurate_as_the_stacked_solve(self):
+        independent = 0
+        for family, pres in near_dependent_draws(0, 3000):
+            if not check_independence(family):
+                continue
+            independent += 1
+            got = prescription_residual(family, pres, solve_min_norm(family, pres))
+            ref = prescription_residual(family, pres, direct_solve(family, pres).particular)
+            assert got <= 20 * max(ref, 1e-15), (family, got, ref)
+        assert independent > 1000
+
+    def test_chain_columns_are_orthogonal_to_the_tail(self):
+        for family, _ in near_dependent_draws(1, 500):
+            levels, basis, widths = family._chain
+            for lev, width in zip(levels, widths):
+                lean = np.abs(basis[:, :width].conj().T @ lev.w[:, :lev.rank])
+                assert lean.max(initial=0.0) <= family.ambient_dim * np.finfo(float).eps
+
+    def test_pair_just_above_the_cutoff(self):
+        rng = rng_for(4)
+        n = 5
+        vrows = rng.standard_normal((2, n))
+        urow, g, c, x0 = (rng.standard_normal(n), rng.standard_normal(n),
+                          rng.standard_normal(2), rng.standard_normal(n))
+        v = Subspace.from_spanning(list(vrows), n)
+        u = Subspace.from_spanning([urow, c @ vrows + 10.0 ** -15.1 * g], n)
+        level = _pair(u, v)
+        assert 1.0 < level.sines[-1] / (n * np.finfo(float).eps) < 1.2
+        f = Family((u, v))
+        pres = [u.project(x0), v.project(x0)]
+        z = solve_two(AffineConstraint(u, pres[0]), AffineConstraint(v, pres[1]))
+        ref = prescription_residual(f, pres, direct_solve(f, pres).particular)
+        assert prescription_residual(f, pres, z) <= 20 * max(ref, 1e-15)
+
+
 class TestDirectSolve:
     def test_zero_prescription(self):
         rng = rng_for(714)
