@@ -10,7 +10,7 @@ cosine paired with the sine s_j is ||T^H B v_j|| for its right singular
 vector v_j.  The same factorization gives each level of a family's
 trailing-sum chain (see Family) and the recursion's level step; its rank
 (the sines above the cutoff at unit scale) is the one rank decision that
-the verdict, the degenerate flags, gamma and the level step's refusal read.
+the verdict, the degenerate flags, gamma and the recursion's refusal read.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ import os
 import re
 import reprlib
 import sys
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import orjson
@@ -179,8 +179,7 @@ def _vector_value_entries(raw, n: int, field: str, what: str, path: str):
     return vectors, values
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """Raw content of a check/solve/iterate problem file."""
 
     field: str
@@ -313,16 +312,8 @@ def _report_dict(report: IbapReport, unique: bool) -> dict:
         "sum_dims": report.sum_dims,
         "dim_sum": report.dim_sum,
         "sums_closed": True,
-        "levels": [
-            {
-                "index": lev.index,
-                "norm": lev.norm,
-                "cos_angle": lev.cos_angle,
-                "gamma": None if math.isinf(lev.gamma) else lev.gamma,
-                "degenerate": lev.degenerate,
-            }
-            for lev in report.levels
-        ],
+        "levels": [{**lev._asdict(), "gamma": None if math.isinf(lev.gamma) else lev.gamma}
+                   for lev in report.levels],
     }
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,7 @@ class IbapFailureError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class InfeasibilityCertificate:
+class InfeasibilityCertificate(NamedTuple):
     """Witness that a prescription admits no exact solution.
 
     residual is the distance of the stacked coordinates b from the kept
@@ -159,8 +159,7 @@ class Family:
         return self._chain[1].shape[1]
 
 
-@dataclass(frozen=True)
-class LevelCertificate:
+class LevelCertificate(NamedTuple):
     """Certificates for one level i, pairing U_i against the trailing sum.
 
     norm is the projector-product norm of the pair, cos_angle the
@@ -179,8 +178,7 @@ class LevelCertificate:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class IbapReport:
+class IbapReport(NamedTuple):
     """Outcome of the IBAP decision with its per-level certificates.
 
     verdict coincides with linear independence of the subspaces, the
@@ -339,8 +337,7 @@ def uniqueness_check(family: Family) -> bool:
     return family.dim_sum == family.ambient_dim
 
 
-@dataclass(frozen=True)
-class PairBound:
+class PairBound(NamedTuple):
     """Sandwich bounds for one pair of nearly bi-orthogonal sequences.
 
     sup_inner is the largest same-index scalar product magnitude; the
@@ -355,8 +352,7 @@ class PairBound:
     norm: float
 
 
-@dataclass(frozen=True)
-class BiorthogonalReport:
+class BiorthogonalReport(NamedTuple):
     pairs: tuple
     condition_sum: float
     family: Family

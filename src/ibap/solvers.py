@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import _Level, _pair
+from .angles import _Level
 from .family import (
     Family,
     IbapFailureError,
@@ -42,7 +42,7 @@ from .family import (
     validate_prescription,
     verify_ibap,
 )
-from .subspaces import Subspace, _check_compatible, as_field_vector
+from .subspaces import Subspace, as_field_vector
 
 #: sweeps in the first block of best_approximation's residual and trace bookkeeping
 _BLOCK = 32
@@ -117,8 +117,7 @@ class ConvergenceTrace:
                          zip(index, self.residuals, self.distances or [None] * sweeps, bounds)))
 
 
-@dataclass(frozen=True, eq=False)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     """The affine solution set: a particular solution plus the parallel
     subspace (the intersection of all constraint complements)."""
 
@@ -142,13 +141,9 @@ def _level_step(level: _Level, basis: np.ndarray, u: np.ndarray, v: np.ndarray) 
     and (I - C C^H)^(-1) C = C M; together they give
     x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  W holds no
     component in T (see angles._factor_level), so dividing by the sines
-    keeps the step backward stable down to the rank cutoff.  Refuses where
-    the level's rank decision does: a sine at or below that cutoff.
+    keeps the step backward stable down to the rank cutoff, above which
+    min_norm_stages' independence check keeps every sine.
     """
-    if level.degenerate:
-        raise ValueError(
-            f"projector-product norm {level.norm:.17g} is too close to 1: "
-            "the two-subspace inverse best approximation hypothesis fails")
     return v + level.w @ ((level.vh @ (basis.conj().T @ (u - v))) / level.sines)
 
 
@@ -156,8 +151,8 @@ def solve_two(c1: AffineConstraint, c2: AffineConstraint) -> np.ndarray:
     """Minimal-norm point satisfying two prescribed-projection constraints.
 
     One level step of the minimal-norm recursion, with c1 as the level
-    and c2 as the trailing solution; requires the projector-product norm
-    of the pair below 1.
+    and c2 as the trailing solution; an intersecting pair raises
+    IbapFailureError, as the recursion does.
     """
     return extend_min_norm(c1.subspace, c2.subspace, c1.point, c2.point)
 
@@ -168,12 +163,13 @@ def extend_min_norm(level: Subspace, trailing: Subspace, u, v) -> np.ndarray:
     Given the prescribed point u in `level` and a point v of `trailing`
     (the minimal-norm solution of the constraints after this level),
     returns the point of level + trailing projecting to u on `level` and
-    to v on `trailing`, from one residual SVD of the pair (see _level_step).
+    to v on `trailing`: solve_min_norm on the two-member family, whose
+    chain is one residual SVD of the pair (see _level_step).
     """
-    _check_compatible(level, trailing)
+    family = Family((level, trailing))
     u = level.member(u, what="level point")
     v = trailing.member(v, what="trailing point")
-    return _level_step(_pair(level, trailing), level.basis, u, v)
+    return solve_min_norm(family, [u, v])
 
 
 def min_norm_stages(family: Family, prescription) -> list:

@@ -165,6 +165,17 @@ class TestCheck:
         assert len(doc["levels"]) == 2
         assert all(lev["gamma"] == 1.0 for lev in doc["levels"])
 
+    def test_json_report_bytes_of_a_dependent_family(self, tmp_path):
+        # key order, indent=1 and the degenerate level's null gamma
+        path = write_json(tmp_path / "dep.json", dependent_planes_doc())
+        out = tmp_path / "report.json"
+        assert main(["check", path, "--json-out", str(out)]) == EXIT_NO_IBAP
+        assert out.read_bytes() == (
+            b'{\n "verdict": false,\n "independent": false,\n "unique": true,\n'
+            b' "alpha": 1.0,\n "sum_dims": 4,\n "dim_sum": 3,\n "sums_closed": true,\n'
+            b' "levels": [\n  {\n   "index": 1,\n   "norm": 1.0,\n   "cos_angle": 0.0,\n'
+            b'   "gamma": null,\n   "degenerate": true\n  }\n ]\n}\n')
+
     def test_unwritable_json_out_exit_four(self, tmp_path, capsys):
         path = write_json(tmp_path / "axes.json", axes_doc())
         out = tmp_path / "missing" / "report.json"

@@ -106,3 +106,27 @@ def test_last_line_of_equal_runs_names_no_difference():
     lines, _ = compare_outputs.compare([record()], [record()])
     assert lines[-1].endswith(
         "; largest solution difference: none; largest trace difference: none")
+
+
+REPORT = '{\n "verdict": true\n}\n'
+
+
+def test_reports_are_compared_byte_for_byte():
+    checked = dict(record(), report=REPORT)
+    lines, ok = compare_outputs.compare([checked], [checked])
+    assert ok and "report equal" in lines[0]
+    assert lines[-1].startswith("1 of 1 commands byte-identical; 1 of 1 --json-out reports equal")
+    lines, ok = compare_outputs.compare([checked], [dict(record(), report=REPORT + " ")])
+    assert ok and "report DIFFERS" in lines[0]
+    assert lines[-1].startswith("0 of 1 commands byte-identical; 0 of 1 --json-out reports equal")
+    lines, ok = compare_outputs.compare([checked], [record()])
+    assert not ok and "report MISSING on one side" in lines[0]
+
+
+def test_each_check_command_writes_its_report():
+    runs = compare_outputs.run_side(os.path.join(ROOT, "src"), ["applications"], [5],
+                                    scale="smoke")
+    checks = [r for r in runs if r["argv"][0] == "check"]
+    assert checks and all(r["argv"][-2] == "--json-out" for r in checks)
+    assert all("verdict" in json.loads(r["report"]) for r in checks)
+    assert all(r["report"] is None for r in runs if r["argv"][0] != "check")

@@ -12,9 +12,10 @@ only where the stacked singular values do not show full column rank, so
 two chains take both: a dependent family's iteration, whose stacked
 solve decides feasibility, and direct_solve on an independent family
 whose stack is numerically deficient.  None of these chains builds a
-complement or calls a linear solve.  A lone pair
-(the two-constraint solve, the Friedrichs cosine) takes one thin SVD of
-its residual, and an operator system adds one thin SVD per operator to
+complement or calls a linear solve.  A lone pair (the Friedrichs
+cosine) takes one thin SVD of its residual; the two-constraint solve
+takes the two-member chain, that one thin SVD plus its QR, and an
+operator system adds one thin SVD per operator to
 the chain of its family.  The periodic projection sweep makes no
 per-sweep call of Subspace.project or affine_project.
 """
@@ -195,8 +196,8 @@ def test_solve_two_takes_one_residual_svd(field, log):
     log.clear()
     z = solve_two(c1, c2)
     assert np.allclose(v.project(z), c2.point)
-    # the residual of the level off the trailing member serves the guard
-    # and both resolvents
+    # the two-member chain's one residual, of the level off the trailing
+    # member, serves the independence check and both resolvents
     assert log == [("svd", (N, 3), False, True)]
 
 

@@ -125,6 +125,25 @@ class TestVerifyIbap:
         assert math.isinf(rep.levels[0].gamma) or rep.levels[0].gamma > 1e4
         assert rep.alpha == 1.0
 
+    def test_report_repr_of_two_lines(self):
+        e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 2.0])
+        assert repr(verify_ibap(lines(e0, e1))) == (
+            "IbapReport(verdict=True, independent=True, levels=(LevelCertificate("
+            "index=1, norm=0.0, cos_angle=0.0, gamma=1.0, degenerate=False),), "
+            "alpha=0.0, sum_dims=2, dim_sum=2)")
+        assert repr(verify_ibap(lines(e0, 3 * e0))) == (
+            "IbapReport(verdict=False, independent=False, levels=(LevelCertificate("
+            "index=1, norm=1.0, cos_angle=0.0, gamma=inf, degenerate=True),), "
+            "alpha=1.0, sum_dims=2, dim_sum=1)")
+
+    def test_report_is_a_named_tuple(self):
+        rep = verify_ibap(lines(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+        verdict, independent, levels, alpha, sum_dims, dim_sum = rep
+        assert (verdict, independent, alpha, sum_dims, dim_sum) == (True, True, 0.0, 2, 2)
+        assert levels[0] == (1, 0.0, 0.0, 1.0, False)
+        assert list(levels[0]._asdict()) == ["index", "norm", "cos_angle", "gamma", "degenerate"]
+        assert rep._replace(alpha=0.5).alpha == 0.5 and rep.alpha == 0.0
+
     def test_single_member_family_is_trivially_solvable(self):
         rng = rng_for(501)
         f = random_family(rng, 5, [3])

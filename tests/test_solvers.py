@@ -194,6 +194,14 @@ class TestSolveTwo:
             solve_two(AffineConstraint(u, np.array([1.0, 0.0])),
                       AffineConstraint(u, np.array([2.0, 0.0])))
 
+    def test_intersecting_pair_is_refused_with_the_recursions_report(self):
+        plane = Subspace.from_spanning([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 3)
+        with pytest.raises(IbapFailureError) as err:
+            solve_two(AffineConstraint(line(1, 0, 0), np.array([1.0, 0.0, 0.0])),
+                      AffineConstraint(plane, np.array([0.0, 1.0, 0.0])))
+        assert err.value.report.verdict is False
+        assert err.value.report.levels[0].degenerate
+
 
 class TestExtendMinNorm:
     def test_orthogonal_pair_reduces_to_addition(self):

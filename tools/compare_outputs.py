@@ -9,25 +9,29 @@ each ``slowdemo`` command a second time with ``--trace`` into its
 workdir, so that its distances are compared too, and twice more from a
 random unit ``--start`` drawn from a generator seeded by the workload
 seed, without and with ``--trace``: that run crosses several blocks of
-sweeps before it settles; once with
-the ``src/`` of the revision (extracted with ``git archive`` into a
-temporary directory) and once with the ``src/`` of the working tree.
+sweeps before it settles.  Each ``check`` command runs with
+``--json-out`` into its workdir, so that its report file is compared
+too.  All of them run once with the ``src/`` of the revision (extracted
+with ``git archive`` into a temporary directory) and once with the
+``src/`` of the working tree.
 Both sides take their commands from the working tree's ``bench/``, so
 they run the same argv on byte-identical problem files.  Each side runs
 in its own interpreter with BLAS pinned to one thread, calling
 ``ibap.cli.main`` in-process as the benchmark does; the temporary paths
 in argv, stdout and stderr are replaced by ``<workdir>``.
 
-One line per command reports its exit codes, whether stderr, stdout and
-the ``--trace`` CSV are byte-equal, and where they differ the largest
-difference: norm-wise relative for the printed solution, and per trace
-column the largest absolute and relative difference.  Where stderr
-differs, the revision's and the working tree's stderr follow that line,
-indented and marked ``-`` and ``+`` line by line.  The last line
-sums up, and names the largest solution difference and the largest
-relative trace-column difference over all commands, each with its
-command.  Exits 1 when an exit code or a sweep count differs
-(the ``sweeps:`` line or the trace's ``iter`` column), 0 otherwise.
+One line per command reports its exit codes, whether stderr, stdout,
+the ``--trace`` CSV and the ``--json-out`` report are byte-equal, and
+where they differ the largest difference: norm-wise relative for the
+printed solution, and per trace column the largest absolute and
+relative difference.  Where stderr differs, the revision's and the
+working tree's stderr follow that line, indented and marked ``-`` and
+``+`` line by line.  The last line sums up, counts the equal reports,
+and names the largest solution difference and the largest relative
+trace-column difference over all commands, each with its command.
+Exits 1 when an exit code or a sweep count differs (the ``sweeps:``
+line or the trace's ``iter`` column), or when a trace or report is
+written on one side only, 0 otherwise.
 Run it from the repository root.
 """
 
@@ -86,6 +90,10 @@ def _run_side_here(src, workdir, workloads_, seeds, scale):
                         cmds.append(dataclasses.replace(
                             cmd, argv=cmd.argv + extra + ("--trace", path), trace_path=path))
             for i, cmd in enumerate(cmds):
+                report_path = None
+                if cmd.argv[0] == "check":
+                    report_path = os.path.join(wd, f"check-{i}.json")
+                    cmd = dataclasses.replace(cmd, argv=cmd.argv + ("--json-out", report_path))
                 out, err = io.StringIO(), io.StringIO()
                 with redirect_stdout(out), redirect_stderr(err):
                     try:
@@ -95,14 +103,18 @@ def _run_side_here(src, workdir, workloads_, seeds, scale):
                     except Exception:  # a crash is reported, not fatal
                         code = "crash"
                         err.write(traceback.format_exc(limit=3).strip().splitlines()[-1])
-                trace = None
+                trace = report = None
                 if cmd.trace_path and os.path.isfile(cmd.trace_path):
                     with open(cmd.trace_path) as fh:
                         trace = fh.read()
+                if report_path and os.path.isfile(report_path):
+                    with open(report_path, "rb") as fh:
+                        report = fh.read().decode()
                 records.append({"workload": workload, "seed": seed, "index": i,
                                 "kind": cmd.kind, "argv": [norm(a) for a in cmd.argv],
                                 "exit": code, "stdout": norm(out.getvalue()),
-                                "stderr": norm(err.getvalue()), "trace": trace})
+                                "stderr": norm(err.getvalue()), "trace": trace,
+                                "report": report})
     return records
 
 
@@ -201,7 +213,7 @@ def compare(old_records, new_records):
     """One report line per command and a summary that ends with the largest
     nonzero solution and relative trace-column differences, each with its
     command; returns (lines, ok)."""
-    lines, ok, identical = [], True, 0
+    lines, ok, identical, reports, equal_reports = [], True, 0, 0, 0
     solution = trace = None  # (rel, head) and (rel, abs, column, head)
     if len(old_records) != len(new_records):
         return [f"{len(old_records)} commands at the revision, "
@@ -242,13 +254,24 @@ def compare(old_records, new_records):
             parts.append("trace DIFFERS (" + "; ".join(
                 f"{k} {v}" if isinstance(v, str) else f"{k} abs {v[0]:.2e} rel {v[1]:.2e}"
                 for k, v in columns.items()) + ")")
-        same = all(old[k] == new[k] for k in ("exit", "stderr", "stdout", "trace"))
+        old_report, new_report = old.get("report"), new.get("report")
+        if old_report is not None or new_report is not None:
+            reports += 1
+            equal_reports += old_report == new_report
+            if old_report is None or new_report is None:
+                ok = False
+                parts.append("report MISSING on one side")
+            else:
+                parts.append("report " + ("equal" if old_report == new_report else "DIFFERS"))
+        same = all(old.get(k) == new.get(k)
+                   for k in ("exit", "stderr", "stdout", "trace", "report"))
         identical += same
         lines.append(f"{head}: " + ", ".join(parts))
         if old["stderr"] != new["stderr"]:
             lines += [f"    {sign} {text}" for sign, side in (("-", old), ("+", new))
                       for text in side["stderr"].splitlines() or [""]]
     lines.append(f"{identical} of {len(old_records)} commands byte-identical; "
+                 f"{equal_reports} of {reports} --json-out reports equal; "
                  + ("exit codes and sweep counts agree" if ok
                     else "exit codes or sweep counts DIFFER")
                  + "; largest solution difference: "
