@@ -28,7 +28,7 @@ import os
 import re
 import reprlib
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -344,17 +344,49 @@ def _write_text(path: str, text: str, mode: str = "w") -> None:
         raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+#: a value in [1e-5, 1e-4) as orjson writes it, after its comma and sign
+_FIFTH_DECADE = re.compile(rb"(,-?)0\.0000([1-9])(\d*)")
+
+
+def _fifth_decade_repr(match) -> bytes:
+    lead, head, tail = match.groups()
+    return lead + head + (b"." + tail if tail else b"") + b"e-05"
+
+
+def _repr_column(values) -> list:
+    """list(map(repr, values)) for a sequence of floats or ints, from one orjson.dumps.
+
+    orjson writes the shortest round-trip digits, as repr does, in another
+    layout: exponents without "+" or zero padding, and values in
+    [1e-5, 1e-4) positional; both are mended on the bytes.  A column with
+    a non-finite value, which orjson writes as null, goes through repr.
+    """
+    if not values:
+        return []
+    data = orjson.dumps(values)
+    if b"null" in data:
+        return list(map(repr, values))
+    # each value between commas; orjson writes exponents from -6 down
+    data = b"," + data[1:-1].replace(b"e", b"e+").replace(b"e+-", b"e-") + b","
+    for digit in b"6789":
+        data = data.replace(b"e-%c," % digit, b"e-0%c," % digit)
+    if b"0.0000" in data:
+        data = _FIFTH_DECADE.sub(_fifth_decade_repr, data)
+    return data[1:-1].decode().split(",")
+
+
 def _write_trace_csv(path: str | None, trace) -> None:
-    """With a path, write the trace as CSV (repr fields, CRLF line ends) and say so."""
+    """With a path, write the trace as CSV (repr fields, CRLF line ends) and say so.
+
+    The rows are zipped from the trace's columns and bounds, each formatted
+    by one _repr_column; no IterationRecord is built.
+    """
     if not path:
         return
-
-    def field(v):
-        return "" if v is None else repr(v)
-
-    rows = "".join(f"{r.index},{r.max_residual!r},{field(r.dist_to_solution)},{field(r.bound)}\r\n"
-                   for r in trace.records)
-    _write_text(path, "iter,max_residual,dist_to_solution,bound\r\n" + rows)
+    columns = [list(range(1, trace.sweeps + 1)), trace.residuals, trace.distances, trace.bounds]
+    fields = [_repr_column(c) if c is not None else repeat("") for c in columns]
+    rows = "\r\n".join(map(",".join, zip(*fields)))
+    _write_text(path, f"iter,max_residual,dist_to_solution,bound\r\n{rows}\r\n")
     print(f"trace written to {path}")
 
 
@@ -492,12 +524,12 @@ def cmd_slowdemo(args) -> int:
     family, predicted = slow_family(spec)
     start = (worst_aligned_start(spec) if args.start is None
              else _vector(_loads(args.start, "--start"), family.ambient_dim, REAL, "--start"))
-    # slow_convergence_demo's run, on this family, whose level chain rate_bound reuses
+    # a family without the property is refused before the run, which
+    # reuses the level chain that rate_bound builds
+    alpha = rate_bound(family)
     zeros = np.zeros(family.ambient_dim)
     _, trace = _iterate(args, family, [zeros, zeros], start, bool(args.trace))
     print(f"predicted norm: {predicted!r}")
-    # trace.alpha is None without the property; rate_bound then raises
-    alpha = trace.alpha if trace.alpha is not None else rate_bound(family)
     print(f"rate bound alpha: {alpha!r}")
     print(f"per-sweep contraction (squared norm): {predicted * predicted!r}")
     print(f"sweeps: {trace.sweeps}  converged: {'yes' if trace.converged else 'no'}")

@@ -42,12 +42,15 @@ from .family import (
     validate_prescription,
     verify_ibap,
 )
-from .subspaces import Subspace, as_field_vector
+from .subspaces import Subspace, _binary_scale, as_field_vector
 
 #: sweeps in the first block of best_approximation's residual and trace bookkeeping
 _BLOCK = 32
 #: most sweeps in any block; each block may be twice the one before
 _MAX_BLOCK = 128
+#: best_approximation scales the norms of its blocks where the largest entry
+#: of start and reference lies outside [1 / _UNSCALED, _UNSCALED]
+_UNSCALED = 2.0 ** 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +97,8 @@ class IterationRecord(NamedTuple):
 class ConvergenceTrace:
     """A run of the iteration as per-sweep columns: each sweep's residual
     and, with record_trace, its distance to the solution (else None).
-    records, one IterationRecord per sweep with its bound alpha^n * d0, is
-    built from them when first read."""
+    records, one IterationRecord per sweep with its bound, is built from
+    them and bounds when first read."""
 
     residuals: tuple
     distances: tuple | None
@@ -107,14 +110,22 @@ class ConvergenceTrace:
     def sweeps(self) -> int:
         return len(self.residuals)
 
+    @property
+    def bounds(self) -> list | None:
+        """The bound alpha^n * d0 of each sweep n, or None without alpha."""
+        if self.alpha is None:
+            return None
+        alpha, d0 = self.alpha, self.initial_distance
+        return [alpha ** n * d0 for n in range(1, self.sweeps + 1)]
+
     @functools.cached_property
     def records(self) -> tuple:
-        sweeps, alpha, d0 = self.sweeps, self.alpha, self.initial_distance
-        index = range(1, sweeps + 1)
-        bounds = [alpha ** n * d0 for n in index] if alpha is not None else [None] * sweeps
+        sweeps = self.sweeps
+        none = [None] * sweeps
         # tuple.__new__ makes the IterationRecords without a Python frame each
         return tuple(map(tuple.__new__, itertools.repeat(IterationRecord, sweeps),
-                         zip(index, self.residuals, self.distances or [None] * sweeps, bounds)))
+                         zip(range(1, sweeps + 1), self.residuals, self.distances or none,
+                             self.bounds or none)))
 
 
 class SolutionSet(NamedTuple):
@@ -163,13 +174,29 @@ def extend_min_norm(level: Subspace, trailing: Subspace, u, v) -> np.ndarray:
     Given the prescribed point u in `level` and a point v of `trailing`
     (the minimal-norm solution of the constraints after this level),
     returns the point of level + trailing projecting to u on `level` and
-    to v on `trailing`: solve_min_norm on the two-member family, whose
+    to v on `trailing`: the recursion on the two-member family, whose
     chain is one residual SVD of the pair (see _level_step).
     """
     family = Family((level, trailing))
-    u = level.member(u, what="level point")
-    v = trailing.member(v, what="trailing point")
-    return solve_min_norm(family, [u, v])
+    pres = [level.member(u, what="level point"), trailing.member(v, what="trailing point")]
+    _require_independence(family)
+    return _stages(family, pres)[-1]
+
+
+def _require_independence(family: Family) -> None:
+    """The recursion's one gate: refuse a family without the IBAP."""
+    if not check_independence(family):
+        raise IbapFailureError(
+            "family does not satisfy the inverse best approximation property",
+            verify_ibap(family))
+
+
+def _stages(family: Family, pres: list) -> list:
+    """min_norm_stages on a validated prescription of an independent family."""
+    stages = [pres[-1]]
+    for s, level, u in reversed(list(zip(family.subspaces, family._chain[0], pres))):
+        stages.append(_level_step(level, s.basis, u, stages[-1]))
+    return stages
 
 
 def min_norm_stages(family: Family, prescription) -> list:
@@ -179,15 +206,8 @@ def min_norm_stages(family: Family, prescription) -> list:
     minimal-norm solution of the whole prescription.  Requires the IBAP;
     each level step comes from the family's cached level chain.
     """
-    if not check_independence(family):
-        raise IbapFailureError(
-            "family does not satisfy the inverse best approximation property",
-            verify_ibap(family))
-    pres = validate_prescription(family, prescription)
-    stages = [pres[-1]]
-    for s, level, u in reversed(list(zip(family.subspaces, family._chain[0], pres))):
-        stages.append(_level_step(level, s.basis, u, stages[-1]))
-    return stages
+    _require_independence(family)
+    return _stages(family, validate_prescription(family, prescription))
 
 
 def solve_min_norm(family: Family, prescription, anchor=None) -> np.ndarray:
@@ -213,14 +233,20 @@ def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
     infeasibility certificate where family._checked_lstsq finds the
     stacked coordinates b infeasible.
     """
-    x, residual, feasible = stacked_lstsq(family, validate_prescription(family, prescription))
+    x = _stacked_point(family, validate_prescription(family, prescription))
+    u, _, _, rank = family._stacked
+    return SolutionSet(particular=_toward_anchor(u[:, :rank], x, anchor),
+                       parallel=Subspace(u[:, rank:]))
+
+
+def _stacked_point(family: Family, pres: list) -> np.ndarray:
+    """direct_solve's minimal-norm particular solution of a validated prescription."""
+    x, residual, feasible = stacked_lstsq(family, pres)
     if not feasible:
         raise InfeasiblePrescriptionError(
             f"prescription is infeasible (stacked residual {residual:.3e})",
             InfeasibilityCertificate(residual=residual, best_point=x))
-    u, _, _, rank = family._stacked
-    return SolutionSet(particular=_toward_anchor(u[:, :rank], x, anchor),
-                       parallel=Subspace(u[:, rank:]))
+    return x
 
 
 def _toward_anchor(basis: np.ndarray, x, anchor) -> np.ndarray:
@@ -277,6 +303,24 @@ def _sweep_map(t: np.ndarray, live: list, start: np.ndarray):
     return m, coords, (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
 
 
+def _row_norms(v: np.ndarray, scale: float, starts=None) -> np.ndarray:
+    """The norm of each row of the float64 array v, or with `starts` the
+    largest norm of the row's segments that begin there, overwriting v.
+
+    The squares are those of v / scale, for a power of two `scale`, and the
+    norms are multiplied by it: bit for bit the unscaled norms wherever no
+    square over- or underflows.
+    """
+    if scale != 1.0:
+        v /= scale
+    sq = np.square(v, out=v)
+    norms = np.sqrt(sq.sum(axis=1) if starts is None
+                    else np.add.reduceat(sq, starts, axis=1).max(axis=1))
+    if scale != 1.0:
+        norms *= scale
+    return norms
+
+
 def best_approximation(start, family: Family, prescription,
                        options: SolveOptions | None = None):
     """Periodic projection iteration from `start` onto the solution set.
@@ -284,24 +328,28 @@ def best_approximation(start, family: Family, prescription,
     Each validated prescription vector is projected onto its subspace
     once, so that it lies in the subspace to rounding; the reference
     solution (solve_min_norm's toward start, or for a dependent family,
-    whose feasibility the level chain cannot decide, direct_solve's), d0,
-    the sweeps and the residuals all use those projected vectors.  The
-    sweeps move x = start + T y only inside the sum of the members, whose
-    orthonormal basis T the level chain holds, so each is one (d+1)-square
-    map of [y; 1], d = dim_sum, built once per call; its iterates are those
-    of the affine projectors applied from the last constraint to the first,
-    up to rounding, and the residual max_i ||Q_i^H x - Q_i^H u_i|| is taken
-    in the same coordinates.  Stops when it drops to options.tol or after
+    whose feasibility the level chain cannot decide, direct_solve's, both
+    without validating again), d0, the sweeps and the residuals all use
+    those projected vectors.  The sweeps move x = start + T y only inside
+    the sum of the members, whose orthonormal basis T the level chain
+    holds, so each is one (d+1)-square map of [y; 1], d = dim_sum, built
+    once per call; its iterates are those of the affine projectors applied
+    from the last constraint to the first, up to rounding, and the
+    residual max_i ||Q_i^H x - Q_i^H u_i|| is taken in the same
+    coordinates.  Stops when it drops to options.tol or after
     options.max_iter sweeps; both outcomes are recorded in the returned
     trace, which holds each sweep's residual and, only with
-    options.record_trace, its distance to the true best approximation; its
-    records, with the bound values alpha^n * d0 when the family satisfies
-    the IBAP, are built on first read.  Only the map runs
-    per sweep, the rest once per block, bit for bit as one sweep at a time:
-    the first block has _BLOCK sweeps, each later one up to twice the one
-    before and at most _MAX_BLOCK, ending about where the previous block's
-    mean residual ratio reaches tol.  Sweeps past the stopping one are
-    dropped; the point is formed once, at the stop.  Returns (point, trace).
+    options.record_trace, its distance to the true best approximation,
+    ||y - c|| with c = T^H (reference - start); its records, with the
+    bound values alpha^n * d0 when the family satisfies the IBAP, are
+    built on first read.  d0, and for a start or reference of extreme size
+    the norms of each block, are taken of vectors scaled by a power of
+    two, so that no square overflows.  Only the map runs per sweep, the
+    rest once per block, bit for bit as one sweep at a time: the first
+    block has _BLOCK sweeps, each later one up to twice the one before and
+    at most _MAX_BLOCK, ending about where the previous block's mean
+    residual ratio reaches tol.  Sweeps past the stopping one are dropped;
+    the point is formed once, at the stop.  Returns (point, trace).
     """
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
@@ -310,16 +358,29 @@ def best_approximation(start, family: Family, prescription,
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
     if report.verdict:
-        reference = solve_min_norm(family, pres, anchor=start)
+        reference = _toward_anchor(family._chain[1], _stages(family, pres)[-1], start)
     else:
-        reference = direct_solve(family, pres, anchor=start).particular
-    d0 = float(np.linalg.norm(start - reference))
+        u, _, _, rank = family._stacked
+        reference = _toward_anchor(u[:, :rank], _stacked_point(family, pres), start)
+    diff = start - reference
+    p = _binary_scale(diff)
+    d0 = p * float(np.linalg.norm(diff / p))
+    # every iterate lies within d0 of the reference, so no entry of a
+    # residual or distance exceeds a small multiple of those of start and
+    # reference, up to rounding: norms taken at their power of two cannot
+    # overflow
+    scale = _binary_scale(np.concatenate([start, reference]))
+    if 1.0 / _UNSCALED <= scale <= _UNSCALED:
+        scale = 1.0
     # zero-dimensional members are exact identities and drop out
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start
     if live:
         t = family._chain[1]
         m, coords, starts = _sweep_map(t, live, start)
+        # reference - start lies in the span of T, so ||y - c|| is the
+        # distance ||start + T y - reference|| up to rounding
+        c = t.conj().T @ -diff
         y = np.append(np.zeros(t.shape[1], dtype=start.dtype), 1.0)
         # each sweep of a block writes its [y; 1] into a row of one buffer
         # by ndarray.dot, the gemv of m @ y without the ufunc dispatch
@@ -333,19 +394,13 @@ def best_approximation(start, family: Family, prescription,
         ys = buf[:min(size, opts.max_iter - len(residuals))]
         for row in rows[:len(ys)]:
             y = dot(y, row)
-        # stacks of one-vector products round each sweep as a lone product
-        r = np.matmul(ys[:, None], coords)[:, 0].view(np.float64)
-        res = np.sqrt(np.add.reduceat(np.square(r, out=r), starts, axis=1).max(axis=1))
+        # a stack of one-vector products rounds each sweep as a lone product
+        res = _row_norms(np.matmul(ys[:, None], coords)[:, 0].view(np.float64), scale, starts)
         hit = np.flatnonzero(res <= opts.tol)
         take = int(hit[0]) + 1 if hit.size else len(ys)
         residuals += res[:take].tolist()
         if opts.record_trace:
-            # in place, bit for bit start + T y - reference, squared
-            p = np.matmul(t, ys[:take, :-1, None])[..., 0]
-            p += start
-            p -= reference
-            v = p.view(np.float64)
-            dists += np.sqrt(np.square(v, out=v).sum(axis=1)).tolist()
+            dists += _row_norms((ys[:take, :-1] - c).view(np.float64), scale).tolist()
         y = ys[take - 1]
         if hit.size:
             break

@@ -275,8 +275,8 @@ def one_map_iteration(start, family, prescription, options=None):
     """best_approximation as one loop over sweeps: each sweep takes [y; 1]
     on by the (d+1)-square map in the coordinates y of x = start + T y, T
     the chain basis of the sum, then takes its residual, iterate, distance
-    and record before the next one.  Returns (x, trace, records) as
-    reference_iteration does."""
+    ||y - c|| with c = T^H (reference - start), and record before the next
+    one.  Returns (x, trace, records) as reference_iteration does."""
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
     pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
@@ -310,6 +310,8 @@ def one_map_iteration(start, family, prescription, options=None):
             f = f - kv[:, lo:hi] @ (g[:, lo:hi].conj().T @ f + qs[lo:hi]) + kv[:, k + j]
         m = np.block([[np.eye(f.size) + kv[:, :k] @ c, f[:, None]], [np.zeros(f.size), 1.0]])
         coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
+        # the distance to the reference in the same coordinates
+        c = t.conj().T @ (reference - start)
         y = np.append(np.zeros_like(f), 1.0)
         # where each member's residual entries start in the real view of
         # the coordinates (two float64 entries per complex one)
@@ -326,8 +328,10 @@ def one_map_iteration(start, family, prescription, options=None):
         residuals.append(res)
         dist = None
         if opts.record_trace:
-            v = (x - reference).view(np.float64)
-            dist = math.sqrt((v * v).sum()) if live else d0
+            dist = d0
+            if live:
+                v = (y[:-1] - c).view(np.float64)
+                dist = math.sqrt((v * v).sum())
             dists.append(dist)
         bound = alpha ** n * d0 if alpha is not None else None
         records.append(IterationRecord(index=n, max_residual=res,

@@ -7,17 +7,20 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections import Counter
 from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ibap.angles
 import ibap.applications
 import ibap.cli
 import ibap.family
-from ibap import best_approximation, direct_solve
+from ibap import ConvergenceTrace, best_approximation, direct_solve
 from ibap.cli import (
     DEFAULT_MAX_ITER,
     EXIT_INFEASIBLE,
@@ -26,9 +29,11 @@ from ibap.cli import (
     EXIT_PARSE,
     ParseError,
     Problem,
+    _repr_column,
     _scalar,
     _vector,
     _vectors,
+    _write_trace_csv,
     build_family,
     build_parser,
     load_problem,
@@ -377,6 +382,25 @@ class TestIterate:
         path = write_json(tmp_path / "zs.json", zero_sum_doc())
         assert main(["iterate", path]) == EXIT_INFEASIBLE
 
+    def test_norms_of_a_huge_prescription_do_not_overflow(self, tmp_path, capsys):
+        # the squares of these entries overflow; their norms need not
+        doc = {"field": "real", "ambient_dim": 3,
+               "subspaces": [{"vectors": [[1, 0, 0]]}, {"vectors": [[1, 1, 0]]}],
+               "prescription": [[1e200, 0, 0], [1e200, 1e200, 0]]}
+        path = write_json(tmp_path / "huge.json", doc)
+        trace = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["iterate", path, "--max-iter", "40", "--trace", str(trace)]) == EXIT_OK
+        out = capsys.readouterr().out
+        residual = float(out.split("max residual: ")[1])
+        assert 0.0 < residual < 1e190
+        rows = list(csv.reader(trace.open()))[1:]
+        assert len(rows) == 40
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        # the distance to the solution 1e200 (e0 + e1) shrinks below d0
+        assert float(rows[-1][2]) < float(rows[0][3]) < math.sqrt(2) * 1e200
+
     def test_unwritable_trace_exit_four(self, tmp_path, capsys):
         path = write_json(tmp_path / "axes.json", axes_doc())
         # a directory cannot be opened for writing
@@ -574,6 +598,16 @@ class TestSlowdemoCommand:
         assert main(["slowdemo", *argv]) == code
         assert len(calls) == 1
 
+    def test_a_family_without_the_property_is_refused_before_the_run(self, capsys,
+                                                                      monkeypatch):
+        runs = []
+        monkeypatch.setattr(ibap.cli, "best_approximation", lambda *args: runs.append(args))
+        assert main(["slowdemo", "--alphas", "[1e-300]"]) == EXIT_NO_IBAP
+        captured = capsys.readouterr()
+        assert runs == [] and captured.out == ""
+        assert captured.err == ("property failure: rate bound presupposes the inverse "
+                                "best approximation property\n")
+
     def test_missing_arguments_exit_four(self):
         assert main(["slowdemo"]) == EXIT_PARSE
         assert main(["slowdemo", "--alphas", "nonsense"]) == EXIT_PARSE
@@ -589,9 +623,10 @@ class TestSlowdemoCommand:
 
 
 class TestDistancesOnlyWithATrace:
-    """iterate and slowdemo take the distances to the solution, and build
-    the trace's records, only for a --trace file; stdout is the same with
-    and without one, but for the line that names the file."""
+    """iterate and slowdemo take the distances to the solution only for a
+    --trace file, whose rows come from the trace's columns: no run builds
+    the trace's records.  stdout is the same with and without one, but for
+    the line that names the file."""
 
     @pytest.fixture
     def traced(self, monkeypatch):
@@ -616,7 +651,7 @@ class TestDistancesOnlyWithATrace:
         plain = capsys.readouterr().out
         assert main(argv + ["--trace", str(trace)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert [(r, "records" in t.__dict__) for r, t in traced] == [(False, False), (True, True)]
+        assert [(r, "records" in t.__dict__) for r, t in traced] == [(False, False), (True, False)]
         assert out.replace(f"trace written to {trace}\n", "") == plain
         assert plain.count("\n") + 1 == out.count("\n")
         assert all(row[2] for row in list(csv.reader(trace.open()))[1:])
@@ -625,6 +660,89 @@ class TestDistancesOnlyWithATrace:
         path = write_json(tmp_path / "sixty.json", sixty_degree_doc())
         assert main(["solve", path, "--method", "iterate"]) == EXIT_OK
         assert [(r, "records" in t.__dict__) for r, t in traced] == [(False, False)]
+
+
+def repr_trace_csv(trace) -> bytes:
+    """The trace CSV written from the trace's records, one repr per field."""
+    def field(v):
+        return "" if v is None else repr(v)
+
+    rows = "".join(f"{r.index},{r.max_residual!r},{field(r.dist_to_solution)},{field(r.bound)}\r\n"
+                   for r in trace.records)
+    return ("iter,max_residual,dist_to_solution,bound\r\n" + rows).encode()
+
+
+def decade_trace(alpha=0.9, with_distances=True, sweeps=300):
+    """A trace whose residuals, distances and bounds cross every decade
+    from 10 down to 1e-12, with ragged digits."""
+    rng = rng_for(760)
+    res = np.logspace(1, -12, sweeps) * rng.uniform(0.5, 2.0, sweeps)
+    dists = np.logspace(1.5, -12.5, sweeps) * rng.uniform(0.5, 2.0, sweeps)
+    return ConvergenceTrace(residuals=tuple(res.tolist()),
+                            distances=tuple(dists.tolist()) if with_distances else None,
+                            alpha=alpha, initial_distance=12.345678901234567,
+                            converged=True)
+
+
+class TestTraceCsv:
+    """_write_trace_csv builds each row from the trace's columns, every
+    float field formatted as repr by _repr_column, one orjson.dumps per
+    column."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=300, deadline=None)
+    def test_the_formatter_is_repr_on_finite_floats(self, values):
+        assert _repr_column(values) == list(map(repr, values))
+
+    def test_the_formatter_is_repr_on_random_bit_patterns(self):
+        bits = rng_for(761).integers(0, 2 ** 64, 200_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)].tolist()
+        assert _repr_column(values) == list(map(repr, values))
+
+    @pytest.mark.parametrize("values", [
+        [1e-5, 1e-4, 1e16], [-1e-5, -1e-4, -1e16],
+        [math.nextafter(1e-5, 0), math.nextafter(1e-4, 0), math.nextafter(1e16, 0)],
+        [5e-324, -5e-324, -0.0, 0.0, 1.0, 1e308, 2.2250738585072014e-308],
+        [1e-6, 9.5e-6, 1.5e-5, 10.00001, 100.00001, -0.00001234],
+        [], [3], list(range(1, 12)),
+    ], ids=["decade-boundaries", "negative-boundaries", "below-boundaries", "extremes",
+            "fifth-decade", "empty", "one-int", "ints"])
+    def test_the_formatter_at_its_edges(self, values):
+        assert _repr_column(values) == list(map(repr, values))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_column_falls_back_to_repr(self, bad):
+        values = [1e-5, bad, 2e16]
+        assert _repr_column(values) == ["1e-05", repr(bad), "2e+16"]
+
+    @pytest.mark.parametrize("trace", [
+        decade_trace(),
+        decade_trace(alpha=None),
+        decade_trace(with_distances=False),
+        decade_trace(alpha=None, with_distances=False),
+        decade_trace(sweeps=1),
+        ConvergenceTrace(residuals=(math.inf, 2e-5), distances=(math.nan, 0.0), alpha=0.5,
+                         initial_distance=math.inf, converged=False),
+    ], ids=["decades", "alpha-none", "distances-none", "neither", "one-sweep", "non-finite"])
+    def test_the_file_is_that_of_the_records(self, trace, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        _write_trace_csv(str(path), trace)
+        assert path.read_bytes() == repr_trace_csv(trace)
+        assert capsys.readouterr().out == f"trace written to {path}\n"
+
+    def test_a_slowdemo_trace_is_that_of_its_records(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            x, trace = best_approximation(*args)
+            seen.append(trace)
+            return x, trace
+
+        monkeypatch.setattr(ibap.cli, "best_approximation", spy)
+        path = tmp_path / "demo.csv"
+        assert main(["slowdemo", "--truncation", "6", "--trace", str(path)]) == EXIT_OK
+        assert path.read_bytes() == repr_trace_csv(seen[0])
 
 
 NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "-1.8e308", "9" * 400]

@@ -47,6 +47,20 @@ def test_a_differing_exit_code_or_sweep_count_fails(new):
     assert not ok
 
 
+def test_a_text_difference_between_equal_values_fails():
+    # a formatter that wrote 1e-5 for 1e-05 changes the file, not the values
+    old = record(trace=TRACE.replace("1e-11", "1e-05"))
+    new = record(trace=TRACE.replace("1e-11", "1e-5").replace("0.25", "0.2500001"))
+    lines, ok = compare_outputs.compare([old], [new])
+    assert not ok and lines[-1].startswith("0 of 1 commands byte-identical")
+    assert "max_residual abs 0.00e+00 rel 0.00e+00 TEXT in 1 equal rows" in lines[0]
+    assert "dist_to_solution abs 1.00e-07 rel 4.00e-07;" in lines[0]
+    assert "exit codes, sweep counts or trace texts DIFFER" in lines[-1]
+    columns, same_iter = compare_outputs.trace_difference(old["trace"], new["trace"])
+    assert same_iter and columns["max_residual"] == (0.0, 0.0, 1)
+    assert columns["dist_to_solution"][2] == 0
+
+
 def test_differing_stderr_is_printed_under_its_command():
     old = dict(record(code=3), stderr="property failure: dependent\n")
     new = dict(record(code=3), stderr="hypothesis failure: masks too large\nsecond line\n")

@@ -605,6 +605,85 @@ class TestBestApproximation:
         assert trace.records[-1].dist_to_solution <= 1e-9
 
 
+class TestEachPrescriptionValidatedOnce:
+    """A call chain checks each prescription vector's membership once:
+    solve_two by extend_min_norm's level and trailing points, and
+    best_approximation by validate_prescription, whose reference solve
+    takes the projected vectors without checking them again."""
+
+    @pytest.fixture
+    def members(self, monkeypatch):
+        """The `what` of every Subspace.member call."""
+        seen = []
+        member = Subspace.member
+
+        def counted(self, x, what="vector"):
+            seen.append(what)
+            return member(self, x, what)
+
+        monkeypatch.setattr(Subspace, "member", counted)
+        return seen
+
+    def test_solve_two(self, members):
+        c1 = AffineConstraint(line(1, 0, 0), np.array([1.0, 0.0, 0.0]))
+        c2 = AffineConstraint(line(1, 1, 0), np.array([1.0, 1.0, 0.0]))
+        members.clear()
+        assert np.allclose(solve_two(c1, c2), [1.0, 1.0, 0.0], atol=1e-15)
+        assert members == ["level point", "trailing point"]
+
+    @pytest.mark.parametrize("dependent", [False, True], ids=["independent", "dependent"])
+    def test_best_approximation(self, members, dependent):
+        if dependent:
+            f = Family((line(1, 0, 0).complement(), line(0, 1, 0).complement()))
+            pres = [np.zeros(3), np.zeros(3)]
+        else:
+            f = axes_family(3)
+            pres = list(np.eye(3))
+        opts = SolveOptions(max_iter=50, record_trace=True)
+        best_approximation(np.ones(3), f, pres, opts)
+        assert members == [f"prescription vector {i + 1}" for i in range(len(f))]
+
+
+class TestIterationNormsDoNotOverflow:
+    """d0 is the norm of start - reference scaled by a power of two, and
+    the residuals and distances of each block are the norms of vectors
+    scaled by the power of two of start and reference where it lies
+    outside [2^-64, 2^64]: a run whose start, prescription and tol are
+    scaled by 2^600 or 2^-600 is the unscaled run times that scale,
+    exactly, where the unscaled squares would over- or underflow."""
+
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_scaled_run_is_the_run_times_the_scale(self, field, scale):
+        rng = rng_for(750)
+        f = random_family(rng, 7, [2, 1, 2], field)
+        pres = random_prescription(rng, f)
+        start = random_unit(rng, 7, field) * 3
+        opts = SolveOptions(tol=1e-11, record_trace=True)
+        x, trace = best_approximation(start, f, pres, opts)
+        big_x, big = best_approximation(
+            start * scale, f, [u * scale for u in pres],
+            SolveOptions(tol=opts.tol * scale, record_trace=True))
+        assert trace.converged and trace.sweeps > _BLOCK
+        assert (big.sweeps, big.converged) == (trace.sweeps, trace.converged)
+        assert big.initial_distance == trace.initial_distance * scale
+        assert big.residuals == tuple(r * scale for r in trace.residuals)
+        assert big.distances == tuple(d * scale for d in trace.distances)
+        assert big.bounds == [b * scale for b in trace.bounds]
+        assert np.array_equal(big_x, x * scale)
+
+    def test_the_recipe_of_two_lines(self):
+        e = np.eye(3)
+        f = Family((line(1, 0, 0), line(1, 1, 0)))
+        pres = [1e200 * e[0], 1e200 * (e[0] + e[1])]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x, trace = best_approximation(np.zeros(3), f, pres,
+                                          SolveOptions(max_iter=40, record_trace=True))
+        assert trace.initial_distance == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+        assert all(map(math.isfinite, trace.residuals + trace.distances))
+        assert np.allclose(x, 1e200 * (e[0] + e[1]), rtol=1e-12, atol=0)
+
+
 class TestSweepMatchesTheReference:
     """best_approximation runs each sweep as one small map on the
     coordinates y of x = start + T y, T the chain basis of the sum, and
@@ -907,8 +986,8 @@ class TestBlocksMatchOneSweepAtATime:
 
     @pytest.mark.parametrize("record_trace", [False, True])
     def test_products_follow_the_blocks_not_the_sweeps(self, record_trace, blocks, monkeypatch):
-        # each sweep is one ndarray.dot; np.matmul forms a block's residuals
-        # and, with a trace, its iterates
+        # each sweep is one ndarray.dot; np.matmul forms a block's residuals,
+        # and a trace's distances take none
         calls = []
         matmul = np.matmul
 
@@ -919,7 +998,7 @@ class TestBlocksMatchOneSweepAtATime:
         monkeypatch.setattr(np, "matmul", counted)
         _, trace = best_approximation(*self.harmonic_run(), SolveOptions(record_trace=record_trace))
         assert trace.sweeps == 5195 and len(blocks) == 42
-        assert len(calls) == (2 if record_trace else 1) * len(blocks)
+        assert len(calls) == len(blocks)
 
     @pytest.mark.parametrize("record_trace", [False, True])
     def test_dependent_family_without_a_bound(self, record_trace):

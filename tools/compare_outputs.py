@@ -29,9 +29,12 @@ working tree's stderr follow that line, indented and marked ``-`` and
 ``+`` line by line.  The last line sums up, counts the equal reports,
 and names the largest solution difference and the largest relative
 trace-column difference over all commands, each with its command.
+A trace row whose text differs while its value is equal (``1e-5`` for
+``1e-05``) is a text difference, counted per column.
 Exits 1 when an exit code or a sweep count differs (the ``sweeps:``
-line or the trace's ``iter`` column), or when a trace or report is
-written on one side only, 0 otherwise.
+line or the trace's ``iter`` column), when a trace column has a text
+difference, or when a trace or report is written on one side only, 0
+otherwise.
 Run it from the repository root.
 """
 
@@ -183,8 +186,9 @@ def differing_lines(old_stdout, new_stdout):
 
 
 def trace_difference(old_csv, new_csv):
-    """Per value column: (largest absolute, largest relative) difference,
-    or a string naming a structural mismatch; plus whether `iter` agrees."""
+    """Per value column: (largest absolute difference, largest relative
+    difference, rows whose text differs while their values are equal), or
+    a string naming a structural mismatch; plus whether `iter` agrees."""
     old = list(csv.reader(io.StringIO(old_csv)))
     new = list(csv.reader(io.StringIO(new_csv)))
     same_iter = [r[0] for r in old] == [r[0] for r in new]
@@ -193,19 +197,22 @@ def trace_difference(old_csv, new_csv):
     columns = {}
     for j, name in enumerate(old[0][1:], start=1):
         worst_abs = worst_rel = 0.0
+        text_only = 0
         for a, b in zip(old[1:], new[1:]):
-            if (a[j] == "") != (b[j] == ""):
+            if a[j] == b[j]:
+                continue
+            if a[j] == "" or b[j] == "":
                 worst_abs = worst_rel = float("inf")
                 break
-            if a[j] == "":
-                continue
             x, y = float(a[j]), float(b[j])
+            # 1e-5 for 1e-05, or -0.0 for 0.0: the same value written otherwise
+            text_only += x == y
             worst_abs = max(worst_abs, abs(y - x))
             if x:
                 worst_rel = max(worst_rel, abs(y - x) / abs(x))
             elif y:
                 worst_rel = float("inf")
-        columns[name] = (worst_abs, worst_rel)
+        columns[name] = (worst_abs, worst_rel, text_only)
     return columns, True
 
 
@@ -248,11 +255,13 @@ def compare(old_records, new_records):
         else:
             columns, same_iter = trace_difference(old["trace"], new["trace"])
             ok = ok and same_iter
-            for name, (worst_abs, worst_rel) in columns.items() if same_iter else ():
+            for name, (worst_abs, worst_rel, text_only) in columns.items() if same_iter else ():
+                ok = ok and not text_only
                 if worst_rel > (trace[0] if trace else 0.0):
                     trace = (worst_rel, worst_abs, name, head)
             parts.append("trace DIFFERS (" + "; ".join(
-                f"{k} {v}" if isinstance(v, str) else f"{k} abs {v[0]:.2e} rel {v[1]:.2e}"
+                f"{k} {v}" if isinstance(v, str) else
+                f"{k} abs {v[0]:.2e} rel {v[1]:.2e}" + (f" TEXT in {v[2]} equal rows" if v[2] else "")
                 for k, v in columns.items()) + ")")
         old_report, new_report = old.get("report"), new.get("report")
         if old_report is not None or new_report is not None:
@@ -272,8 +281,8 @@ def compare(old_records, new_records):
                       for text in side["stderr"].splitlines() or [""]]
     lines.append(f"{identical} of {len(old_records)} commands byte-identical; "
                  f"{equal_reports} of {reports} --json-out reports equal; "
-                 + ("exit codes and sweep counts agree" if ok
-                    else "exit codes or sweep counts DIFFER")
+                 + ("exit codes, sweep counts and trace texts agree" if ok
+                    else "exit codes, sweep counts or trace texts DIFFER")
                  + "; largest solution difference: "
                  + (f"rel {solution[0]:.2e} at {solution[1]}" if solution else "none")
                  + "; largest trace difference: "
