@@ -22,7 +22,6 @@ from .applications import (
     dft_matrix,
     idft,
     recover_with_measurements,
-    slow_convergence_demo,
     slow_family,
     solve_moments,
     solve_operator_system,
@@ -53,7 +52,6 @@ from .family import (
 from .solvers import (
     AffineConstraint,
     ConvergenceTrace,
-    IterationRecord,
     SolutionSet,
     SolveOptions,
     affine_project,

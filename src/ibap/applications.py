@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .family import Family, _checked_lstsq, check_independence, verify_ibap
-from .solvers import ConvergenceTrace, SolveOptions, best_approximation, solve_min_norm
+from .solvers import solve_min_norm
 from .subspaces import (COMPLEX, Subspace, _binary_scale, _rank_from_singular_values,
                         as_field_vector)
 
@@ -338,17 +338,3 @@ def worst_aligned_start(spec: SlowFamilySpec) -> np.ndarray:
     r[2 * j + 1] = 1.0
     return r
 
-
-def slow_convergence_demo(spec: SlowFamilySpec, start,
-                          options: SolveOptions | None = None) -> ConvergenceTrace:
-    """Alternating projection run with the zero prescription.
-
-    The zero prescription is always feasible, so the run measures pure
-    rate degradation: started in the worst-aligned block, the per-sweep
-    contraction of the distance equals the squared predicted norm.
-    """
-    family, _ = slow_family(spec)
-    n = family.ambient_dim
-    zeros = np.zeros(n)
-    _, trace = best_approximation(start, family, [zeros, zeros], options)
-    return trace

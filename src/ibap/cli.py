@@ -61,7 +61,7 @@ from .solvers import (
     rate_bound,
     solve_min_norm,
 )
-from .subspaces import COMPLEX, REAL, Subspace, field_dtype, inner
+from .subspaces import COMPLEX, REAL, Subspace, _norm, field_dtype, inner
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -379,7 +379,7 @@ def _write_trace_csv(path: str | None, trace) -> None:
     """With a path, write the trace as CSV (repr fields, CRLF line ends) and say so.
 
     The rows are zipped from the trace's columns and bounds, each formatted
-    by one _repr_column; no IterationRecord is built.
+    by one _repr_column.
     """
     if not path:
         return
@@ -432,7 +432,7 @@ def cmd_solve(args) -> int:
     if anchor is not None:
         print("best approximation to anchor")
     print(f"solution: {_fmt_vector(x, problem.field)}")
-    print(f"norm: {float(np.linalg.norm(x))!r}")
+    print(f"norm: {_norm(x)!r}")
     print(f"max residual: {prescription_residual(family, prescription, x):.6e}")
     return EXIT_OK
 
@@ -466,8 +466,8 @@ def cmd_moments(args) -> int:
     vectors, values = _vector_value_entries(doc.get("constraints"), n, field, "constraint", path)
     x = solve_moments(space, vectors, values)
     print(f"solution: {_fmt_vector(x, field)}")
-    print(f"norm: {float(np.linalg.norm(x))!r}")
-    gap = float(np.linalg.norm(space.project(x) - x))
+    print(f"norm: {_norm(x)!r}")
+    gap = _norm(space.project(x) - x)
     print(f"space membership residual: {gap:.6e}")
     for i, (v, eta) in enumerate(zip(vectors, values)):
         err = abs(inner(x, v) - eta)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import _factor_level, projector_product_norm
-from .subspaces import _EPS, Subspace, _check_compatible, _rank_from_singular_values
+from .subspaces import _EPS, Subspace, _check_compatible, _norm, _rank_from_singular_values
 
 #: relative residual above which a least-squares system is declared
 #: inconsistent (see _checked_lstsq)
@@ -279,10 +279,10 @@ def _checked_lstsq(b: np.ndarray, factors):
     u, s, vh, rank = factors
     c = vh[:rank] @ b
     x = u[:, :rank] @ (c / s[:rank])
-    residual = float(np.linalg.norm(b - vh[:rank].conj().T @ c))
+    residual = _norm(b - vh[:rank].conj().T @ c)
     e = 4 * max(u.shape[0], vh.shape[1]) * _EPS * np.max(s, initial=0.0)
-    lean = float(np.linalg.norm(c / (s[:rank] - (s[rank] if rank < len(s) else 0.0))))
-    return x, residual, not residual > FEASIBILITY_RTOL * (1.0 + float(np.linalg.norm(b))) + e * lean
+    lean = _norm(c / (s[:rank] - (s[rank] if rank < len(s) else 0.0)))
+    return x, residual, not residual > FEASIBILITY_RTOL * (1.0 + _norm(b)) + e * lean
 
 
 def stacked_lstsq(family: Family, prescription: list):
@@ -320,8 +320,8 @@ def epsilon_solve(family: Family, prescription, epsilon: float) -> np.ndarray:
             "the subspaces are linearly dependent; approximate prescriptions are unattainable",
             cert)
     x = stacked_lstsq(family, pres)[0]
-    residual = float(np.linalg.norm(np.concatenate(
-        [s.basis.conj().T @ (x - u) for s, u in zip(family.subspaces, pres)])))
+    residual = _norm(np.concatenate(
+        [s.basis.conj().T @ (x - u) for s, u in zip(family.subspaces, pres)]))
     if residual > epsilon:
         raise ArithmeticError(
             f"stacked solve residual {residual:.3e} exceeds epsilon {epsilon:.3e}")

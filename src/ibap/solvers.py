@@ -23,8 +23,6 @@ as power series or linear solves.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,7 +40,7 @@ from .family import (
     validate_prescription,
     verify_ibap,
 )
-from .subspaces import Subspace, _binary_scale, as_field_vector
+from .subspaces import Subspace, _binary_scale, _norm, as_field_vector
 
 #: sweeps in the first block of best_approximation's residual and trace bookkeeping
 _BLOCK = 32
@@ -83,22 +81,9 @@ class SolveOptions:
             raise ValueError("tol must be positive and finite")
 
 
-class IterationRecord(NamedTuple):
-    """State after one full sweep: constraint residual, optional distance
-    to the true best approximation, and the theoretical bound value."""
-
-    index: int
-    max_residual: float
-    dist_to_solution: float | None
-    bound: float | None
-
-
-@dataclass(frozen=True)
-class ConvergenceTrace:
+class ConvergenceTrace(NamedTuple):
     """A run of the iteration as per-sweep columns: each sweep's residual
-    and, with record_trace, its distance to the solution (else None).
-    records, one IterationRecord per sweep with its bound, is built from
-    them and bounds when first read."""
+    and, with record_trace, its distance to the solution (else None)."""
 
     residuals: tuple
     distances: tuple | None
@@ -117,15 +102,6 @@ class ConvergenceTrace:
             return None
         alpha, d0 = self.alpha, self.initial_distance
         return [alpha ** n * d0 for n in range(1, self.sweeps + 1)]
-
-    @functools.cached_property
-    def records(self) -> tuple:
-        sweeps = self.sweeps
-        none = [None] * sweeps
-        # tuple.__new__ makes the IterationRecords without a Python frame each
-        return tuple(map(tuple.__new__, itertools.repeat(IterationRecord, sweeps),
-                         zip(range(1, sweeps + 1), self.residuals, self.distances or none,
-                             self.bounds or none)))
 
 
 class SolutionSet(NamedTuple):
@@ -220,8 +196,7 @@ def solve_min_norm(family: Family, prescription, anchor=None) -> np.ndarray:
 def prescription_residual(family: Family, prescription, x) -> float:
     """max_i || P_i x - u_i ||, the observable constraint residual."""
     x = as_field_vector(x, family.ambient_dim, family.dtype)
-    return max(float(np.linalg.norm(s.project(x) - u))
-               for s, u in zip(family.subspaces, prescription))
+    return max(_norm(s.project(x) - u) for s, u in zip(family.subspaces, prescription))
 
 
 def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
@@ -340,15 +315,14 @@ def best_approximation(start, family: Family, prescription,
     options.max_iter sweeps; both outcomes are recorded in the returned
     trace, which holds each sweep's residual and, only with
     options.record_trace, its distance to the true best approximation,
-    ||y - c|| with c = T^H (reference - start); its records, with the
-    bound values alpha^n * d0 when the family satisfies the IBAP, are
-    built on first read.  d0, and for a start or reference of extreme size
-    the norms of each block, are taken of vectors scaled by a power of
-    two, so that no square overflows.  Only the map runs per sweep, the
-    rest once per block, bit for bit as one sweep at a time: the first
-    block has _BLOCK sweeps, each later one up to twice the one before and
-    at most _MAX_BLOCK, ending about where the previous block's mean
-    residual ratio reaches tol.  Sweeps past the stopping one are dropped;
+    ||y - c|| with c = T^H (reference - start), and with the IBAP the
+    bound values alpha^n * d0.  d0, and for a start or reference of
+    extreme size the norms of each block, are taken of vectors scaled by a
+    power of two, so that no square overflows.  Only the map runs per
+    sweep, the rest once per block, bit for bit as one sweep at a time:
+    the first block has _BLOCK sweeps, each later one up to twice the one
+    before and at most _MAX_BLOCK, ending about where the previous block's
+    mean residual ratio reaches tol.  Sweeps past the stopping one are dropped;
     the point is formed once, at the stop.  Returns (point, trace).
     """
     opts = options if options is not None else SolveOptions()
@@ -363,8 +337,7 @@ def best_approximation(start, family: Family, prescription,
         u, _, _, rank = family._stacked
         reference = _toward_anchor(u[:, :rank], _stacked_point(family, pres), start)
     diff = start - reference
-    p = _binary_scale(diff)
-    d0 = p * float(np.linalg.norm(diff / p))
+    d0 = _norm(diff)
     # every iterate lies within d0 of the reference, so no entry of a
     # residual or distance exceeds a small multiple of those of start and
     # reference, up to rounding: norms taken at their power of two cannot

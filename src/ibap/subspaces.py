@@ -61,12 +61,19 @@ def as_field_vector(x, ambient_dim: int, dtype, what: str = "vector") -> np.ndar
 
 def _binary_scale(x: np.ndarray) -> float:
     """The power of two that puts the largest real or imaginary part of x
-    in [1, 2), but at least 2^-1022, and 1/2 for x = 0.  Dividing by it is
-    exact: numpy divides a complex array by multiplying with the
+    in [1, 2), but at least 2^-1022, and 1/2 for x = 0 or empty.  Dividing
+    by it is exact: numpy divides a complex array by multiplying with the
     reciprocal, which the floor keeps finite.  It is read from the float64
     view, so the modulus of no complex entry can overflow."""
-    top = np.abs(np.ascontiguousarray(x).view(np.float64)).max()
+    top = np.abs(np.ascontiguousarray(x).view(np.float64)).max(initial=0.0)
     return 2.0 ** max(math.frexp(top)[1] - 1, -1022)
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| as p ||x / p||, p = _binary_scale(x), so that no square over- or
+    underflows: bit for bit np.linalg.norm(x) wherever none of its squares does."""
+    p = _binary_scale(x)
+    return p * float(np.linalg.norm(x / p))
 
 
 def _rank_from_singular_values(s: np.ndarray, shape, scale: float | None = None) -> int:

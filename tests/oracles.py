@@ -26,15 +26,16 @@ from ibap import (
     REAL,
     AffineConstraint,
     ConvergenceTrace,
-    IterationRecord,
     SolveOptions,
     Subspace,
     affine_project,
     as_field_vector,
+    best_approximation,
     direct_solve,
     field_dtype,
     intersect,
     prescription_residual,
+    slow_family,
     solve_min_norm,
     validate_prescription,
     verify_ibap,
@@ -234,10 +235,9 @@ def reference_iteration(start, family, prescription, options=None):
     """The periodic projection iteration built from the public pieces:
     each prescription vector projected onto its subspace once, then
     affine_project per constraint, prescription_residual per sweep, and
-    np.linalg.norm for the distances.  Returns (x, trace, records): the
-    point and trace as best_approximation returns them, the trace built
-    from the per-sweep columns, and the IterationRecords made sweep by
-    sweep, each bound alpha^n * d0 taken at its sweep."""
+    np.linalg.norm for the distances.  Returns (x, trace, bounds): the
+    point and trace as best_approximation returns them, and the bound
+    alpha^n * d0 taken at each sweep n (None without alpha)."""
     opts = options if options is not None else SolveOptions()
     pres = [s.project(u) for s, u in
             zip(family.subspaces, validate_prescription(family, prescription))]
@@ -248,35 +248,32 @@ def reference_iteration(start, family, prescription, options=None):
     d0 = float(np.linalg.norm(start - reference))
     constraints = [AffineConstraint(s, u) for s, u in zip(family.subspaces, pres)]
     x = start
-    residuals, dists, records = [], [], []
+    residuals, dists, bounds = [], [], []
     converged = False
     for n in range(1, opts.max_iter + 1):
         for c in reversed(constraints):
             x = affine_project(c, x)
         res = prescription_residual(family, pres, x)
         residuals.append(res)
-        dist = None
         if opts.record_trace:
-            dist = float(np.linalg.norm(x - reference))
-            dists.append(dist)
-        bound = alpha ** n * d0 if alpha is not None else None
-        records.append(IterationRecord(index=n, max_residual=res,
-                                       dist_to_solution=dist, bound=bound))
+            dists.append(float(np.linalg.norm(x - reference)))
+        if alpha is not None:
+            bounds.append(alpha ** n * d0)
         if res <= opts.tol:
             converged = True
             break
     trace = ConvergenceTrace(residuals=tuple(residuals),
                              distances=tuple(dists) if opts.record_trace else None,
                              alpha=alpha, initial_distance=d0, converged=converged)
-    return x, trace, tuple(records)
+    return x, trace, bounds if alpha is not None else None
 
 
 def one_map_iteration(start, family, prescription, options=None):
     """best_approximation as one loop over sweeps: each sweep takes [y; 1]
     on by the (d+1)-square map in the coordinates y of x = start + T y, T
     the chain basis of the sum, then takes its residual, iterate, distance
-    ||y - c|| with c = T^H (reference - start), and record before the next
-    one.  Returns (x, trace, records) as reference_iteration does."""
+    ||y - c|| with c = T^H (reference - start), and bound before the next
+    one.  Returns (x, trace, bounds) as reference_iteration does."""
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
     pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
@@ -316,7 +313,7 @@ def one_map_iteration(start, family, prescription, options=None):
         # where each member's residual entries start in the real view of
         # the coordinates (two float64 entries per complex one)
         starts = (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
-    residuals, dists, records = [], [], []
+    residuals, dists, bounds = [], [], []
     converged = False
     for n in range(1, opts.max_iter + 1):
         res = 0.0
@@ -326,23 +323,29 @@ def one_map_iteration(start, family, prescription, options=None):
             res = math.sqrt(np.add.reduceat(r * r, starts).max())
             x = start + t @ y[:-1]
         residuals.append(res)
-        dist = None
         if opts.record_trace:
             dist = d0
             if live:
                 v = (y[:-1] - c).view(np.float64)
                 dist = math.sqrt((v * v).sum())
             dists.append(dist)
-        bound = alpha ** n * d0 if alpha is not None else None
-        records.append(IterationRecord(index=n, max_residual=res,
-                                       dist_to_solution=dist, bound=bound))
+        if alpha is not None:
+            bounds.append(alpha ** n * d0)
         if res <= opts.tol:
             converged = True
             break
     trace = ConvergenceTrace(residuals=tuple(residuals),
                              distances=tuple(dists) if opts.record_trace else None,
                              alpha=alpha, initial_distance=d0, converged=converged)
-    return x, trace, tuple(records)
+    return x, trace, bounds if alpha is not None else None
+
+
+def slow_trace(spec, start, options=None):
+    """The trace of the iteration on slow_family(spec) from start with the
+    zero prescription, which is always feasible, as slowdemo runs it."""
+    family, _ = slow_family(spec)
+    zeros = np.zeros(family.ambient_dim)
+    return best_approximation(start, family, [zeros, zeros], options)[1]
 
 
 def _encode_scalar(z, field):

@@ -145,8 +145,8 @@ def test_criterion_4_rate_bound_inequality():
             alpha = trace.alpha
             assert alpha is not None and 0.0 <= alpha < 1.0
             d0 = trace.initial_distance
-            for rec in trace.records:
-                assert rec.dist_to_solution <= alpha ** rec.index * d0 + 1e-8
+            for n, dist in enumerate(trace.distances, 1):
+                assert dist <= alpha ** n * d0 + 1e-8
         # mutually orthogonal families have rate bound zero and need one sweep
         for _ in range(10):
             n = int(rng.integers(4, 11))

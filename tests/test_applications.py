@@ -23,7 +23,6 @@ from ibap import (
     projector_product_norm,
     rate_bound,
     recover_with_measurements,
-    slow_convergence_demo,
     slow_family,
     solve_moments,
     solve_operator_system,
@@ -33,7 +32,7 @@ from ibap import (
 from ibap.angles import _pair
 
 from conftest import random_matrix, rng_for
-from oracles import min_norm_complex_via_real, constrained_min_norm_in_space
+from oracles import min_norm_complex_via_real, constrained_min_norm_in_space, slow_trace
 
 
 def complex_unit(rng, n):
@@ -585,17 +584,16 @@ class TestSlowConvergenceDemo:
     def test_constant_weights_contract_at_one_half(self):
         spec = SlowFamilySpec(3, (1.0, 1.0, 1.0))
         opts = SolveOptions(max_iter=40, tol=1e-13, record_trace=True)
-        trace = slow_convergence_demo(spec, worst_aligned_start(spec), opts)
-        dists = [r.dist_to_solution for r in trace.records]
+        dists = slow_trace(spec, worst_aligned_start(spec), opts).distances
         for k in range(min(10, len(dists) - 1)):
             if dists[k] > 1e-11:
                 assert abs(dists[k + 1] / dists[k] - 0.5) <= 1e-6
 
     def test_zero_start_terminates_immediately(self):
         spec = SlowFamilySpec.harmonic(4)
-        trace = slow_convergence_demo(spec, np.zeros(8), SolveOptions(record_trace=True))
+        trace = slow_trace(spec, np.zeros(8), SolveOptions(record_trace=True))
         assert trace.sweeps == 1 and trace.converged
-        assert trace.records[0].max_residual <= 1e-14
+        assert trace.residuals[0] <= 1e-14
 
     def test_contraction_ratio_reaches_the_prediction(self):
         rng = rng_for(818)
@@ -604,8 +602,7 @@ class TestSlowConvergenceDemo:
             spec = SlowFamilySpec(blocks, alphas)
             _, predicted = slow_family(spec)
             opts = SolveOptions(max_iter=30, tol=1e-13, record_trace=True)
-            trace = slow_convergence_demo(spec, worst_aligned_start(spec), opts)
-            dists = [r.dist_to_solution for r in trace.records]
+            dists = slow_trace(spec, worst_aligned_start(spec), opts).distances
             ratios = [dists[k + 1] / dists[k] for k in range(len(dists) - 1)
                       if dists[k] > 1e-10]
             assert ratios, "trace too short to measure a ratio"
@@ -616,8 +613,7 @@ class TestSlowConvergenceDemo:
         for blocks in (4, 16, 64):
             spec = SlowFamilySpec.harmonic(blocks)
             opts = SolveOptions(max_iter=25, tol=1e-14, record_trace=True)
-            trace = slow_convergence_demo(spec, worst_aligned_start(spec), opts)
-            dists = [r.dist_to_solution for r in trace.records]
+            dists = slow_trace(spec, worst_aligned_start(spec), opts).distances
             ratios = [dists[k + 1] / dists[k] for k in range(len(dists) - 1)
                       if dists[k] > 1e-10]
             worst.append(max(ratios))

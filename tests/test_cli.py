@@ -456,6 +456,50 @@ class TestMomentsCommand:
                                 "representable in float64\n")
 
 
+class TestNormsAtExtremeScales:
+    """solve and moments print norms taken at a power of two: a problem
+    scaled by 2^600 or 2^-600, which is exact, prints its numbers times
+    that scale, where the unscaled squares would over- or underflow."""
+
+    @staticmethod
+    def printed(argv, capsys):
+        assert main(argv) == EXIT_OK
+        return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+    @pytest.mark.parametrize("method", ["direct", "recursion", "iterate"])
+    def test_solve(self, tmp_path, capsys, method, scale):
+        out = []
+        for s in (1.0, scale):
+            doc = {"field": "real", "ambient_dim": 3,
+                   "subspaces": [{"vectors": [[1, 0, 0]]}, {"vectors": [[1, 1, 0]]}],
+                   "prescription": [[s, 0, 0], [s, s, 0]]}
+            path = write_json(tmp_path / "scaled.json", doc)
+            # a tolerance scaled with the problem stops the iteration at the same sweep
+            out.append(self.printed(["solve", path, "--method", method,
+                                     "--tol", repr(1e-10 * s)], capsys))
+        unit, big = out
+        assert json.loads(big["solution"]) == [v * scale for v in json.loads(unit["solution"])]
+        assert float(big["norm"]) == float(unit["norm"]) * scale
+        assert float(big["max residual"]) == pytest.approx(float(unit["max residual"]) * scale,
+                                                           rel=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+    def test_moments(self, tmp_path, capsys, scale):
+        out = []
+        for s in (1.0, scale):
+            doc = {"field": "real", "ambient_dim": 3, "space": [[1, 0, 0], [1, 1, 1]],
+                   "constraints": [{"vector": [1, 2, 0], "value": 3 * s}]}
+            out.append(self.printed(["moments", write_json(tmp_path / "mom.json", doc)], capsys))
+        unit, big = out
+        assert json.loads(big["solution"]) == [v * scale for v in json.loads(unit["solution"])]
+        assert float(big["norm"]) == float(unit["norm"]) * scale
+        for key in ("space membership residual", "moment 1 residual"):
+            assert float(big[key]) == pytest.approx(float(unit[key]) * scale, rel=1e-6)
+
+
 class TestSignalCommand:
     def test_empty_time_mask_is_the_inverse_transform(self, tmp_path, capsys):
         doc = {
@@ -624,22 +668,19 @@ class TestSlowdemoCommand:
 
 class TestDistancesOnlyWithATrace:
     """iterate and slowdemo take the distances to the solution only for a
-    --trace file, whose rows come from the trace's columns: no run builds
-    the trace's records.  stdout is the same with and without one, but for
-    the line that names the file."""
+    --trace file, whose rows come from the trace's columns.  stdout is the
+    same with and without one, but for the line that names the file."""
 
     @pytest.fixture
     def traced(self, monkeypatch):
-        """(options.record_trace, trace) of every best_approximation call."""
+        """options.record_trace of every best_approximation call."""
         seen = []
 
         def spy(start, family, prescription, options=None):
-            x, trace = best_approximation(start, family, prescription, options)
-            seen.append((options.record_trace, trace))
-            return x, trace
+            seen.append(options.record_trace)
+            return best_approximation(start, family, prescription, options)
 
         monkeypatch.setattr(ibap.cli, "best_approximation", spy)
-        monkeypatch.setattr(ibap.applications, "best_approximation", spy)
         return seen
 
     @pytest.mark.parametrize("command", ["iterate", "slowdemo"])
@@ -651,24 +692,25 @@ class TestDistancesOnlyWithATrace:
         plain = capsys.readouterr().out
         assert main(argv + ["--trace", str(trace)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert [(r, "records" in t.__dict__) for r, t in traced] == [(False, False), (True, False)]
+        assert traced == [False, True]
         assert out.replace(f"trace written to {trace}\n", "") == plain
         assert plain.count("\n") + 1 == out.count("\n")
         assert all(row[2] for row in list(csv.reader(trace.open()))[1:])
 
-    def test_solve_builds_no_records(self, tmp_path, traced):
+    def test_solve_takes_no_distances(self, tmp_path, traced):
         path = write_json(tmp_path / "sixty.json", sixty_degree_doc())
         assert main(["solve", path, "--method", "iterate"]) == EXIT_OK
-        assert [(r, "records" in t.__dict__) for r, t in traced] == [(False, False)]
+        assert traced == [False]
 
 
 def repr_trace_csv(trace) -> bytes:
-    """The trace CSV written from the trace's records, one repr per field."""
-    def field(v):
-        return "" if v is None else repr(v)
+    """The trace CSV written from the trace's columns, one repr per field."""
+    def field(column, i):
+        return "" if column is None else repr(column[i])
 
-    rows = "".join(f"{r.index},{r.max_residual!r},{field(r.dist_to_solution)},{field(r.bound)}\r\n"
-                   for r in trace.records)
+    dists, bounds = trace.distances, trace.bounds
+    rows = "".join(f"{i + 1},{res!r},{field(dists, i)},{field(bounds, i)}\r\n"
+                   for i, res in enumerate(trace.residuals))
     return ("iter,max_residual,dist_to_solution,bound\r\n" + rows).encode()
 
 
@@ -725,13 +767,13 @@ class TestTraceCsv:
         ConvergenceTrace(residuals=(math.inf, 2e-5), distances=(math.nan, 0.0), alpha=0.5,
                          initial_distance=math.inf, converged=False),
     ], ids=["decades", "alpha-none", "distances-none", "neither", "one-sweep", "non-finite"])
-    def test_the_file_is_that_of_the_records(self, trace, tmp_path, capsys):
+    def test_the_file_is_that_of_the_columns(self, trace, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         _write_trace_csv(str(path), trace)
         assert path.read_bytes() == repr_trace_csv(trace)
         assert capsys.readouterr().out == f"trace written to {path}\n"
 
-    def test_a_slowdemo_trace_is_that_of_its_records(self, tmp_path, monkeypatch):
+    def test_a_slowdemo_trace_is_that_of_its_columns(self, tmp_path, monkeypatch):
         seen = []
 
         def spy(*args):

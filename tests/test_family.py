@@ -25,6 +25,7 @@ from ibap import (
     prescription_residual,
     slow_family,
     solve_min_norm,
+    solve_operator_system,
     trailing_sums,
     uniqueness_check,
     validate_prescription,
@@ -325,6 +326,13 @@ class TestInfeasibility:
         assert cert.residual > 1e-8
         assert stacked_residual(f, pres) > 1e-2  # oracle confirms a real gap
 
+    def test_a_family_of_zero_subspaces_is_feasible(self):
+        # its stacked coordinates, and so every norm the rule takes, are empty
+        f = Family((zero_subspace(3), zero_subspace(3)))
+        pres = [np.zeros(3), np.zeros(3)]
+        assert infeasibility_certificate(f, pres) is None
+        assert np.array_equal(direct_solve(f, pres).particular, np.zeros(3))
+
     def test_zero_prescription_is_feasible(self):
         f, _ = self.fixture_zero_sum()
         pres = [np.zeros(2) for _ in range(3)]
@@ -442,6 +450,44 @@ class TestInfeasibility:
         pres[0] = np.array([1.0, 0.5])
         with pytest.raises(ValueError):
             infeasibility_certificate(f, pres)
+
+
+class TestNormsAtExtremeScales:
+    """The stacked solve's feasibility rule (family._checked_lstsq),
+    epsilon_solve and prescription_residual take each norm at a power of
+    two: a problem scaled by 2^600 or 2^-600, which is exact, gives its
+    results times that scale where the unscaled squares would over- or
+    underflow."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_large_contradiction_is_refused(self):
+        # the line through e0 prescribed e0 and -e0; at 2^-600 such a
+        # contradiction lies below the rule's absolute part FEASIBILITY_RTOL
+        scale = 2.0 ** 600
+        e0 = np.eye(3)[0]
+        f = lines(e0, e0)
+        big = [scale * e0, -scale * e0]
+        residual = infeasibility_certificate(f, [e0, -e0]).residual
+        assert infeasibility_certificate(f, big).residual == residual * scale
+        with pytest.raises(InfeasiblePrescriptionError) as err:
+            direct_solve(f, big)
+        assert err.value.certificate.residual == residual * scale
+        with pytest.raises(InfeasiblePrescriptionError):
+            best_approximation(np.zeros(3), f, big)
+        with pytest.raises(ValueError, match="not in the range of its operator"):
+            solve_operator_system([[[1.0, 0.0], [1.0, 0.0]]], [[scale, -scale]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+    def test_epsilon_solve_is_the_solve_times_the_scale(self, scale):
+        e = np.eye(3)
+        f = lines(e[0], e[0] + e[1])
+        pres = [e[0], e[0] + e[1]]
+        x = epsilon_solve(f, pres, 1e-6)
+        big = [u * scale for u in pres]
+        big_x = epsilon_solve(f, big, 1e-6 * scale)
+        assert np.array_equal(big_x, x * scale)
+        assert prescription_residual(f, big, big_x) == prescription_residual(f, pres, x) * scale
 
 
 class TestUniqueness:

@@ -25,7 +25,6 @@ from ibap import (
     min_norm_stages,
     prescription_residual,
     rate_bound,
-    slow_convergence_demo,
     slow_family,
     solve_min_norm,
     solve_two,
@@ -53,6 +52,7 @@ from oracles import (
     pinv_min_norm,
     one_map_iteration,
     reference_iteration,
+    slow_trace,
     zero_subspace,
 )
 
@@ -457,10 +457,9 @@ class TestRateBound:
         spec = SlowFamilySpec.harmonic(16)
         family, _ = slow_family(spec)
         rho = complement_product_radius(family)
-        trace = slow_convergence_demo(spec, worst_aligned_start(spec),
-                                      SolveOptions(record_trace=True))
+        trace = slow_trace(spec, worst_aligned_start(spec), SolveOptions(record_trace=True))
         assert trace.converged and trace.sweeps > 5000
-        d = [r.dist_to_solution for r in trace.records[-21:]]
+        d = trace.distances[-21:]
         assert max(abs(b / a - rho) for a, b in zip(d, d[1:])) <= 1e-6
         assert abs(rho - 0.996109) <= 1e-6 and trace.alpha - rho > 1e-3
 
@@ -482,7 +481,7 @@ class TestRateBound:
             if trace.sweeps <= 200:
                 continue
             assert trace.converged
-            d = [r.dist_to_solution for r in trace.records]
+            d = trace.distances
             observed = (d[-1] / d[-51]) ** (1 / 50)
             assert abs(observed - complement_product_radius(f)) <= 1e-4
             long_runs += 1
@@ -505,7 +504,7 @@ class TestBestApproximation:
         start = direct_solve(f, pres).particular
         x, trace = best_approximation(start, f, pres)
         assert trace.sweeps == 1 and trace.converged
-        assert trace.records[0].max_residual <= 1e-10
+        assert trace.residuals[0] <= 1e-10
         assert np.linalg.norm(x - start) <= 1e-10
 
     def test_orthogonal_axes_converge_in_one_sweep(self):
@@ -530,7 +529,7 @@ class TestBestApproximation:
         assert abs(trace.alpha - 0.5) <= 1e-12
         ref = direct_solve(f, pres, anchor=start).particular
         assert np.linalg.norm(x - ref) <= 1e-10
-        dists = [r.dist_to_solution for r in trace.records]
+        dists = trace.distances
         for k in range(len(dists) - 1):
             if dists[k] > 1e-13:
                 assert dists[k + 1] <= 0.5 * dists[k] + 1e-13
@@ -548,11 +547,11 @@ class TestBestApproximation:
             assert trace.alpha is not None and trace.alpha < 1.0
             d0 = trace.initial_distance
             prev = d0
-            for rec in trace.records:
-                assert rec.dist_to_solution <= trace.alpha ** rec.index * d0 + 1e-8
-                assert rec.dist_to_solution <= prev + 1e-12
-                assert rec.bound == trace.alpha ** rec.index * d0
-                prev = rec.dist_to_solution
+            for n, (dist, bound) in enumerate(zip(trace.distances, trace.bounds), 1):
+                assert dist <= trace.alpha ** n * d0 + 1e-8
+                assert dist <= prev + 1e-12
+                assert bound == trace.alpha ** n * d0
+                prev = dist
 
     def test_bound_values_are_nonincreasing(self):
         rng = rng_for(721)
@@ -560,7 +559,7 @@ class TestBestApproximation:
         pres = random_prescription(rng, f)
         opts = SolveOptions(max_iter=50, tol=1e-13, record_trace=True)
         _, trace = best_approximation(random_unit(rng, 6), f, pres, opts)
-        bounds = [r.bound for r in trace.records]
+        bounds = trace.bounds
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_infeasible_prescription_raises(self):
@@ -582,7 +581,7 @@ class TestBestApproximation:
         x, trace = best_approximation(random_unit(rng, 3), f, pres, opts)
         assert trace.alpha is None
         assert trace.converged
-        assert all(r.bound is None for r in trace.records)
+        assert trace.bounds is None
         assert prescription_residual(f, pres, x) <= 1e-10
 
     def test_max_iter_is_honoured(self):
@@ -602,7 +601,7 @@ class TestBestApproximation:
         pres = [e[0] + 1e-9 * e[2], np.zeros(3)]
         _, trace = best_approximation(np.zeros(3), f, pres, SolveOptions(record_trace=True))
         assert trace.converged and trace.sweeps < 100
-        assert trace.records[-1].dist_to_solution <= 1e-9
+        assert trace.distances[-1] <= 1e-9
 
 
 class TestEachPrescriptionValidatedOnce:
@@ -696,7 +695,7 @@ class TestSweepMatchesTheReference:
     @staticmethod
     def assert_same_run(start, family, pres, opts):
         x, trace = best_approximation(start, family, pres, opts)
-        ref_x, ref_trace, ref_records = reference_iteration(start, family, pres, opts)
+        ref_x, ref_trace, ref_bounds = reference_iteration(start, family, pres, opts)
         assert trace.alpha == ref_trace.alpha
         assert trace.initial_distance == ref_trace.initial_distance
         eps = np.finfo(float).eps
@@ -725,23 +724,16 @@ class TestSweepMatchesTheReference:
         drift = 4 * eps * max(1.0, float(np.linalg.norm(ref_x))) * sweeps
         assert x.dtype == ref_x.dtype
         assert np.linalg.norm(x - ref_x) <= drift
-        # the records, built from the trace's columns, of the sweeps both
-        # runs share: indices and bounds bit for bit, the rest to rounding
-        records = trace.records
-        assert [r.max_residual for r in records] == list(trace.residuals)
-        assert ([r.dist_to_solution for r in records]
-                == list(trace.distances or [None] * trace.sweeps))
-        assert (repr([(r.index, r.bound) for r in records[:sweeps]])
-                == repr([(r.index, r.bound) for r in ref_records[:sweeps]]))
-        for rec, ref in zip(records, ref_records):
-            assert (rec.index, rec.bound) == (ref.index, ref.bound)
-            if ref.dist_to_solution is None:
-                assert rec.dist_to_solution is None
-            else:
-                # a distance rounds with its own size too
-                dist_drift = max(drift, 4 * eps * ref.dist_to_solution * sweeps)
-                assert abs(rec.dist_to_solution - ref.dist_to_solution) <= dist_drift
-            assert abs(rec.max_residual - ref.max_residual) <= slack
+        # the columns of the sweeps both runs share: bounds bit for bit,
+        # the rest to rounding
+        bounds = trace.bounds
+        assert repr(bounds and bounds[:sweeps]) == repr(ref_bounds and ref_bounds[:sweeps])
+        assert (trace.distances is None) == (ref_trace.distances is None)
+        for dist, ref in zip(trace.distances or (), ref_trace.distances or ()):
+            # a distance rounds with its own size too
+            assert abs(dist - ref) <= max(drift, 4 * eps * ref * sweeps)
+        for res, ref in zip(trace.residuals, ref_trace.residuals):
+            assert abs(res - ref) <= slack
         return trace
 
     @pytest.mark.parametrize("record_trace", [False, True])
@@ -792,7 +784,7 @@ class TestSweepMatchesTheReference:
         trace = self.assert_same_run(random_unit(rng_for(736), 4, field), f,
                                      [np.zeros(4)] * 2, opts)
         assert trace.sweeps == 1 and trace.converged
-        assert trace.records[0].max_residual == 0.0
+        assert trace.residuals[0] == 0.0
 
     @pytest.mark.parametrize("record_trace", [False, True])
     def test_dependent_family_without_a_bound(self, record_trace):
@@ -821,22 +813,20 @@ class TestBlocksMatchOneSweepAtATime:
     """best_approximation applies the sweep map every sweep but takes the
     residuals, distances and stopping test once per block: the first of
     _BLOCK sweeps, each later one up to twice the one before and at most
-    _MAX_BLOCK, cut at the predicted stop; its records are built on first
-    read.  Its iterate, trace and records must equal, bit for bit, those
-    of the one-map loop that does all of that after every sweep."""
+    _MAX_BLOCK, cut at the predicted stop.  Its iterate, trace and bounds
+    must equal, bit for bit, those of the one-map loop that does all of
+    that after every sweep."""
 
     @staticmethod
     def assert_identical(start, family, pres, opts):
         x, trace = best_approximation(start, family, pres, opts)
-        ref_x, ref_trace, ref_records = one_map_iteration(start, family, pres, opts)
+        ref_x, ref_trace, ref_bounds = one_map_iteration(start, family, pres, opts)
         assert x.dtype == ref_x.dtype and np.array_equal(x, ref_x)
         assert trace == ref_trace
         # repr tells float from np.float64 and gives every bit of each value
         assert repr(trace) == repr(ref_trace)
-        # the records built on first read are those made sweep by sweep
-        assert "records" not in trace.__dict__
-        assert trace.records == ref_records
-        assert repr(trace.records) == repr(ref_records)
+        # the bounds computed from the columns are those taken sweep by sweep
+        assert repr(trace.bounds) == repr(ref_bounds)
         return trace
 
     @staticmethod
