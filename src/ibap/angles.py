@@ -71,20 +71,24 @@ class _Level(NamedTuple):
 def _factor_level(basis: np.ndarray, tail: np.ndarray) -> _Level:
     """The _Level of the column-orthonormal basis against the tail basis,
     its first rank columns of w orthogonal to the tail to rounding."""
-    coef = tail.conj().T @ basis
+    tail_h = tail.conj().T
+    coef = tail_h @ basis
     res = basis - tail @ coef
     # project off the tail twice: after one pass the rounding left in a
     # direction that U shares with T reaches the rank cutoff in small
     # dimensions, after the second it stays below a third of it
-    res -= tail @ (tail.conj().T @ res)
+    res -= tail @ (tail_h @ res)
     w, s, vh = np.linalg.svd(res, full_matrices=False)
-    cosines = np.clip(np.linalg.norm(coef @ vh.conj().T, axis=0), 0.0, 1.0)
+    # the column norms of C V as np.linalg.norm(axis=0) takes them, capped at 1
+    cv = coef @ vh.conj().T
+    cosines = np.sqrt(np.add.reduce((cv.conj() * cv).real, axis=0))
+    np.minimum(cosines, 1.0, out=cosines)
     # with dim U > dim T the first dim U - dim T sines are 1: no angle pairs them
     cosines[:max(0, basis.shape[1] - tail.shape[1])] = 0.0
     rank = _rank_from_singular_values(s, basis.shape, scale=1.0)
     # w_j leans into the tail by about eps / s[j]: project that off, so
     # that small sines keep the chain basis and the level step exact
-    w[:, :rank] -= tail @ (tail.conj().T @ w[:, :rank])
+    w[:, :rank] -= tail @ (tail_h @ w[:, :rank])
     return _Level(w, s, vh, cosines, rank)
 
 

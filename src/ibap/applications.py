@@ -16,8 +16,8 @@ import numpy as np
 
 from .family import Family, _checked_lstsq, check_independence, verify_ibap
 from .solvers import solve_min_norm
-from .subspaces import (COMPLEX, Subspace, _binary_scale, _rank_from_singular_values,
-                        as_field_vector)
+from .subspaces import (COMPLEX, Subspace, _binary_scale, _plain_norm,
+                        _rank_from_singular_values, as_field_vector)
 
 
 class HypothesisError(ValueError):
@@ -142,7 +142,7 @@ def _line(v: np.ndarray, eta):
     by p is exact, and no square of w underflows or overflows."""
     p = _binary_scale(v)
     w = v / p
-    norm = float(np.linalg.norm(w))
+    norm = _plain_norm(w)
     return Subspace((w / norm)[:, None]), eta / p * w / norm ** 2
 
 

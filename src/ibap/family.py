@@ -138,14 +138,14 @@ class Family:
             lev = _factor_level(s.basis, basis)
             levels.append(lev)
             widths.append(basis.shape[1])
-            basis = np.hstack([basis, np.linalg.qr(lev.w[:, :lev.rank])[0]])
+            basis = np.concatenate([basis, np.linalg.qr(lev.w[:, :lev.rank])[0]], axis=1)
         basis.setflags(write=False)
         return tuple(reversed(levels)), basis, tuple(reversed(widths))
 
     @cached_property
     def _stacked(self):
         """Read-only full SVD (u, s, vh) of the stacked bases and its rank, dim_sum."""
-        mat = np.hstack([s.basis for s in self.subspaces])
+        mat = np.concatenate([s.basis for s in self.subspaces], axis=1)
         u, s, vh = np.linalg.svd(mat, full_matrices=True)
         full = _rank_from_singular_values(s, mat.shape) == mat.shape[1]
         rank = mat.shape[1] if full else self.dim_sum

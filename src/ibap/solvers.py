@@ -259,7 +259,7 @@ def _sweep_map(t: np.ndarray, live: list, start: np.ndarray):
     # y <- y - K_j (G_j^H y + Q_j^H start) + T^+ u_j.  C_j = -G_j^H A_(j+1)
     # with A_(j+1) = I + K_(>j) C_(>j) of members j+1..m; f is one sweep
     # from 0; [G^H, Q^H (start - u)] gives the residual coordinates of [y; 1]
-    q = np.hstack([qi for qi, _ in live])
+    q = np.concatenate([qi for qi, _ in live], axis=1)
     k = q.shape[1]
     g = t.conj().T @ np.column_stack([q] + [u for _, u in live])
     kv = 2 * g - (t.conj().T @ t) @ g
@@ -272,7 +272,12 @@ def _sweep_map(t: np.ndarray, live: list, start: np.ndarray):
     f = np.zeros(t.shape[1], dtype=start.dtype)
     for j, (lo, hi) in reversed(list(enumerate(zip(offsets[:-1], offsets[1:])))):
         f = f - kv[:, lo:hi] @ (g[:, lo:hi].conj().T @ f + qs[lo:hi]) + kv[:, k + j]
-    m = np.block([[np.eye(f.size) + kv[:, :k] @ c, f[:, None]], [np.zeros(f.size), 1.0]])
+    d = f.size
+    m = np.zeros((d + 1, d + 1), dtype=f.dtype)
+    # [[I + K C, f], [0, 1]]; adding K C to zeros turns its -0.0 into 0.0, as I + K C does
+    m[:d, :d] += kv[:, :k] @ c
+    m.flat[::d + 2] += 1.0
+    m[:d, d] = f
     coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
     # two float64 entries per complex one
     return m, coords, (2 if q.dtype.kind == "c" else 1) * offsets[:-1]

@@ -49,7 +49,7 @@ def as_field_vector(x, ambient_dim: int, dtype, what: str = "vector") -> np.ndar
     arr = np.asarray(x)
     if arr.shape != (ambient_dim,):
         raise ValueError(f"{what} has shape {arr.shape}, expected ({ambient_dim},)")
-    if np.iscomplexobj(arr) and np.dtype(dtype) == np.float64:
+    if arr.dtype.kind == "c" and np.dtype(dtype) == np.float64:
         if np.any(arr.imag != 0):
             raise ValueError(f"{what} has nonzero imaginary entries in a real problem")
         arr = arr.real
@@ -69,11 +69,21 @@ def _binary_scale(x: np.ndarray) -> float:
     return 2.0 ** max(math.frexp(top)[1] - 1, -1022)
 
 
+def _plain_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a float64 or complex128 vector, bit for bit: the
+    same ravel and dot products, without its dispatch on ord and axis."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def _norm(x: np.ndarray) -> float:
     """||x|| as p ||x / p||, p = _binary_scale(x), so that no square over- or
     underflows: bit for bit np.linalg.norm(x) wherever none of its squares does."""
     p = _binary_scale(x)
-    return p * float(np.linalg.norm(x / p))
+    return p * _plain_norm(x / p)
 
 
 def _rank_from_singular_values(s: np.ndarray, shape, scale: float | None = None) -> int:
@@ -86,7 +96,7 @@ def _rank_from_singular_values(s: np.ndarray, shape, scale: float | None = None)
     top = s[0] if s.size and scale is None else scale
     if s.size == 0 or top <= 0.0:
         return 0
-    return int(np.sum(s > max(shape) * _EPS * top))
+    return int(np.count_nonzero(s > max(shape) * _EPS * top))
 
 
 def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
@@ -111,7 +121,7 @@ class Subspace:
         basis = np.asarray(self.basis)
         if basis.ndim != 2:
             raise ValueError(f"basis must be a 2-D array, got shape {basis.shape}")
-        dtype = np.complex128 if np.iscomplexobj(basis) else np.float64
+        dtype = np.complex128 if basis.dtype.kind == "c" else np.float64
         basis = np.array(basis, dtype=dtype)
         n, k = basis.shape
         if not np.isfinite(basis).all():
@@ -121,7 +131,9 @@ class Subspace:
         if k > n:
             raise ValueError(f"{k} basis columns cannot be independent in dimension {n}")
         if k:
-            defect = np.max(np.abs(basis.conj().T @ basis - np.eye(k)))
+            gram = basis.conj().T @ basis
+            gram.flat[::k + 1] -= 1.0  # the Gram minus the identity
+            defect = np.max(np.abs(gram))
             if defect > ORTHONORMALITY_TOL:
                 raise ValueError(f"basis columns are not orthonormal (defect {defect:.3e})")
         basis.setflags(write=False)
@@ -149,8 +161,9 @@ class Subspace:
             stack = np.asarray(vectors) if len(vectors) else np.zeros((0, ambient_dim))
         except ValueError:  # vectors of different lengths do not stack
             stack = np.zeros(0)
-        dtype = field_dtype(field or (COMPLEX if np.iscomplexobj(stack) else REAL))
-        imag = np.iscomplexobj(stack) and dtype == np.float64
+        complex_stack = stack.dtype.kind == "c"
+        dtype = field_dtype(field or (COMPLEX if complex_stack else REAL))
+        imag = complex_stack and dtype == np.float64
         mat = np.asarray(stack.real if imag else stack, dtype=dtype)
         if (stack.shape[1:] == (ambient_dim,) and not (imag and np.any(stack.imag != 0))
                 and np.isfinite(mat).all()):
@@ -174,7 +187,7 @@ class Subspace:
 
     @property
     def field(self) -> str:
-        return COMPLEX if np.iscomplexobj(self.basis) else REAL
+        return COMPLEX if self.basis.dtype.kind == "c" else REAL
 
     @property
     def dtype(self) -> np.dtype:
@@ -199,8 +212,8 @@ class Subspace:
         x = as_field_vector(x, self.ambient_dim, self.dtype, what=what)
         p = _binary_scale(x)
         w = x / p
-        gap = float(np.linalg.norm(self.project(w) - w))
-        if p * gap > MEMBERSHIP_RTOL and gap > MEMBERSHIP_RTOL * float(np.linalg.norm(w)):
+        gap = _plain_norm(self.project(w) - w)
+        if p * gap > MEMBERSHIP_RTOL and gap > MEMBERSHIP_RTOL * _plain_norm(w):
             raise ValueError(f"{what} is not in its subspace (distance {p * gap:.3e})")
         return x
 
@@ -228,7 +241,7 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 def add(a: Subspace, b: Subspace) -> Subspace:
     """Sum of two subspaces, the span of their union."""
     _check_compatible(a, b)
-    return Subspace(_orthonormal_columns(np.hstack([a.basis, b.basis])))
+    return Subspace(_orthonormal_columns(np.concatenate([a.basis, b.basis], axis=1)))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -12,8 +12,11 @@ small map on the coordinates of the iterate in the chain basis of the
 sum with the residual in those coordinates, the one-map loop with its
 bookkeeping after every sweep instead of once per block of sweeps, and
 the spectral radius of the dense product of complement projectors
-instead of the level angles.  It also holds helpers that only tests
-use, such as save_problem, the writer of problem files.
+instead of the level angles.  reference_level is the one oracle that
+takes the implementation's route: the level factorization through
+numpy's Python wrappers (np.linalg.norm, np.clip, np.sum), which its C
+entry points must match bit for bit.  It also holds helpers that only
+tests use, such as save_problem, the writer of problem files.
 """
 
 import json
@@ -221,6 +224,21 @@ def complement_product_radius(family):
     u, sv, _ = np.linalg.svd(stacked, full_matrices=False)
     w = u[:, :int(np.sum(sv > 1e-10 * sv[0]))]
     return float(np.max(np.abs(np.linalg.eigvals(w.conj().T @ prod @ w))))
+
+
+def reference_level(basis, tail):
+    """angles._factor_level as first written, through numpy's Python
+    wrappers: the cosines by np.linalg.norm(axis=0) clipped by np.clip,
+    the rank by np.sum; returns (w, sines, vh, cosines, rank)."""
+    coef = tail.conj().T @ basis
+    res = basis - tail @ coef
+    res -= tail @ (tail.conj().T @ res)
+    w, s, vh = np.linalg.svd(res, full_matrices=False)
+    cosines = np.clip(np.linalg.norm(coef @ vh.conj().T, axis=0), 0.0, 1.0)
+    cosines[:max(0, basis.shape[1] - tail.shape[1])] = 0.0
+    rank = int(np.sum(s > max(basis.shape) * np.finfo(np.float64).eps))
+    w[:, :rank] -= tail @ (tail.conj().T @ w[:, :rank])
+    return w, s, vh, cosines, rank
 
 
 def reference_point(start, family, pres, report):

@@ -12,8 +12,11 @@ from ibap import (
     projector_product_norm,
 )
 
-from conftest import FIELDS, random_subspace, rng_for
-from oracles import dense_product_norm, sampled_sup_inner
+from ibap.angles import _factor_level
+from ibap.subspaces import _EPS
+
+from conftest import FIELDS, random_family, random_orthogonal, random_subspace, rng_for
+from oracles import dense_product_norm, reference_level, sampled_sup_inner
 
 
 def line(*coords):
@@ -183,3 +186,62 @@ class TestCrossGramRoute:
             c = cos_friedrichs(u, v)
             assert 0.0 < c < 1.0
             assert abs(cos_friedrichs(u.complement(), v.complement()) - c) <= 1e-12
+
+
+def assert_level_is_reference(basis, tail):
+    """_factor_level(basis, tail) equals reference_level bit for bit; returns it."""
+    level = _factor_level(basis, tail)
+    ref = reference_level(basis, tail)
+    for name, got, want in zip(level._fields, level, ref):
+        if name == "rank":
+            assert type(got) is int and got == want
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+    return level
+
+
+class TestLevelMatchesTheWrapperFormulas:
+    """The level's cosines, capped at 1, and its rank, taken by numpy's C
+    entry points, are those of np.linalg.norm, np.clip and np.sum."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_every_level_of_seeded_chains(self, field):
+        rng = rng_for(420)
+        for dims in ((3, 4, 2, 5), (6, 1, 1, 3), (2, 9, 4)):
+            family = random_family(rng, 24, dims, field)
+            levels, basis, widths = family._chain
+            for s, level, width in zip(family.subspaces, levels, widths):
+                fresh = assert_level_is_reference(s.basis, basis[:, :width])
+                assert fresh.rank == level.rank
+                assert fresh.cosines.tobytes() == level.cosines.tobytes()
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("multiple", [0.1, 1.0, 10.0])
+    def test_sines_at_multiples_of_the_cutoff(self, field, multiple):
+        # U = span(cos t q0 + sin t q10, q11) against T = span(q0..q4), with
+        # sin t at the given multiple of the rank cutoff max(24, 2) eps
+        q = random_orthogonal(rng_for(421), 24, field)
+        sine = multiple * 24 * _EPS
+        basis = np.column_stack([np.sqrt(1 - sine ** 2) * q[:, 0] + sine * q[:, 10], q[:, 11]])
+        level = assert_level_is_reference(basis, q[:, :5])
+        assert abs(level.sines[0] - 1.0) < 1e-12 and level.sines[1] < 1e-13
+        if multiple != 1.0:  # at the cutoff itself either decision is right
+            assert level.rank == (2 if multiple > 1.0 else 1)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_dim_u_above_dim_t(self, field):
+        rng = rng_for(422)
+        u, t = random_subspace(rng, 24, 7, field), random_subspace(rng, 24, 3, field)
+        level = assert_level_is_reference(u.basis, t.basis)
+        # no angle pairs the first dim U - dim T sines
+        assert np.all(level.cosines[:4] == 0.0) and np.all(level.cosines[4:] > 0.0)
+        assert level.rank == 7
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rank_zero(self, field):
+        q = random_orthogonal(rng_for(423), 24, field)
+        level = assert_level_is_reference(q[:, 1:3], q[:, :5])
+        assert level.rank == 0 and level.degenerate and level.gamma == np.inf
+        empty = assert_level_is_reference(q[:, :0], q[:, :5])
+        assert empty.rank == 0 and empty.sines.size == 0

@@ -456,6 +456,41 @@ class TestMomentsCommand:
                                 "representable in float64\n")
 
 
+class TestConstraintErrorOrder:
+    """The constraints are read one entry at a time: where any entry is
+    refused, the first error in document order is the one reported."""
+
+    @pytest.mark.parametrize("constraints, message", [
+        ([{"vector": [1, 0, 0], "value": True}, {"vector": [0, 1], "value": 1}],
+         "constraint value 1: booleans are not numbers"),
+        ([{"vector": [1, "x", 0], "value": 1}, {"vector": [0, 1, 0]}],
+         "constraint vector 1[1]: expected a number or [re, im] pair, got 'x'"),
+        ([{"vector": [1, 0], "value": 1}, {"vector": [0, 1, 0], "value": False}],
+         "constraint vector 1: has 2 entries, expected 3"),
+        ([{"vector": [1, 0, 0], "value": 1}, [0, 1, 0]],
+         "<path>: constraint 2 needs 'vector' and 'value'"),
+    ], ids=["value-before-short-vector", "vector-before-malformed-entry",
+            "short-vector-before-value", "malformed-entry"])
+    def test_the_first_error_in_document_order(self, tmp_path, capsys, constraints, message):
+        path = write_json(tmp_path / "mom.json",
+                          {"field": "real", "ambient_dim": 3, "constraints": constraints})
+        assert main(["moments", path]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {message.replace('<path>', path)}\n"
+
+    def test_measurements_are_read_in_document_order(self, tmp_path, capsys):
+        doc = {"n": 4, "time_mask": [0], "freq_mask": [], "time_values": [1.0],
+               "freq_values": [], "measurements": [
+                   {"vector": [0, [1, 2], 0, 0], "value": [1, 0]},
+                   {"vector": [0, 0, 3, 1], "value": 2}]}
+        assert main(["signal", write_json(tmp_path / "sig.json", doc)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "measurement 2 residual" in out
+        doc["measurements"][1]["value"] = [1, 2, 3]
+        assert main(["signal", write_json(tmp_path / "sig.json", doc)]) == EXIT_PARSE
+        assert capsys.readouterr().err == ("parse error: measurement value 2: complex scalars "
+                                           "must be [re, im] number pairs\n")
+
+
 class TestNormsAtExtremeScales:
     """solve and moments print norms taken at a power of two: a problem
     scaled by 2^600 or 2^-600, which is exact, prints its numbers times

@@ -124,17 +124,24 @@ def _run_side_here(src, workdir, workloads_, seeds, scale):
 def run_side(src, workloads_=WORKLOADS, seeds=SEEDS, scale="full"):
     """Run every command with the ibap sources at `src`, in a fresh
     interpreter with one BLAS thread; returns its records."""
+    with tempfile.TemporaryDirectory(prefix="ibap-compare-") as workdir:
+        result = os.path.join(workdir, "records.json")
+        run_worker(__file__, src, workdir, result, "--scale", scale,
+                   "--workloads", *workloads_, "--seeds", *map(str, seeds))
+        with open(result) as fh:
+            return json.load(fh)
+
+
+def run_worker(script, *args, stdout=None):
+    """Run `script --worker *args` in a fresh interpreter: no PYTHONPATH,
+    no bytecode written, BLAS on one thread.  Returns the CompletedProcess;
+    raises CalledProcessError when the worker fails."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     env.update({var: "1" for var in BLAS_VARS})
-    with tempfile.TemporaryDirectory(prefix="ibap-compare-") as workdir:
-        result = os.path.join(workdir, "records.json")
-        argv = [sys.executable, os.path.abspath(__file__), "--worker", src, workdir, result,
-                "--scale", scale, "--workloads", *workloads_,
-                "--seeds", *map(str, seeds)]
-        subprocess.run(argv, env=env, check=True, stdin=subprocess.DEVNULL)
-        with open(result) as fh:
-            return json.load(fh)
+    return subprocess.run([sys.executable, os.path.abspath(script), "--worker", *args],
+                          env=env, check=True, stdin=subprocess.DEVNULL, stdout=stdout,
+                          text=True)
 
 
 def revision_src(rev, dest):
