@@ -32,7 +32,6 @@ from .family import (
     BiorthogonalReport,
     DependentFamilyError,
     Family,
-    FEASIBILITY_RTOL,
     IbapFailureError,
     IbapReport,
     InfeasibilityCertificate,

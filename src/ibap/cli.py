@@ -45,7 +45,6 @@ from .applications import (
     worst_aligned_start,
 )
 from .family import (
-    DependentFamilyError,
     Family,
     IbapFailureError,
     InfeasiblePrescriptionError,
@@ -543,7 +542,6 @@ def cmd_slowdemo(args) -> int:
 _FAILURES = (
     (ParseError, "parse error", EXIT_PARSE),
     (InfeasiblePrescriptionError, "infeasible", EXIT_INFEASIBLE),
-    (DependentFamilyError, "dependent family", EXIT_NO_IBAP),
     (IbapFailureError, "property failure", EXIT_NO_IBAP),
     (HypothesisError, "hypothesis failure", EXIT_NO_IBAP),
     (ValueError, "invalid input", EXIT_PARSE),

@@ -20,12 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import _factor_level, projector_product_norm
-from .subspaces import _EPS, Subspace, _check_compatible, _norm, _rank_from_singular_values
-
-#: relative residual above which a least-squares system is declared
-#: inconsistent (see _checked_lstsq)
-FEASIBILITY_RTOL = 1e-8
+from .angles import projector_product_norm
+from .subspaces import (MEMBERSHIP_RTOL, _EPS, Subspace, _check_compatible, _extend, _norm,
+                        _rank_from_singular_values)
 
 #: max-norm tolerance on the Gram defects of biorthogonal_bounds' input
 #: sequences: they are caller-built vectors, not stored bases, so this is
@@ -78,7 +75,7 @@ class Family:
     chain pairs each U_i, from the last but one up to the first, with an
     orthonormal basis T of the sum of the members after it: one thin SVD
     of the residual B_i - T (T^H B_i) gives the level's sines and cosines
-    (angles._Level), dim(U_i + T) and the columns, projected off T, whose
+    (subspaces._Level), dim(U_i + T) and the columns, projected off T, whose
     QR extends T to a basis of U_i + T.  Every trailing-sum basis is thus
     a column prefix of one basis of U_1 + ... + U_m, of width dim_sum; it
     serves check, the recursion and an independent family's iteration.  The full
@@ -135,10 +132,9 @@ class Family:
         basis = self.subspaces[-1].basis
         levels, widths = [], []
         for s in reversed(self.subspaces[:-1]):
-            lev = _factor_level(s.basis, basis)
-            levels.append(lev)
             widths.append(basis.shape[1])
-            basis = np.concatenate([basis, np.linalg.qr(lev.w[:, :lev.rank])[0]], axis=1)
+            lev, basis = _extend(basis, s.basis)
+            levels.append(lev)
         basis.setflags(write=False)
         return tuple(reversed(levels)), basis, tuple(reversed(widths))
 
@@ -239,7 +235,7 @@ def verify_ibap(family: Family) -> IbapReport:
     Everything comes from the family's cached level chain: the verdict is
     independence (each level's rank equals its dimension), and each level
     of U_i against its trailing sum gives its norm, Friedrichs cosine and
-    gamma (see angles._Level), and is flagged degenerate exactly when its
+    gamma (see subspaces._Level), and is flagged degenerate exactly when its
     gamma is infinite, so the verdict holds exactly when no level is
     degenerate.  alpha is sqrt(1 - prod_i s_i^2) over the sines
     s_i paired with the level cosines c_i: since c(M, N) = c(M-perp,
@@ -273,8 +269,9 @@ def _checked_lstsq(b: np.ndarray, factors):
 
     Returns (x, residual, feasible): the residual is b's distance from the
     kept range, ||b - V_r c|| with c = V_r^H b, and b is feasible within
-    FEASIBILITY_RTOL (1 + ||b||) plus that range's rounding: the backward
-    error e leans V_r by up to e / (s_i - s_(rank+1)) at each kept i.
+    MEMBERSHIP_RTOL ||b||, the rule of Subspace.member, plus that range's
+    rounding: the backward error e leans V_r by up to e / (s_i - s_(rank+1))
+    at each kept i.
     """
     u, s, vh, rank = factors
     c = vh[:rank] @ b
@@ -282,7 +279,7 @@ def _checked_lstsq(b: np.ndarray, factors):
     residual = _norm(b - vh[:rank].conj().T @ c)
     e = 4 * max(u.shape[0], vh.shape[1]) * _EPS * np.max(s, initial=0.0)
     lean = _norm(c / (s[:rank] - (s[rank] if rank < len(s) else 0.0)))
-    return x, residual, not residual > FEASIBILITY_RTOL * (1.0 + _norm(b)) + e * lean
+    return x, residual, not residual > MEMBERSHIP_RTOL * _norm(b) + e * lean
 
 
 def stacked_lstsq(family: Family, prescription: list):

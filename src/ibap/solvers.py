@@ -17,7 +17,7 @@ its own orthonormal basis of the sum of the members:
   the residuals and the trace are taken once per block of sweeps.
 
 The resolvents (Id - P_U P_V)^(-1) of the two-subspace step are applied
-in basis coordinates from the level's residual SVD (angles._Level), never
+in basis coordinates from the level's residual SVD (subspaces._Level), never
 as power series or linear solves.
 """
 
@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import _Level
 from .family import (
     Family,
     IbapFailureError,
@@ -40,7 +39,7 @@ from .family import (
     validate_prescription,
     verify_ibap,
 )
-from .subspaces import Subspace, _binary_scale, _norm, as_field_vector
+from .subspaces import Subspace, _binary_scale, _Level, _norm, as_field_vector
 
 #: sweeps in the first block of best_approximation's residual and trace bookkeeping
 _BLOCK = 32
@@ -127,7 +126,7 @@ def _level_step(level: _Level, basis: np.ndarray, u: np.ndarray, v: np.ndarray) 
     resolvents in basis coordinates are (I - C^H C)^(-1) = M = V S^-2 V^H
     and (I - C C^H)^(-1) C = C M; together they give
     x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  W holds no
-    component in T (see angles._factor_level), so dividing by the sines
+    component in T (see subspaces._factor_level), so dividing by the sines
     keeps the step backward stable down to the rank cutoff, above which
     min_norm_stages' independence check keeps every sine.
     """

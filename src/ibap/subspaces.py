@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,8 @@ COMPLEX = "complex"
 #: max-norm tolerance for the orthonormality invariant of stored bases
 ORTHONORMALITY_TOL = 1e-12
 
-#: relative tolerance for "u lies in U" membership checks
+#: relative tolerance for "v lies in a range": a subspace (Subspace.member)
+#: or the kept range of a least-squares system (family._checked_lstsq)
 MEMBERSHIP_RTOL = 1e-8
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -97,6 +99,83 @@ def _rank_from_singular_values(s: np.ndarray, shape, scale: float | None = None)
     if s.size == 0 or top <= 0.0:
         return 0
     return int(np.count_nonzero(s > max(shape) * _EPS * top))
+
+
+class _Level(NamedTuple):
+    """A subspace U against an orthonormal tail basis T, from one thin SVD.
+
+    The residual R of the basis B of U off T is W diag(sines) vh, the
+    sines descending, and cosines[j] = ||C v_j|| with C = T^H B is paired
+    with sines[j].  rank counts the sines above the package cutoff at
+    unit scale, so it is dim(U + T) - dim T, and the first rank columns
+    of w, projected off T after the SVD, extend T to a basis of U + T;
+    they are the only columns that the chain and the level step read.
+    The rows of vh past rank map B to a basis of U meet T (intersect).
+    """
+
+    w: np.ndarray
+    sines: np.ndarray
+    vh: np.ndarray
+    cosines: np.ndarray
+    rank: int
+
+    @property
+    def norm(self) -> float:
+        """||P_U P_T||, the largest principal cosine (0 when none exists)."""
+        return float(self.cosines.max()) if self.cosines.size else 0.0
+
+    @property
+    def cos_angle(self) -> float:
+        """Friedrichs cosine: the one paired with the smallest sine above the cutoff."""
+        return float(self.cosines[self.rank - 1]) if self.rank else 0.0
+
+    @property
+    def sine(self) -> float:
+        """The sine paired with cos_angle, from the cosine at large angles
+        and from the residual at small ones, so it is accurate at both ends."""
+        c = self.cos_angle
+        return math.sqrt(1.0 - c * c) if c * c < 0.5 else float(self.sines[self.rank - 1])
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether a sine falls to the rank cutoff, that is U meets T."""
+        return self.rank < self.sines.size
+
+    @property
+    def gamma(self) -> float:
+        """1 / sine when no direction of U lies in T, infinite otherwise."""
+        return math.inf if self.degenerate else 1.0 / self.sine
+
+
+def _factor_level(basis: np.ndarray, tail: np.ndarray) -> _Level:
+    """The _Level of the column-orthonormal basis against the tail basis,
+    its first rank columns of w orthogonal to the tail to rounding."""
+    tail_h = tail.conj().T
+    coef = tail_h @ basis
+    res = basis - tail @ coef
+    # project off the tail twice: after one pass the rounding left in a
+    # direction that U shares with T reaches the rank cutoff in small
+    # dimensions, after the second it stays below a third of it
+    res -= tail @ (tail_h @ res)
+    w, s, vh = np.linalg.svd(res, full_matrices=False)
+    # the column norms of C V as np.linalg.norm(axis=0) takes them, capped at 1
+    cv = coef @ vh.conj().T
+    cosines = np.sqrt(np.add.reduce((cv.conj() * cv).real, axis=0))
+    np.minimum(cosines, 1.0, out=cosines)
+    # with dim U > dim T the first dim U - dim T sines are 1: no angle pairs them
+    cosines[:max(0, basis.shape[1] - tail.shape[1])] = 0.0
+    rank = _rank_from_singular_values(s, basis.shape, scale=1.0)
+    # w_j leans into the tail by about eps / s[j]: project that off, so
+    # that small sines keep the chain basis and the level step exact
+    w[:, :rank] -= tail @ (tail_h @ w[:, :rank])
+    return _Level(w, s, vh, cosines, rank)
+
+
+def _extend(tail: np.ndarray, basis: np.ndarray):
+    """One step of a chain of sums: the _Level of basis against the tail,
+    and the tail extended by the QR of the level's kept columns."""
+    lev = _factor_level(basis, tail)
+    return lev, np.concatenate([tail, np.linalg.qr(lev.w[:, :lev.rank])[0]], axis=1)
 
 
 def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
@@ -204,7 +283,7 @@ class Subspace:
         """x coerced to the field (see as_field_vector), checked to lie in the subspace.
 
         Raises ValueError when the distance to the subspace exceeds
-        MEMBERSHIP_RTOL * max(1, ||x||); membership violations are
+        MEMBERSHIP_RTOL * ||x||, at every scale; membership violations are
         errors, never silent projections.  The norms are taken of x / p,
         p = _binary_scale(x), so that none overflows; p times them is the
         norms of x, bit for bit, wherever those neither over- nor underflow.
@@ -213,7 +292,7 @@ class Subspace:
         p = _binary_scale(x)
         w = x / p
         gap = _plain_norm(self.project(w) - w)
-        if p * gap > MEMBERSHIP_RTOL and gap > MEMBERSHIP_RTOL * _plain_norm(w):
+        if gap > MEMBERSHIP_RTOL * _plain_norm(w):
             raise ValueError(f"{what} is not in its subspace (distance {p * gap:.3e})")
         return x
 
@@ -239,12 +318,15 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 
 
 def add(a: Subspace, b: Subspace) -> Subspace:
-    """Sum of two subspaces, the span of their union."""
+    """Sum of two subspaces: b's basis extended by a's level against it,
+    so dim(a + b) is the rank that Family((a, b)) and the angles read."""
     _check_compatible(a, b)
-    return Subspace(_orthonormal_columns(np.concatenate([a.basis, b.basis], axis=1)))
+    return Subspace(_extend(b.basis, a.basis)[1])
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, computed as the complement of the sum of complements."""
+    """Intersection: the directions of a whose sines against b fall to
+    the level's rank cutoff, so dim(a meet b) = dim a - the level's rank."""
     _check_compatible(a, b)
-    return add(a.complement(), b.complement()).complement()
+    lev = _factor_level(a.basis, b.basis)
+    return Subspace(a.basis @ lev.vh[lev.rank:].conj().T)

@@ -240,7 +240,7 @@ class TestOperatorSystems:
     @pytest.mark.parametrize("smallest", [1e-9, 1e-11])
     def test_range_of_an_ill_conditioned_operator_is_accepted(self, smallest, kernel):
         # the solution's norm is about 1 / smallest, so the solve's rounding
-        # eps ||T|| ||x|| of the residual exceeds FEASIBILITY_RTOL (1 + ||y||);
+        # eps ||T|| ||x|| of the residual exceeds MEMBERSHIP_RTOL ||y||;
         # with a kernel, rounding also turns the kept range, which ends at
         # smallest, toward the discarded direction by about eps / smallest
         rng = rng_for(820)

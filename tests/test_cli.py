@@ -494,7 +494,8 @@ class TestConstraintErrorOrder:
 class TestNormsAtExtremeScales:
     """solve and moments print norms taken at a power of two: a problem
     scaled by 2^600 or 2^-600, which is exact, prints its numbers times
-    that scale, where the unscaled squares would over- or underflow."""
+    that scale, where the unscaled squares would over- or underflow.  The
+    refusals are relative, so a small problem is refused as at unit scale."""
 
     @staticmethod
     def printed(argv, capsys):
@@ -533,6 +534,26 @@ class TestNormsAtExtremeScales:
         assert float(big["norm"]) == float(unit["norm"]) * scale
         for key in ("space membership residual", "moment 1 residual"):
             assert float(big[key]) == pytest.approx(float(unit[key]) * scale, rel=1e-6)
+
+    @pytest.mark.parametrize("method", ["direct", "iterate"])
+    def test_a_small_contradiction_is_infeasible(self, tmp_path, capsys, method):
+        # the line through e0 prescribed 1e-9 e0 and -1e-9 e0, as e0 and -e0 are
+        doc = {"field": "real", "ambient_dim": 3,
+               "subspaces": [{"vectors": [[1, 0, 0]]}, {"vectors": [[1, 0, 0]]}],
+               "prescription": [[1e-9, 0, 0], [-1e-9, 0, 0]]}
+        path = write_json(tmp_path / "small.json", doc)
+        assert main(["solve", path, "--method", method]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith("infeasible: ")
+
+    @pytest.mark.parametrize("method", ["direct", "recursion", "iterate"])
+    def test_a_small_vector_off_its_line_is_refused(self, tmp_path, capsys, method):
+        # 1e-9 e2 lies wholly outside the line through e0, as e2 does
+        doc = {"field": "real", "ambient_dim": 3,
+               "subspaces": [{"vectors": [[1, 0, 0]]}, {"vectors": [[0, 1, 0]]}],
+               "prescription": [[0, 0, 1e-9], [0, 0, 0]]}
+        path = write_json(tmp_path / "off.json", doc)
+        assert main(["solve", path, "--method", method]) == EXIT_PARSE
+        assert "not in its subspace" in capsys.readouterr().err
 
 
 class TestSignalCommand:
@@ -666,14 +687,14 @@ class TestSlowdemoCommand:
     def test_the_family_is_factorized_once(self, argv, code, monkeypatch):
         # the run and, without the property, rate_bound share one level chain
         calls = []
-        factor = ibap.angles._factor_level
+        factor = ibap.subspaces._factor_level
 
         def counted(basis, tail):
             calls.append(basis.shape)
             return factor(basis, tail)
 
         monkeypatch.setattr(ibap.angles, "_factor_level", counted)
-        monkeypatch.setattr(ibap.family, "_factor_level", counted)
+        monkeypatch.setattr(ibap.subspaces, "_factor_level", counted)
         assert main(["slowdemo", *argv]) == code
         assert len(calls) == 1
 

@@ -16,7 +16,8 @@ complement or calls a linear solve.  A lone pair (the Friedrichs
 cosine) takes one thin SVD of its residual; the two-constraint solve
 takes the two-member chain, that one thin SVD plus its QR, and an
 operator system adds one thin SVD per operator to
-the chain of its family.  The periodic projection sweep makes no
+the chain of its family.  The lattice reads that one level too:
+intersect takes its thin SVD, add that SVD plus one QR.  The periodic projection sweep makes no
 per-sweep call of Subspace.project or affine_project.
 """
 
@@ -33,10 +34,12 @@ from ibap import (
     MaskedSignalProblem,
     SolveOptions,
     Subspace,
+    add,
     best_approximation,
     cos_friedrichs,
     direct_solve,
     epsilon_solve,
+    intersect,
     min_norm_stages,
     recover_with_measurements,
     solve_min_norm,
@@ -208,6 +211,29 @@ def test_friedrichs_cosine_takes_one_residual_svd(log):
     # dim u + dim v > N, so the pair meets in two dimensions
     assert 0.0 < cos_friedrichs(u, v) < 1.0
     assert log == [("svd", (N, 6), False, True)]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_lattice_operations_take_one_level(field, log, monkeypatch):
+    # a 12- and a 16-dimensional subspace of R^24 meet in dimension 4
+    qrs = []
+    qr = np.linalg.qr
+
+    def counted_qr(a, *args, **kwargs):
+        qrs.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    rng = rng_for(1206)
+    a, b = random_subspace(rng, N, 12, field), random_subspace(rng, N, 16, field)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    log.clear()
+    assert intersect(a, b).dim == 4
+    # the thin SVD of a's residual off b, and no complement, QR or n x n SVD
+    assert log == [("svd", (N, 12), False, True)] and qrs == []
+    log.clear()
+    assert add(a, b).dim == N
+    # that SVD, then the QR of its 8 kept columns, which extend b's basis
+    assert log == [("svd", (N, 12), False, True)] and qrs == [(N, 8)]
 
 
 def test_operator_system_adds_one_thin_svd_per_operator(log):

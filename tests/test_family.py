@@ -361,7 +361,7 @@ class TestInfeasibility:
         # a 2- and a 3-dimensional subspace of R^8 meeting at sine 1e-9:
         # generic prescriptions have solutions of norm near 1e9, whose
         # stacked residual is rounding of size eps ||x||, far above
-        # FEASIBILITY_RTOL (1 + ||b||); the test reads the distance of b
+        # MEMBERSHIP_RTOL ||b||; the test reads the distance of b
         # from the kept range instead, which for an independent family is
         # the whole coefficient space, so that only b's rounding enters
         eps = np.finfo(float).eps
@@ -420,7 +420,7 @@ class TestInfeasibility:
         # same vector: feasible, with solutions of norm near 1e9.  Rounding
         # turns the computed kept range toward its boundary direction by
         # about eps / 1e-9, so b's distance from it is near 1e-7 ||b||, far
-        # above FEASIBILITY_RTOL (1 + ||b||) but within the rounding allowance
+        # above MEMBERSHIP_RTOL ||b|| but within the rounding allowance
         eps = np.finfo(float).eps
         for seed in range(10):
             rng = rng_for(seed)
@@ -457,12 +457,12 @@ class TestNormsAtExtremeScales:
     epsilon_solve and prescription_residual take each norm at a power of
     two: a problem scaled by 2^600 or 2^-600, which is exact, gives its
     results times that scale where the unscaled squares would over- or
-    underflow."""
+    underflow.  Feasibility and membership are judged relative to the
+    problem's own size, so a refusal holds at every scale."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_large_contradiction_is_refused(self):
-        # the line through e0 prescribed e0 and -e0; at 2^-600 such a
-        # contradiction lies below the rule's absolute part FEASIBILITY_RTOL
+        # the line through e0 prescribed e0 and -e0, scaled by 2^600
         scale = 2.0 ** 600
         e0 = np.eye(3)[0]
         f = lines(e0, e0)
@@ -476,6 +476,25 @@ class TestNormsAtExtremeScales:
             best_approximation(np.zeros(3), f, big)
         with pytest.raises(ValueError, match="not in the range of its operator"):
             solve_operator_system([[[1.0, 0.0], [1.0, 0.0]]], [[scale, -scale]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-600, -30, 0, 30, 600])
+    def test_a_contradiction_is_refused_at_every_scale(self, k):
+        # the feasibility and membership rules are relative: b = 2^k (1, -1)
+        # lies wholly outside the kept range, and 2^k e2 wholly off the line
+        scale = 2.0 ** k
+        e = np.eye(3)
+        f = lines(e[0], e[0])
+        big = [scale * e[0], -scale * e[0]]
+        assert infeasibility_certificate(f, big).residual == scale * math.sqrt(2.0)
+        with pytest.raises(InfeasiblePrescriptionError):
+            direct_solve(f, big)
+        with pytest.raises(InfeasiblePrescriptionError):
+            best_approximation(np.zeros(3), f, big)
+        with pytest.raises(ValueError, match="not in the range of its operator"):
+            solve_operator_system([[[1.0, 0.0], [1.0, 0.0]]], [[scale, -scale]])
+        with pytest.raises(ValueError, match="not in its subspace"):
+            f[0].member(scale * e[2])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])

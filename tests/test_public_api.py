@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "recover_with_measurements", "slow_family", "solve_moments", "solve_operator_system",
     "time_frequency_recover", "worst_aligned_start",
     # family
-    "BiorthogonalReport", "DependentFamilyError", "Family", "FEASIBILITY_RTOL",
+    "BiorthogonalReport", "DependentFamilyError", "Family",
     "IbapFailureError", "IbapReport", "InfeasibilityCertificate", "InfeasiblePrescriptionError",
     "LevelCertificate", "PairBound", "biorthogonal_bounds", "check_independence",
     "dependent_tuple", "epsilon_solve", "infeasibility_certificate", "trailing_sums",
