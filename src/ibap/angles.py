@@ -2,12 +2,13 @@
 
 These two scalars carry all the geometric information used by the
 family-level feasibility certificates and the convergence rate bound.
-Both come from one thin SVD of the residual R = B - T (T^H B) of a basis
-B of one subspace off an orthonormal basis T of the other: its singular
-values are the sines of the principal angles, accurate where the angles
-are small (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002), and the
-cosine paired with the sine s_j is ||T^H B v_j|| for its right singular
-vector v_j.  That factorization (subspaces._factor_level) also gives
+Both come from the residual R = B - T (T^H B) of a basis B of one
+subspace off an orthonormal basis T of the other, factored by one thin
+SVD (a one-column R = r is its own singular triple, read from its
+norm): its singular values are the sines of the principal angles,
+accurate where the angles are small (Knyazev & Argentati, SIAM J. Sci.
+Comput. 23, 2002), and the cosine paired with the sine s_j is
+||T^H B v_j|| for its right singular vector v_j.  That factorization (subspaces._factor_level) also gives
 each level of a family's trailing-sum chain (see Family), the lattice
 operations add and intersect, and the recursion's level step; its rank
 (the sines above the cutoff at unit scale) is the one rank decision that

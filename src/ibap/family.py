@@ -8,7 +8,8 @@ subspaces are linearly independent.  The decision and the per-level
 certificates (trailing-sum projector norms, Friedrichs angles, gamma
 constants), which quantify how well-conditioned it is and feed the
 convergence rate bound of the iterative solver, all come from one
-residual SVD per level, cached on the Family.
+factorization of the residual per level, cached on the Family: a thin
+SVD, or for a line the residual's norm (see subspaces._factor_level).
 """
 
 from __future__ import annotations
@@ -74,15 +75,17 @@ class Family:
     Two factorizations are taken on first use and cached.  The level
     chain pairs each U_i, from the last but one up to the first, with an
     orthonormal basis T of the sum of the members after it: one thin SVD
-    of the residual B_i - T (T^H B_i) gives the level's sines and cosines
-    (subspaces._Level), dim(U_i + T) and the columns, projected off T, whose
-    QR extends T to a basis of U_i + T.  Every trailing-sum basis is thus
-    a column prefix of one basis of U_1 + ... + U_m, of width dim_sum; it
-    serves check, the recursion and an independent family's iteration.  The full
-    SVD of the stacked bases serves only the stacked route (direct_solve,
-    stacked_lstsq, the dependent tuple), cut at dim_sum: its smallest
-    singular value is at most every level sine, so where it shows full
-    column rank the chain is not built.
+    of the residual B_i - T (T^H B_i), or its norm when U_i is a line,
+    gives the level's sines and cosines (subspaces._Level), dim(U_i + T)
+    and the columns, projected off T, whose QR (for one column, its
+    division by its norm) extends T to a basis of U_i + T.  Every
+    trailing-sum basis is thus a column prefix of one basis of
+    U_1 + ... + U_m, of width dim_sum; it serves check, the recursion and
+    an independent family's iteration.  The full SVD of the stacked bases
+    serves only the stacked route (direct_solve, stacked_lstsq, the
+    dependent tuple), cut at dim_sum: its smallest singular value is at
+    most every level sine, so where it shows full column rank the chain
+    is not built.
     """
 
     subspaces: tuple
@@ -161,7 +164,7 @@ class LevelCertificate(NamedTuple):
     norm is the projector-product norm of the pair, cos_angle the
     Friedrichs angle cosine, gamma the optimal constant bounding
     ||u|| <= gamma * ||(I - P_trailing) u|| over u in U_i, which is one
-    over the smallest sine of the level's residual SVD; it is infinite
+    over the smallest singular value of the level's residual; it is infinite
     exactly when a sine falls below the rank cutoff, that is when U_i
     meets the trailing sum.  degenerate flags that same rank decision,
     the one the verdict is made of.

@@ -17,7 +17,7 @@ its own orthonormal basis of the sum of the members:
   the residuals and the trace are taken once per block of sweeps.
 
 The resolvents (Id - P_U P_V)^(-1) of the two-subspace step are applied
-in basis coordinates from the level's residual SVD (subspaces._Level), never
+in basis coordinates from the level's factored residual (subspaces._Level), never
 as power series or linear solves.
 """
 
@@ -150,7 +150,7 @@ def extend_min_norm(level: Subspace, trailing: Subspace, u, v) -> np.ndarray:
     (the minimal-norm solution of the constraints after this level),
     returns the point of level + trailing projecting to u on `level` and
     to v on `trailing`: the recursion on the two-member family, whose
-    chain is one residual SVD of the pair (see _level_step).
+    chain is one factored residual of the pair (see _level_step).
     """
     family = Family((level, trailing))
     pres = [level.member(u, what="level point"), trailing.member(v, what="trailing point")]

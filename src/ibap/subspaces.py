@@ -102,14 +102,16 @@ def _rank_from_singular_values(s: np.ndarray, shape, scale: float | None = None)
 
 
 class _Level(NamedTuple):
-    """A subspace U against an orthonormal tail basis T, from one thin SVD.
+    """A subspace U against an orthonormal tail basis T, from one thin SVD
+    of the residual, or from its norm when U is a line.
 
     The residual R of the basis B of U off T is W diag(sines) vh, the
-    sines descending, and cosines[j] = ||C v_j|| with C = T^H B is paired
-    with sines[j].  rank counts the sines above the package cutoff at
-    unit scale, so it is dim(U + T) - dim T, and the first rank columns
-    of w, projected off T after the SVD, extend T to a basis of U + T;
-    they are the only columns that the chain and the level step read.
+    sines descending; a one-column R = r is its own singular triple
+    (||r||, r / ||r||, [[1]]).  cosines[j] = ||C v_j|| with C = T^H B is
+    paired with sines[j].  rank counts the sines above the package cutoff
+    at unit scale, so it is dim(U + T) - dim T, and the first rank columns
+    of w, projected off T after the factorization, extend T to a basis of
+    U + T; they are the only columns that the chain and the level step read.
     The rows of vh past rank map B to a basis of U meet T (intersect).
     """
 
@@ -157,7 +159,16 @@ def _factor_level(basis: np.ndarray, tail: np.ndarray) -> _Level:
     # direction that U shares with T reaches the rank cutoff in small
     # dimensions, after the second it stays below a third of it
     res -= tail @ (tail_h @ res)
-    w, s, vh = np.linalg.svd(res, full_matrices=False)
+    if basis.shape[1] == 1:
+        # a line's residual r is its own singular triple (||r||, r / ||r||, [[1]]);
+        # when its squares underflow to a norm of 0, the level has rank 0
+        # and no caller reads its w, so r is kept there
+        top = _plain_norm(res)
+        w = res / top if top else res
+        s = np.array([top])
+        vh = np.ones((1, 1), dtype=res.dtype)
+    else:
+        w, s, vh = np.linalg.svd(res, full_matrices=False)
     # the column norms of C V as np.linalg.norm(axis=0) takes them, capped at 1
     cv = coef @ vh.conj().T
     cosines = np.sqrt(np.add.reduce((cv.conj() * cv).real, axis=0))
@@ -173,9 +184,12 @@ def _factor_level(basis: np.ndarray, tail: np.ndarray) -> _Level:
 
 def _extend(tail: np.ndarray, basis: np.ndarray):
     """One step of a chain of sums: the _Level of basis against the tail,
-    and the tail extended by the QR of the level's kept columns."""
+    and the tail extended by the level's kept columns made orthonormal, a
+    single one by its norm and several by their QR."""
     lev = _factor_level(basis, tail)
-    return lev, np.concatenate([tail, np.linalg.qr(lev.w[:, :lev.rank])[0]], axis=1)
+    kept = lev.w[:, :lev.rank]
+    kept = kept / _plain_norm(kept) if lev.rank == 1 else np.linalg.qr(kept)[0]
+    return lev, np.concatenate([tail, kept], axis=1)
 
 
 def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
@@ -297,14 +311,10 @@ class Subspace:
         return x
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement; dimensions add up to ambient_dim exactly."""
-        n, k = self.basis.shape
-        if k == 0:
-            return Subspace(np.eye(n, dtype=self.dtype))
-        if k == n:
-            return Subspace(np.zeros((n, 0), dtype=self.dtype))
-        u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace(u[:, k:])
+        """Orthogonal complement: the last ambient_dim - dim columns of the
+        complete QR of the basis, which is orthonormal already, so no rank
+        is decided and the dimensions add up to ambient_dim exactly."""
+        return Subspace(np.linalg.qr(self.basis, mode="complete")[0][:, self.dim:])
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field})"

@@ -4,7 +4,9 @@ Each oracle takes a different route than the implementation it checks:
 Gram eigenvalues instead of basis SVDs, dense projector matrices instead
 of cross-Gram factors, truncated power series instead of direct solves,
 sampling instead of spectral maximization, real-stacked least squares
-instead of complex solves, complement chains instead of level cosines,
+instead of complex solves, complement chains of dense projectors, each
+intersection the null space of stacked complement constraints, instead
+of level cosines and the level's intersection,
 pseudoinverse projectors of the later members instead of the level
 chain's trailing sums, one public affine_project call per constraint
 and one prescription_residual per sweep instead of the sweep as one
@@ -36,7 +38,6 @@ from ibap import (
     best_approximation,
     direct_solve,
     field_dtype,
-    intersect,
     prescription_residual,
     slow_family,
     solve_min_norm,
@@ -187,27 +188,41 @@ def constrained_min_norm_in_space(space_basis, constraint_vectors, values):
     return space_basis @ coeff
 
 
-def dense_friedrichs(u, v):
-    """c(U, V) = ||P_U P_V - P_(U meet V)|| on dense projector matrices,
-    with the intersection from the complement lattice."""
-    w = intersect(u, v)
-    return float(np.linalg.norm(dense_projector(u) @ dense_projector(v) - dense_projector(w), 2))
+def meet_projector(p, q, tol=1e-10):
+    """Projector onto the intersection of the ranges of the orthogonal
+    projectors p and q: N N^H with N the null space of the stacked
+    complement constraints [I - p; I - q], from one SVD of that stack whose
+    singular values at most tol count as zero.  A principal angle t between
+    the ranges gives the singular value sqrt(2) sin(t / 2), and the null
+    directions singular values of the order of eps."""
+    eye = np.eye(p.shape[0])
+    _, s, vh = np.linalg.svd(np.vstack([eye - p, eye - q]))
+    null = vh[np.count_nonzero(s > tol):].conj().T
+    return null @ null.conj().T
+
+
+def dense_friedrichs(p, q):
+    """c(U, V) = ||P_U P_V - P_(U meet V)|| from the dense projectors
+    p = P_U and q = P_V, with P_(U meet V) from meet_projector."""
+    return float(np.linalg.norm(p @ q - meet_projector(p, q), 2))
 
 
 def complement_chain_alpha(family):
     """Rate bound sqrt(1 - prod_i (1 - c_i^2)) with c_i the Friedrichs
     cosine between the complement of U_i and the intersection of the
-    complements after it, each built by dense complement SVDs."""
+    complements after it, all on dense projector matrices: I - P_i for
+    each complement and meet_projector for each intersection."""
     subs = family.subspaces
     if len(subs) == 1:
         return 0.0
-    comps = [s.complement() for s in subs]
+    eye = np.eye(family.ambient_dim)
+    comps = [eye - dense_projector(s) for s in subs]
     tail = comps[-1]
     prod = 1.0
-    for i in range(len(subs) - 2, -1, -1):
-        c = dense_friedrichs(comps[i], tail)
+    for comp in reversed(comps[:-1]):
+        c = dense_friedrichs(comp, tail)
         prod *= 1.0 - c * c
-        tail = intersect(comps[i], tail)
+        tail = meet_projector(comp, tail)
     return float(np.sqrt(max(0.0, 1.0 - prod)))
 
 
@@ -226,14 +241,21 @@ def complement_product_radius(family):
     return float(np.max(np.abs(np.linalg.eigvals(w.conj().T @ prod @ w))))
 
 
-def reference_level(basis, tail):
-    """angles._factor_level as first written, through numpy's Python
+def reference_level(basis, tail, by_svd=False):
+    """subspaces._factor_level as first written, through numpy's Python
     wrappers: the cosines by np.linalg.norm(axis=0) clipped by np.clip,
-    the rank by np.sum; returns (w, sines, vh, cosines, rank)."""
+    the rank by np.sum; returns (w, sines, vh, cosines, rank).  The
+    residual r of a one-column basis is its own singular triple
+    (np.linalg.norm(r), r / np.linalg.norm(r), [[1]]), r itself for w
+    when its norm is 0; by_svd takes np.linalg.svd of every residual."""
     coef = tail.conj().T @ basis
     res = basis - tail @ coef
     res -= tail @ (tail.conj().T @ res)
-    w, s, vh = np.linalg.svd(res, full_matrices=False)
+    if basis.shape[1] == 1 and not by_svd:
+        top = np.linalg.norm(res)
+        w, s, vh = res / top if top else res, np.array([top]), np.ones((1, 1), dtype=res.dtype)
+    else:
+        w, s, vh = np.linalg.svd(res, full_matrices=False)
     cosines = np.clip(np.linalg.norm(coef @ vh.conj().T, axis=0), 0.0, 1.0)
     cosines[:max(0, basis.shape[1] - tail.shape[1])] = 0.0
     rank = int(np.sum(s > max(basis.shape) * np.finfo(np.float64).eps))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from ibap import (
+    COMPLEX,
     Subspace,
     add,
     angle_identity_gap,
     cos_friedrichs,
+    field_dtype,
     intersect,
     projector_product_norm,
 )
@@ -245,3 +247,52 @@ class TestLevelMatchesTheWrapperFormulas:
         assert level.rank == 0 and level.degenerate and level.gamma == np.inf
         empty = assert_level_is_reference(q[:, :0], q[:, :5])
         assert empty.rank == 0 and empty.sines.size == 0
+
+
+class TestLineLevels:
+    """A line's level takes the residual r of its basis off the tail as
+    its own singular triple (||r||, r / ||r||, [[1]]), not an SVD."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("multiple", [0.1, 1.5, 10.0])
+    def test_agrees_with_the_svd_of_its_residual(self, field, multiple):
+        # the line cos t q0 + sin t e^(i phi) q10 against T = span(q0..q4),
+        # sin t at the given multiple of the rank cutoff 24 eps
+        rng = rng_for(424)
+        sine = multiple * 24 * _EPS
+        for _ in range(20):
+            q = random_orthogonal(rng, 24, field)
+            phase = np.exp(2j * np.pi * rng.uniform()) if field == COMPLEX else 1.0
+            basis = (np.sqrt(1 - sine ** 2) * q[:, 0] + sine * phase * q[:, 10])[:, None]
+            level = assert_level_is_reference(basis, q[:, :5])
+            w, sines, vh, cosines, rank = reference_level(basis, q[:, :5], by_svd=True)
+            assert level.rank == rank == (1 if multiple > 1.0 else 0)
+            assert level.cosines.tobytes() == cosines.tobytes()
+            assert abs(level.sines[0] - sines[0]) <= 2 * _EPS * sines[0]
+            # r = w_svd s vh, so r / ||r|| is w_svd times the phase vh
+            assert np.max(np.abs(level.w - w * vh[0, 0])) <= 2 * _EPS
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_line_inside_the_tail(self, field):
+        # e0 + e1 (e0 + i e1 when complex) against span(e0, e1): the
+        # residual is exactly 0, and the level is finite
+        e = np.eye(4, dtype=field_dtype(field))
+        line = Subspace.from_spanning([e[0] + (1j if field == COMPLEX else 1.0) * e[1]], 4)
+        plane = Subspace(e[:, :2])
+        level = assert_level_is_reference(line.basis, plane.basis)
+        assert level.sines.tolist() == [0.0]
+        assert all(np.isfinite(a).all() for a in (level.w, level.vh, level.cosines))
+        assert level.rank == 0 and level.degenerate and level.gamma == np.inf
+        assert intersect(line, plane).dim == 1 and add(line, plane).dim == 2
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_line_whose_residual_squares_underflow(self, field):
+        # e0 + 1e-170 e2 (i e2 when complex) against span(e0, e1): the
+        # squares of the residual 1e-170 e2 underflow, so its norm reads 0
+        e = np.eye(4, dtype=field_dtype(field))
+        basis = (e[0] + 1e-170 * (1j if field == COMPLEX else 1.0) * e[2])[:, None]
+        line, plane = Subspace(basis), Subspace(e[:, :2])
+        level = assert_level_is_reference(line.basis, plane.basis)
+        assert level.rank == 0 and level.degenerate
+        assert not any(np.isnan(a).any() for a in (level.w, level.sines, level.vh, level.cosines))
+        assert intersect(line, plane).dim == 1 and add(line, plane).dim == 2

@@ -2,11 +2,13 @@
 
 Each family is factorized at most once per call chain, by one of two
 factorizations cached on the Family: the level chain, one thin SVD of
-each level's residual off its trailing sum (m - 1 in all), and the full
-SVD of its stacked bases.  Check, the recursion and the iteration on an
-independent family, with or without an anchor or a trace, take only the
-chain; direct_solve and epsilon_solve on a generic family take only the
-stacked SVD.
+each level's residual off its trailing sum (m - 1 in all) and one QR of
+its kept columns, and the full SVD of its stacked bases.  A line's level
+takes neither: its one-column residual is its own singular triple, read
+from its norm, and its kept column is divided by its norm.  Check, the
+recursion and the iteration on an independent family, with or without
+an anchor or a trace, take only the chain; direct_solve and
+epsilon_solve on a generic family take only the stacked SVD.
 The stacked route cuts that SVD at dim_sum and reads the chain for it
 only where the stacked singular values do not show full column rank, so
 two chains take both: a dependent family's iteration, whose stacked
@@ -15,10 +17,11 @@ whose stack is numerically deficient.  None of these chains builds a
 complement or calls a linear solve.  A lone pair (the Friedrichs
 cosine) takes one thin SVD of its residual; the two-constraint solve
 takes the two-member chain, that one thin SVD plus its QR, and an
-operator system adds one thin SVD per operator to
-the chain of its family.  The lattice reads that one level too:
-intersect takes its thin SVD, add that SVD plus one QR.  The periodic projection sweep makes no
-per-sweep call of Subspace.project or affine_project.
+operator system adds one thin SVD per operator to the chain of its
+family.  The lattice reads that one level too: intersect takes its thin
+SVD, add that SVD plus one QR.  The moment problem's one complement is
+one complete QR.  The periodic projection sweep makes no per-sweep call
+of Subspace.project or affine_project.
 """
 
 from collections import Counter
@@ -100,6 +103,20 @@ def log(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def qrs(monkeypatch):
+    """Records (shape, mode) for every QR."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted_qr(a, mode="reduced"):
+        calls.append((np.shape(a), mode))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    return calls
+
+
 def full_u_svds(calls):
     """Shapes of the full-u SVDs with N rows, the only kind that is n by n."""
     return [c[1] for c in calls if c[0] == "svd" and c[2] and c[1][0] == N]
@@ -117,8 +134,9 @@ STACKED = [(N, sum(DIMS))]
 DEPENDENT_LEVELS = [(N, k) for k in reversed(DIMS)]
 DEPENDENT_STACKED = [(N, sum(DIMS) + DIMS[0])]
 #: the deficient family is three lines (0, 1, s), (1, s, 0) and e0 at s = 1e-8:
-#: level sines s, stacked smallest singular value s^2 / sqrt(2)
-DEFICIENT_LEVELS = [(N, 1), (N, 1)]
+#: level sines s, stacked smallest singular value s^2 / sqrt(2); a line's
+#: level takes the norm of its residual, no SVD
+DEFICIENT_LEVELS = []
 DEFICIENT_STACKED = [(N, 3)]
 
 
@@ -214,18 +232,10 @@ def test_friedrichs_cosine_takes_one_residual_svd(log):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_lattice_operations_take_one_level(field, log, monkeypatch):
+def test_lattice_operations_take_one_level(field, log, qrs):
     # a 12- and a 16-dimensional subspace of R^24 meet in dimension 4
-    qrs = []
-    qr = np.linalg.qr
-
-    def counted_qr(a, *args, **kwargs):
-        qrs.append(np.shape(a))
-        return qr(a, *args, **kwargs)
-
     rng = rng_for(1206)
     a, b = random_subspace(rng, N, 12, field), random_subspace(rng, N, 16, field)
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     log.clear()
     assert intersect(a, b).dim == 4
     # the thin SVD of a's residual off b, and no complement, QR or n x n SVD
@@ -233,7 +243,17 @@ def test_lattice_operations_take_one_level(field, log, monkeypatch):
     log.clear()
     assert add(a, b).dim == N
     # that SVD, then the QR of its 8 kept columns, which extend b's basis
-    assert log == [("svd", (N, 12), False, True)] and qrs == [(N, 8)]
+    assert log == [("svd", (N, 12), False, True)] and qrs == [((N, 8), "reduced")]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_lattice_operations_on_a_line_take_no_factorization(field, log, qrs):
+    # a line against a plane: its level is the norm of its residual
+    rng = rng_for(1207)
+    a, b = random_subspace(rng, N, 1, field), random_subspace(rng, N, 2, field)
+    log.clear()
+    assert intersect(a, b).dim == 0 and add(a, b).dim == 3
+    assert log == [] and qrs == []
 
 
 def test_operator_system_adds_one_thin_svd_per_operator(log):
@@ -253,7 +273,7 @@ def test_operator_system_adds_one_thin_svd_per_operator(log):
 
 
 @pytest.mark.parametrize("meets_complement", [False, True])
-def test_moments_build_one_complement(meets_complement, log):
+def test_moments_build_one_complement(meets_complement, log, qrs):
     rng = rng_for(1202)
     space = random_subspace(rng, N, 15, "real")
     vectors = list(rng.standard_normal((4, N)))
@@ -265,9 +285,11 @@ def test_moments_build_one_complement(meets_complement, log):
         x = solve_moments(space, vectors, [1.0, 2.0, 3.0, 4.0])
         assert np.allclose([v @ x for v in vectors], [1.0, 2.0, 3.0, 4.0])
     # the orthocomplement of the space, a member of the family that is solved,
-    # is the only full-u SVD: the decision and the recursion use the level chain
+    # is the only complete QR and takes no full-u SVD: the decision and the
+    # recursion use the level chain
     assert [c for c in log if c[0] == "complement"] == [("complement",)]
-    assert len(full_u_svds(log)) == 1
+    assert [q for q in qrs if q[1] == "complete"] == [((N, 15), "complete")]
+    assert full_u_svds(log) == []
 
 
 def line_svds(calls):
@@ -275,19 +297,21 @@ def line_svds(calls):
     return [c[1] for c in calls if c[0] == "svd" and c[1] == (N, 1)]
 
 
-def test_moment_lines_take_no_svd_of_their_own(log):
-    # each moment line's basis is v / ||v||; the (N, 1) SVDs left are the
-    # chain's, one residual SVD per line level
+def test_moment_lines_take_no_svd_of_their_own(log, qrs):
+    # each moment line's basis is v / ||v||, and each line level of the
+    # chain takes the norm of its residual: no SVD and no QR of a line
     rng = rng_for(1203)
     space = random_subspace(rng, N, 15, "real")
     vectors = list(rng.standard_normal((4, N)))
     solve_moments(space, vectors, [1.0, 2.0, 3.0, 4.0])
-    assert line_svds(log) == [(N, 1)] * len(vectors)
+    assert line_svds(log) == []
+    assert qrs == [((N, 15), "complete")]
 
 
-def test_measurement_lines_take_no_svd_of_their_own(log):
+def test_measurement_lines_take_no_svd_of_their_own(log, qrs):
     # the family is the measurement lines, then the time and frequency
-    # supports; its chain has one level per line and one for the time support
+    # supports; its chain has one level per line, which takes the norm of
+    # its residual, and one for the time support, which takes an SVD and a QR
     rng = rng_for(1204)
     problem = MaskedSignalProblem(n=N, time_mask=(0, 1, 2), freq_mask=(0, 5),
                                   time_values=rng.standard_normal(3),
@@ -296,7 +320,8 @@ def test_measurement_lines_take_no_svd_of_their_own(log):
     for i, m in enumerate(measurements):
         m[3 + 2 * i: 5 + 2 * i] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     recover_with_measurements(problem, list(measurements), [1.0, -2.0, 0.5j])
-    assert [c[1] for c in log if c[0] == "svd"] == [(N, 3)] + [(N, 1)] * len(measurements)
+    assert [c[1] for c in log if c[0] == "svd"] == [(N, 3)]
+    assert qrs == [((N, 3), "reduced")]
 
 
 def test_the_sweep_calls_no_projection_per_sweep(monkeypatch):

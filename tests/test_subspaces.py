@@ -216,6 +216,15 @@ class TestComplement:
             assert again.dim == u.dim
             assert mutual_projection_gap(u, again) <= 1e-10
 
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("k", [0, 1, 23, 24])
+    def test_complement_is_orthonormal_and_orthogonal_to_the_space(self, field, k):
+        u = random_subspace(rng_for(203), 24, k, field)
+        c = u.complement()
+        assert c.dim == 24 - k and c.dtype == u.dtype
+        assert np.max(np.abs(c.basis.conj().T @ c.basis - np.eye(24 - k)), initial=0.0) <= 1e-14
+        assert np.max(np.abs(u.basis.conj().T @ c.basis), initial=0.0) <= 1e-14
+
 
 class TestSumAndIntersection:
     def test_sum_of_axes(self):
