@@ -260,11 +260,16 @@ def verify_ibap(family: Family) -> IbapReport:
 
 def validate_prescription(family: Family, prescription) -> list:
     """Check one vector per subspace, each finite and a member of its subspace."""
+    return [s.member(u, f"prescription vector {i + 1}")
+            for i, (s, u) in enumerate(zip(family.subspaces, _counted(family, prescription)))]
+
+
+def _counted(family: Family, prescription) -> list:
+    """The prescription as a list, checked to hold one vector per subspace."""
     prescription = list(prescription)
     if len(prescription) != len(family):
         raise ValueError(f"prescription has {len(prescription)} vectors for {len(family)} subspaces")
-    return [s.member(u, f"prescription vector {i + 1}")
-            for i, (s, u) in enumerate(zip(family.subspaces, prescription))]
+    return prescription
 
 
 def _checked_lstsq(b: np.ndarray, factors):
@@ -289,19 +294,18 @@ def stacked_lstsq(family: Family, prescription: list):
     """_checked_lstsq on the stacked coordinate system, from the family's stacked SVD.
 
     Its rows are the conjugate-transposed bases, so it is equivalent to
-    P_i x = u_i for prescriptions inside their subspaces.
+    P_i x = u_i for prescriptions inside their subspaces.  Returns the
+    least-squares point and its InfeasibilityCertificate, or None if feasible.
     """
     b = np.concatenate([s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)])
-    return _checked_lstsq(b, family._stacked)
+    x, residual, feasible = _checked_lstsq(b, family._stacked)
+    return x, None if feasible else InfeasibilityCertificate(residual=residual, best_point=x)
 
 
 def infeasibility_certificate(family: Family, prescription):
-    """Certificate that the prescription has no solution, or None.
-
-    A zero-sum prescription with nonzero members always produces one.
-    """
-    x, residual, feasible = stacked_lstsq(family, validate_prescription(family, prescription))
-    return None if feasible else InfeasibilityCertificate(residual=residual, best_point=x)
+    """Certificate that the prescription has no solution, or None; a
+    zero-sum prescription with nonzero members always produces one."""
+    return stacked_lstsq(family, validate_prescription(family, prescription))[1]
 
 
 def epsilon_solve(family: Family, prescription, epsilon: float) -> np.ndarray:

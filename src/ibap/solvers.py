@@ -13,8 +13,8 @@ its own orthonormal basis of the sum of the members:
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles; each sweep
   is one small square map on the iterate's coordinates in the chain
-  basis of the sum, equal to the per-constraint sweep up to rounding;
-  the residuals and the trace are taken once per block of sweeps.
+  basis of the sum, the product of the members' affine steps there; the
+  residuals and the trace are taken once per block of sweeps.
 
 The resolvents (Id - P_U P_V)^(-1) of the two-subspace step are applied
 in basis coordinates from the level's factored residual (subspaces._Level), never
@@ -32,8 +32,8 @@ import numpy as np
 from .family import (
     Family,
     IbapFailureError,
-    InfeasibilityCertificate,
     InfeasiblePrescriptionError,
+    _counted,
     check_independence,
     stacked_lstsq,
     validate_prescription,
@@ -74,6 +74,8 @@ class SolveOptions:
     record_trace: bool = False
 
     def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not 0 < self.tol < math.inf:
@@ -193,9 +195,11 @@ def solve_min_norm(family: Family, prescription, anchor=None) -> np.ndarray:
 
 
 def prescription_residual(family: Family, prescription, x) -> float:
-    """max_i || P_i x - u_i ||, the observable constraint residual."""
+    """max_i || P_i x - u_i ||, the observable constraint residual, of one
+    vector u_i per subspace, none of them checked for membership."""
     x = as_field_vector(x, family.ambient_dim, family.dtype)
-    return max(_norm(s.project(x) - u) for s, u in zip(family.subspaces, prescription))
+    pres = _counted(family, prescription)
+    return max(_norm(s.project(x) - u) for s, u in zip(family.subspaces, pres))
 
 
 def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
@@ -215,11 +219,11 @@ def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
 
 def _stacked_point(family: Family, pres: list) -> np.ndarray:
     """direct_solve's minimal-norm particular solution of a validated prescription."""
-    x, residual, feasible = stacked_lstsq(family, pres)
-    if not feasible:
+    x, certificate = stacked_lstsq(family, pres)
+    if certificate is not None:
         raise InfeasiblePrescriptionError(
-            f"prescription is infeasible (stacked residual {residual:.3e})",
-            InfeasibilityCertificate(residual=residual, best_point=x))
+            f"prescription is infeasible (stacked residual {certificate.residual:.3e})",
+            certificate)
     return x
 
 
@@ -248,38 +252,31 @@ def rate_bound(family: Family) -> float:
 
 def _sweep_map(t: np.ndarray, live: list, start: np.ndarray):
     """best_approximation's sweep in the coordinates y of x = start + T y,
-    T = t: the (d+1)-square map m of [y; 1], the coordinates whose product
-    with [y; 1] holds each live member's residual Q_j^H (x - u_j), and
-    where each member's entries start in that product's real view.  Its
-    intermediate products are freed before the sweeps run."""
+    T = t: the (d+1)-square map m = A_1 ... A_m of [y; 1], the product of
+    the members' homogeneous steps A_j (a sweep takes the last first), whose
+    last row stays [0, ..., 0, 1] exactly; the coordinates whose product
+    with [y; 1] holds each live member's residual Q_j^H (x - u_j); and where
+    each member's entries start in that product's real view."""
     # T is orthonormal to rounding only, so y follows member j's step
     # x <- u_j + x - Q_j Q_j^H x through T^+ ~ (2I - T^H T) T^H: with
     # g = T^H [Q, u] = [G, ...] and kv = T^+ [Q, u] = [K, ...] it is
-    # y <- y - K_j (G_j^H y + Q_j^H start) + T^+ u_j.  C_j = -G_j^H A_(j+1)
-    # with A_(j+1) = I + K_(>j) C_(>j) of members j+1..m; f is one sweep
-    # from 0; [G^H, Q^H (start - u)] gives the residual coordinates of [y; 1]
+    # y <- y - K_j (G_j^H y + Q_j^H start) + T^+ u_j, and m <- m A_j;
+    # [G^H, Q^H (start - u)] gives the residual coordinates of [y; 1]
     q = np.concatenate([qi for qi, _ in live], axis=1)
     k = q.shape[1]
     g = t.conj().T @ np.column_stack([q] + [u for _, u in live])
     kv = 2 * g - (t.conj().T @ t) @ g
-    gram = q.conj().T @ q
-    offsets = np.cumsum([0] + [qi.shape[1] for qi, _ in live])
-    c = -g[:, :k].conj().T
-    for lo, hi in reversed(list(zip(offsets[:-2], offsets[1:-1]))):
-        c[lo:hi] -= gram[lo:hi, hi:] @ c[hi:]
     qs = q.conj().T @ start
-    f = np.zeros(t.shape[1], dtype=start.dtype)
-    for j, (lo, hi) in reversed(list(enumerate(zip(offsets[:-1], offsets[1:])))):
-        f = f - kv[:, lo:hi] @ (g[:, lo:hi].conj().T @ f + qs[lo:hi]) + kv[:, k + j]
-    d = f.size
-    m = np.zeros((d + 1, d + 1), dtype=f.dtype)
-    # [[I + K C, f], [0, 1]]; adding K C to zeros turns its -0.0 into 0.0, as I + K C does
-    m[:d, :d] += kv[:, :k] @ c
-    m.flat[::d + 2] += 1.0
-    m[:d, d] = f
     coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
+    offsets = np.cumsum([0] + [qi.shape[1] for qi, _ in live])
+    # m^T <- A_j^T m^T, so that each product writes contiguous rows
+    mt = np.eye(t.shape[1] + 1, dtype=start.dtype)
+    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        mk = kv[:, lo:hi].T @ mt[:-1]
+        mt[-1] += kv[:, k + j] @ mt[:-1] - qs[lo:hi] @ mk
+        mt[:-1] -= coords[:-1, lo:hi] @ mk
     # two float64 entries per complex one
-    return m, coords, (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
+    return np.ascontiguousarray(mt.T), coords, (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
 
 
 def _row_norms(v: np.ndarray, scale: float, starts=None) -> np.ndarray:
@@ -342,6 +339,12 @@ def best_approximation(start, family: Family, prescription,
         reference = _toward_anchor(u[:, :rank], _stacked_point(family, pres), start)
     diff = start - reference
     d0 = _norm(diff)
+    # zero-dimensional members are exact identities and drop out
+    live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
+    if not live:
+        return start, ConvergenceTrace(
+            residuals=(0.0,), distances=(d0,) if opts.record_trace else None,
+            alpha=alpha, initial_distance=d0, converged=True)
     # every iterate lies within d0 of the reference, so no entry of a
     # residual or distance exceeds a small multiple of those of start and
     # reference, up to rounding: norms taken at their power of two cannot
@@ -349,25 +352,20 @@ def best_approximation(start, family: Family, prescription,
     scale = _binary_scale(np.concatenate([start, reference]))
     if 1.0 / _UNSCALED <= scale <= _UNSCALED:
         scale = 1.0
-    # zero-dimensional members are exact identities and drop out
-    live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
-    x = start
-    if live:
-        t = family._chain[1]
-        m, coords, starts = _sweep_map(t, live, start)
-        # reference - start lies in the span of T, so ||y - c|| is the
-        # distance ||start + T y - reference|| up to rounding
-        c = t.conj().T @ -diff
-        y = np.append(np.zeros(t.shape[1], dtype=start.dtype), 1.0)
-        # each sweep of a block writes its [y; 1] into a row of one buffer
-        # by ndarray.dot, the gemv of m @ y without the ufunc dispatch
-        dot = m.dot
-        buf = np.empty((min(_MAX_BLOCK, opts.max_iter), y.size), dtype=y.dtype)
-        rows = list(buf)
-    residuals = [] if live else [0.0]
-    dists = [d0] if opts.record_trace and not live else []
+    t = family._chain[1]
+    m, coords, starts = _sweep_map(t, live, start)
+    # reference - start lies in the span of T, so ||y - c|| is the
+    # distance ||start + T y - reference|| up to rounding
+    c = t.conj().T @ -diff
+    y = np.append(np.zeros(t.shape[1], dtype=start.dtype), 1.0)
+    # each sweep of a block writes its [y; 1] into a row of one buffer
+    # by ndarray.dot, the gemv of m @ y without the ufunc dispatch
+    dot = m.dot
+    buf = np.empty((min(_MAX_BLOCK, opts.max_iter), y.size), dtype=y.dtype)
+    rows = list(buf)
+    residuals, dists = [], []
     size = _BLOCK
-    while live and len(residuals) < opts.max_iter:
+    while len(residuals) < opts.max_iter:
         ys = buf[:min(size, opts.max_iter - len(residuals))]
         for row in rows[:len(ys)]:
             y = dot(y, row)
@@ -387,9 +385,6 @@ def best_approximation(start, family: Family, prescription,
         drop = (math.log(res[0]) - math.log(res[-1])) / max(len(res) - 1, 1)
         if drop > 0:
             size = min(size, math.ceil((math.log(res[-1]) - math.log(opts.tol)) / drop) + 1)
-    if live:
-        x = start + t @ y[:-1]
-    return x, ConvergenceTrace(residuals=tuple(residuals),
-                               distances=tuple(dists) if opts.record_trace else None,
-                               alpha=alpha, initial_distance=d0,
-                               converged=residuals[-1] <= opts.tol)
+    return start + t @ y[:-1], ConvergenceTrace(
+        residuals=tuple(residuals), distances=tuple(dists) if opts.record_trace else None,
+        alpha=alpha, initial_distance=d0, converged=residuals[-1] <= opts.tol)

@@ -14,11 +14,13 @@ small map on the coordinates of the iterate in the chain basis of the
 sum with the residual in those coordinates, the one-map loop with its
 bookkeeping after every sweep instead of once per block of sweeps, and
 the spectral radius of the dense product of complement projectors
-instead of the level angles.  reference_level is the one oracle that
-takes the implementation's route: the level factorization through
-numpy's Python wrappers (np.linalg.norm, np.clip, np.sum), which its C
-entry points must match bit for bit.  It also holds helpers that only
-tests use, such as save_problem, the writer of problem files.
+instead of the level angles.  Two oracles take the implementation's
+route: reference_level, the level factorization through numpy's Python
+wrappers (np.linalg.norm, np.clip, np.sum), which its C entry points
+must match bit for bit, and one_map_iteration, which runs
+solvers._sweep_map's own map, so that it checks the blocking alone.  It
+also holds helpers that only tests use, such as save_problem, the
+writer of problem files.
 """
 
 import json
@@ -44,6 +46,7 @@ from ibap import (
     validate_prescription,
     verify_ibap,
 )
+from ibap.solvers import _sweep_map
 
 
 def gram_rank(vectors, tol=1e-10):
@@ -310,10 +313,13 @@ def reference_iteration(start, family, prescription, options=None):
 
 def one_map_iteration(start, family, prescription, options=None):
     """best_approximation as one loop over sweeps: each sweep takes [y; 1]
-    on by the (d+1)-square map in the coordinates y of x = start + T y, T
-    the chain basis of the sum, then takes its residual, iterate, distance
-    ||y - c|| with c = T^H (reference - start), and bound before the next
-    one.  Returns (x, trace, bounds) as reference_iteration does."""
+    on by solvers._sweep_map's (d+1)-square map in the coordinates y of
+    x = start + T y, T the chain basis of the sum, then takes its residual,
+    iterate, distance ||y - c|| with c = T^H (reference - start), and bound
+    before the next one.  It shares the map, so it checks only the blocking
+    of best_approximation, bit for bit; reference_iteration checks the map
+    against affine_project.  Returns (x, trace, bounds) as
+    reference_iteration does."""
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
     pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
@@ -326,33 +332,11 @@ def one_map_iteration(start, family, prescription, options=None):
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
     x = start
     if live:
-        # member j's step is y <- y - K_j (G_j^H y + Q_j^H start) + T^+ u_j
-        # with G = T^H Q, K = T^+ Q and T^+ = (2I - T^H T) T^H to first
-        # order; C_j = -G_j^H A_(j+1) with A_(j+1) = I + K_(>j) C_(>j); f is
-        # one sweep from 0; [G^H, Q^H (start - u)] gives the residual
-        # coordinates of [y; 1]
         t = family._chain[1]
-        q = np.hstack([qi for qi, _ in live])
-        k = q.shape[1]
-        g = t.conj().T @ np.column_stack([q] + [u for _, u in live])
-        kv = 2 * g - (t.conj().T @ t) @ g
-        gram = q.conj().T @ q
-        offsets = np.cumsum([0] + [qi.shape[1] for qi, _ in live])
-        c = -g[:, :k].conj().T
-        for lo, hi in reversed(list(zip(offsets[:-2], offsets[1:-1]))):
-            c[lo:hi] -= gram[lo:hi, hi:] @ c[hi:]
-        qs = q.conj().T @ start
-        f = np.zeros(t.shape[1], dtype=start.dtype)
-        for j, (lo, hi) in reversed(list(enumerate(zip(offsets[:-1], offsets[1:])))):
-            f = f - kv[:, lo:hi] @ (g[:, lo:hi].conj().T @ f + qs[lo:hi]) + kv[:, k + j]
-        m = np.block([[np.eye(f.size) + kv[:, :k] @ c, f[:, None]], [np.zeros(f.size), 1.0]])
-        coords = np.vstack([g[:, :k].conj(), qs - np.concatenate([qi.conj().T @ u for qi, u in live])])
+        m, coords, starts = _sweep_map(t, live, start)
         # the distance to the reference in the same coordinates
         c = t.conj().T @ (reference - start)
-        y = np.append(np.zeros_like(f), 1.0)
-        # where each member's residual entries start in the real view of
-        # the coordinates (two float64 entries per complex one)
-        starts = (2 if q.dtype.kind == "c" else 1) * offsets[:-1]
+        y = np.append(np.zeros(t.shape[1], dtype=start.dtype), 1.0)
     residuals, dists, bounds = [], [], []
     converged = False
     for n in range(1, opts.max_iter + 1):

@@ -32,7 +32,7 @@ from ibap import (
     worst_aligned_start,
 )
 from ibap.angles import _pair
-from ibap.solvers import _BLOCK, _MAX_BLOCK, _level_step
+from ibap.solvers import _BLOCK, _MAX_BLOCK, _level_step, _sweep_map
 
 from conftest import (
     FIELDS,
@@ -497,6 +497,21 @@ class TestBestApproximation:
         with pytest.raises(ValueError, match="^tol must be positive and finite$"):
             SolveOptions(tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [40.0, True, np.True_, "40", None])
+    def test_max_iter_is_an_integer(self, max_iter):
+        # a float would fail only after its first block, inside the sweeps
+        with pytest.raises(ValueError, match="^max_iter must be an integer$"):
+            SolveOptions(max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [np.int64(40), np.int32(40), np.uint8(40)])
+    def test_max_iter_may_be_a_numpy_integer(self, max_iter):
+        rng = rng_for(716)
+        f = random_family(rng, 6, [2, 1])
+        pres = random_prescription(rng, f)
+        _, trace = best_approximation(random_unit(rng, 6), f, pres,
+                                      SolveOptions(max_iter=max_iter, tol=1e-300))
+        assert trace.sweeps == 40 and not trace.converged
+
     def test_start_on_the_solution_set_converges_in_one_sweep(self):
         rng = rng_for(717)
         f = random_family(rng, 6, [2, 1])
@@ -629,6 +644,17 @@ class TestEachPrescriptionValidatedOnce:
         members.clear()
         assert np.allclose(solve_two(c1, c2), [1.0, 1.0, 0.0], atol=1e-15)
         assert members == ["level point", "trailing point"]
+
+    def test_prescription_residual_checks_the_count_alone(self, members):
+        f = Family((line(1, 0, 0), line(0, 1, 0)))
+        e = np.eye(3)
+        for pres in ([e[0]], [e[0], e[1], e[2]]):
+            with pytest.raises(ValueError, match=f"^prescription has {len(pres)} vectors "
+                                                 "for 2 subspaces$"):
+                prescription_residual(f, pres, np.zeros(3))
+        # vectors outside their subspaces are measured, not refused
+        assert prescription_residual(f, [e[2], e[1]], e[0]) == math.sqrt(2.0)
+        assert members == []
 
     @pytest.mark.parametrize("dependent", [False, True], ids=["independent", "dependent"])
     def test_best_approximation(self, members, dependent):
@@ -1019,9 +1045,10 @@ class TestBlocksMatchOneSweepAtATime:
 
 class TestSweepMap:
     """A sweep is one (d+1)-square map of [y; 1], x = start + T y with T the
-    chain basis of the sum, built once per call without an n-by-n array.
-    The first sweep from y = 0 gives the map's offset f, the second also
-    its linear part A."""
+    chain basis of the sum, built once per call without an n-by-n array as
+    the product of the members' homogeneous steps.  The first sweep from
+    y = 0 checks the map's offset, the second also its linear part; the
+    families reach 12 members, as many as the largest benchmark family."""
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_one_sweep_is_the_per_constraint_composition(self, field):
@@ -1029,7 +1056,7 @@ class TestSweepMap:
         eps = np.finfo(float).eps
         for trial in range(60):
             n = int(rng.integers(2, 41))
-            m = 1 if trial % 4 == 0 else int(rng.integers(2, min(n, 8) + 1))
+            m = 1 if trial % 4 == 0 else int(rng.integers(2, min(n, 12) + 1))
             members = list(random_family(rng, n, random_independent_dims(rng, n, m), field))
             zero = zero_subspace(n, field)
             if trial % 3 == 1:
@@ -1039,6 +1066,11 @@ class TestSweepMap:
             f = Family(tuple(members))
             pres = random_prescription(rng, f)
             start = random_unit(rng, n, field) * 3
+            # the product of the steps keeps [y; 1]'s last entry 1 only
+            # while the map's last row is exactly [0, ..., 0, 1]
+            live = [(s.basis, s.project(u)) for s, u in zip(f.subspaces, pres) if s.dim]
+            last = _sweep_map(f._chain[1], live, start)[0][-1]
+            assert np.array_equal(last, np.eye(f.dim_sum + 1)[-1])
             y = start
             for sweeps in (1, 2):
                 for s, u in reversed(list(zip(f.subspaces, pres))):
