@@ -30,7 +30,6 @@ from .applications import (
 )
 from .family import (
     BiorthogonalReport,
-    DependentFamilyError,
     Family,
     IbapFailureError,
     IbapReport,
@@ -41,7 +40,6 @@ from .family import (
     biorthogonal_bounds,
     check_independence,
     dependent_tuple,
-    epsilon_solve,
     infeasibility_certificate,
     trailing_sums,
     uniqueness_check,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .family import Family, _checked_lstsq, check_independence, verify_ibap
 from .solvers import solve_min_norm
-from .subspaces import (COMPLEX, Subspace, _binary_scale, _plain_norm,
+from .subspaces import (COMPLEX, Subspace, _binary_scale, _integer, _plain_norm,
                         _rank_from_singular_values, as_field_vector)
 
 
@@ -70,7 +70,7 @@ def idft(x) -> np.ndarray:
 
 
 def _validated_mask(mask, n: int, what: str) -> tuple:
-    idx = [int(i) for i in mask]
+    idx = [_integer(i, f"{what} index") for i in mask]
     if len(set(idx)) != len(idx):
         raise ValueError(f"{what} contains duplicate indices")
     for i in idx:
@@ -91,7 +91,7 @@ class MaskedSignalProblem:
     freq_values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
+        if _integer(self.n, "signal length") < 1:
             raise ValueError("signal length must be positive")
         tmask = _validated_mask(self.time_mask, self.n, "time mask")
         fmask = _validated_mask(self.freq_mask, self.n, "frequency mask")
@@ -291,7 +291,7 @@ class SlowFamilySpec:
     alphas: tuple
 
     def __post_init__(self):
-        if self.truncation < 1:
+        if _integer(self.truncation, "truncation") < 1:
             raise ValueError("truncation must be at least 1")
         alphas = tuple(float(a) for a in self.alphas)
         if len(alphas) != self.truncation:

@@ -10,6 +10,8 @@ constants), which quantify how well-conditioned it is and feed the
 convergence rate bound of the iterative solver, all come from one
 factorization of the residual per level, cached on the Family: a thin
 SVD, or for a line the residual's norm (see subspaces._factor_level).
+Whether a prescription is met is decided by one stacked least-squares
+solve, stacked_lstsq, the only source of InfeasiblePrescriptionError.
 """
 
 from __future__ import annotations
@@ -29,18 +31,6 @@ from .subspaces import (MEMBERSHIP_RTOL, _EPS, Subspace, _check_compatible, _ext
 #: sequences: they are caller-built vectors, not stored bases, so this is
 #: looser than ORTHONORMALITY_TOL, yet far below any genuine overlap
 BIORTHOGONAL_TOL = 1e-10
-
-
-class DependentFamilyError(ValueError):
-    """The subspaces admit a nonzero tuple summing to zero.
-
-    The certificate attribute holds such a tuple (u_1, ..., u_m), one
-    vector per subspace, scaled so the largest has unit norm.
-    """
-
-    def __init__(self, message: str, certificate):
-        super().__init__(message)
-        self.certificate = certificate
 
 
 class IbapFailureError(ValueError):
@@ -82,10 +72,11 @@ class Family:
     trailing-sum basis is thus a column prefix of one basis of
     U_1 + ... + U_m, of width dim_sum; it serves check, the recursion and
     an independent family's iteration.  The full SVD of the stacked bases
-    serves only the stacked route (direct_solve, stacked_lstsq, the
-    dependent tuple), cut at dim_sum: its smallest singular value is at
-    most every level sine, so where it shows full column rank the chain
-    is not built.
+    serves only the stacked route, cut at dim_sum: the dependent tuple and
+    stacked_lstsq, which direct_solve, infeasibility_certificate and a
+    dependent family's iteration share.  Its smallest singular value is
+    at most every level sine, so where it shows full column rank the
+    chain is not built.
     """
 
     subspaces: tuple
@@ -290,46 +281,32 @@ def _checked_lstsq(b: np.ndarray, factors):
     return x, residual, not residual > MEMBERSHIP_RTOL * _norm(b) + e * lean
 
 
-def stacked_lstsq(family: Family, prescription: list):
+def stacked_lstsq(family: Family, prescription: list) -> np.ndarray:
     """_checked_lstsq on the stacked coordinate system, from the family's stacked SVD.
 
     Its rows are the conjugate-transposed bases, so it is equivalent to
     P_i x = u_i for prescriptions inside their subspaces.  Returns the
-    least-squares point and its InfeasibilityCertificate, or None if feasible.
+    least-squares point; where b is infeasible, raises the stacked route's
+    one InfeasiblePrescriptionError, whose certificate holds that point.
     """
     b = np.concatenate([s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)])
     x, residual, feasible = _checked_lstsq(b, family._stacked)
-    return x, None if feasible else InfeasibilityCertificate(residual=residual, best_point=x)
+    if not feasible:
+        raise InfeasiblePrescriptionError(
+            f"prescription is infeasible (stacked residual {residual:.3e})",
+            InfeasibilityCertificate(residual=residual, best_point=x))
+    return x
 
 
 def infeasibility_certificate(family: Family, prescription):
-    """Certificate that the prescription has no solution, or None; a
-    zero-sum prescription with nonzero members always produces one."""
-    return stacked_lstsq(family, validate_prescription(family, prescription))[1]
-
-
-def epsilon_solve(family: Family, prescription, epsilon: float) -> np.ndarray:
-    """Point whose projections approximate the prescription within epsilon.
-
-    Linear independence is required and, in finite dimension, yields the
-    exact solution; ArithmeticError reports a stacked residual of the point
-    above epsilon, which only numerics can cause.
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    """The certificate of stacked_lstsq's refusal of the prescription, or
+    None; a zero-sum prescription with nonzero members always has one."""
     pres = validate_prescription(family, prescription)
-    cert = dependent_tuple(family)
-    if cert is not None:
-        raise DependentFamilyError(
-            "the subspaces are linearly dependent; approximate prescriptions are unattainable",
-            cert)
-    x = stacked_lstsq(family, pres)[0]
-    residual = _norm(np.concatenate(
-        [s.basis.conj().T @ (x - u) for s, u in zip(family.subspaces, pres)]))
-    if residual > epsilon:
-        raise ArithmeticError(
-            f"stacked solve residual {residual:.3e} exceeds epsilon {epsilon:.3e}")
-    return x
+    try:
+        stacked_lstsq(family, pres)
+    except InfeasiblePrescriptionError as err:
+        return err.certificate
+    return None
 
 
 def uniqueness_check(family: Family) -> bool:
@@ -380,32 +357,32 @@ def biorthogonal_bounds(sequences) -> BiorthogonalReport:
     length = len(sequences[0])
     if length == 0 or any(len(seq) != length for seq in sequences):
         raise ValueError("sequences must share the same positive length")
-    mats = []
+    shape = np.shape(sequences[0][0])
     for i, seq in enumerate(sequences):
-        cols = np.column_stack([np.asarray(v) for v in seq])
+        if any(np.shape(v) != shape for v in seq):
+            raise ValueError(f"sequence {i + 1} holds a vector of shape other than {shape}, "
+                             "that of the first vector of sequence 1")
+    # the three spans share one field, complex when any sequence is
+    mats = [np.column_stack(seq) for seq in sequences]
+    dtype = np.complex128 if any(np.iscomplexobj(m) for m in mats) else np.float64
+    mats = [np.asarray(m, dtype=dtype) for m in mats]
+    for i, cols in enumerate(mats):
         gram_defect = np.max(np.abs(cols.conj().T @ cols - np.eye(length)))
         if gram_defect > BIORTHOGONAL_TOL:
             raise ValueError(f"sequence {i + 1} is not orthonormal (defect {gram_defect:.3e})")
-        mats.append(cols)
-    pairs = []
-    sup_inners = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            cross = mats[i].conj().T @ mats[j]
-            off = cross - np.diag(np.diag(cross))
-            worst = float(np.max(np.abs(off))) if length > 1 else 0.0
-            if worst > BIORTHOGONAL_TOL:
-                raise ValueError(
-                    f"sequences {i + 1} and {j + 1} are not cross-orthogonal "
-                    f"off the diagonal (defect {worst:.3e})")
-            sup_inners[(i, j)] = float(np.max(np.abs(np.diag(cross))))
     spans = [Subspace.from_spanning(m.T, m.shape[0]) for m in mats]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            sup = sup_inners[(i, j)]
-            norm = projector_product_norm(spans[i], spans[j])
-            pairs.append(PairBound(pair=(i + 1, j + 1), sup_inner=sup,
-                                   lower=sup * sup, upper=sup, norm=norm))
+    pairs = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        cross = mats[i].conj().T @ mats[j]
+        off = cross - np.diag(np.diag(cross))
+        worst = float(np.max(np.abs(off)))
+        if worst > BIORTHOGONAL_TOL:
+            raise ValueError(
+                f"sequences {i + 1} and {j + 1} are not cross-orthogonal "
+                f"off the diagonal (defect {worst:.3e})")
+        sup = float(np.max(np.abs(np.diag(cross))))
+        pairs.append(PairBound(pair=(i + 1, j + 1), sup_inner=sup, lower=sup * sup, upper=sup,
+                               norm=projector_product_norm(spans[i], spans[j])))
     condition_sum = sum(math.sqrt(p.sup_inner) for p in pairs)
     fam = Family(tuple(spans))
     return BiorthogonalReport(pairs=tuple(pairs), condition_sum=condition_sum,

@@ -32,14 +32,13 @@ import numpy as np
 from .family import (
     Family,
     IbapFailureError,
-    InfeasiblePrescriptionError,
     _counted,
     check_independence,
     stacked_lstsq,
     validate_prescription,
     verify_ibap,
 )
-from .subspaces import Subspace, _binary_scale, _Level, _norm, as_field_vector
+from .subspaces import Subspace, _binary_scale, _integer, _Level, _norm, as_field_vector
 
 #: sweeps in the first block of best_approximation's residual and trace bookkeeping
 _BLOCK = 32
@@ -74,9 +73,7 @@ class SolveOptions:
     record_trace: bool = False
 
     def __post_init__(self):
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError("max_iter must be an integer")
-        if self.max_iter < 1:
+        if _integer(self.max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be at least 1")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
@@ -207,24 +204,13 @@ def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
 
     Solves all constraints at once by minimal-norm least squares on the
     stacked SVD cut at dim_sum; with an anchor, shifts the particular
-    solution to the closest point of the solution set.  Raises with an
-    infeasibility certificate where family._checked_lstsq finds the
-    stacked coordinates b infeasible.
+    solution to the closest point of the solution set.  An infeasible
+    prescription raises stacked_lstsq's InfeasiblePrescriptionError.
     """
-    x = _stacked_point(family, validate_prescription(family, prescription))
+    x = stacked_lstsq(family, validate_prescription(family, prescription))
     u, _, _, rank = family._stacked
     return SolutionSet(particular=_toward_anchor(u[:, :rank], x, anchor),
                        parallel=Subspace(u[:, rank:]))
-
-
-def _stacked_point(family: Family, pres: list) -> np.ndarray:
-    """direct_solve's minimal-norm particular solution of a validated prescription."""
-    x, certificate = stacked_lstsq(family, pres)
-    if certificate is not None:
-        raise InfeasiblePrescriptionError(
-            f"prescription is infeasible (stacked residual {certificate.residual:.3e})",
-            certificate)
-    return x
 
 
 def _toward_anchor(basis: np.ndarray, x, anchor) -> np.ndarray:
@@ -336,7 +322,7 @@ def best_approximation(start, family: Family, prescription,
         reference = _toward_anchor(family._chain[1], _stages(family, pres)[-1], start)
     else:
         u, _, _, rank = family._stacked
-        reference = _toward_anchor(u[:, :rank], _stacked_point(family, pres), start)
+        reference = _toward_anchor(u[:, :rank], stacked_lstsq(family, pres), start)
     diff = start - reference
     d0 = _norm(diff)
     # zero-dimensional members are exact identities and drop out

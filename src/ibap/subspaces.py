@@ -61,6 +61,13 @@ def as_field_vector(x, ambient_dim: int, dtype, what: str = "vector") -> np.ndar
     return arr
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; a bool, or a type other than int and numpy's integers, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer")
+    return int(value)
+
+
 def _binary_scale(x: np.ndarray) -> float:
     """The power of two that puts the largest real or imaginary part of x
     in [1, 2), but at least 2^-1022, and 1/2 for x = 0 or empty.  Dividing

@@ -298,6 +298,27 @@ class TestTimeFrequencyRecovery:
         expected[[1, 4]] = a
         assert np.linalg.norm(x - expected) <= 1e-12
 
+    @pytest.mark.parametrize("n", [4.0, True, np.True_, "4", None])
+    def test_the_length_is_an_integer(self, n):
+        # a float would fail only in the recovery, sizing the bases
+        with pytest.raises(ValueError, match="^signal length must be an integer$"):
+            MaskedSignalProblem(n, (1,), (2,), np.ones(1), np.ones(1))
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, np.True_, "1", None])
+    def test_mask_indices_are_integers(self, index):
+        # 1.5 was read as 1, and the problem solved
+        with pytest.raises(ValueError, match="^time mask index must be an integer$"):
+            MaskedSignalProblem(4, (index,), (2,), np.ones(1), np.ones(1))
+        with pytest.raises(ValueError, match="^frequency mask index must be an integer$"):
+            MaskedSignalProblem(4, (2,), (index,), np.ones(1), np.ones(1))
+
+    def test_numpy_integers_are_accepted(self):
+        p = MaskedSignalProblem(np.int64(4), np.array([1]), (np.uint8(2),),
+                                np.ones(1), np.ones(1))
+        assert p.time_mask == (1,) and p.freq_mask == (2,)
+        ref = MaskedSignalProblem(4, (1,), (2,), np.ones(1), np.ones(1))
+        assert np.array_equal(time_frequency_recover(p), time_frequency_recover(ref))
+
     def test_small_masks_match_the_stacked_oracle(self):
         rng = rng_for(808)
         n = 8
@@ -567,6 +588,19 @@ class TestSlowFamily:
             SlowFamilySpec(1, (0.0,))
         with pytest.raises(ValueError):
             SlowFamilySpec(0, ())
+
+    @pytest.mark.parametrize("truncation", [2.0, True, np.True_, "2", None])
+    def test_truncation_is_an_integer(self, truncation):
+        # a float would fail only inside slow_family, sizing the bases
+        with pytest.raises(ValueError, match="^truncation must be an integer$"):
+            SlowFamilySpec(truncation, (1.0, 2.0))
+
+    @pytest.mark.parametrize("truncation", [np.int64(2), np.uint8(2)])
+    def test_truncation_may_be_a_numpy_integer(self, truncation):
+        fam, predicted = slow_family(SlowFamilySpec(truncation, (1.0, 2.0)))
+        ref, ref_predicted = slow_family(SlowFamilySpec(2, (1.0, 2.0)))
+        assert predicted == ref_predicted
+        assert all(np.array_equal(a.basis, b.basis) for a, b in zip(fam, ref))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_is_refused(self, bad):

@@ -100,3 +100,28 @@ class TestBiorthogonalBounds:
         seqs = [[eye[:, 0]], [eye[:, 1], eye[:, 4]], [eye[:, 2]]]
         with pytest.raises(ValueError):
             biorthogonal_bounds(seqs)
+
+    def test_a_complex_sequence_next_to_real_ones(self):
+        # the three spans share the complex field; a phase on the first
+        # sequence changes no scalar product's magnitude
+        seqs = triple_with_gram([[1.0, 0.1, 0.2], [0.1, 1.0, 0.3], [0.2, 0.3, 1.0]], dim=4)
+        real = biorthogonal_bounds(seqs)
+        phase = np.exp(0.7j)
+        report = biorthogonal_bounds([[phase * v for v in seqs[0]], seqs[1], seqs[2]])
+        assert report.family.field == "complex"
+        for pair, ref in zip(report.pairs, real.pairs):
+            assert pair.pair == ref.pair
+            assert abs(pair.sup_inner - ref.sup_inner) <= 1e-15
+            assert abs(pair.norm - ref.norm) <= 1e-12
+        assert report.ibap.verdict == real.ibap.verdict
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_vectors_of_different_lengths_are_refused(self, bad):
+        # refused before any product, naming the sequence
+        eye = np.eye(6)
+        seqs = [[eye[:4, 0], eye[:4, 3]], [eye[:4, 1], eye[:4, 2]], [eye[:4, 2], eye[:4, 1]]]
+        seqs[bad][1] = eye[:, 5]
+        with pytest.raises(ValueError, match=rf"^sequence {bad + 1} holds a vector of shape "
+                                             r"other than \(4,\), that of the first vector "
+                                             "of sequence 1$"):
+            biorthogonal_bounds(seqs)

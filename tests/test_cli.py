@@ -492,15 +492,68 @@ class TestConstraintErrorOrder:
 
 
 class TestNormsAtExtremeScales:
-    """solve and moments print norms taken at a power of two: a problem
-    scaled by 2^600 or 2^-600, which is exact, prints its numbers times
-    that scale, where the unscaled squares would over- or underflow.  The
-    refusals are relative, so a small problem is refused as at unit scale."""
+    """solve, moments, iterate and signal print norms taken at a power of
+    two: a problem scaled by 2^k, which is exact, prints its numbers times
+    that scale, also at k = +-600, where the unscaled squares would over-
+    or underflow, and stops the iteration at the same sweep.  The refusals
+    are relative, so a small problem is refused as at unit scale."""
 
     @staticmethod
     def printed(argv, capsys):
         assert main(argv) == EXIT_OK
-        return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                    if ": " in line)
+
+    @staticmethod
+    def pairs(vector):
+        return [[z.real, z.imag] for z in np.asarray(vector, dtype=complex)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-600, -30, 30, 600])
+    def test_iterate_trace(self, tmp_path, capsys, k):
+        # a complex line and plane of C^3, run from the anchor
+        line = np.array([1.0, 1.0 + 1.0j, 2.0j])
+        out, traces = [], []
+        for s in (1.0, 2.0 ** k):
+            doc = {"field": "complex", "ambient_dim": 3,
+                   "subspaces": [{"vectors": [[1, 0, 0], [0, 1, 0]]},
+                                 {"vectors": [self.pairs(line)]}],
+                   "prescription": [self.pairs([s, -0.5j * s, 0]),
+                                    self.pairs((0.75 - 0.25j) * s * line)],
+                   "anchor": self.pairs([0.5 * s, 0.25j * s, -s])}
+            path = write_json(tmp_path / "scaled.json", doc)
+            trace = tmp_path / "trace.csv"
+            out.append(self.printed(["iterate", path, "--trace", str(trace),
+                                     "--tol", repr(1e-10 * s)], capsys))
+            traces.append(list(csv.reader(trace.open()))[1:])
+        (unit, big), scale = out, 2.0 ** k
+        assert big["sweeps"] == unit["sweeps"] and unit["sweeps"].endswith("converged: yes")
+        assert big["rate bound alpha"] == unit["rate bound alpha"]
+        assert (json.loads(big["solution"])
+                == [[v * scale for v in z] for z in json.loads(unit["solution"])])
+        assert float(big["max residual"]) == pytest.approx(float(unit["max residual"]) * scale,
+                                                           rel=1e-6)
+        assert len(traces[0]) == len(traces[1]) == int(unit["sweeps"].split()[0]) > 1
+        for row, big_row in zip(*traces):
+            assert big_row[0] == row[0]
+            assert [float(v) for v in big_row[1:]] == [float(v) * scale for v in row[1:]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-600, -30, 30, 600])
+    def test_signal(self, tmp_path, capsys, k):
+        out = []
+        for s in (1.0, 2.0 ** k):
+            doc = {"n": 8, "time_mask": [0, 3], "freq_mask": [1, 6],
+                   "time_values": [s, [0.5 * s, -s]],
+                   "freq_values": [[0.25 * s, 0.75 * s], -2 * s],
+                   "measurements": [{"vector": [0, 0, 0, 0, 1, 1, 0, 0],
+                                     "value": [s, 0.5 * s]}]}
+            out.append(self.printed(["signal", write_json(tmp_path / "sig.json", doc)], capsys))
+        (unit, big), scale = out, 2.0 ** k
+        assert (json.loads(big["solution"])
+                == [[v * scale for v in z] for z in json.loads(unit["solution"])])
+        for key in ("time residual", "frequency residual", "measurement 1 residual"):
+            assert float(big[key]) == pytest.approx(float(unit[key]) * scale, rel=1e-6)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])

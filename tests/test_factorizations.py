@@ -7,8 +7,8 @@ its kept columns, and the full SVD of its stacked bases.  A line's level
 takes neither: its one-column residual is its own singular triple, read
 from its norm, and its kept column is divided by its norm.  Check, the
 recursion and the iteration on an independent family, with or without
-an anchor or a trace, take only the chain; direct_solve and
-epsilon_solve on a generic family take only the stacked SVD.
+an anchor or a trace, take only the chain; direct_solve on a generic
+family takes only the stacked SVD.
 The stacked route cuts that SVD at dim_sum and reads the chain for it
 only where the stacked singular values do not show full column rank, so
 two chains take both: a dependent family's iteration, whose stacked
@@ -41,7 +41,6 @@ from ibap import (
     best_approximation,
     cos_friedrichs,
     direct_solve,
-    epsilon_solve,
     intersect,
     min_norm_stages,
     recover_with_measurements,
@@ -166,7 +165,6 @@ CHAINS = {
                               "generic", LEVELS, []),
     "direct_solve": (direct, "generic", [], STACKED),
     "direct_solve-deficient": (direct, "deficient", DEFICIENT_LEVELS, DEFICIENT_STACKED),
-    "epsilon_solve": (lambda f, pres: epsilon_solve(f, pres, 1e-6), "generic", [], STACKED),
     "best_approximation-trace": (iterate(True), "generic", LEVELS, []),
     "best_approximation": (iterate(False), "generic", LEVELS, []),
     "best_approximation-dependent-trace": (iterate(True), "dependent",

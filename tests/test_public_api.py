@@ -13,10 +13,10 @@ PUBLIC_NAMES = {
     "recover_with_measurements", "slow_family", "solve_moments", "solve_operator_system",
     "time_frequency_recover", "worst_aligned_start",
     # family
-    "BiorthogonalReport", "DependentFamilyError", "Family",
+    "BiorthogonalReport", "Family",
     "IbapFailureError", "IbapReport", "InfeasibilityCertificate", "InfeasiblePrescriptionError",
     "LevelCertificate", "PairBound", "biorthogonal_bounds", "check_independence",
-    "dependent_tuple", "epsilon_solve", "infeasibility_certificate", "trailing_sums",
+    "dependent_tuple", "infeasibility_certificate", "trailing_sums",
     "uniqueness_check", "validate_prescription", "verify_ibap",
     # solvers
     "AffineConstraint", "ConvergenceTrace", "SolutionSet", "SolveOptions", "affine_project",
