@@ -203,7 +203,16 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
     together with the orthocomplement of the space, the family that is
     solved, must be linearly independent: the vectors themselves are
     independent and their span meets that orthocomplement trivially.
+    The orthocomplement is space.complement(), one complete QR of the
+    basis; the command line instead takes the space and its
+    orthocomplement from one complete QR of the spanning vectors
+    (subspaces._span_and_complement) and passes both to _solve_moments.
     """
+    return _solve_moments(space, space.complement(), vectors, values)
+
+
+def _solve_moments(space: Subspace, complement: Subspace, vectors, values) -> np.ndarray:
+    """solve_moments, given the orthocomplement of the space."""
     n = space.ambient_dim
     vs = [as_field_vector(v, n, space.dtype, what=f"moment vector {i + 1}")
           for i, v in enumerate(vectors)]
@@ -220,7 +229,7 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
                 raise ValueError(f"moment value {i + 1} is complex in a real problem")
         etas = [z.real for z in etas]
     lines = _lines(vs, etas, "moment vector")
-    family = Family(tuple(sub for sub, _ in lines) + (space.complement(),))
+    family = Family(tuple(sub for sub, _ in lines) + (complement,))
     if not check_independence(family):
         raise HypothesisError("the moment vectors are linearly dependent or their span "
                               "meets the orthocomplement of the space")

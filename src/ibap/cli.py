@@ -38,10 +38,10 @@ from .applications import (
     HypothesisError,
     MaskedSignalProblem,
     SlowFamilySpec,
+    _solve_moments,
     dft_rows,
     recover_with_measurements,
     slow_family,
-    solve_moments,
     worst_aligned_start,
 )
 from .family import (
@@ -60,7 +60,8 @@ from .solvers import (
     rate_bound,
     solve_min_norm,
 )
-from .subspaces import COMPLEX, REAL, Subspace, _norm, field_dtype, inner
+from .subspaces import (COMPLEX, REAL, Subspace, _norm, _span_and_complement, field_dtype,
+                        inner)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -457,13 +458,14 @@ def cmd_moments(args) -> int:
     n = _positive_int(doc, "ambient_dim", path)
     if doc.get("space") is None:
         space = Subspace.full(n, field=field)
+        complement = space.complement()
     else:
         if not isinstance(doc["space"], list):
             raise ParseError(f"{path}: space must be a list of spanning vectors")
         rows = _vectors(doc["space"], n, field, lambda j: f"space vector {j}")
-        space = Subspace.from_spanning(rows, n, field=field)
+        space, complement = _span_and_complement(rows.T)
     vectors, values = _vector_value_entries(doc.get("constraints"), n, field, "constraint", path)
-    x = solve_moments(space, vectors, values)
+    x = _solve_moments(space, complement, vectors, values)
     print(f"solution: {_fmt_vector(x, field)}")
     print(f"norm: {_norm(x)!r}")
     gap = _norm(space.project(x) - x)

@@ -75,8 +75,13 @@ class SolveOptions:
     def __post_init__(self):
         if _integer(self.max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be at least 1")
+        # a bool is an int, and would run with tol 1
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float, np.integer,
+                                                                   np.floating)):
+            raise ValueError("tol must be a real number")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        object.__setattr__(self, "tol", float(self.tol))
 
 
 class ConvergenceTrace(NamedTuple):
@@ -276,8 +281,10 @@ def _row_norms(v: np.ndarray, scale: float, starts=None) -> np.ndarray:
     if scale != 1.0:
         v /= scale
     sq = np.square(v, out=v)
+    # the segments are summed down the columns of the transposed view,
+    # faster than along the rows and in the same order
     norms = np.sqrt(sq.sum(axis=1) if starts is None
-                    else np.add.reduceat(sq, starts, axis=1).max(axis=1))
+                    else np.add.reduceat(sq.T, starts, axis=0).max(axis=0))
     if scale != 1.0:
         norms *= scale
     return norms
@@ -288,11 +295,13 @@ def best_approximation(start, family: Family, prescription,
     """Periodic projection iteration from `start` onto the solution set.
 
     Each validated prescription vector is projected onto its subspace
-    once, so that it lies in the subspace to rounding; the reference
-    solution (solve_min_norm's toward start, or for a dependent family,
-    whose feasibility the level chain cannot decide, direct_solve's, both
-    without validating again), d0, the sweeps and the residuals all use
-    those projected vectors.  The sweeps move x = start + T y only inside
+    once, so that it lies in the subspace to rounding; the sweeps, the
+    residuals and an independent family's reference solution
+    (solve_min_norm's toward start) use those projected vectors.  A
+    dependent family's reference, whose feasibility the level chain cannot
+    decide, is direct_solve's toward start, from the validated vectors, so
+    that a refusal raises direct_solve's certificate; neither validates
+    again.  The sweeps move x = start + T y only inside
     the sum of the members, whose orthonormal basis T the level chain
     holds, so each is one (d+1)-square map of [y; 1], d = dim_sum, built
     once per call; its iterates are those of the affine projectors applied
@@ -314,15 +323,18 @@ def best_approximation(start, family: Family, prescription,
     """
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
-    pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
+    valid = validate_prescription(family, prescription)
+    pres = [s.project(u) for s, u in zip(subs, valid)]
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
     if report.verdict:
         reference = _toward_anchor(family._chain[1], _stages(family, pres)[-1], start)
     else:
+        # the stacked solve reads the validated vectors, as direct_solve
+        # does, so that a refusal raises the same certificate
         u, _, _, rank = family._stacked
-        reference = _toward_anchor(u[:, :rank], stacked_lstsq(family, pres), start)
+        reference = _toward_anchor(u[:, :rank], stacked_lstsq(family, valid), start)
     diff = start - reference
     d0 = _norm(diff)
     # zero-dimensional members are exact identities and drop out
@@ -349,6 +361,8 @@ def best_approximation(start, family: Family, prescription,
     dot = m.dot
     buf = np.empty((min(_MAX_BLOCK, opts.max_iter), y.size), dtype=y.dtype)
     rows = list(buf)
+    # and each sweep's residual coordinates into a row of another
+    prods = np.empty((len(buf), 1, coords.shape[1]), dtype=y.dtype)
     residuals, dists = [], []
     size = _BLOCK
     while len(residuals) < opts.max_iter:
@@ -356,7 +370,8 @@ def best_approximation(start, family: Family, prescription,
         for row in rows[:len(ys)]:
             y = dot(y, row)
         # a stack of one-vector products rounds each sweep as a lone product
-        res = _row_norms(np.matmul(ys[:, None], coords)[:, 0].view(np.float64), scale, starts)
+        prod = np.matmul(ys[:, None], coords, out=prods[:len(ys)])
+        res = _row_norms(prod[:, 0].view(np.float64), scale, starts)
         hit = np.flatnonzero(res <= opts.tol)
         take = int(hit[0]) + 1 if hit.size else len(ys)
         residuals += res[:take].tolist()

@@ -207,6 +207,24 @@ def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     return u[:, :_rank_from_singular_values(s, mat.shape)]
 
 
+def _span_and_complement(mat: np.ndarray):
+    """(space, complement): the Subspace spanned by the columns of the n x k
+    matrix mat and its orthogonal complement, from one complete Householder
+    QR, mat = Q R.  With p = min(n, k), the top p rows of R have the
+    singular values of mat (Chan's R-SVD), and their count above the cutoff
+    is the rank that Subspace.from_spanning reads.  At full rank the first p
+    columns of Q span the space and the rest the complement; below it the
+    first p are rotated by R's left singular vectors, and their first rank
+    columns span the space.  An empty set (k = 0) gives the zero subspace
+    and the whole space."""
+    p = min(mat.shape)
+    q, r = np.linalg.qr(mat, mode="complete")
+    rank = _rank_from_singular_values(np.linalg.svd(r[:p], compute_uv=False), mat.shape)
+    if rank < p:
+        q[:, :p] = q[:, :p] @ np.linalg.svd(r[:p], full_matrices=False)[0]
+    return Subspace(q[:, :rank]), Subspace(q[:, rank:])
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace as an (ambient_dim, dim) orthonormal basis matrix.

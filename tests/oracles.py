@@ -266,12 +266,15 @@ def reference_level(basis, tail, by_svd=False):
     return w, s, vh, cosines, rank
 
 
-def reference_point(start, family, pres, report):
+def reference_point(start, family, valid, report):
     """The solution closest to start by the public calls best_approximation
-    makes: the recursion on an independent family, else the stacked solve."""
+    makes, from the validated prescription `valid`: the recursion on the
+    vectors projected onto their subspaces for an independent family, else
+    the stacked solve on the vectors as validated."""
     if report.verdict:
+        pres = [s.project(u) for s, u in zip(family.subspaces, valid)]
         return solve_min_norm(family, pres, anchor=start)
-    return direct_solve(family, pres, anchor=start).particular
+    return direct_solve(family, valid, anchor=start).particular
 
 
 def reference_iteration(start, family, prescription, options=None):
@@ -282,12 +285,12 @@ def reference_iteration(start, family, prescription, options=None):
     point and trace as best_approximation returns them, and the bound
     alpha^n * d0 taken at each sweep n (None without alpha)."""
     opts = options if options is not None else SolveOptions()
-    pres = [s.project(u) for s, u in
-            zip(family.subspaces, validate_prescription(family, prescription))]
+    valid = validate_prescription(family, prescription)
+    pres = [s.project(u) for s, u in zip(family.subspaces, valid)]
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
-    reference = reference_point(start, family, pres, report)
+    reference = reference_point(start, family, valid, report)
     d0 = float(np.linalg.norm(start - reference))
     constraints = [AffineConstraint(s, u) for s, u in zip(family.subspaces, pres)]
     x = start
@@ -322,11 +325,12 @@ def one_map_iteration(start, family, prescription, options=None):
     reference_iteration does."""
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
-    pres = [s.project(u) for s, u in zip(subs, validate_prescription(family, prescription))]
+    valid = validate_prescription(family, prescription)
+    pres = [s.project(u) for s, u in zip(subs, valid)]
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
-    reference = reference_point(start, family, pres, report)
+    reference = reference_point(start, family, valid, report)
     d0 = float(np.linalg.norm(start - reference))
     # zero-dimensional members are exact identities and drop out
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]

@@ -83,3 +83,21 @@ def test_the_working_tree_against_itself(tmp_path):
     rows = ab.summarize(commands, results)
     assert {row[1] for row in rows} >= {"check", "moments", "signal", "slowdemo", "pass"}
     assert all(row[2] > 0 and row[4] == 2 for row in rows)
+
+
+def test_kinds_keep_only_their_commands(tmp_path):
+    commands = ab.build_commands(["applications"], 5, "smoke", str(tmp_path),
+                                 kinds=["moments", "reject"])
+    assert {cmd["kind"] for cmd in commands} == {"moments", "reject"}
+    every = ab.build_commands(["applications"], 5, "smoke", str(tmp_path))
+    assert commands == [cmd for cmd in every if cmd["kind"] in ("moments", "reject")]
+    # the pass row sums only the kept commands
+    times = ab.kind_times(commands, [1.0] * len(commands))
+    assert times[("applications", "pass")] == len(commands) < len(every)
+
+
+def test_unknown_kinds_are_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["HEAD", "--kinds", "moments", "moment"])
+    assert exc.value.code == 2
+    assert "unknown kinds moment; the kinds are check, " in capsys.readouterr().err

@@ -30,6 +30,8 @@ from ibap import (
     worst_aligned_start,
 )
 from ibap.angles import _pair
+from ibap.applications import _solve_moments
+from ibap.subspaces import _span_and_complement
 
 from conftest import random_matrix, rng_for
 from oracles import min_norm_complex_via_real, constrained_min_norm_in_space, slow_trace
@@ -172,6 +174,33 @@ class TestMoments:
     def test_non_finite_vector_is_refused(self, bad):
         with pytest.raises(ValueError, match="moment vector 2 has non-finite entries"):
             solve_moments(Subspace.full(3), [np.eye(3)[:, 0], [0.0, bad, 0.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("field, cols, moments", [
+        ("real", [4, 2], 2), ("real", [14], 3), ("real", [0], 0), ("real", [0], 1),
+        ("complex", [6], 3), ("complex", [3, 2], 2)],
+        ids=["deficient", "wide", "empty", "empty-refused", "complex", "complex-deficient"])
+    def test_one_factorization_agrees_with_the_library_path(self, field, cols, moments):
+        # the command line's space and orthocomplement, from one complete QR
+        # of the spanning vectors, against from_spanning and complement()
+        rng = rng_for(805)
+        n = 10
+        mat = random_matrix(rng, n, cols[0], field)
+        if len(cols) > 1:
+            mat = np.column_stack([mat, mat @ random_matrix(rng, cols[0], cols[1], field)])
+        vs = list(random_matrix(rng, n, moments, field).T)
+        etas = list(random_matrix(rng, moments, 1, field)[:, 0])
+        space, comp = _span_and_complement(mat)
+        ref = Subspace.from_spanning(mat.T, n, field=field)
+        assert (space.dim, comp.dim) == (ref.dim, ref.complement().dim)
+        if cols[0] == 0 < moments:
+            for call in (lambda: _solve_moments(space, comp, vs, etas),
+                         lambda: solve_moments(ref, vs, etas)):
+                with pytest.raises(HypothesisError, match="orthocomplement"):
+                    call()
+            return
+        x = _solve_moments(space, comp, vs, etas)
+        y = solve_moments(ref, vs, etas)
+        assert np.linalg.norm(x - y) <= 1e-12 * max(np.linalg.norm(y), 1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("v, value", [(1e-200, 1e200), (1e-320, 1.0)])

@@ -540,6 +540,26 @@ class TestNormsAtExtremeScales:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [-600, -30, 30, 600])
+    def test_slowdemo_trace(self, tmp_path, capsys, k):
+        # the family has no scale: a start and a tolerance scaled by 2^k
+        # run the same sweeps, with every residual, distance and bound scaled
+        start = [0.3, -0.5, 0.125, 0.7, 0.2, -0.4, 0.6, 0.05]
+        out, traces = [], []
+        for s in (1.0, 2.0 ** k):
+            trace = tmp_path / "trace.csv"
+            out.append(self.printed(["slowdemo", "--truncation", "4",
+                                     "--start", json.dumps([v * s for v in start]),
+                                     "--tol", repr(1e-10 * s), "--trace", str(trace)], capsys))
+            traces.append(list(csv.reader(trace.open()))[1:])
+        (unit, big), scale = out, 2.0 ** k
+        assert big == unit and unit["sweeps"].endswith("converged: yes")
+        assert len(traces[0]) == len(traces[1]) == int(unit["sweeps"].split()[0]) > 1
+        for row, big_row in zip(*traces):
+            assert big_row[0] == row[0]
+            assert [float(v) for v in big_row[1:]] == [float(v) * scale for v in row[1:]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-600, -30, 30, 600])
     def test_signal(self, tmp_path, capsys, k):
         out = []
         for s in (1.0, 2.0 ** k):

@@ -20,10 +20,13 @@ takes the two-member chain, that one thin SVD plus its QR, and an
 operator system adds one thin SVD per operator to the chain of its
 family.  The lattice reads that one level too: intersect takes its thin
 SVD, add that SVD plus one QR.  The moment problem's one complement is
-one complete QR.  The periodic projection sweep makes no per-sweep call
+one complete QR; the moments command takes the space and that complement
+from one complete QR of its spanning vectors and the singular values of
+its R factor.  The periodic projection sweep makes no per-sweep call
 of Subspace.project or affine_project.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -51,6 +54,7 @@ from ibap import (
     uniqueness_check,
     verify_ibap,
 )
+from ibap.cli import main
 
 from conftest import random_family, random_prescription, random_subspace, rng_for
 
@@ -288,6 +292,34 @@ def test_moments_build_one_complement(meets_complement, log, qrs):
     assert [c for c in log if c[0] == "complement"] == [("complement",)]
     assert [q for q in qrs if q[1] == "complete"] == [((N, 15), "complete")]
     assert full_u_svds(log) == []
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_the_moments_command_factors_its_space_once(field, log, qrs, tmp_path, capsys):
+    # the space and its orthocomplement come from one complete QR of the
+    # n x k spanning matrix and the singular values of its k x k R factor:
+    # no thin SVD of the spanning vectors, and no complement of the basis
+    rng = rng_for(1205)
+    space = rng.standard_normal((15, N))
+    vectors = rng.standard_normal((4, N))
+    if field == "complex":
+        space = space + 1j * rng.standard_normal((15, N))
+        vectors = vectors + 1j * rng.standard_normal((4, N))
+
+    def entry(z):
+        return [z.real, z.imag] if field == "complex" else z.real
+
+    doc = {"field": field, "ambient_dim": N,
+           "space": [[entry(z) for z in v] for v in space],
+           "constraints": [{"vector": [entry(z) for z in v], "value": float(i)}
+                           for i, v in enumerate(vectors)]}
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(doc))
+    assert main(["moments", str(path)]) == 0
+    assert "moment 4 residual" in capsys.readouterr().out
+    assert [c for c in log if c[0] == "svd"] == [("svd", (15, 15), False, False)]
+    assert qrs == [((N, 15), "complete")]
+    assert not [c for c in log if c[0] == "complement"]
 
 
 def line_svds(calls):

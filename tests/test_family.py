@@ -342,28 +342,38 @@ class TestInfeasibility:
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_every_route_raises_the_one_certificate(self, field):
-        # stacked_lstsq builds the one certificate of each refusal.  The
-        # iteration solves the prescription projected onto its subspaces,
-        # which is exact on lines along e0, so all three are equal there;
-        # on a generic dependent family its certificate differs by rounding
-        # (the witness's best point is itself rounding, near 1e-15)
+        # stacked_lstsq builds the one certificate of each refusal, and
+        # every route hands it the validated prescription: the iteration
+        # projects the prescription onto the subspaces for its sweeps only
         e0 = np.eye(3, dtype=field_dtype(field))[0]
         f = lines(e0, e0)
         pres = [e0, -e0]
         for g, w in ((f, pres), dependent_family_with_witness(rng_for(512), 7, field)):
             cert = infeasibility_certificate(g, w)
-            with pytest.raises(InfeasiblePrescriptionError) as direct:
-                direct_solve(g, w)
-            with pytest.raises(InfeasiblePrescriptionError) as iterated:
-                best_approximation(np.zeros(g.ambient_dim), g, w)
-            assert direct.value.certificate.residual == cert.residual
-            assert np.array_equal(direct.value.certificate.best_point, cert.best_point)
-            other = iterated.value.certificate
-            if g is f:
-                assert other.residual == cert.residual
-                assert np.array_equal(other.best_point, cert.best_point)
-            assert abs(other.residual - cert.residual) <= 1e-12 * cert.residual
-            assert np.linalg.norm(other.best_point - cert.best_point) <= 1e-12
+            for route in (lambda: direct_solve(g, w),
+                          lambda: best_approximation(np.zeros(g.ambient_dim), g, w)):
+                with pytest.raises(InfeasiblePrescriptionError) as refused:
+                    route()
+                assert refused.value.certificate.residual == cert.residual
+                assert np.array_equal(refused.value.certificate.best_point, cert.best_point)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-600, -30, 30, 600])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_scaled_witness_scales_every_certificate(self, field, k):
+        # scaling by 2^k is exact, and so is every product of the stacked
+        # solve and every norm taken at a power of two: each route refuses
+        # the witness times 2^k with its residual times 2^k
+        g, w = dependent_family_with_witness(rng_for(513), 7, field)
+        scale = 2.0 ** k
+        unit = infeasibility_certificate(g, w).residual
+        scaled = [u * scale for u in w]
+        assert infeasibility_certificate(g, scaled).residual == unit * scale
+        for route in (lambda: direct_solve(g, scaled),
+                      lambda: best_approximation(np.zeros(g.ambient_dim), g, scaled)):
+            with pytest.raises(InfeasiblePrescriptionError) as refused:
+                route()
+            assert refused.value.certificate.residual == unit * scale
 
     def test_large_solutions_of_independent_families_are_feasible(self):
         # a 2- and a 3-dimensional subspace of R^8 meeting at sine 1e-9:

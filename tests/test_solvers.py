@@ -497,6 +497,18 @@ class TestBestApproximation:
         with pytest.raises(ValueError, match="^tol must be positive and finite$"):
             SolveOptions(tol=tol)
 
+    @pytest.mark.parametrize("tol", [True, False, np.True_, "1e-10", 1e-10 + 0j,
+                                     np.complex128(1e-10), None])
+    def test_the_tolerance_is_a_real_number(self, tol):
+        # True would run with tol 1, and a string or complex failed with a raw TypeError
+        with pytest.raises(ValueError, match="^tol must be a real number$"):
+            SolveOptions(tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.float64(1e-10), np.float32(1e-10), np.int64(1), 1])
+    def test_the_tolerance_may_be_a_numpy_or_integer_scalar_and_is_stored_as_float(self, tol):
+        opts = SolveOptions(tol=tol)
+        assert type(opts.tol) is float and opts.tol == float(tol)
+
     @pytest.mark.parametrize("max_iter", [40.0, True, np.True_, "40", None])
     def test_max_iter_is_an_integer(self, max_iter):
         # a float would fail only after its first block, inside the sweeps

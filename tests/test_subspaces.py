@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from ibap import COMPLEX, REAL, Family, Subspace, add, angle_identity_gap, inner, intersect
-from ibap.subspaces import MEMBERSHIP_RTOL, _orthonormal_columns
+from ibap.subspaces import MEMBERSHIP_RTOL, _orthonormal_columns, _span_and_complement
 
-from conftest import FIELDS, random_matrix, random_subspace, random_unit, rng_for
+from conftest import (FIELDS, random_matrix, random_orthogonal, random_subspace, random_unit,
+                      rng_for)
 from oracles import gram_rank, is_zero, mutual_projection_gap, zero_subspace
 
 
@@ -224,6 +225,46 @@ class TestComplement:
         assert c.dim == 24 - k and c.dtype == u.dtype
         assert np.max(np.abs(c.basis.conj().T @ c.basis - np.eye(24 - k)), initial=0.0) <= 1e-14
         assert np.max(np.abs(u.basis.conj().T @ c.basis), initial=0.0) <= 1e-14
+
+
+class TestSpanAndComplement:
+    """_span_and_complement: a span and its orthocomplement from one
+    complete QR of the spanning matrix, with from_spanning's rank."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    @pytest.mark.parametrize("n, k", [(24, 5), (8, 8), (6, 9)])
+    def test_rank_at_the_cutoff_is_that_of_from_spanning(self, n, k, factor, field):
+        # the smallest singular value of the spanning matrix at `factor`
+        # times the cutoff max(n, k) eps of the largest
+        rng = rng_for(204)
+        p = min(n, k)
+        left = random_orthogonal(rng, n, field)[:, :p]
+        right = random_orthogonal(rng, k, field)[:p]
+        sv = np.ones(p)
+        sv[-1] = factor * max(n, k) * np.finfo(float).eps
+        mat = (left * sv) @ right
+        space, comp = _span_and_complement(mat)
+        assert space.dim == Subspace.from_spanning(mat.T, n, field=field).dim
+        assert space.dim == (p if factor > 1 else p - 1)
+        assert comp.dim == n - space.dim and comp.dtype == space.dtype == mat.dtype
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n, cols", [(24, [15]), (24, [10, 5]), (6, [9]), (24, [0])],
+                             ids=["thin", "deficient", "wide", "empty"])
+    def test_span_and_complement_of_every_shape(self, n, cols, field):
+        # `cols` random columns, then (deficient) combinations of them
+        rng = rng_for(205)
+        mat = random_matrix(rng, n, cols[0], field)
+        if len(cols) > 1:
+            mat = np.column_stack([mat, mat @ random_matrix(rng, cols[0], cols[1], field)])
+        space, comp = _span_and_complement(mat)
+        ref = Subspace.from_spanning(mat.T, n, field=field)
+        assert (space.dim, comp.dim) == (ref.dim, n - ref.dim) == (min(n, cols[0]),
+                                                                   n - min(n, cols[0]))
+        assert mutual_projection_gap(space, ref) <= 1e-12
+        both = np.column_stack([space.basis, comp.basis])
+        assert np.max(np.abs(both.conj().T @ both - np.eye(n))) <= 1e-14
 
 
 class TestSumAndIntersection:

@@ -3,6 +3,7 @@ against the working tree.
 
     python3 tools/ab.py HEAD~
     python3 tools/ab.py 3b27fd2 --rounds 40 --reps 5 --workloads applications
+    python3 tools/ab.py HEAD --kinds moments reject
 
 Writes the problem files of every command that ``bench/workloads.build``
 makes for the chosen workloads, once, from the working tree's ``bench/``,
@@ -16,7 +17,9 @@ every command once to warm up, then runs all of them ``--reps`` times
 over, calling ``ibap.cli.main`` in-process as the benchmark does, and
 takes each command's median.  A kind's time in a round is the sum over
 its commands, as the benchmark's ``<kind>_s`` is; ``pass`` is the sum
-over all commands of the workload.
+over all commands of the workload.  ``--kinds`` keeps only the commands
+of the named kinds, so that a focused comparison runs more rounds in the
+same time; ``pass`` then sums only those.
 
 One line per workload and kind gives the median over rounds of the
 ratio working tree / revision, the rounds in which the working tree is
@@ -93,16 +96,23 @@ def run_side(src, commands_path, reps):
     return json.loads(out.splitlines()[-1])
 
 
-def build_commands(workloads_, seed, scale, workdir):
-    """Write the workloads' problem files into workdir; returns one
-    {"workload", "kind", "argv", "expect_exit"} per command."""
+def _workloads():
+    """The module bench/workloads of the working tree."""
     if BENCH not in sys.path:
         sys.path.insert(0, BENCH)
     import workloads
 
+    return workloads
+
+
+def build_commands(workloads_, seed, scale, workdir, kinds=None):
+    """Write the workloads' problem files into workdir; returns one
+    {"workload", "kind", "argv", "expect_exit"} per command, with `kinds`
+    only those of these kinds."""
     return [{"workload": w, "kind": c.kind, "argv": list(c.argv), "expect_exit": c.expect_exit}
             for w in workloads_
-            for c in workloads.build(w, seed, os.path.join(workdir, w), scale=scale)]
+            for c in _workloads().build(w, seed, os.path.join(workdir, w), scale=scale)
+            if kinds is None or c.kind in kinds]
 
 
 def run_rounds(old_src, new_src, commands, rounds, reps, workdir):
@@ -199,6 +209,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("revision", nargs="?", help="git revision to compare against")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--kinds", nargs="+", metavar="KIND",
+                        help="time only the commands of these kinds; each workload's "
+                             "pass row then sums only them")
     # host load drifts between the two interpreters of a round, so many
     # short rounds narrow the interval more than a few long ones
     parser.add_argument("--rounds", type=int, default=30,
@@ -217,10 +230,14 @@ def main(argv=None) -> int:
         parser.error("a git revision is required")
     if args.rounds < 1 or args.reps < 1:
         parser.error("--rounds and --reps must be at least 1")
+    known = _workloads().KINDS
+    unknown = [kind for kind in args.kinds or () if kind not in known]
+    if unknown:
+        parser.error(f"unknown kinds {', '.join(unknown)}; the kinds are {', '.join(known)}")
     for var in BLAS_VARS:
         os.environ[var] = "1"
     with tempfile.TemporaryDirectory(prefix="ibap-ab-") as workdir:
-        commands = build_commands(args.workloads, SEED, "full", workdir)
+        commands = build_commands(args.workloads, SEED, "full", workdir, args.kinds)
         results = run_rounds(revision_src(args.revision, workdir),
                              os.path.join(ROOT, "src"), commands, args.rounds, args.reps,
                              workdir)
