@@ -49,7 +49,6 @@ from .family import (
 from .solvers import (
     AffineConstraint,
     ConvergenceTrace,
-    SolutionSet,
     SolveOptions,
     affine_project,
     best_approximation,

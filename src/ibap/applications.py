@@ -204,17 +204,17 @@ def solve_moments(space: Subspace, vectors, values) -> np.ndarray:
     solved, must be linearly independent: the vectors themselves are
     independent and their span meets that orthocomplement trivially.
     The orthocomplement is space.complement(), one complete QR of the
-    basis; the command line instead takes the space and its
-    orthocomplement from one complete QR of the spanning vectors
-    (subspaces._span_and_complement) and passes both to _solve_moments.
+    basis; the command line instead takes it from one complete QR of the
+    spanning vectors (subspaces._span_and_complement), or for the whole
+    space builds the zero subspace, and passes it to _solve_moments.
     """
-    return _solve_moments(space, space.complement(), vectors, values)
+    return _solve_moments(space.complement(), vectors, values)
 
 
-def _solve_moments(space: Subspace, complement: Subspace, vectors, values) -> np.ndarray:
+def _solve_moments(complement: Subspace, vectors, values) -> np.ndarray:
     """solve_moments, given the orthocomplement of the space."""
-    n = space.ambient_dim
-    vs = [as_field_vector(v, n, space.dtype, what=f"moment vector {i + 1}")
+    n = complement.ambient_dim
+    vs = [as_field_vector(v, n, complement.dtype, what=f"moment vector {i + 1}")
           for i, v in enumerate(vectors)]
     values = list(values)
     if len(values) != len(vs):
@@ -223,7 +223,7 @@ def _solve_moments(space: Subspace, complement: Subspace, vectors, values) -> np
         if not v.any():
             raise HypothesisError(f"moment vector {i + 1} is zero", level=i + 1)
     etas = [complex(v) for v in values]
-    if space.field != COMPLEX:
+    if complement.field != COMPLEX:
         for i, z in enumerate(etas):
             if z.imag != 0:
                 raise ValueError(f"moment value {i + 1} is complex in a real problem")
@@ -233,7 +233,7 @@ def _solve_moments(space: Subspace, complement: Subspace, vectors, values) -> np
     if not check_independence(family):
         raise HypothesisError("the moment vectors are linearly dependent or their span "
                               "meets the orthocomplement of the space")
-    return solve_min_norm(family, [u for _, u in lines] + [np.zeros(n, dtype=space.dtype)])
+    return solve_min_norm(family, [u for _, u in lines] + [np.zeros(n, dtype=complement.dtype)])
 
 
 def solve_operator_system(operators, rhs) -> np.ndarray:

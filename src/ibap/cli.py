@@ -420,7 +420,7 @@ def cmd_solve(args) -> int:
         anchor = _vector(_loads(args.anchor, "--anchor"), problem.ambient_dim, problem.field,
                          "--anchor")
     if args.method == "direct":
-        x = direct_solve(family, prescription, anchor=anchor).particular
+        x = direct_solve(family, prescription, anchor=anchor)
     elif args.method == "recursion":
         x = solve_min_norm(family, prescription, anchor=anchor)
     else:
@@ -457,18 +457,18 @@ def cmd_moments(args) -> int:
     field = _field_of(doc, path)
     n = _positive_int(doc, "ambient_dim", path)
     if doc.get("space") is None:
-        space = Subspace.full(n, field=field)
-        complement = space.complement()
+        # the whole space, whose complement is zero: no n x n basis is built
+        space, complement = None, Subspace(np.zeros((n, 0), dtype=field_dtype(field)))
     else:
         if not isinstance(doc["space"], list):
             raise ParseError(f"{path}: space must be a list of spanning vectors")
         rows = _vectors(doc["space"], n, field, lambda j: f"space vector {j}")
         space, complement = _span_and_complement(rows.T)
     vectors, values = _vector_value_entries(doc.get("constraints"), n, field, "constraint", path)
-    x = _solve_moments(space, complement, vectors, values)
+    x = _solve_moments(complement, vectors, values)
     print(f"solution: {_fmt_vector(x, field)}")
     print(f"norm: {_norm(x)!r}")
-    gap = _norm(space.project(x) - x)
+    gap = 0.0 if space is None else _norm(space.project(x) - x)
     print(f"space membership residual: {gap:.6e}")
     for i, (v, eta) in enumerate(zip(vectors, values)):
         err = abs(inner(x, v) - eta)

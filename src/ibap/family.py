@@ -10,8 +10,9 @@ constants), which quantify how well-conditioned it is and feed the
 convergence rate bound of the iterative solver, all come from one
 factorization of the residual per level, cached on the Family: a thin
 SVD, or for a line the residual's norm (see subspaces._factor_level).
-Whether a prescription is met is decided by one stacked least-squares
-solve, stacked_lstsq, the only source of InfeasiblePrescriptionError.
+An independent family meets every prescription; a dependent family's
+prescription is judged by one stacked least-squares solve,
+stacked_lstsq, the only source of InfeasiblePrescriptionError.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import projector_product_norm
-from .subspaces import (MEMBERSHIP_RTOL, _EPS, Subspace, _check_compatible, _extend, _norm,
-                        _rank_from_singular_values)
+from .subspaces import MEMBERSHIP_RTOL, _EPS, Subspace, _check_compatible, _extend, _norm
 
 #: max-norm tolerance on the Gram defects of biorthogonal_bounds' input
 #: sequences: they are caller-built vectors, not stored bases, so this is
@@ -70,13 +70,14 @@ class Family:
     and the columns, projected off T, whose QR (for one column, its
     division by its norm) extends T to a basis of U_i + T.  Every
     trailing-sum basis is thus a column prefix of one basis of
-    U_1 + ... + U_m, of width dim_sum; it serves check, the recursion and
-    an independent family's iteration.  The full SVD of the stacked bases
-    serves only the stacked route, cut at dim_sum: the dependent tuple and
-    stacked_lstsq, which direct_solve, infeasibility_certificate and a
-    dependent family's iteration share.  Its smallest singular value is
-    at most every level sine, so where it shows full column rank the
-    chain is not built.
+    U_1 + ... + U_m, of width dim_sum; it serves check, every solve of an
+    independent family and every shift toward an anchor.  The full SVD of
+    the stacked bases is taken only for a family that the chain shows
+    dependent, cut at dim_sum: it gives the dependent tuple and
+    stacked_lstsq, which direct_solve, infeasibility_certificate and the
+    iteration share.  The intersection of the complements is the
+    complement of S = add(U_1, add(U_2, ... add(U_(m-1), U_m))), whose basis
+    is the chain's, so S.complement() has dimension ambient_dim - dim_sum.
     """
 
     subspaces: tuple
@@ -136,12 +137,11 @@ class Family:
     def _stacked(self):
         """Read-only full SVD (u, s, vh) of the stacked bases and its rank, dim_sum."""
         mat = np.concatenate([s.basis for s in self.subspaces], axis=1)
+        # a complete vh: its last row is a null vector also where the stack is wide
         u, s, vh = np.linalg.svd(mat, full_matrices=True)
-        full = _rank_from_singular_values(s, mat.shape) == mat.shape[1]
-        rank = mat.shape[1] if full else self.dim_sum
         for arr in (u, s, vh):
             arr.setflags(write=False)
-        return u, s, vh, rank
+        return u, s, vh, self.dim_sum
 
     @property
     def dim_sum(self) -> int:
@@ -211,10 +211,10 @@ def dependent_tuple(family: Family):
 
     Such a tuple certifies both linear dependence and, by the zero-sum
     infeasibility argument, a prescription with empty solution set.
-    Independence is read from the stacked SVD's rank, so a generic family
-    takes that one factorization and no level chain.
+    Independence is read from the level chain; only a dependent family
+    takes the stacked SVD, whose last right singular vector is the tuple.
     """
-    if family._stacked[3] == sum(family.dims):
+    if check_independence(family):
         return None
     coeff = family._stacked[2][-1].conj()
     chunks = np.split(coeff, np.cumsum(family.dims)[:-1])
@@ -300,8 +300,11 @@ def stacked_lstsq(family: Family, prescription: list) -> np.ndarray:
 
 def infeasibility_certificate(family: Family, prescription):
     """The certificate of stacked_lstsq's refusal of the prescription, or
-    None; a zero-sum prescription with nonzero members always has one."""
+    None; a zero-sum prescription with nonzero members always has one.
+    An independent family, which meets every prescription, has none."""
     pres = validate_prescription(family, prescription)
+    if check_independence(family):
+        return None
     try:
         stacked_lstsq(family, pres)
     except InfeasiblePrescriptionError as err:

@@ -2,14 +2,14 @@
 
 Three routes are provided and cross-checked by the test suite; each
 factorizes a family once (see Family) and shifts toward an anchor along
-its own orthonormal basis of the sum of the members:
+the chain's orthonormal basis T of the sum of the members:
 
 * a finite recursion that extends a trailing minimal-norm solution one
   level at a time, yielding the global minimal-norm solution; its level
   step, the two-subspace solve, is also the solver for two constraints;
-* a direct stacked least-squares solver, the only one that takes the
-  stacked SVD, which produces the full solution set (particular point
-  plus parallel subspace);
+* direct_solve: an independent family, which attains every
+  prescription, by that recursion, and a dependent one by the stacked
+  least-squares solve, the only user of the stacked SVD and of its refusal;
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles; each sweep
   is one small square map on the iterate's coordinates in the chain
@@ -38,7 +38,7 @@ from .family import (
     validate_prescription,
     verify_ibap,
 )
-from .subspaces import Subspace, _binary_scale, _integer, _Level, _norm, as_field_vector
+from .subspaces import _EPS, Subspace, _binary_scale, _integer, _Level, _norm, as_field_vector
 
 #: sweeps in the first block of best_approximation's residual and trace bookkeeping
 _BLOCK = 32
@@ -47,6 +47,8 @@ _MAX_BLOCK = 128
 #: best_approximation scales the norms of its blocks where the largest entry
 #: of start and reference lies outside [1 / _UNSCALED, _UNSCALED]
 _UNSCALED = 2.0 ** 64
+#: best_approximation's rounding floor, in units of eps * max(||start||, ||reference||)
+_FLOOR = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,14 +107,6 @@ class ConvergenceTrace(NamedTuple):
             return None
         alpha, d0 = self.alpha, self.initial_distance
         return [alpha ** n * d0 for n in range(1, self.sweeps + 1)]
-
-
-class SolutionSet(NamedTuple):
-    """The affine solution set: a particular solution plus the parallel
-    subspace (the intersection of all constraint complements)."""
-
-    particular: np.ndarray
-    parallel: Subspace
 
 
 def affine_project(constraint: AffineConstraint, x) -> np.ndarray:
@@ -191,9 +185,10 @@ def min_norm_stages(family: Family, prescription) -> list:
 
 def solve_min_norm(family: Family, prescription, anchor=None) -> np.ndarray:
     """Minimal-norm solution of the prescribed-projection problem, or with
-    an anchor the solution closest to it, as in direct_solve."""
-    x = min_norm_stages(family, prescription)[-1]
-    return _toward_anchor(family._chain[1], x, anchor)
+    an anchor the solution closest to it: direct_solve on a family that
+    the recursion's gate has found independent."""
+    _require_independence(family)
+    return direct_solve(family, prescription, anchor)
 
 
 def prescription_residual(family: Family, prescription, x) -> float:
@@ -204,26 +199,27 @@ def prescription_residual(family: Family, prescription, x) -> float:
     return max(_norm(s.project(x) - u) for s, u in zip(family.subspaces, pres))
 
 
-def direct_solve(family: Family, prescription, anchor=None) -> SolutionSet:
-    """Stacked least-squares reference solver.
+def direct_solve(family: Family, prescription, anchor=None) -> np.ndarray:
+    """The minimal-norm solution, or with an anchor the solution closest to it.
 
-    Solves all constraints at once by minimal-norm least squares on the
-    stacked SVD cut at dim_sum; with an anchor, shifts the particular
-    solution to the closest point of the solution set.  An infeasible
-    prescription raises stacked_lstsq's InfeasiblePrescriptionError.
+    An independent family attains every prescription, so its point is
+    the recursion's, from the level chain alone.  A dependent family's
+    point is stacked_lstsq's, which raises InfeasiblePrescriptionError
+    with its certificate where the prescription is infeasible.  Either
+    point moves toward the anchor along the chain basis of the sum.
     """
-    x = stacked_lstsq(family, validate_prescription(family, prescription))
-    u, _, _, rank = family._stacked
-    return SolutionSet(particular=_toward_anchor(u[:, :rank], x, anchor),
-                       parallel=Subspace(u[:, rank:]))
+    return _direct(family, validate_prescription(family, prescription), anchor)
 
 
-def _toward_anchor(basis: np.ndarray, x, anchor) -> np.ndarray:
-    """x, or with an anchor the point of x + span(basis)^perp closest to it."""
+def _direct(family: Family, valid: list, anchor) -> np.ndarray:
+    """direct_solve on a validated prescription: x, or with an anchor the
+    point of x + span(T)^perp closest to it, T the chain basis of the sum."""
+    x = _stages(family, valid)[-1] if check_independence(family) else stacked_lstsq(family, valid)
     if anchor is None:
         return x
-    d = as_field_vector(anchor, basis.shape[0], basis.dtype, what="anchor") - x
-    return x + d - basis @ (basis.conj().T @ d)
+    t = family._chain[1]
+    d = as_field_vector(anchor, family.ambient_dim, family.dtype, what="anchor") - x
+    return x + d - t @ (t.conj().T @ d)
 
 
 def rate_bound(family: Family) -> float:
@@ -295,31 +291,30 @@ def best_approximation(start, family: Family, prescription,
     """Periodic projection iteration from `start` onto the solution set.
 
     Each validated prescription vector is projected onto its subspace
-    once, so that it lies in the subspace to rounding; the sweeps, the
-    residuals and an independent family's reference solution
-    (solve_min_norm's toward start) use those projected vectors.  A
-    dependent family's reference, whose feasibility the level chain cannot
-    decide, is direct_solve's toward start, from the validated vectors, so
-    that a refusal raises direct_solve's certificate; neither validates
-    again.  The sweeps move x = start + T y only inside
-    the sum of the members, whose orthonormal basis T the level chain
-    holds, so each is one (d+1)-square map of [y; 1], d = dim_sum, built
-    once per call; its iterates are those of the affine projectors applied
-    from the last constraint to the first, up to rounding, and the
-    residual max_i ||Q_i^H x - Q_i^H u_i|| is taken in the same
-    coordinates.  Stops when it drops to options.tol or after
-    options.max_iter sweeps; both outcomes are recorded in the returned
-    trace, which holds each sweep's residual and, only with
-    options.record_trace, its distance to the true best approximation,
-    ||y - c|| with c = T^H (reference - start), and with the IBAP the
-    bound values alpha^n * d0.  d0, and for a start or reference of
-    extreme size the norms of each block, are taken of vectors scaled by a
-    power of two, so that no square overflows.  Only the map runs per
-    sweep, the rest once per block, bit for bit as one sweep at a time:
-    the first block has _BLOCK sweeps, each later one up to twice the one
-    before and at most _MAX_BLOCK, ending about where the previous block's
-    mean residual ratio reaches tol.  Sweeps past the stopping one are dropped;
-    the point is formed once, at the stop.  Returns (point, trace).
+    once; the sweeps, the residuals and an independent family's reference
+    solution use those projected vectors, and a dependent family's
+    reference, whose stacked solve may refuse, the validated ones.  The
+    reference is direct_solve's toward start; nothing is validated again.
+    The sweeps move x = start + T y only inside the sum, whose orthonormal
+    basis T the level chain holds, so each is one (d+1)-square map of
+    [y; 1], d = dim_sum, built once per call: the affine projectors from
+    the last constraint to the first, up to rounding.  The residual
+    max_i ||Q_i^H x - Q_i^H u_i|| is taken in the same coordinates.  The
+    run stops when it reaches options.tol, after options.max_iter sweeps,
+    or after a block that lies within the rounding floor
+    _FLOOR * eps * max(||start||, ||reference||) and ends no lower than it
+    began: its sweeps have stopped falling.  The trace holds each sweep's
+    residual, converged (whether tol was reached) and, only with
+    options.record_trace, the distance ||y - c||, c = T^H (reference -
+    start), to the true best approximation; with the IBAP, the bound values
+    alpha^n * d0.  d0, and for a start or reference of extreme size the
+    norms of each block, are taken of vectors scaled by a power of two, so
+    that no square overflows.  Only the map runs per sweep, the rest once
+    per block, bit for bit as one sweep at a time: the first block has
+    _BLOCK sweeps, each later one up to twice the one before and at most
+    _MAX_BLOCK, ending about where the previous block's mean residual
+    ratio reaches tol.  Sweeps past the stopping one are dropped; the
+    point is formed once, at the stop.  Returns (point, trace).
     """
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
@@ -328,13 +323,7 @@ def best_approximation(start, family: Family, prescription,
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
     report = verify_ibap(family)
     alpha = report.alpha if report.verdict else None
-    if report.verdict:
-        reference = _toward_anchor(family._chain[1], _stages(family, pres)[-1], start)
-    else:
-        # the stacked solve reads the validated vectors, as direct_solve
-        # does, so that a refusal raises the same certificate
-        u, _, _, rank = family._stacked
-        reference = _toward_anchor(u[:, :rank], stacked_lstsq(family, valid), start)
+    reference = _direct(family, pres if report.verdict else valid, start)
     diff = start - reference
     d0 = _norm(diff)
     # zero-dimensional members are exact identities and drop out
@@ -350,6 +339,7 @@ def best_approximation(start, family: Family, prescription,
     scale = _binary_scale(np.concatenate([start, reference]))
     if 1.0 / _UNSCALED <= scale <= _UNSCALED:
         scale = 1.0
+    floor = _FLOOR * _EPS * max(_norm(start), _norm(reference))
     t = family._chain[1]
     m, coords, starts = _sweep_map(t, live, start)
     # reference - start lies in the span of T, so ||y - c|| is the
@@ -378,7 +368,7 @@ def best_approximation(start, family: Family, prescription,
         if opts.record_trace:
             dists += _row_norms((ys[:take, :-1] - c).view(np.float64), scale).tolist()
         y = ys[take - 1]
-        if hit.size:
+        if hit.size or (res[-1] >= res[0] and res.max() <= floor):
             break
         # the next block may double, and ends near where this block's mean
         # ratio reaches tol

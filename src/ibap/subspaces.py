@@ -216,9 +216,10 @@ def _span_and_complement(mat: np.ndarray):
     columns of Q span the space and the rest the complement; below it the
     first p are rotated by R's left singular vectors, and their first rank
     columns span the space.  An empty set (k = 0) gives the zero subspace
-    and the whole space."""
+    and the whole space.  mat is divided by _binary_scale(mat) first, as in
+    Subspace.from_spanning."""
     p = min(mat.shape)
-    q, r = np.linalg.qr(mat, mode="complete")
+    q, r = np.linalg.qr(mat / _binary_scale(mat), mode="complete")
     rank = _rank_from_singular_values(np.linalg.svd(r[:p], compute_uv=False), mat.shape)
     if rank < p:
         q[:, :p] = q[:, :p] @ np.linalg.svd(r[:p], full_matrices=False)[0]
@@ -266,8 +267,11 @@ class Subspace:
         real field and finiteness are checked on the stack; a failure names
         the first offending vector with as_field_vector's message.  The
         rank counts singular values above max(shape) * eps times the
-        largest.  An empty set gives the zero subspace; ambient_dim is then
-        required.
+        largest.  The stack is divided by _binary_scale first, which is
+        exact: an SVD commutes with powers of two in range, so vectors
+        scaled by 2^k span one basis at every k, where LAPACK would rescale
+        an extreme stack by a rounded factor.  An empty set gives the zero
+        subspace; ambient_dim is then required.
         """
         if ambient_dim is None:
             if not len(vectors):
@@ -285,7 +289,7 @@ class Subspace:
         mat = np.asarray(stack.real if imag else stack, dtype=dtype)
         if (stack.shape[1:] == (ambient_dim,) and not (imag and np.any(stack.imag != 0))
                 and np.isfinite(mat).all()):
-            return cls(_orthonormal_columns(mat.T))
+            return cls(_orthonormal_columns(mat.T / _binary_scale(mat)))
         # name the first offending vector; without a field no imaginary part is rejected
         for i, v in enumerate(vectors):
             as_field_vector(v, ambient_dim, field_dtype(field or COMPLEX),

@@ -14,13 +14,16 @@ small map on the coordinates of the iterate in the chain basis of the
 sum with the residual in those coordinates, the one-map loop with its
 bookkeeping after every sweep instead of once per block of sweeps, and
 the spectral radius of the dense product of complement projectors
-instead of the level angles.  Two oracles take the implementation's
+instead of the level angles, and numpy's SVD of the stacked rows cut at
+dim_sum (svd_min_norm) instead of the recursion that direct_solve takes
+on an independent family.  Two oracles take the implementation's
 route: reference_level, the level factorization through numpy's Python
 wrappers (np.linalg.norm, np.clip, np.sum), which its C entry points
 must match bit for bit, and one_map_iteration, which runs
 solvers._sweep_map's own map, so that it checks the blocking alone.  It
 also holds helpers that only tests use, such as save_problem, the
-writer of problem files.
+writer of problem files, and parallel_subspace, the intersection of the
+complements from the public API.
 """
 
 import json
@@ -35,6 +38,7 @@ from ibap import (
     ConvergenceTrace,
     SolveOptions,
     Subspace,
+    add,
     affine_project,
     as_field_vector,
     best_approximation,
@@ -157,6 +161,31 @@ def pinv_min_norm(family, prescription):
     return np.linalg.pinv(a) @ b
 
 
+def svd_min_norm(family, prescription, anchor=None):
+    """Minimal-norm least-squares solution of the stacked system from
+    numpy's SVD of its rows, cut at family.dim_sum, or with an anchor the
+    solution closest to it, moved along the kept right singular vectors."""
+    a, b = stacked_rows(family, prescription)
+    r = family.dim_sum
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    v = vh[:r].conj().T
+    x = v @ ((u[:, :r].conj().T @ b) / s[:r])
+    if anchor is None:
+        return x
+    d = np.asarray(anchor, dtype=family.dtype) - x
+    return x + d - v @ (v.conj().T @ d)
+
+
+def parallel_subspace(family):
+    """The intersection of the members' complements, from the public API:
+    the complement of U_1 + ... + U_m, the sum built by add from the last
+    member up, so that its dimension is ambient_dim - dim_sum."""
+    total = family.subspaces[-1]
+    for s in reversed(family.subspaces[:-1]):
+        total = add(s, total)
+    return total.complement()
+
+
 def stacked_residual(family, prescription, x=None):
     a, b = stacked_rows(family, prescription)
     if a.shape[0] == 0:
@@ -274,7 +303,7 @@ def reference_point(start, family, valid, report):
     if report.verdict:
         pres = [s.project(u) for s, u in zip(family.subspaces, valid)]
         return solve_min_norm(family, pres, anchor=start)
-    return direct_solve(family, valid, anchor=start).particular
+    return direct_solve(family, valid, anchor=start)
 
 
 def reference_iteration(start, family, prescription, options=None):

@@ -193,12 +193,12 @@ class TestMoments:
         ref = Subspace.from_spanning(mat.T, n, field=field)
         assert (space.dim, comp.dim) == (ref.dim, ref.complement().dim)
         if cols[0] == 0 < moments:
-            for call in (lambda: _solve_moments(space, comp, vs, etas),
+            for call in (lambda: _solve_moments(comp, vs, etas),
                          lambda: solve_moments(ref, vs, etas)):
                 with pytest.raises(HypothesisError, match="orthocomplement"):
                     call()
             return
-        x = _solve_moments(space, comp, vs, etas)
+        x = _solve_moments(comp, vs, etas)
         y = solve_moments(ref, vs, etas)
         assert np.linalg.norm(x - y) <= 1e-12 * max(np.linalg.norm(y), 1.0)
 

@@ -20,7 +20,7 @@ import ibap.angles
 import ibap.applications
 import ibap.cli
 import ibap.family
-from ibap import ConvergenceTrace, best_approximation, direct_solve
+from ibap import ConvergenceTrace, best_approximation, infeasibility_certificate
 from ibap.cli import (
     DEFAULT_MAX_ITER,
     EXIT_INFEASIBLE,
@@ -42,7 +42,7 @@ from ibap.cli import (
 from ibap.subspaces import field_dtype
 
 from conftest import FIELDS, random_matrix, rng_for
-from oracles import save_problem
+from oracles import parallel_subspace, save_problem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -272,17 +272,20 @@ class TestSolve:
         path = write_json(tmp_path / "fam.json", doc)
         # dims 2 + 1 + 2 in R^6: a one-dimensional parallel subspace, so the
         # anchor picks a different point of the solution set
-        parallel = direct_solve(family, pres).parallel
+        parallel = parallel_subspace(family)
         assert parallel.dim == 1
         anchor = json.dumps(list(map(float, 3 * rng.standard_normal(6))))
-        solutions = {}
+        solutions, printed = {}, {}
         for extra in ([], ["--anchor", anchor]):
             for method in ("direct", "recursion", "iterate"):
                 assert main(["solve", path, "--method", method, *extra]) == EXIT_OK
                 out = capsys.readouterr().out
+                printed[method, bool(extra)] = out.split("\n", 1)[1]
                 line = next(l for l in out.splitlines() if l.startswith("solution:"))
                 solutions[method, bool(extra)] = np.array(json.loads(line.split("solution: ")[1]))
         for anchored in (False, True):
+            # an independent family: the direct solve is the recursion
+            assert printed["direct", anchored] == printed["recursion", anchored]
             direct = solutions["direct", anchored]
             assert np.linalg.norm(direct - solutions["recursion", anchored]) <= 1e-8
             assert np.linalg.norm(direct - solutions["iterate", anchored]) <= 1e-8
@@ -396,10 +399,24 @@ class TestIterate:
         residual = float(out.split("max residual: ")[1])
         assert 0.0 < residual < 1e190
         rows = list(csv.reader(trace.open()))[1:]
-        assert len(rows) == 40
+        # the residual sits at its rounding floor, about 1.6 eps ||x||, from
+        # the first sweep, so the run ends with the first block
+        assert len(rows) == 32 and "converged: no" in out
         assert all(math.isfinite(float(v)) for row in rows for v in row)
         # the distance to the solution 1e200 (e0 + e1) shrinks below d0
         assert float(rows[-1][2]) < float(rows[0][3]) < math.sqrt(2) * 1e200
+
+    def test_a_run_stopped_on_its_rounding_floor_warns(self, tmp_path, capsys):
+        # the residual sits near 2 eps ||x|| = 6.3e4, far above tol, from the
+        # first sweep: the run ends with its first block, not converged
+        doc = {"field": "real", "ambient_dim": 3,
+               "subspaces": [{"vectors": [[1, 0, 0]]}, {"vectors": [[1, 1, 0]]}],
+               "prescription": [[1e20, 0, 0], [1e20, 1e20, 0]]}
+        path = write_json(tmp_path / "floor.json", doc)
+        assert main(["solve", path, "--method", "iterate"]) == EXIT_OK
+        assert capsys.readouterr().err == "warning: stopped after 32 sweeps above tolerance\n"
+        assert main(["iterate", path]) == EXIT_OK
+        assert "sweeps: 32  converged: no" in capsys.readouterr().out
 
     def test_unwritable_trace_exit_four(self, tmp_path, capsys):
         path = write_json(tmp_path / "axes.json", axes_doc())
@@ -434,6 +451,29 @@ class TestMomentsCommand:
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("solution:"))
         assert np.allclose(json.loads(line.split("solution: ")[1]), [5.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_the_whole_space_prints_what_its_identity_rows_print(self, field, tmp_path,
+                                                                 capsys):
+        # without a space the orthocomplement is zero and no basis of the
+        # whole space is built; the n identity rows span it explicitly
+        rng = rng_for(1502)
+        n = 7
+        mats = random_matrix(rng, 3, n, field)
+        values = random_matrix(rng, 3, 1, field)[:, 0]
+
+        def enc(z):
+            return [z.real, z.imag] if field == "complex" else z.real
+
+        doc = {"field": field, "ambient_dim": n,
+               "constraints": [{"vector": [enc(z) for z in v], "value": enc(eta)}
+                               for v, eta in zip(mats, values)]}
+        outs = []
+        for space in (None, [[enc(z) for z in row] for row in np.eye(n, dtype=complex)]):
+            assert main(["moments", write_json(tmp_path / "mom.json",
+                                               dict(doc, space=space))]) == EXIT_OK
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and "space membership residual: 0.000000e+00" in outs[0].out
 
     def test_hypothesis_failure_exit_three(self, tmp_path):
         doc = {
@@ -607,6 +647,93 @@ class TestNormsAtExtremeScales:
         assert float(big["norm"]) == float(unit["norm"]) * scale
         for key in ("space membership residual", "moment 1 residual"):
             assert float(big[key]) == pytest.approx(float(unit[key]) * scale, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [-600, -30, 30, 600])
+    def test_check(self, tmp_path, capsys, k):
+        # spanning vectors scaled by 2^k span the same subspaces: the report,
+        # its file and the exit code are those at unit scale, for an
+        # independent real family and a dependent complex one
+        rng = rng_for(1501)
+        real = [rng.standard_normal((d, 6)) for d in (2, 1, 2)]
+        cplx = [rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5)) for d in (2, 3)]
+        cplx[1][0] = cplx[0][0] - 0.5j * cplx[0][1]
+        for field, mats, code in (("real", real, EXIT_OK), ("complex", cplx, EXIT_NO_IBAP)):
+            runs = []
+            for s in (1.0, 2.0 ** k):
+                doc = {"field": field, "ambient_dim": mats[0].shape[1],
+                       "subspaces": [{"vectors": [self.pairs(v * s) if field == "complex"
+                                                  else list(v * s) for v in m]}
+                                     for m in mats]}
+                report = tmp_path / "report.json"
+                argv = ["check", write_json(tmp_path / "fam.json", doc),
+                        "--json-out", str(report)]
+                runs.append((main(argv), capsys.readouterr(), report.read_text()))
+            (unit_code, unit, unit_report), (code_k, big, big_report) = runs
+            assert unit_code == code_k == code
+            assert big.out == unit.out and big.err == unit.err == ""
+            assert big_report == unit_report
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-600, -30, 30, 600])
+    def test_rejections(self, tmp_path, capsys, k):
+        # each rejection exits with its unit-scale code, and each distance
+        # it prints is the unit one times 2^k, exactly: the zero-sum
+        # prescription of three lines (its stacked residual), a vector
+        # half a unit off its line, a dependent family without the
+        # recursion, dependent moment vectors and masks meeting in a comb
+        e = np.eye(3)
+
+        def zero_sum(s):
+            doc = zero_sum_doc()
+            doc["prescription"] = [[v * s for v in u] for u in doc["prescription"]]
+            return doc
+
+        def off_line(s):
+            return {"field": "real", "ambient_dim": 3,
+                    "subspaces": [{"vectors": [[1, 0, 0]]}, {"vectors": [[0, 1, 0]]}],
+                    "prescription": [[s, 0, 0.5 * s], [0, 0, 0]]}
+
+        def planes(s):
+            return dict(dependent_planes_doc(), prescription=[list(s * e[1]), list(s * e[0])])
+
+        def moments(s):
+            return {"field": "real", "ambient_dim": 3,
+                    "constraints": [{"vector": [s, s, 0], "value": s},
+                                    {"vector": [2 * s, 2 * s, 0], "value": 2 * s}]}
+
+        def comb(s):
+            return {"n": 8, "time_mask": [0, 2, 4, 6], "freq_mask": [0, 1, 2, 4, 6],
+                    "time_values": [s, -s, [0, s], 0.5 * s],
+                    "freq_values": [s, [s, s], -s, 0, 2 * s]}
+
+        unit_r = infeasibility_certificate(build_family(load_problem(
+            write_json(tmp_path / "zs.json", zero_sum(1.0)))), zero_sum(1.0)["prescription"]).residual
+        for make, argv, code, numbers in (
+                (zero_sum, ["solve", "--method", "direct"], EXIT_INFEASIBLE, [unit_r]),
+                (zero_sum, ["iterate"], EXIT_INFEASIBLE, [unit_r]),
+                (zero_sum, ["solve", "--method", "recursion"], EXIT_NO_IBAP, []),
+                (off_line, ["solve", "--method", "direct"], EXIT_PARSE, [0.5]),
+                (off_line, ["iterate"], EXIT_PARSE, [0.5]),
+                (planes, ["solve", "--method", "recursion"], EXIT_NO_IBAP, []),
+                (moments, ["moments"], EXIT_NO_IBAP, []),
+                (comb, ["signal"], EXIT_NO_IBAP, [])):
+            errs = []
+            for s in (1.0, 2.0 ** k):
+                path = write_json(tmp_path / "reject.json", make(s))
+                assert main([argv[0], path, *argv[1:]]) == code
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                errs.append(captured.err)
+            if make is zero_sum and code == EXIT_INFEASIBLE:
+                big_r = infeasibility_certificate(
+                    build_family(load_problem(path)), make(2.0 ** k)["prescription"]).residual
+                assert big_r == unit_r * 2.0 ** k
+            unit, big = errs
+            # the unit message with each of its distances scaled
+            for value in numbers:
+                for spec in (".3e", ".6e"):
+                    unit = unit.replace(format(value, spec), format(value * 2.0 ** k, spec))
+            assert big == unit and (not numbers or big != errs[0])
 
     @pytest.mark.parametrize("method", ["direct", "iterate"])
     def test_a_small_contradiction_is_infeasible(self, tmp_path, capsys, method):

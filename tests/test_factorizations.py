@@ -5,16 +5,15 @@ factorizations cached on the Family: the level chain, one thin SVD of
 each level's residual off its trailing sum (m - 1 in all) and one QR of
 its kept columns, and the full SVD of its stacked bases.  A line's level
 takes neither: its one-column residual is its own singular triple, read
-from its norm, and its kept column is divided by its norm.  Check, the
-recursion and the iteration on an independent family, with or without
-an anchor or a trace, take only the chain; direct_solve on a generic
-family takes only the stacked SVD.
-The stacked route cuts that SVD at dim_sum and reads the chain for it
-only where the stacked singular values do not show full column rank, so
-two chains take both: a dependent family's iteration, whose stacked
-solve decides feasibility, and direct_solve on an independent family
-whose stack is numerically deficient.  None of these chains builds a
-complement or calls a linear solve.  A lone pair (the Friedrichs
+from its norm, and its kept column is divided by its norm.  On an
+independent family, check, the recursion, direct_solve, the iteration,
+infeasibility_certificate and dependent_tuple take only the chain, with
+or without an anchor or a trace, and so does direct_solve on a family
+whose stack is numerically deficient while its chain is not.  The
+stacked SVD is taken only for a family that the chain shows dependent:
+direct_solve and the iteration then take the chain and exactly one
+stacked SVD, whose solve decides feasibility.  None of these chains
+builds a complement or calls a linear solve.  A lone pair (the Friedrichs
 cosine) takes one thin SVD of its residual; the two-constraint solve
 takes the two-member chain, that one thin SVD plus its QR, and an
 operator system adds one thin SVD per operator to the chain of its
@@ -22,11 +21,13 @@ family.  The lattice reads that one level too: intersect takes its thin
 SVD, add that SVD plus one QR.  The moment problem's one complement is
 one complete QR; the moments command takes the space and that complement
 from one complete QR of its spanning vectors and the singular values of
-its R factor.  The periodic projection sweep makes no per-sweep call
-of Subspace.project or affine_project.
+its R factor, and for the whole space builds no n x n array at all.  The
+periodic projection sweep makes no per-sweep call of Subspace.project or
+affine_project.
 """
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -43,7 +44,9 @@ from ibap import (
     add,
     best_approximation,
     cos_friedrichs,
+    dependent_tuple,
     direct_solve,
+    infeasibility_certificate,
     intersect,
     min_norm_stages,
     recover_with_measurements,
@@ -140,7 +143,6 @@ DEPENDENT_STACKED = [(N, sum(DIMS) + DIMS[0])]
 #: level sines s, stacked smallest singular value s^2 / sqrt(2); a line's
 #: level takes the norm of its residual, no SVD
 DEFICIENT_LEVELS = []
-DEFICIENT_STACKED = [(N, 3)]
 
 
 def deficient_problem():
@@ -167,8 +169,11 @@ CHAINS = {
     "solve_min_norm": (lambda f, pres: solve_min_norm(f, pres), "generic", LEVELS, []),
     "solve_min_norm-anchor": (lambda f, pres: solve_min_norm(f, pres, anchor=np.ones(N)),
                               "generic", LEVELS, []),
-    "direct_solve": (direct, "generic", [], STACKED),
-    "direct_solve-deficient": (direct, "deficient", DEFICIENT_LEVELS, DEFICIENT_STACKED),
+    "direct_solve": (direct, "generic", LEVELS, []),
+    "direct_solve-deficient": (direct, "deficient", DEFICIENT_LEVELS, []),
+    "direct_solve-dependent": (direct, "dependent", DEPENDENT_LEVELS, DEPENDENT_STACKED),
+    "infeasibility_certificate": (infeasibility_certificate, "generic", LEVELS, []),
+    "dependent_tuple": (lambda f, pres: dependent_tuple(f), "generic", LEVELS, []),
     "best_approximation-trace": (iterate(True), "generic", LEVELS, []),
     "best_approximation": (iterate(False), "generic", LEVELS, []),
     "best_approximation-dependent-trace": (iterate(True), "dependent",
@@ -180,8 +185,8 @@ CHAINS = {
 
 @pytest.mark.parametrize("chain", sorted(CHAINS))
 def test_one_stacked_svd_and_no_complement(chain, problem, log):
-    """At most one stacked SVD, taken only by the stacked solve and by a
-    dependent family's iteration; at most one chain."""
+    """At most one stacked SVD, taken only for a dependent family; at most
+    one chain."""
     subspaces, pres = problem
     call, kind, thin, full = CHAINS[chain]
     if kind == "dependent":
@@ -320,6 +325,58 @@ def test_the_moments_command_factors_its_space_once(field, log, qrs, tmp_path, c
     assert [c for c in log if c[0] == "svd"] == [("svd", (15, 15), False, False)]
     assert qrs == [((N, 15), "complete")]
     assert not [c for c in log if c[0] == "complement"]
+
+
+LARGE_N = 1000
+
+
+def large_problem(kind, rng):
+    """A problem file at n = LARGE_N: whole-space moments, or a family of
+    three members of dimension 4 with a prescription."""
+    vectors = rng.standard_normal((12, LARGE_N))
+    if kind == "moments":
+        return {"field": "real", "ambient_dim": LARGE_N, "space": None,
+                "constraints": [{"vector": list(v), "value": float(i)}
+                                for i, v in enumerate(vectors[:3])]}
+    x = rng.standard_normal(LARGE_N)
+    subs = [Subspace.from_spanning(vectors[i:i + 4], LARGE_N) for i in (0, 4, 8)]
+    return {"field": "real", "ambient_dim": LARGE_N,
+            "subspaces": [{"vectors": [list(v) for v in vectors[i:i + 4]]} for i in (0, 4, 8)],
+            "prescription": [list(s.project(x)) for s in subs]}
+
+
+@pytest.mark.parametrize("argv", [["moments"], ["check"], ["solve", "--method", "direct"],
+                                  ["solve", "--method", "recursion"], ["iterate"]],
+                         ids=["moments", "check", "direct", "recursion", "iterate"])
+def test_commands_build_nothing_n_by_n(argv, tmp_path, monkeypatch, capsys):
+    # at n = 1000, no numpy.linalg call takes an array with two dimensions
+    # of at least n, and no n x n array is allocated (peak well below its
+    # bytes): whole-space moments builds its zero orthocomplement as such,
+    # and every route on an independent family takes only the level chain
+    n = LARGE_N
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(large_problem(argv[0], rng_for(1206))))
+    shapes = []
+
+    def logged(func):
+        def call(*args, **kwargs):
+            shapes.extend(np.shape(a) for a in args if isinstance(a, np.ndarray))
+            return func(*args, **kwargs)
+        return call
+
+    for name in np.linalg.__all__:
+        func = getattr(np.linalg, name)
+        if callable(func) and not isinstance(func, type):
+            monkeypatch.setattr(np.linalg, name, logged(func))
+    tracemalloc.start()
+    try:
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert not [s for s in shapes if len(s) == 2 and min(s) >= n]
+    assert peak < n * n * 8 / 4
 
 
 def line_svds(calls):

@@ -46,9 +46,11 @@ from conftest import (
 from oracles import (
     complement_chain_alpha,
     gram_rank,
+    parallel_subspace,
     pinv_min_norm,
     reference_iteration,
     stacked_residual,
+    svd_min_norm,
     trailing_sum_projectors,
     zero_subspace,
 )
@@ -251,13 +253,13 @@ class TestExactSolve:
 
     def test_axes_prescription(self):
         f = axes_family(2)
-        x = direct_solve(f, [np.array([2.0, 0.0]), np.array([0.0, 3.0])]).particular
+        x = direct_solve(f, [np.array([2.0, 0.0]), np.array([0.0, 3.0])])
         assert np.allclose(x, [2.0, 3.0], atol=1e-12)
 
     def test_zero_prescription_gives_zero(self):
         rng = rng_for(505)
         f = random_family(rng, 5, [2, 2])
-        x = direct_solve(f, [np.zeros(5), np.zeros(5)]).particular
+        x = direct_solve(f, [np.zeros(5), np.zeros(5)])
         assert np.linalg.norm(x) <= 1e-12
 
     @pytest.mark.parametrize("field", FIELDS)
@@ -267,7 +269,7 @@ class TestExactSolve:
             dims = random_independent_dims(rng, 8, int(rng.integers(1, 5)))
             f = random_family(rng, 8, dims, field)
             pres = random_prescription(rng, f)
-            x = direct_solve(f, pres).particular
+            x = direct_solve(f, pres)
             assert prescription_residual(f, pres, x) <= 1e-10
 
     def test_dependent_family_has_a_dependent_tuple(self):
@@ -314,7 +316,7 @@ class TestInfeasibility:
         f = Family((zero_subspace(3), zero_subspace(3)))
         pres = [np.zeros(3), np.zeros(3)]
         assert infeasibility_certificate(f, pres) is None
-        assert np.array_equal(direct_solve(f, pres).particular, np.zeros(3))
+        assert np.array_equal(direct_solve(f, pres), np.zeros(3))
 
     def test_zero_prescription_is_feasible(self):
         f, _ = self.fixture_zero_sum()
@@ -337,7 +339,7 @@ class TestInfeasibility:
             f = random_family(rng, 8, dims)
             pres = random_prescription(rng, f)
             if infeasibility_certificate(f, pres) is None:
-                x = direct_solve(f, pres).particular
+                x = direct_solve(f, pres)
                 assert prescription_residual(f, pres, x) <= 1e-10
 
     @pytest.mark.parametrize("field", FIELDS)
@@ -389,7 +391,7 @@ class TestInfeasibility:
             assert verify_ibap(f).verdict
             pres = random_prescription(rng, f)
             assert infeasibility_certificate(f, pres) is None
-            x = direct_solve(f, pres).particular
+            x = direct_solve(f, pres)
             assert prescription_residual(f, pres, x) <= 8 * eps * np.linalg.norm(x)
 
     def test_zero_sum_prescriptions_of_dependent_families_stay_infeasible(self):
@@ -448,12 +450,11 @@ class TestInfeasibility:
             u, v = random_prescription(rng, pair)
             pres = [u, v, u]
             assert infeasibility_certificate(f, pres) is None
-            solution = direct_solve(f, pres)
-            x = solution.particular
-            reference = direct_solve(pair, [u, v]).particular
+            x = direct_solve(f, pres)
+            reference = direct_solve(pair, [u, v])
             assert np.linalg.norm(x - reference) <= 1e-5 * np.linalg.norm(reference)
             assert prescription_residual(f, pres, x) <= 8 * eps * np.linalg.norm(x)
-            assert solution.parallel.dim == 8 - 5
+            assert parallel_subspace(f).dim == 8 - 5
             best_approximation(np.zeros(8), f, pres, SolveOptions(max_iter=2))
         doc = {"field": "real", "ambient_dim": 8,
                "subspaces": [{"vectors": [list(c) for c in s.basis.T]} for s in f],
@@ -520,9 +521,9 @@ class TestNormsAtExtremeScales:
         e = np.eye(3)
         f = lines(e[0], e[0] + e[1])
         pres = [e[0], e[0] + e[1]]
-        x = direct_solve(f, pres).particular
+        x = direct_solve(f, pres)
         big = [u * scale for u in pres]
-        big_x = direct_solve(f, big).particular
+        big_x = direct_solve(f, big)
         assert np.array_equal(big_x, x * scale)
         assert prescription_residual(f, big, big_x) == prescription_residual(f, pres, x) * scale
 
@@ -566,7 +567,8 @@ class TestRankCutoff:
         assert report.verdict == check_independence(f) == independent
         assert [lev.degenerate for lev in report.levels] == [not independent]
         assert f.dim_sum == (2 if independent else 1)
-        assert direct_solve(f, [np.zeros(2)] * 2).parallel.dim == 2 - f.dim_sum
+        assert not direct_solve(f, [np.zeros(2)] * 2).any()
+        assert parallel_subspace(f).dim == 2 - f.dim_sum
         pres = [np.array([1.0, 0.0]), np.zeros(2)]
         doc = {"field": "real", "ambient_dim": 2,
                "subspaces": [{"vectors": [[1.0, 0.0]]}, {"vectors": [[1.0, theta]]}],
@@ -593,7 +595,7 @@ class TestRankCutoff:
             # the exact solution (1, -1/theta), whose norm is 2e14
             x = solve_min_norm(f, pres)
             assert prescription_residual(f, pres, x) <= 4 * eps
-            y = direct_solve(f, pres).particular
+            y = direct_solve(f, pres)
             assert np.linalg.norm(x - y) <= 4 * eps * np.linalg.norm(y)
             assert abs(x[1] * theta + 1.0) <= 4 * eps
         else:
@@ -645,27 +647,69 @@ def near_dependent_family(rng, field):
     return Family(tuple(Subspace.from_spanning(list(m.T), n, field=field) for m in mats))
 
 
+def dependent_above_near_levels(rng, n, levels):
+    """A dependent family of n-vectors, top first: a line D inside a
+    generic plane G, then `levels` lines at sines of 1.5 to 100 times the
+    line cutoff n eps against the sum below each, each leaning toward a
+    direction of a generic plane P, then G and P.  D is the dependent
+    member; the near-cutoff levels lie between it and the plane it lies in."""
+    p, g = random_subspace(rng, n, 2), random_subspace(rng, n, 2)
+    tail = np.linalg.qr(np.hstack([g.basis, p.basis]))[0]
+    near = []
+    for _ in range(levels):
+        a = p.basis @ rng.standard_normal(2)
+        w = rng.standard_normal(n)
+        for _ in range(2):
+            w -= tail @ (tail.T @ w)
+        sine = 10 ** rng.uniform(math.log10(1.5), 2) * n * np.finfo(float).eps
+        v = math.sqrt(1 - sine * sine) * a / np.linalg.norm(a) + sine * w / np.linalg.norm(w)
+        near.insert(0, Subspace.from_spanning([v], n))
+        tail = np.column_stack([tail, w / np.linalg.norm(w)])
+    top = Subspace.from_spanning([g.basis @ rng.standard_normal(2)], n)
+    return Family((top, *near, g, p))
+
+
 class TestStackedRoute:
-    """direct_solve, infeasibility_certificate and a dependent family's
-    iteration cut the stacked SVD at dim_sum, the level chain's rank, and
-    call a prescription infeasible by the distance of its stacked
+    """On a family that the chain shows dependent, direct_solve,
+    infeasibility_certificate and the iteration cut the stacked SVD at
+    dim_sum, the level chain's rank, and call a prescription infeasible by the distance of its stacked
     coordinates b from the range kept at that rank, beyond that range's
     rounding."""
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_the_stacked_rank_is_dim_sum_next_to_dependence(self, field):
         rng = rng_for(1601)
-        built = Counter()
+        seen = Counter()
         for _ in range(300):
             f = near_dependent_family(rng, field)
-            rank = f._stacked[3]
-            # where the stacked values showed full rank the chain was not
-            # built; dim_sum builds it now, and it must agree
-            built["_chain" in f.__dict__] += 1
-            assert rank == f.dim_sum
+            independent = check_independence(f)
+            seen[independent] += 1
             zero = [np.zeros(f.ambient_dim, dtype=f.dtype)] * len(f)
-            assert direct_solve(f, zero).parallel.dim == f.ambient_dim - f.dim_sum
-        assert built[True] > 50 and built[False] > 50
+            assert not direct_solve(f, zero).any()
+            # only a family that the chain shows dependent takes the stacked SVD
+            assert ("_stacked" in f.__dict__) == (not independent)
+            assert f._stacked[3] == f.dim_sum
+            assert parallel_subspace(f).dim == f.ambient_dim - f.dim_sum
+        assert seen[True] > 50 and seen[False] > 50
+
+    def test_contradictions_above_near_cutoff_levels_are_refused(self):
+        # the sharpness of the stacked test below a dependent member: every
+        # feasible prescription P_i x is accepted, and at least 3/4 of the
+        # contradictions that move the dependent member's vector by
+        # 1e-3 ||x|| along its line are refused (1499 of 1500 at this seed)
+        rng = rng_for(1602)
+        refused = Counter()
+        for _ in range(1500):
+            n = int(rng.integers(8, 13))
+            f = dependent_above_near_levels(rng, n, int(rng.integers(2, 5)))
+            assert not check_independence(f) and f.dim_sum == len(f) + 1
+            assert all(not lev.degenerate for lev in verify_ibap(f).levels[1:])
+            x = rng.standard_normal(n)
+            pres = [s.project(x) for s in f]
+            refused["feasible"] += infeasibility_certificate(f, pres) is not None
+            pres[0] = pres[0] + 1e-3 * np.linalg.norm(x) * f[0].basis[:, 0]
+            refused["contradiction"] += infeasibility_certificate(f, pres) is not None
+        assert refused["feasible"] == 0 and refused["contradiction"] >= 1125
 
     @pytest.mark.parametrize("s", [3e-8, 1e-8, 1e-9])
     def test_three_lines_with_a_deficient_stack_are_solved(self, s):
@@ -673,12 +717,13 @@ class TestStackedRoute:
         # the cutoff, but the stacked smallest singular value is s^2 / sqrt(2),
         # below the stacked matrix's own cutoff
         f = lines(np.array([0.0, 1.0, s]), np.array([1.0, s, 0.0]), np.eye(3)[0])
+        for seed in range(5):
+            pres = random_prescription(rng_for(seed), f)
+            x = direct_solve(f, pres)
+            reference = svd_min_norm(f, pres)
+            assert np.linalg.norm(x - reference) <= 1e-6 * np.linalg.norm(reference)
+        # the chain shows the family independent, so no stacked SVD was taken
+        assert "_stacked" not in f.__dict__ and infeasibility_certificate(f, pres) is None
         _, sv, _, rank = f._stacked
         assert verify_ibap(f).verdict and rank == f.dim_sum == 3
         assert sv[-1] <= 3 * np.finfo(float).eps * sv[0]
-        for seed in range(5):
-            pres = random_prescription(rng_for(seed), f)
-            solution = direct_solve(f, pres)
-            x = solve_min_norm(f, pres)
-            assert np.linalg.norm(solution.particular - x) <= 1e-6 * np.linalg.norm(x)
-            assert solution.parallel.dim == 3 - f.dim_sum == 0

@@ -19,7 +19,7 @@ PUBLIC_NAMES = {
     "dependent_tuple", "infeasibility_certificate", "trailing_sums",
     "uniqueness_check", "validate_prescription", "verify_ibap",
     # solvers
-    "AffineConstraint", "ConvergenceTrace", "SolutionSet", "SolveOptions", "affine_project",
+    "AffineConstraint", "ConvergenceTrace", "SolveOptions", "affine_project",
     "best_approximation", "direct_solve", "extend_min_norm", "min_norm_stages",
     "prescription_residual", "rate_bound", "solve_min_norm", "solve_two",
     # subspaces

@@ -32,7 +32,7 @@ from ibap import (
     worst_aligned_start,
 )
 from ibap.angles import _pair
-from ibap.solvers import _BLOCK, _MAX_BLOCK, _level_step, _sweep_map
+from ibap.solvers import _BLOCK, _FLOOR, _MAX_BLOCK, _level_step, _sweep_map
 
 from conftest import (
     FIELDS,
@@ -49,10 +49,12 @@ from oracles import (
     complement_product_radius,
     constraint_from_affine_set,
     neumann_inverse,
-    pinv_min_norm,
     one_map_iteration,
+    parallel_subspace,
+    pinv_min_norm,
     reference_iteration,
     slow_trace,
+    svd_min_norm,
     zero_subspace,
 )
 
@@ -274,7 +276,7 @@ class TestSolveMinNorm:
             oracle = pinv_min_norm(trailing, tail_pres)
             assert np.linalg.norm(stage - oracle) <= 1e-8 * (1 + np.linalg.norm(oracle))
             # fixed by re-projection onto the trailing solution set
-            reproj = direct_solve(trailing, tail_pres, anchor=stage).particular
+            reproj = direct_solve(trailing, tail_pres, anchor=stage)
             assert np.linalg.norm(reproj - stage) <= 1e-8
 
     def test_requires_the_property(self):
@@ -329,7 +331,7 @@ class TestNearTheRankCutoff:
                 continue
             independent += 1
             got = prescription_residual(family, pres, solve_min_norm(family, pres))
-            ref = prescription_residual(family, pres, direct_solve(family, pres).particular)
+            ref = prescription_residual(family, pres, svd_min_norm(family, pres))
             assert got <= 20 * max(ref, 1e-15), (family, got, ref)
         assert independent > 1000
 
@@ -353,7 +355,7 @@ class TestNearTheRankCutoff:
         f = Family((u, v))
         pres = [u.project(x0), v.project(x0)]
         z = solve_two(AffineConstraint(u, pres[0]), AffineConstraint(v, pres[1]))
-        ref = prescription_residual(f, pres, direct_solve(f, pres).particular)
+        ref = prescription_residual(f, pres, svd_min_norm(f, pres))
         assert prescription_residual(f, pres, z) <= 20 * max(ref, 1e-15)
 
 
@@ -361,20 +363,22 @@ class TestDirectSolve:
     def test_zero_prescription(self):
         rng = rng_for(714)
         f = random_family(rng, 6, [2, 2])
-        ss = direct_solve(f, [np.zeros(6), np.zeros(6)])
-        assert np.linalg.norm(ss.particular) <= 1e-12
-        assert ss.parallel.dim == 2
+        x = direct_solve(f, [np.zeros(6), np.zeros(6)])
+        assert np.linalg.norm(x) <= 1e-12
+        parallel = parallel_subspace(f)
+        assert parallel.dim == 2
         for s in f.subspaces:
-            assert np.max(np.abs(s.basis.conj().T @ ss.parallel.basis)) <= 1e-10
+            assert np.max(np.abs(s.basis.conj().T @ parallel.basis)) <= 1e-10
 
     def test_axes_pair_in_three_dims(self):
         eye = np.eye(3)
         f = Family((Subspace.from_spanning([eye[:, 0]], 3),
                     Subspace.from_spanning([eye[:, 1]], 3)))
-        ss = direct_solve(f, [np.array([1.0, 0, 0]), np.array([0, 2.0, 0])])
-        assert np.allclose(ss.particular, [1.0, 2.0, 0.0], atol=1e-12)
-        assert ss.parallel.dim == 1
-        assert np.allclose(np.abs(ss.parallel.basis[:, 0]), [0, 0, 1], atol=1e-12)
+        x = direct_solve(f, [np.array([1.0, 0, 0]), np.array([0, 2.0, 0])])
+        assert np.allclose(x, [1.0, 2.0, 0.0], atol=1e-12)
+        parallel = parallel_subspace(f)
+        assert parallel.dim == 1
+        assert np.allclose(np.abs(parallel.basis[:, 0]), [0, 0, 1], atol=1e-12)
 
     def test_cross_check_with_the_recursion(self):
         rng = rng_for(715)
@@ -382,19 +386,21 @@ class TestDirectSolve:
             dims = random_independent_dims(rng, 8, 3)
             f = random_family(rng, 8, dims)
             pres = random_prescription(rng, f)
-            a = solve_min_norm(f, pres)
-            b = direct_solve(f, pres).particular
-            assert np.linalg.norm(a - b) <= 1e-8 * (1 + np.linalg.norm(b))
+            # an independent family is solved by the recursion, bit for bit
+            b = direct_solve(f, pres)
+            assert np.array_equal(solve_min_norm(f, pres), b)
+            ref = pinv_min_norm(f, pres)
+            assert np.linalg.norm(ref - b) <= 1e-8 * (1 + np.linalg.norm(ref))
 
     def test_anchor_returns_the_closest_solution(self):
         rng = rng_for(716)
         f = random_family(rng, 7, [2, 2])
         pres = random_prescription(rng, f)
         anchor = random_unit(rng, 7) * 2
-        ss = direct_solve(f, pres, anchor=anchor)
-        assert prescription_residual(f, pres, ss.particular) <= 1e-8
+        x = direct_solve(f, pres, anchor=anchor)
+        assert prescription_residual(f, pres, x) <= 1e-8
         # optimality: the offset from the anchor is orthogonal to the parallel subspace
-        gap = ss.parallel.project(ss.particular - anchor)
+        gap = parallel_subspace(f).project(x - anchor)
         assert np.linalg.norm(gap) <= 1e-10
 
     def test_infeasible_prescription_raises_with_certificate(self):
@@ -528,7 +534,7 @@ class TestBestApproximation:
         rng = rng_for(717)
         f = random_family(rng, 6, [2, 1])
         pres = random_prescription(rng, f)
-        start = direct_solve(f, pres).particular
+        start = direct_solve(f, pres)
         x, trace = best_approximation(start, f, pres)
         assert trace.sweeps == 1 and trace.converged
         assert trace.residuals[0] <= 1e-10
@@ -554,7 +560,7 @@ class TestBestApproximation:
         x, trace = best_approximation(start, f, pres, opts)
         assert trace.converged
         assert abs(trace.alpha - 0.5) <= 1e-12
-        ref = direct_solve(f, pres, anchor=start).particular
+        ref = direct_solve(f, pres, anchor=start)
         assert np.linalg.norm(x - ref) <= 1e-10
         dists = trace.distances
         for k in range(len(dists) - 1):
@@ -719,6 +725,58 @@ class TestIterationNormsDoNotOverflow:
         assert trace.initial_distance == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
         assert all(map(math.isfinite, trace.residuals + trace.distances))
         assert np.allclose(x, 1e200 * (e[0] + e[1]), rtol=1e-12, atol=0)
+
+
+class TestRoundingFloor:
+    """The residuals cannot fall much below the rounding of the iterate,
+    about eps max(||start||, ||reference||); a block that lies within
+    _FLOOR times that and ends no lower than it began ends the run, which
+    stays unconverged when tol is below the floor."""
+
+    def test_lines_prescribed_at_1e20_stop_with_the_first_block(self):
+        # the residual sits at 1.6-2.1 eps ||x|| from the first sweep; the
+        # run used to take all max_iter sweeps
+        e = np.eye(3)
+        f = Family((Subspace.from_spanning([e[0]], 3), Subspace.from_spanning([e[0] + e[1]], 3)))
+        x, trace = best_approximation(np.zeros(3), f, [1e20 * e[0], 1e20 * (e[0] + e[1])])
+        eps = np.finfo(float).eps
+        assert trace.sweeps == _BLOCK and not trace.converged
+        assert 0 < max(trace.residuals) <= _FLOOR * eps * np.linalg.norm(x)
+        assert np.linalg.norm(x - 1e20 * (e[0] + e[1])) <= 4 * eps * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("k", [-600, -30, 30, 600])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_the_stop_is_the_same_at_every_scale(self, field, k):
+        # a tolerance below the floor: the run stops on the floor, at the
+        # same sweep at every scale 2^k, with its numbers times 2^k exactly
+        rng = rng_for(760)
+        f = random_family(rng, 9, [3, 2, 3], field)
+        pres = random_prescription(rng, f)
+        start = random_unit(rng, 9, field) * 3
+        runs = [best_approximation(start * s, f, [u * s for u in pres],
+                                   SolveOptions(tol=1e-30 * s, record_trace=True))
+                for s in (1.0, 2.0 ** k)]
+        (x, trace), (big_x, big), scale = runs[0], runs[1], 2.0 ** k
+        assert trace.sweeps < 1000 and not trace.converged
+        eps = np.finfo(float).eps
+        assert max(trace.residuals[-_BLOCK:]) <= _FLOOR * eps * 3
+        assert (big.sweeps, big.converged) == (trace.sweeps, trace.converged)
+        assert big.residuals == tuple(r * scale for r in trace.residuals)
+        assert big.distances == tuple(d * scale for d in trace.distances)
+        assert np.array_equal(big_x, x * scale)
+
+    def test_a_run_that_still_falls_within_the_floor_goes_on(self):
+        # alpha = 0.9986: the residual enters the floor (1.1e-13 here) near
+        # 8.5e-14 and falls for some 200 sweeps more, to a fixed point at
+        # 5.65e-14, above tol; the run ends there, not at max_iter
+        rng = rng_for(761)
+        f = random_family(rng, 9, [3, 2, 3])
+        pres = random_prescription(rng, f)
+        x, trace = best_approximation(np.zeros(9), f, pres, SolveOptions(tol=1e-14))
+        floor = _FLOOR * np.finfo(float).eps * np.linalg.norm(x)
+        entered = next(i for i, r in enumerate(trace.residuals) if r <= floor)
+        assert not trace.converged and trace.sweeps < 10000
+        assert trace.residuals[-1] < 0.7 * trace.residuals[entered]
 
 
 class TestSweepMatchesTheReference:
@@ -1127,14 +1185,15 @@ class TestCrossChecks:
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_chain_routes_match_the_stacked_route(self, field):
-        """The anchored recursion and the iteration's reference read the
-        level chain on an independent family; direct_solve
-        reads the stacked SVD.  Both routes are backward stable for the
-        stacked system, whose condition over its rank is kappa =
-        s_max / s_min, and each shifts toward the anchor along its own basis
-        of the sum, accurate to about kappa eps; so they agree to
-        c n eps kappa (||x|| + ||anchor||) with c = 4; over 600 random
-        families the largest gap seen was 0.7 of that bound at c = 1."""
+        """direct_solve and the iteration's reference read the level chain
+        on an independent family, and the stacked SVD on a dependent one;
+        the oracle is numpy's SVD of the stacked rows cut at dim_sum.  Both
+        are backward stable for the stacked system, whose condition over
+        its rank is kappa = s_max / s_min, and each shifts toward the
+        anchor along its own basis of the sum, accurate to about
+        kappa eps; so they agree to c n eps kappa (||x|| + ||anchor||)
+        with c = 4; over 600 random families the largest gap seen was 0.7
+        of that bound at c = 1."""
         rng = rng_for(741)
         eps = np.finfo(float).eps
         kinds = Counter()
@@ -1151,15 +1210,17 @@ class TestCrossChecks:
             x0 = random_unit(rng, n, field) * 2
             pres = [s.project(x0) for s in f.subspaces]
             anchor = random_unit(rng, n, field) * 3
-            _, sv, _, rank = f._stacked
-            ref = direct_solve(f, pres, anchor=anchor).particular
-            bound = 4 * n * eps * sv[0] / sv[rank - 1] * (np.linalg.norm(ref) + 3)
+            sv = np.linalg.svd(np.hstack([s.basis for s in f]), compute_uv=False)
+            ref = svd_min_norm(f, pres, anchor=anchor)
+            bound = 4 * n * eps * sv[0] / sv[f.dim_sum - 1] * (np.linalg.norm(ref) + 3)
+            x = direct_solve(f, pres, anchor=anchor)
+            assert np.linalg.norm(x - ref) <= bound
             _, trace = best_approximation(anchor, f, pres, SolveOptions(max_iter=1))
             assert abs(trace.initial_distance - np.linalg.norm(anchor - ref)) <= bound
             independent = verify_ibap(f).verdict
             kinds[independent] += 1
             if independent:
-                assert np.linalg.norm(solve_min_norm(f, pres, anchor=anchor) - ref) <= bound
+                assert np.array_equal(solve_min_norm(f, pres, anchor=anchor), x)
         assert kinds == {True: 45, False: 15}
 
 
@@ -1211,7 +1272,7 @@ class TestAffineFeasibility:
             constraints = [constraint_from_affine_set(a, s.complement())
                            for a, s in zip(anchors, normals.subspaces)]
             fam = Family(tuple(c.subspace for c in constraints))
-            x = direct_solve(fam, [c.point for c in constraints]).particular
+            x = direct_solve(fam, [c.point for c in constraints])
             for a, s in zip(anchors, normals.subspaces):
                 parallel = s.complement()
                 gap = (x - a) - parallel.project(x - a)
