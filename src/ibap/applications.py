@@ -14,10 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .family import Family, _checked_lstsq, check_independence, verify_ibap
+from .family import Family, check_independence, verify_ibap
 from .solvers import solve_min_norm
-from .subspaces import (COMPLEX, Subspace, _binary_scale, _integer, _plain_norm,
-                        _rank_from_singular_values, as_field_vector)
+from .subspaces import (COMPLEX, MEMBERSHIP_RTOL, _EPS, Subspace, _binary_scale, _integer,
+                        _norm, _plain_norm, _rank_from_singular_values, as_field_vector)
 
 
 class HypothesisError(ValueError):
@@ -239,8 +239,8 @@ def _solve_moments(complement: Subspace, vectors, values) -> np.ndarray:
 def solve_operator_system(operators, rhs) -> np.ndarray:
     """Minimal-norm x with T_i x = y_i for the given matrices.
 
-    Each right-hand side must lie in the range of its operator, under the
-    feasibility rule of the stacked solve (family._checked_lstsq), and every
+    Each right-hand side must lie in the range of its operator, within
+    MEMBERSHIP_RTOL of its norm plus the rounding of that range, and every
     kernel must together with the intersection of the later kernels cover
     the whole space; the deficient level is reported otherwise.
     """
@@ -267,12 +267,17 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
         # the pseudoinverse solution T^+ y = Q_r S_r^(-1) W_r^H y
         q, s, wh = np.linalg.svd(t.conj().T, full_matrices=False)
         r = _rank_from_singular_values(s, t.shape)
-        u, gap, feasible = _checked_lstsq(y, (q, s, wh, r))
-        if not feasible:
+        c = wh[:r] @ y
+        gap = _norm(y - wh[:r].conj().T @ c)
+        # y is in the range within MEMBERSHIP_RTOL ||y|| plus its rounding: the
+        # backward error e leans W_r by up to e / (s_j - s_(r+1)) at each kept j
+        e = 4 * max(t.shape) * _EPS * np.max(s, initial=0.0)
+        lean = _norm(c / (s[:r] - (s[r] if r < len(s) else 0.0)))
+        if gap > MEMBERSHIP_RTOL * _norm(y) + e * lean:
             raise ValueError(
                 f"right-hand side {i + 1} is not in the range of its operator "
                 f"(residual {gap:.3e})")
-        points.append(u)
+        points.append(q[:, :r] @ (c / s[:r]))
         row_spaces.append(Subspace(q[:, :r]))
     family = Family(tuple(row_spaces))
     if not check_independence(family):

@@ -10,9 +10,9 @@ constants), which quantify how well-conditioned it is and feed the
 convergence rate bound of the iterative solver, all come from one
 factorization of the residual per level, cached on the Family: a thin
 SVD, or for a line the residual's norm (see subspaces._factor_level).
-An independent family meets every prescription; a dependent family's
-prescription is judged by one stacked least-squares solve,
-stacked_lstsq, the only source of InfeasiblePrescriptionError.
+The chain also solves every prescription and judges it: stacked_lstsq,
+the only source of InfeasiblePrescriptionError, refuses a level whose
+null part exceeds its rounding.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import projector_product_norm
-from .subspaces import MEMBERSHIP_RTOL, _EPS, Subspace, _check_compatible, _extend, _norm
+from .subspaces import MEMBERSHIP_RTOL, _EPS, Subspace, _check_compatible, _extend, _Level, _norm
 
 #: max-norm tolerance on the Gram defects of biorthogonal_bounds' input
 #: sequences: they are caller-built vectors, not stored bases, so this is
@@ -44,8 +44,8 @@ class IbapFailureError(ValueError):
 class InfeasibilityCertificate(NamedTuple):
     """Witness that a prescription admits no exact solution.
 
-    residual is the distance of the stacked coordinates b from the kept
-    range (see _checked_lstsq); best_point attains it.
+    best_point is stacked_lstsq's point and residual the largest null part
+    it refuses, which is prescription_residual of best_point to rounding.
     """
 
     residual: float
@@ -62,7 +62,7 @@ class InfeasiblePrescriptionError(ValueError):
 class Family:
     """An ordered family of subspaces sharing ambient dimension and field.
 
-    Two factorizations are taken on first use and cached.  The level
+    One factorization is taken on first use and cached.  The level
     chain pairs each U_i, from the last but one up to the first, with an
     orthonormal basis T of the sum of the members after it: one thin SVD
     of the residual B_i - T (T^H B_i), or its norm when U_i is a line,
@@ -70,13 +70,11 @@ class Family:
     and the columns, projected off T, whose QR (for one column, its
     division by its norm) extends T to a basis of U_i + T.  Every
     trailing-sum basis is thus a column prefix of one basis of
-    U_1 + ... + U_m, of width dim_sum; it serves check, every solve of an
-    independent family and every shift toward an anchor.  The full SVD of
-    the stacked bases is taken only for a family that the chain shows
-    dependent, cut at dim_sum: it gives the dependent tuple and
-    stacked_lstsq, which direct_solve, infeasibility_certificate and the
-    iteration share.  The intersection of the complements is the
-    complement of S = add(U_1, add(U_2, ... add(U_(m-1), U_m))), whose basis
+    U_1 + ... + U_m, of width dim_sum; it serves check, every solve, the
+    judgment of a dependent family's prescription (stacked_lstsq), the
+    dependent tuple and every shift toward an anchor.  The intersection of
+    the complements is the complement of
+    S = add(U_1, add(U_2, ... add(U_(m-1), U_m))), whose basis
     is the chain's, so S.complement() has dimension ambient_dim - dim_sum.
     """
 
@@ -132,16 +130,6 @@ class Family:
             levels.append(lev)
         basis.setflags(write=False)
         return tuple(reversed(levels)), basis, tuple(reversed(widths))
-
-    @cached_property
-    def _stacked(self):
-        """Read-only full SVD (u, s, vh) of the stacked bases and its rank, dim_sum."""
-        mat = np.concatenate([s.basis for s in self.subspaces], axis=1)
-        # a complete vh: its last row is a null vector also where the stack is wide
-        u, s, vh = np.linalg.svd(mat, full_matrices=True)
-        for arr in (u, s, vh):
-            arr.setflags(write=False)
-        return u, s, vh, self.dim_sum
 
     @property
     def dim_sum(self) -> int:
@@ -211,15 +199,19 @@ def dependent_tuple(family: Family):
 
     Such a tuple certifies both linear dependence and, by the zero-sum
     infeasibility argument, a prescription with empty solution set.
-    Independence is read from the level chain; only a dependent family
-    takes the stacked SVD, whose last right singular vector is the tuple.
+    The chain's first degenerate level i has a null direction n with
+    z = B_i n in the later members' sum; one least-squares solve writes z =
+    sum_(j>i) B_j c_j, and the tuple is (0, ..., 0, z, -B_j c_j, ...), scaled.
     """
     if check_independence(family):
         return None
-    coeff = family._stacked[2][-1].conj()
-    chunks = np.split(coeff, np.cumsum(family.dims)[:-1])
-    parts = [s.basis @ c for s, c in zip(family.subspaces, chunks)]
-    scale = max(float(np.linalg.norm(p)) for p in parts)
+    i, lev = next((i, lev) for i, lev in enumerate(family._chain[0]) if lev.degenerate)
+    z = family[i].basis @ lev.vh[lev.rank].conj()
+    later = family.subspaces[i + 1:]
+    coeff = np.linalg.lstsq(np.concatenate([s.basis for s in later], axis=1), z, rcond=None)[0]
+    chunks = np.split(coeff, np.cumsum([s.dim for s in later])[:-1])
+    parts = [np.zeros_like(z)] * i + [z] + [-(s.basis @ c) for s, c in zip(later, chunks)]
+    scale = max(_norm(p) for p in parts)
     return [p / scale for p in parts]
 
 
@@ -263,50 +255,76 @@ def _counted(family: Family, prescription) -> list:
     return prescription
 
 
-def _checked_lstsq(b: np.ndarray, factors):
-    """Minimal-norm least-squares x of a x = b from (u, s, vh, rank), an SVD of a^H.
+def _level_step(level: _Level, basis: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The point of U + T projecting to u on U and to v on T.
 
-    Returns (x, residual, feasible): the residual is b's distance from the
-    kept range, ||b - V_r c|| with c = V_r^H b, and b is feasible within
-    MEMBERSHIP_RTOL ||b||, the rule of Subspace.member, plus that range's
-    rounding: the backward error e leans V_r by up to e / (s_i - s_(rank+1))
-    at each kept i.
+    level factors U (orthonormal basis `basis`) against T, with
+    C = T^H B and R = B - T C = W S V^H.  Since R^H R = I - C^H C, the
+    resolvents in basis coordinates are (I - C^H C)^(-1) = M = V S^-2 V^H
+    and (I - C C^H)^(-1) C = C M; together they give
+    x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  W holds no
+    component in T (see subspaces._factor_level), so dividing by the sines
+    keeps the step backward stable down to the rank cutoff, where it is
+    cut; stacked_lstsq judges the null part that a degenerate level leaves.
     """
-    u, s, vh, rank = factors
-    c = vh[:rank] @ b
-    x = u[:, :rank] @ (c / s[:rank])
-    residual = _norm(b - vh[:rank].conj().T @ c)
-    e = 4 * max(u.shape[0], vh.shape[1]) * _EPS * np.max(s, initial=0.0)
-    lean = _norm(c / (s[:rank] - (s[rank] if rank < len(s) else 0.0)))
-    return x, residual, not residual > MEMBERSHIP_RTOL * _norm(b) + e * lean
+    r = level.rank
+    return v + level.w[:, :r] @ ((level.vh[:r] @ (basis.conj().T @ (u - v))) / level.sines[:r])
+
+
+def _stages(family: Family, pres: list) -> list:
+    """The recursion's stages on a validated prescription: entry j meets the
+    last j + 1 constraints, each level's along its kept directions."""
+    stages = [pres[-1]]
+    for s, level, u in reversed(list(zip(family.subspaces, family._chain[0], pres))):
+        stages.append(_level_step(level, s.basis, u, stages[-1]))
+    return stages
 
 
 def stacked_lstsq(family: Family, prescription: list) -> np.ndarray:
-    """_checked_lstsq on the stacked coordinate system, from the family's stacked SVD.
+    """The last of _stages on a validated prescription, judged level by level.
 
-    Its rows are the conjugate-transposed bases, so it is equivalent to
-    P_i x = u_i for prescriptions inside their subspaces.  Returns the
-    least-squares point; where b is infeasible, raises the stacked route's
-    one InfeasiblePrescriptionError, whose certificate holds that point.
+    With v the stage below level i, some x = v + z, z orthogonal to the later
+    members, meets B_i^H x = B_i^H u_i exactly when the null part
+    vh[r:] B_i^H (u_i - v) is 0 (Bjorck, Numerical Methods for Least Squares
+    Problems, 1996).  A level is refused where its norm exceeds
+    MEMBERSHIP_RTOL ||b||, b the stacked coordinates, plus ||eg[r:]||, with
+    eg = |C V|^T err + 4 n eps (||u_i|| + ||v||), C = T^H B_i, bounding the
+    rounding of vh B_i^H (u_i - v) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 8); err bounds v's chain coordinates:
+    4 n eps ||u_m|| on U_m's block, (eg[:r] + 4 n eps |a|) / sines[:r] on
+    each kept block, a the step's coefficients.  The certificate holds the
+    largest refused null part, whose level the message names, and the point.
     """
-    b = np.concatenate([s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)])
-    x, residual, feasible = _checked_lstsq(b, family._stacked)
-    if not feasible:
+    stages = _stages(family, prescription)
+    levels, basis, widths = family._chain
+    rtol = MEMBERSHIP_RTOL * _norm(np.concatenate(
+        [s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)]))
+    e = 4 * family.ambient_dim * _EPS
+    err = np.full(family.dims[-1], e * _norm(prescription[-1]))
+    judged = []
+    for i in reversed(range(len(levels))):
+        lev, q, u, v = levels[i], family[i].basis, prescription[i], stages[len(levels) - 1 - i]
+        g = lev.vh @ (q.conj().T @ (u - v))
+        eg = np.abs((basis[:, :widths[i]].conj().T @ q) @ lev.vh.conj().T).T @ err
+        eg += e * (_norm(u) + _norm(v))
+        r = lev.rank
+        judged.append((_norm(g[r:]), i + 1, rtol + _norm(eg[r:])))
+        err = np.concatenate([err, (eg[:r] + e * np.abs(g[:r])) / lev.sines[:r]])
+    residual, level, allowance = max([t for t in judged if t[0] > t[2]], default=(0.0, 0, 0.0))
+    if residual:
         raise InfeasiblePrescriptionError(
-            f"prescription is infeasible (stacked residual {residual:.3e})",
-            InfeasibilityCertificate(residual=residual, best_point=x))
-    return x
+            f"prescription is infeasible at level {level} "
+            f"(residual {residual:.3e}, allowance {allowance:.3e})",
+            InfeasibilityCertificate(residual=residual, best_point=stages[-1]))
+    return stages[-1]
 
 
 def infeasibility_certificate(family: Family, prescription):
     """The certificate of stacked_lstsq's refusal of the prescription, or
     None; a zero-sum prescription with nonzero members always has one.
-    An independent family, which meets every prescription, has none."""
-    pres = validate_prescription(family, prescription)
-    if check_independence(family):
-        return None
+    An independent family has no null part, so none is refused."""
     try:
-        stacked_lstsq(family, pres)
+        stacked_lstsq(family, validate_prescription(family, prescription))
     except InfeasiblePrescriptionError as err:
         return err.certificate
     return None

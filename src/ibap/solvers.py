@@ -7,9 +7,8 @@ the chain's orthonormal basis T of the sum of the members:
 * a finite recursion that extends a trailing minimal-norm solution one
   level at a time, yielding the global minimal-norm solution; its level
   step, the two-subspace solve, is also the solver for two constraints;
-* direct_solve: an independent family, which attains every
-  prescription, by that recursion, and a dependent one by the stacked
-  least-squares solve, the only user of the stacked SVD and of its refusal;
+* direct_solve: that recursion, cut on a dependent family at each level's
+  rank, whose point stacked_lstsq judges level by level (the one refusal);
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles; each sweep
   is one small square map on the iterate's coordinates in the chain
@@ -33,12 +32,13 @@ from .family import (
     Family,
     IbapFailureError,
     _counted,
+    _stages,
     check_independence,
     stacked_lstsq,
     validate_prescription,
     verify_ibap,
 )
-from .subspaces import _EPS, Subspace, _binary_scale, _integer, _Level, _norm, as_field_vector
+from .subspaces import _EPS, Subspace, _binary_scale, _integer, _norm, as_field_vector
 
 #: sweeps in the first block of best_approximation's residual and trace bookkeeping
 _BLOCK = 32
@@ -116,21 +116,6 @@ def affine_project(constraint: AffineConstraint, x) -> np.ndarray:
     return constraint.point + x - u.project(x)
 
 
-def _level_step(level: _Level, basis: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The point of U + T projecting to u on U and to v on T.
-
-    level factors U (orthonormal basis `basis`) against T, with
-    C = T^H B and R = B - T C = W S V^H.  Since R^H R = I - C^H C, the
-    resolvents in basis coordinates are (I - C^H C)^(-1) = M = V S^-2 V^H
-    and (I - C C^H)^(-1) C = C M; together they give
-    x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  W holds no
-    component in T (see subspaces._factor_level), so dividing by the sines
-    keeps the step backward stable down to the rank cutoff, above which
-    min_norm_stages' independence check keeps every sine.
-    """
-    return v + level.w @ ((level.vh @ (basis.conj().T @ (u - v))) / level.sines)
-
-
 def solve_two(c1: AffineConstraint, c2: AffineConstraint) -> np.ndarray:
     """Minimal-norm point satisfying two prescribed-projection constraints.
 
@@ -148,7 +133,7 @@ def extend_min_norm(level: Subspace, trailing: Subspace, u, v) -> np.ndarray:
     (the minimal-norm solution of the constraints after this level),
     returns the point of level + trailing projecting to u on `level` and
     to v on `trailing`: the recursion on the two-member family, whose
-    chain is one factored residual of the pair (see _level_step).
+    chain is one factored residual of the pair (see family._level_step).
     """
     family = Family((level, trailing))
     pres = [level.member(u, what="level point"), trailing.member(v, what="trailing point")]
@@ -162,14 +147,6 @@ def _require_independence(family: Family) -> None:
         raise IbapFailureError(
             "family does not satisfy the inverse best approximation property",
             verify_ibap(family))
-
-
-def _stages(family: Family, pres: list) -> list:
-    """min_norm_stages on a validated prescription of an independent family."""
-    stages = [pres[-1]]
-    for s, level, u in reversed(list(zip(family.subspaces, family._chain[0], pres))):
-        stages.append(_level_step(level, s.basis, u, stages[-1]))
-    return stages
 
 
 def min_norm_stages(family: Family, prescription) -> list:
@@ -205,7 +182,7 @@ def direct_solve(family: Family, prescription, anchor=None) -> np.ndarray:
     An independent family attains every prescription, so its point is
     the recursion's, from the level chain alone.  A dependent family's
     point is stacked_lstsq's, which raises InfeasiblePrescriptionError
-    with its certificate where the prescription is infeasible.  Either
+    with its certificate where a level refuses the prescription.  Either
     point moves toward the anchor along the chain basis of the sum.
     """
     return _direct(family, validate_prescription(family, prescription), anchor)
@@ -293,7 +270,7 @@ def best_approximation(start, family: Family, prescription,
     Each validated prescription vector is projected onto its subspace
     once; the sweeps, the residuals and an independent family's reference
     solution use those projected vectors, and a dependent family's
-    reference, whose stacked solve may refuse, the validated ones.  The
+    reference, which stacked_lstsq may refuse, the validated ones.  The
     reference is direct_solve's toward start; nothing is validated again.
     The sweeps move x = start + T y only inside the sum, whose orthonormal
     basis T the level chain holds, so each is one (d+1)-square map of

@@ -20,8 +20,8 @@ COMPLEX = "complex"
 #: max-norm tolerance for the orthonormality invariant of stored bases
 ORTHONORMALITY_TOL = 1e-12
 
-#: relative tolerance for "v lies in a range": a subspace (Subspace.member)
-#: or the kept range of a least-squares system (family._checked_lstsq)
+#: relative tolerance for "v lies in a range": a subspace (Subspace.member), an
+#: operator's range (solve_operator_system) or a family's (family.stacked_lstsq)
 MEMBERSHIP_RTOL = 1e-8
 
 _EPS = float(np.finfo(np.float64).eps)

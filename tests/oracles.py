@@ -299,7 +299,7 @@ def reference_point(start, family, valid, report):
     """The solution closest to start by the public calls best_approximation
     makes, from the validated prescription `valid`: the recursion on the
     vectors projected onto their subspaces for an independent family, else
-    the stacked solve on the vectors as validated."""
+    direct_solve on the vectors as validated."""
     if report.verdict:
         pres = [s.project(u) for s, u in zip(family.subspaces, valid)]
         return solve_min_norm(family, pres, anchor=start)

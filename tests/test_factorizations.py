@@ -1,19 +1,20 @@
 """Factorization counts of the analysis layer on a fixed family.
 
-Each family is factorized at most once per call chain, by one of two
-factorizations cached on the Family: the level chain, one thin SVD of
+Each family is factorized at most once per call chain, by the one
+factorization cached on the Family: the level chain, one thin SVD of
 each level's residual off its trailing sum (m - 1 in all) and one QR of
-its kept columns, and the full SVD of its stacked bases.  A line's level
-takes neither: its one-column residual is its own singular triple, read
-from its norm, and its kept column is divided by its norm.  On an
-independent family, check, the recursion, direct_solve, the iteration,
-infeasibility_certificate and dependent_tuple take only the chain, with
-or without an anchor or a trace, and so does direct_solve on a family
-whose stack is numerically deficient while its chain is not.  The
-stacked SVD is taken only for a family that the chain shows dependent:
-direct_solve and the iteration then take the chain and exactly one
-stacked SVD, whose solve decides feasibility.  None of these chains
-builds a complement or calls a linear solve.  A lone pair (the Friedrichs
+its kept columns.  A line's level takes neither: its one-column residual
+is its own singular triple, read from its norm, and its kept column is
+divided by its norm.  Check, the recursion, direct_solve, the iteration
+and infeasibility_certificate take only the chain, with or without an
+anchor or a trace, on an independent family, on a dependent one, whose
+prescription the chain judges level by level, and on a family whose
+stack is numerically deficient while its chain is not; no route takes an
+SVD of the stacked bases.  dependent_tuple takes only the chain on an
+independent family, and on a dependent one the chain plus one thin
+least-squares solve on the bases of the members after its first
+degenerate level.  None of these chains builds a complement or calls a
+linear solve.  A lone pair (the Friedrichs
 cosine) takes one thin SVD of its residual; the two-constraint solve
 takes the two-member chain, that one thin SVD plus its QR, and an
 operator system adds one thin SVD per operator to the chain of its
@@ -57,7 +58,7 @@ from ibap import (
     uniqueness_check,
     verify_ibap,
 )
-from ibap.cli import main
+from ibap.cli import EXIT_INFEASIBLE, main
 
 from conftest import random_family, random_prescription, random_subspace, rng_for
 
@@ -135,10 +136,11 @@ def thin_svds(calls):
 
 #: the level chain: one thin SVD per level, of U_i's residual, from the last but one up
 LEVELS = [(N, k) for k in reversed(DIMS[:-1])]
-STACKED = [(N, sum(DIMS))]
 #: the dependent family repeats the first member at the end
 DEPENDENT_LEVELS = [(N, k) for k in reversed(DIMS)]
-DEPENDENT_STACKED = [(N, sum(DIMS) + DIMS[0])]
+#: its first level is degenerate: dependent_tuple writes that level's null
+#: image in the bases of all the members after it
+DEPENDENT_TUPLE_LSTSQ = [(N, sum(DIMS))]
 #: the deficient family is three lines (0, 1, s), (1, s, 0) and e0 at s = 1e-8:
 #: level sines s, stacked smallest singular value s^2 / sqrt(2); a line's
 #: level takes the norm of its residual, no SVD
@@ -161,8 +163,12 @@ def direct(f, pres):
     return direct_solve(f, pres, anchor=np.ones(N))
 
 
+def tuple_of(f, pres):
+    return dependent_tuple(f)
+
+
 #: chain -> (call, its family: "generic", "dependent" or "deficient",
-#: its thin SVDs, its full-u SVDs)
+#: its thin SVDs, its least-squares solves)
 CHAINS = {
     "verify_ibap": (lambda f, pres: verify_ibap(f), "generic", LEVELS, []),
     "min_norm_stages": (lambda f, pres: min_norm_stages(f, pres), "generic", LEVELS, []),
@@ -171,24 +177,26 @@ CHAINS = {
                               "generic", LEVELS, []),
     "direct_solve": (direct, "generic", LEVELS, []),
     "direct_solve-deficient": (direct, "deficient", DEFICIENT_LEVELS, []),
-    "direct_solve-dependent": (direct, "dependent", DEPENDENT_LEVELS, DEPENDENT_STACKED),
+    "direct_solve-dependent": (direct, "dependent", DEPENDENT_LEVELS, []),
     "infeasibility_certificate": (infeasibility_certificate, "generic", LEVELS, []),
-    "dependent_tuple": (lambda f, pres: dependent_tuple(f), "generic", LEVELS, []),
+    "infeasibility_certificate-dependent": (infeasibility_certificate, "dependent",
+                                            DEPENDENT_LEVELS, []),
+    "dependent_tuple": (tuple_of, "generic", LEVELS, []),
+    "dependent_tuple-dependent": (tuple_of, "dependent", DEPENDENT_LEVELS,
+                                  DEPENDENT_TUPLE_LSTSQ),
     "best_approximation-trace": (iterate(True), "generic", LEVELS, []),
     "best_approximation": (iterate(False), "generic", LEVELS, []),
-    "best_approximation-dependent-trace": (iterate(True), "dependent",
-                                           DEPENDENT_LEVELS, DEPENDENT_STACKED),
-    "best_approximation-dependent": (iterate(False), "dependent",
-                                     DEPENDENT_LEVELS, DEPENDENT_STACKED),
+    "best_approximation-dependent-trace": (iterate(True), "dependent", DEPENDENT_LEVELS, []),
+    "best_approximation-dependent": (iterate(False), "dependent", DEPENDENT_LEVELS, []),
 }
 
 
 @pytest.mark.parametrize("chain", sorted(CHAINS))
-def test_one_stacked_svd_and_no_complement(chain, problem, log):
-    """At most one stacked SVD, taken only for a dependent family; at most
-    one chain."""
+def test_no_stacked_svd_and_no_complement(chain, problem, log):
+    """No SVD of the stacked bases and at most one chain; the one
+    least-squares solve is dependent_tuple's on a dependent family."""
     subspaces, pres = problem
-    call, kind, thin, full = CHAINS[chain]
+    call, kind, thin, lstsqs = CHAINS[chain]
     if kind == "dependent":
         # feasible: the repeated member is prescribed the same vector
         subspaces, pres = subspaces + subspaces[:1], pres + pres[:1]
@@ -196,11 +204,12 @@ def test_one_stacked_svd_and_no_complement(chain, problem, log):
         subspaces, pres = deficient_problem()
         log.clear()
     call(Family(subspaces), pres)
-    assert full_u_svds(log) == full
+    assert full_u_svds(log) == []
     # the level chain is built at most once per chain
     assert thin_svds(log) == thin
-    assert len([c for c in log if c[0] == "svd"]) == len(thin) + len(full)
-    assert not [c for c in log if c[0] in ("lstsq", "solve", "complement")]
+    assert len([c for c in log if c[0] == "svd"]) == len(thin)
+    assert [c[1] for c in log if c[0] == "lstsq"] == lstsqs
+    assert not [c for c in log if c[0] in ("solve", "complement", "pinv")]
 
 
 def test_check_chain_factorizes_the_family_once(problem, log):
@@ -330,9 +339,11 @@ def test_the_moments_command_factors_its_space_once(field, log, qrs, tmp_path, c
 LARGE_N = 1000
 
 
-def large_problem(kind, rng):
+def large_problem(kind, rng, dependent=False):
     """A problem file at n = LARGE_N: whole-space moments, or a family of
-    three members of dimension 4 with a prescription."""
+    three members of dimension 4 with a prescription; a dependent family
+    repeats its first member last, with the zero-sum prescription
+    (u, 0, 0, -u)."""
     vectors = rng.standard_normal((12, LARGE_N))
     if kind == "moments":
         return {"field": "real", "ambient_dim": LARGE_N, "space": None,
@@ -340,22 +351,30 @@ def large_problem(kind, rng):
                                 for i, v in enumerate(vectors[:3])]}
     x = rng.standard_normal(LARGE_N)
     subs = [Subspace.from_spanning(vectors[i:i + 4], LARGE_N) for i in (0, 4, 8)]
+    pres = [s.project(x) for s in subs]
+    starts = (0, 4, 8)
+    if dependent:
+        starts, pres = starts + (0,), [pres[0], 0 * x, 0 * x, -pres[0]]
     return {"field": "real", "ambient_dim": LARGE_N,
-            "subspaces": [{"vectors": [list(v) for v in vectors[i:i + 4]]} for i in (0, 4, 8)],
-            "prescription": [list(s.project(x)) for s in subs]}
+            "subspaces": [{"vectors": [list(v) for v in vectors[i:i + 4]]} for i in starts],
+            "prescription": [list(u) for u in pres]}
 
 
-@pytest.mark.parametrize("argv", [["moments"], ["check"], ["solve", "--method", "direct"],
-                                  ["solve", "--method", "recursion"], ["iterate"]],
-                         ids=["moments", "check", "direct", "recursion", "iterate"])
-def test_commands_build_nothing_n_by_n(argv, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv,dependent,code", [
+    (["moments"], False, 0), (["check"], False, 0), (["solve", "--method", "direct"], False, 0),
+    (["solve", "--method", "recursion"], False, 0), (["iterate"], False, 0),
+    (["solve", "--method", "direct"], True, EXIT_INFEASIBLE), (["iterate"], True, EXIT_INFEASIBLE)],
+    ids=["moments", "check", "direct", "recursion", "iterate", "direct-dependent",
+         "iterate-dependent"])
+def test_commands_build_nothing_n_by_n(argv, dependent, code, tmp_path, monkeypatch, capsys):
     # at n = 1000, no numpy.linalg call takes an array with two dimensions
     # of at least n, and no n x n array is allocated (peak well below its
     # bytes): whole-space moments builds its zero orthocomplement as such,
-    # and every route on an independent family takes only the level chain
+    # and every route takes only the level chain, which also refuses a
+    # dependent family's zero-sum prescription
     n = LARGE_N
     path = tmp_path / "large.json"
-    path.write_text(json.dumps(large_problem(argv[0], rng_for(1206))))
+    path.write_text(json.dumps(large_problem(argv[0], rng_for(1206), dependent)))
     shapes = []
 
     def logged(func):
@@ -370,7 +389,7 @@ def test_commands_build_nothing_n_by_n(argv, tmp_path, monkeypatch, capsys):
             monkeypatch.setattr(np.linalg, name, logged(func))
     tracemalloc.start()
     try:
-        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert main([argv[0], str(path), *argv[1:]]) == code
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

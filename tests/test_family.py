@@ -363,8 +363,8 @@ class TestInfeasibility:
     @pytest.mark.parametrize("k", [-600, -30, 30, 600])
     @pytest.mark.parametrize("field", FIELDS)
     def test_a_scaled_witness_scales_every_certificate(self, field, k):
-        # scaling by 2^k is exact, and so is every product of the stacked
-        # solve and every norm taken at a power of two: each route refuses
+        # scaling by 2^k is exact, and so is every product of the judging
+        # pass and every norm taken at a power of two: each route refuses
         # the witness times 2^k with its residual times 2^k
         g, w = dependent_family_with_witness(rng_for(513), 7, field)
         scale = 2.0 ** k
@@ -381,9 +381,8 @@ class TestInfeasibility:
         # a 2- and a 3-dimensional subspace of R^8 meeting at sine 1e-9:
         # generic prescriptions have solutions of norm near 1e9, whose
         # stacked residual is rounding of size eps ||x||, far above
-        # MEMBERSHIP_RTOL ||b||; the test reads the distance of b
-        # from the kept range instead, which for an independent family is
-        # the whole coefficient space, so that only b's rounding enters
+        # MEMBERSHIP_RTOL ||b||; the test reads each level's null part
+        # instead, and an independent family's levels have none
         eps = np.finfo(float).eps
         for seed in range(200):
             rng = rng_for(seed)
@@ -394,6 +393,17 @@ class TestInfeasibility:
             x = direct_solve(f, pres)
             assert prescription_residual(f, pres, x) <= 8 * eps * np.linalg.norm(x)
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_the_certificate_residual_is_the_residual_of_its_point(self, field):
+        # best_point meets every constraint but the refused level's along
+        # its kept directions, so its largest constraint residual is the
+        # refused null part
+        for seed in range(50):
+            f, witness = dependent_family_with_witness(rng_for(seed), 7, field)
+            cert = infeasibility_certificate(f, witness)
+            got = prescription_residual(f, witness, cert.best_point)
+            assert abs(got - cert.residual) <= 1e-10 * cert.residual
+
     def test_zero_sum_prescriptions_of_dependent_families_stay_infeasible(self):
         for seed in range(200):
             rng = rng_for(seed)
@@ -402,29 +412,29 @@ class TestInfeasibility:
             assert cert is not None and cert.residual > 1e-8
 
     @pytest.mark.parametrize("rotated", [False, True])
-    @pytest.mark.parametrize("delta", [1e-9, 1e-13])
+    @pytest.mark.parametrize("delta", [1e-9, 1e-13, 7e-15, 2e-15, 1e-15])
     def test_contradiction_with_a_large_minimal_norm_point_stays_infeasible(self, delta,
                                                                             rotated, tmp_path):
         # lines along e0, e0 + delta e1, e2 and e2 again: the first two meet
-        # at sine delta, so the least-squares point has norm near 1 / delta,
-        # yet the coordinates along e2 ask for both 0 and 1: b = (0, 1, 0, 1)
-        # lies at 1/sqrt(2) from the range of the stacked system.  The
-        # rounding allowance of that range grows like 1 / delta and passes
-        # 1/sqrt(2) near delta = 7e-15 (it is 2.5 at 2e-15), below which the
-        # contradiction is undecidable; the rotated copy applies one random
-        # orthogonal matrix to every vector, so no block structure helps
+        # at sine delta, so the chain's point has norm near 1 / delta, yet
+        # the coordinates along e2 ask for both 0 and 1.  The level of the
+        # third line against the fourth is degenerate, and its null part is
+        # |e2^H (0 - e2)| = 1; no small sine lies below it, so its rounding
+        # allowance stays near eps at every delta down to the line cutoff
+        # 3 eps; the rotated copy applies one random orthogonal matrix to
+        # every vector, so no block structure helps
         e = random_orthogonal(rng_for(1602), 3).T if rotated else np.eye(3)
         vectors = (e[0], e[0] + delta * e[1], e[2], e[2])
         f = lines(*vectors)
-        assert f._stacked[3] == f.dim_sum == 3 and not verify_ibap(f).verdict
+        assert f.dim_sum == 3 and not verify_ibap(f).verdict
         pres = [np.zeros(3), f[1].basis[:, 0], np.zeros(3), e[2]]
         cert = infeasibility_certificate(f, pres)
         assert np.linalg.norm(cert.best_point) > 1e8
-        with pytest.raises(InfeasiblePrescriptionError) as err:
+        with pytest.raises(InfeasiblePrescriptionError, match="at level 3") as err:
             direct_solve(f, pres)
         if not rotated:
-            assert abs(cert.residual - math.sqrt(0.5)) <= 1e-12
-            assert abs(err.value.certificate.residual - math.sqrt(0.5)) <= 1e-12
+            assert abs(cert.residual - 1.0) <= 1e-12
+            assert abs(err.value.certificate.residual - 1.0) <= 1e-12
         with pytest.raises(InfeasiblePrescriptionError):
             best_approximation(np.zeros(3), f, pres)
         doc = {"field": "real", "ambient_dim": 3,
@@ -437,10 +447,10 @@ class TestInfeasibility:
 
     def test_large_solutions_of_dependent_families_are_feasible(self, tmp_path):
         # the pair at sine 1e-9 with its first member repeated and given the
-        # same vector: feasible, with solutions of norm near 1e9.  Rounding
-        # turns the computed kept range toward its boundary direction by
-        # about eps / 1e-9, so b's distance from it is near 1e-7 ||b||, far
-        # above MEMBERSHIP_RTOL ||b|| but within the rounding allowance
+        # same vector: feasible, with solutions of norm near 1e9.  The
+        # repeated member's level is degenerate, and its null part is the
+        # rounding of the stage below, of size eps ||x||, far above
+        # MEMBERSHIP_RTOL ||b|| but within the allowance 4 n eps ||v||
         eps = np.finfo(float).eps
         for seed in range(10):
             rng = rng_for(seed)
@@ -472,8 +482,8 @@ class TestInfeasibility:
 
 
 class TestNormsAtExtremeScales:
-    """The stacked solve's feasibility rule (family._checked_lstsq), its
-    point and prescription_residual take each norm at a power of
+    """The feasibility rule (family.stacked_lstsq), its point and
+    prescription_residual take each norm at a power of
     two: a problem scaled by 2^600 or 2^-600, which is exact, gives its
     results times that scale where the unscaled squares would over- or
     underflow.  Feasibility and membership are judged relative to the
@@ -499,13 +509,14 @@ class TestNormsAtExtremeScales:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [-600, -30, 0, 30, 600])
     def test_a_contradiction_is_refused_at_every_scale(self, k):
-        # the feasibility and membership rules are relative: b = 2^k (1, -1)
-        # lies wholly outside the kept range, and 2^k e2 wholly off the line
+        # the feasibility and membership rules are relative: the level of
+        # the first line against the second has the null part
+        # |e0^H (2^k e0 + 2^k e0)| = 2^(k + 1), and 2^k e2 lies wholly off the line
         scale = 2.0 ** k
         e = np.eye(3)
         f = lines(e[0], e[0])
         big = [scale * e[0], -scale * e[0]]
-        assert infeasibility_certificate(f, big).residual == scale * math.sqrt(2.0)
+        assert infeasibility_certificate(f, big).residual == scale * 2.0
         with pytest.raises(InfeasiblePrescriptionError):
             direct_solve(f, big)
         with pytest.raises(InfeasiblePrescriptionError):
@@ -647,17 +658,24 @@ def near_dependent_family(rng, field):
     return Family(tuple(Subspace.from_spanning(list(m.T), n, field=field) for m in mats))
 
 
-def dependent_above_near_levels(rng, n, levels):
+def dependent_above_near_levels(rng, n, levels, top_in_gp=False, near_on_near=False):
     """A dependent family of n-vectors, top first: a line D inside a
     generic plane G, then `levels` lines at sines of 1.5 to 100 times the
     line cutoff n eps against the sum below each, each leaning toward a
     direction of a generic plane P, then G and P.  D is the dependent
-    member; the near-cutoff levels lie between it and the plane it lies in."""
+    member; the near-cutoff levels lie between it and the plane it lies in.
+    With top_in_gp, D is drawn in G + P instead of G; with near_on_near,
+    each near line also leans toward the directions in which the earlier
+    near lines leave the sum below them, as (0, 1, s) leans on (1, s, 0)
+    above e0, which keeps its sine but takes the stack's smallest kept
+    singular value to the product of sines."""
     p, g = random_subspace(rng, n, 2), random_subspace(rng, n, 2)
     tail = np.linalg.qr(np.hstack([g.basis, p.basis]))[0]
     near = []
     for _ in range(levels):
         a = p.basis @ rng.standard_normal(2)
+        if near_on_near and near:
+            a = a + tail[:, 4:] @ rng.standard_normal(len(near))
         w = rng.standard_normal(n)
         for _ in range(2):
             w -= tail @ (tail.T @ w)
@@ -665,16 +683,16 @@ def dependent_above_near_levels(rng, n, levels):
         v = math.sqrt(1 - sine * sine) * a / np.linalg.norm(a) + sine * w / np.linalg.norm(w)
         near.insert(0, Subspace.from_spanning([v], n))
         tail = np.column_stack([tail, w / np.linalg.norm(w)])
-    top = Subspace.from_spanning([g.basis @ rng.standard_normal(2)], n)
+    plane = np.hstack([g.basis, p.basis]) if top_in_gp else g.basis
+    top = Subspace.from_spanning([plane @ rng.standard_normal(plane.shape[1])], n)
     return Family((top, *near, g, p))
 
 
 class TestStackedRoute:
     """On a family that the chain shows dependent, direct_solve,
-    infeasibility_certificate and the iteration cut the stacked SVD at
-    dim_sum, the level chain's rank, and call a prescription infeasible by the distance of its stacked
-    coordinates b from the range kept at that rank, beyond that range's
-    rounding."""
+    infeasibility_certificate and the iteration cut each level step at the
+    level's rank, and call a prescription infeasible where a level's null
+    part exceeds MEMBERSHIP_RTOL ||b|| plus its propagated rounding."""
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_the_stacked_rank_is_dim_sum_next_to_dependence(self, field):
@@ -686,22 +704,24 @@ class TestStackedRoute:
             seen[independent] += 1
             zero = [np.zeros(f.ambient_dim, dtype=f.dtype)] * len(f)
             assert not direct_solve(f, zero).any()
-            # only a family that the chain shows dependent takes the stacked SVD
-            assert ("_stacked" in f.__dict__) == (not independent)
-            assert f._stacked[3] == f.dim_sum
+            # the level chain is the one factorization cached on either kind
+            assert [key for key in f.__dict__ if key != "subspaces"] == ["_chain"]
             assert parallel_subspace(f).dim == f.ambient_dim - f.dim_sum
         assert seen[True] > 50 and seen[False] > 50
 
-    def test_contradictions_above_near_cutoff_levels_are_refused(self):
-        # the sharpness of the stacked test below a dependent member: every
-        # feasible prescription P_i x is accepted, and at least 3/4 of the
-        # contradictions that move the dependent member's vector by
-        # 1e-3 ||x|| along its line are refused (1499 of 1500 at this seed)
+    @pytest.mark.parametrize("variant", [{}, {"top_in_gp": True}, {"near_on_near": True}],
+                             ids=["as-generated", "top-in-gp", "near-on-near"])
+    def test_contradictions_above_near_cutoff_levels_are_refused(self, variant):
+        # the sharpness of the feasibility test below a dependent member:
+        # every feasible prescription P_i x is accepted, and at least 3/4 of
+        # the contradictions that move the dependent member's vector by
+        # 1e-3 ||x|| along its line are refused (1500 of 1500 in each
+        # variant at this seed)
         rng = rng_for(1602)
         refused = Counter()
         for _ in range(1500):
             n = int(rng.integers(8, 13))
-            f = dependent_above_near_levels(rng, n, int(rng.integers(2, 5)))
+            f = dependent_above_near_levels(rng, n, int(rng.integers(2, 5)), **variant)
             assert not check_independence(f) and f.dim_sum == len(f) + 1
             assert all(not lev.degenerate for lev in verify_ibap(f).levels[1:])
             x = rng.standard_normal(n)
@@ -714,16 +734,15 @@ class TestStackedRoute:
     @pytest.mark.parametrize("s", [3e-8, 1e-8, 1e-9])
     def test_three_lines_with_a_deficient_stack_are_solved(self, s):
         # (0, 1, s), (1, s, 0) and e0: both level sines are s, far above
-        # the cutoff, but the stacked smallest singular value is s^2 / sqrt(2),
-        # below the stacked matrix's own cutoff
+        # the cutoff, but the stack's smallest singular value is s^2 / sqrt(2),
+        # below the stacked matrix's own cutoff: the chain reads no stack
         f = lines(np.array([0.0, 1.0, s]), np.array([1.0, s, 0.0]), np.eye(3)[0])
         for seed in range(5):
             pres = random_prescription(rng_for(seed), f)
             x = direct_solve(f, pres)
             reference = svd_min_norm(f, pres)
             assert np.linalg.norm(x - reference) <= 1e-6 * np.linalg.norm(reference)
-        # the chain shows the family independent, so no stacked SVD was taken
-        assert "_stacked" not in f.__dict__ and infeasibility_certificate(f, pres) is None
-        _, sv, _, rank = f._stacked
-        assert verify_ibap(f).verdict and rank == f.dim_sum == 3
+        assert infeasibility_certificate(f, pres) is None
+        sv = np.linalg.svd(np.hstack([s.basis for s in f]), compute_uv=False)
+        assert verify_ibap(f).verdict and f.dim_sum == 3
         assert sv[-1] <= 3 * np.finfo(float).eps * sv[0]

@@ -32,7 +32,8 @@ from ibap import (
     worst_aligned_start,
 )
 from ibap.angles import _pair
-from ibap.solvers import _BLOCK, _FLOOR, _MAX_BLOCK, _level_step, _sweep_map
+from ibap.family import _level_step
+from ibap.solvers import _BLOCK, _FLOOR, _MAX_BLOCK, _sweep_map
 
 from conftest import (
     FIELDS,
@@ -1185,8 +1186,8 @@ class TestCrossChecks:
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_chain_routes_match_the_stacked_route(self, field):
-        """direct_solve and the iteration's reference read the level chain
-        on an independent family, and the stacked SVD on a dependent one;
+        """direct_solve and the iteration's reference read the level chain,
+        cut at each level's rank on a dependent family;
         the oracle is numpy's SVD of the stacked rows cut at dim_sum.  Both
         are backward stable for the stacked system, whose condition over
         its rank is kappa = s_max / s_min, and each shifts toward the
