@@ -17,7 +17,7 @@ import numpy as np
 from .family import Family, check_independence, verify_ibap
 from .solvers import solve_min_norm
 from .subspaces import (COMPLEX, MEMBERSHIP_RTOL, _EPS, Subspace, _binary_scale, _integer,
-                        _norm, _plain_norm, _rank_from_singular_values, as_field_vector)
+                        _lean, _norm, _plain_norm, _rank_from_singular_values, as_field_vector)
 
 
 class HypothesisError(ValueError):
@@ -269,14 +269,14 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
         r = _rank_from_singular_values(s, t.shape)
         c = wh[:r] @ y
         gap = _norm(y - wh[:r].conj().T @ c)
-        # y is in the range within MEMBERSHIP_RTOL ||y|| plus its rounding: the
-        # backward error e leans W_r by up to e / (s_j - s_(r+1)) at each kept j
+        # y is in the range within MEMBERSHIP_RTOL ||y|| plus the lean of W_r
+        # under the backward error e
         e = 4 * max(t.shape) * _EPS * np.max(s, initial=0.0)
-        lean = _norm(c / (s[:r] - (s[r] if r < len(s) else 0.0)))
-        if gap > MEMBERSHIP_RTOL * _norm(y) + e * lean:
+        allowance = MEMBERSHIP_RTOL * _norm(y) + e * _lean(c, s)
+        if gap > allowance:
             raise ValueError(
                 f"right-hand side {i + 1} is not in the range of its operator "
-                f"(residual {gap:.3e})")
+                f"(residual {gap:.3e}, allowance {allowance:.3e})")
         points.append(q[:, :r] @ (c / s[:r]))
         row_spaces.append(Subspace(q[:, :r]))
     family = Family(tuple(row_spaces))

@@ -10,9 +10,10 @@ constants), which quantify how well-conditioned it is and feed the
 convergence rate bound of the iterative solver, all come from one
 factorization of the residual per level, cached on the Family: a thin
 SVD, or for a line the residual's norm (see subspaces._factor_level).
-The chain also solves every prescription and judges it: stacked_lstsq,
-the only source of InfeasiblePrescriptionError, refuses a level whose
-null part exceeds its rounding.
+One pass over the chain (_stages) solves every prescription and, where
+the chain shows the family dependent, judges it on the way: it refuses a
+level whose null part exceeds its rounding, and is the only source of
+InfeasiblePrescriptionError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import projector_product_norm
-from .subspaces import MEMBERSHIP_RTOL, _EPS, Subspace, _check_compatible, _extend, _Level, _norm
+from .subspaces import MEMBERSHIP_RTOL, _EPS, Subspace, _check_compatible, _extend, _lean, _norm
 
 #: max-norm tolerance on the Gram defects of biorthogonal_bounds' input
 #: sequences: they are caller-built vectors, not stored bases, so this is
@@ -71,7 +72,7 @@ class Family:
     division by its norm) extends T to a basis of U_i + T.  Every
     trailing-sum basis is thus a column prefix of one basis of
     U_1 + ... + U_m, of width dim_sum; it serves check, every solve, the
-    judgment of a dependent family's prescription (stacked_lstsq), the
+    judgment of a dependent family's prescription (_stages), the
     dependent tuple and every shift toward an anchor.  The intersection of
     the complements is the complement of
     S = add(U_1, add(U_2, ... add(U_(m-1), U_m))), whose basis
@@ -255,74 +256,62 @@ def _counted(family: Family, prescription) -> list:
     return prescription
 
 
-def _level_step(level: _Level, basis: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The point of U + T projecting to u on U and to v on T.
-
-    level factors U (orthonormal basis `basis`) against T, with
-    C = T^H B and R = B - T C = W S V^H.  Since R^H R = I - C^H C, the
-    resolvents in basis coordinates are (I - C^H C)^(-1) = M = V S^-2 V^H
-    and (I - C C^H)^(-1) C = C M; together they give
-    x = v + R M B^H (u - v) = v + W S^-1 V^H B^H (u - v).  W holds no
-    component in T (see subspaces._factor_level), so dividing by the sines
-    keeps the step backward stable down to the rank cutoff, where it is
-    cut; stacked_lstsq judges the null part that a degenerate level leaves.
-    """
-    r = level.rank
-    return v + level.w[:, :r] @ ((level.vh[:r] @ (basis.conj().T @ (u - v))) / level.sines[:r])
-
-
 def _stages(family: Family, pres: list) -> list:
     """The recursion's stages on a validated prescription: entry j meets the
-    last j + 1 constraints, each level's along its kept directions."""
-    stages = [pres[-1]]
-    for s, level, u in reversed(list(zip(family.subspaces, family._chain[0], pres))):
-        stages.append(_level_step(level, s.basis, u, stages[-1]))
-    return stages
+    last j + 1 constraints, each level's along its kept directions.
 
-
-def stacked_lstsq(family: Family, prescription: list) -> np.ndarray:
-    """The last of _stages on a validated prescription, judged level by level.
-
-    With v the stage below level i, some x = v + z, z orthogonal to the later
-    members, meets B_i^H x = B_i^H u_i exactly when the null part
-    vh[r:] B_i^H (u_i - v) is 0 (Bjorck, Numerical Methods for Least Squares
-    Problems, 1996).  A level is refused where its norm exceeds
-    MEMBERSHIP_RTOL ||b||, b the stacked coordinates, plus ||eg[r:]||, with
-    eg = |C V|^T err + 4 n eps (||u_i|| + ||v||), C = T^H B_i, bounding the
-    rounding of vh B_i^H (u_i - v) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, ch. 8); err bounds v's chain coordinates:
-    4 n eps ||u_m|| on U_m's block, (eg[:r] + 4 n eps |a|) / sines[:r] on
-    each kept block, a the step's coefficients.  The certificate holds the
-    largest refused null part, whose level the message names, and the point.
+    Level i factors U_i (basis B_i) against the later members' basis T as
+    B_i - T C = W S V^H, C = T^H B_i.  With v the stage below and
+    g = V^H B_i^H (u_i - v), the step v + W_r (g[:r] / S_r) applies the
+    resolvents (I - C^H C)^(-1) = V S^-2 V^H and (I - C C^H)^(-1) C; W holds
+    no component in T (subspaces._factor_level), so the step is backward
+    stable down to the rank cutoff, where it is cut.  On a family that the
+    chain shows dependent, some x = v + z, z orthogonal to T, meets
+    B_i^H x = B_i^H u_i exactly when the null part g[r:] is 0 (Bjorck,
+    Numerical Methods for Least Squares Problems, 1996); a level is refused
+    where its norm exceeds MEMBERSHIP_RTOL ||b|| (b the stacked coordinates)
+    + ||eg[r:]|| + 4 n eps subspaces._lean(g[:r], S), the lean of the kept
+    directions toward the null ones.  eg = |C V|^T err + 4 n eps (||u_i||
+    + ||v||) bounds the rounding of g (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 8) and err that of v's chain
+    coordinates: 4 n eps ||u_m|| on U_m's block, (eg[:r] + 4 n eps |g[:r]|)
+    / S_r on each kept block.  The refusal names the level with the largest
+    refused null part, which its certificate holds with the last stage.
     """
-    stages = _stages(family, prescription)
-    levels, basis, widths = family._chain
-    rtol = MEMBERSHIP_RTOL * _norm(np.concatenate(
-        [s.basis.conj().T @ u for s, u in zip(family.subspaces, prescription)]))
-    e = 4 * family.ambient_dim * _EPS
-    err = np.full(family.dims[-1], e * _norm(prescription[-1]))
-    judged = []
-    for i in reversed(range(len(levels))):
-        lev, q, u, v = levels[i], family[i].basis, prescription[i], stages[len(levels) - 1 - i]
-        g = lev.vh @ (q.conj().T @ (u - v))
-        eg = np.abs((basis[:, :widths[i]].conj().T @ q) @ lev.vh.conj().T).T @ err
-        eg += e * (_norm(u) + _norm(v))
-        r = lev.rank
-        judged.append((_norm(g[r:]), i + 1, rtol + _norm(eg[r:])))
-        err = np.concatenate([err, (eg[:r] + e * np.abs(g[:r])) / lev.sines[:r]])
+    judge = not check_independence(family)
+    if judge:
+        rtol = MEMBERSHIP_RTOL * _norm(np.concatenate(
+            [s.basis.conj().T @ u for s, u in zip(family.subspaces, pres)]))
+        e = 4 * family.ambient_dim * _EPS
+        err = np.full(family.dims[-1], e * _norm(pres[-1]))
+    stages, judged = [pres[-1]], []
+    for i, lev in reversed(list(enumerate(family._chain[0]))):
+        u, v, r = pres[i], stages[-1], lev.rank
+        g = lev.vh @ (family[i].basis.conj().T @ (u - v))
+        stages.append(v + lev.w[:, :r] @ (g[:r] / lev.sines[:r]))
+        if judge:
+            eg = np.abs(lev.cv).T @ err + e * (_norm(u) + _norm(v))
+            judged.append((_norm(g[r:]), i + 1, rtol + _norm(eg[r:]) + e * _lean(g[:r], lev.sines)))
+            err = np.concatenate([err, (eg[:r] + e * np.abs(g[:r])) / lev.sines[:r]])
     residual, level, allowance = max([t for t in judged if t[0] > t[2]], default=(0.0, 0, 0.0))
     if residual:
         raise InfeasiblePrescriptionError(
             f"prescription is infeasible at level {level} "
             f"(residual {residual:.3e}, allowance {allowance:.3e})",
             InfeasibilityCertificate(residual=residual, best_point=stages[-1]))
-    return stages[-1]
+    return stages
+
+
+def stacked_lstsq(family: Family, prescription: list) -> np.ndarray:
+    """The last of _stages on a validated prescription: the minimal-norm
+    solution, judged on the way where the chain shows the family dependent."""
+    return _stages(family, prescription)[-1]
 
 
 def infeasibility_certificate(family: Family, prescription):
     """The certificate of stacked_lstsq's refusal of the prescription, or
     None; a zero-sum prescription with nonzero members always has one.
-    An independent family has no null part, so none is refused."""
+    An independent family attains every prescription and is not judged."""
     try:
         stacked_lstsq(family, validate_prescription(family, prescription))
     except InfeasiblePrescriptionError as err:

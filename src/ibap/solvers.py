@@ -7,8 +7,8 @@ the chain's orthonormal basis T of the sum of the members:
 * a finite recursion that extends a trailing minimal-norm solution one
   level at a time, yielding the global minimal-norm solution; its level
   step, the two-subspace solve, is also the solver for two constraints;
-* direct_solve: that recursion, cut on a dependent family at each level's
-  rank, whose point stacked_lstsq judges level by level (the one refusal);
+* direct_solve: that recursion (stacked_lstsq), on a dependent family
+  cut at each level's rank and judging its null part in the same pass;
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles; each sweep
   is one small square map on the iterate's coordinates in the chain
@@ -133,12 +133,12 @@ def extend_min_norm(level: Subspace, trailing: Subspace, u, v) -> np.ndarray:
     (the minimal-norm solution of the constraints after this level),
     returns the point of level + trailing projecting to u on `level` and
     to v on `trailing`: the recursion on the two-member family, whose
-    chain is one factored residual of the pair (see family._level_step).
+    chain is one factored residual of the pair (see family._stages).
     """
     family = Family((level, trailing))
     pres = [level.member(u, what="level point"), trailing.member(v, what="trailing point")]
     _require_independence(family)
-    return _stages(family, pres)[-1]
+    return stacked_lstsq(family, pres)
 
 
 def _require_independence(family: Family) -> None:
@@ -179,11 +179,10 @@ def prescription_residual(family: Family, prescription, x) -> float:
 def direct_solve(family: Family, prescription, anchor=None) -> np.ndarray:
     """The minimal-norm solution, or with an anchor the solution closest to it.
 
-    An independent family attains every prescription, so its point is
-    the recursion's, from the level chain alone.  A dependent family's
-    point is stacked_lstsq's, which raises InfeasiblePrescriptionError
-    with its certificate where a level refuses the prescription.  Either
-    point moves toward the anchor along the chain basis of the sum.
+    The point is stacked_lstsq's, the recursion's last stage; on a dependent
+    family it raises InfeasiblePrescriptionError with its certificate where
+    a level refuses the prescription.  The point moves toward the anchor
+    along the chain basis of the sum.
     """
     return _direct(family, validate_prescription(family, prescription), anchor)
 
@@ -191,7 +190,7 @@ def direct_solve(family: Family, prescription, anchor=None) -> np.ndarray:
 def _direct(family: Family, valid: list, anchor) -> np.ndarray:
     """direct_solve on a validated prescription: x, or with an anchor the
     point of x + span(T)^perp closest to it, T the chain basis of the sum."""
-    x = _stages(family, valid)[-1] if check_independence(family) else stacked_lstsq(family, valid)
+    x = stacked_lstsq(family, valid)
     if anchor is None:
         return x
     t = family._chain[1]

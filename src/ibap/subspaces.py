@@ -21,7 +21,7 @@ COMPLEX = "complex"
 ORTHONORMALITY_TOL = 1e-12
 
 #: relative tolerance for "v lies in a range": a subspace (Subspace.member), an
-#: operator's range (solve_operator_system) or a family's (family.stacked_lstsq)
+#: operator's range (solve_operator_system) or a family's (family._stages)
 MEMBERSHIP_RTOL = 1e-8
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -108,17 +108,26 @@ def _rank_from_singular_values(s: np.ndarray, shape, scale: float | None = None)
     return int(np.count_nonzero(s > max(shape) * _EPS * top))
 
 
+def _lean(c: np.ndarray, s: np.ndarray) -> float:
+    """||c / (s[:r] - s[r])||, r = c.size and s[r] = 0 past the end of the
+    descending singular values s: to first order, how far a backward error
+    of unit norm turns the kept singular directions, weighted by the kept
+    coordinates c, toward the discarded ones."""
+    r = c.size
+    return _norm(c / (s[:r] - (s[r] if r < s.size else 0.0)))
+
+
 class _Level(NamedTuple):
     """A subspace U against an orthonormal tail basis T, from one thin SVD
     of the residual, or from its norm when U is a line.
 
     The residual R of the basis B of U off T is W diag(sines) vh, the
     sines descending; a one-column R = r is its own singular triple
-    (||r||, r / ||r||, [[1]]).  cosines[j] = ||C v_j|| with C = T^H B is
-    paired with sines[j].  rank counts the sines above the package cutoff
-    at unit scale, so it is dim(U + T) - dim T, and the first rank columns
-    of w, projected off T after the factorization, extend T to a basis of
-    U + T; they are the only columns that the chain and the level step read.
+    (||r||, r / ||r||, [[1]]).  cosines[j] = ||C v_j||, C = T^H B, a column
+    norm of cv = C V, is paired with sines[j].  rank counts the sines above
+    the package cutoff at unit scale, so it is dim(U + T) - dim T, and the
+    first rank columns of w, projected off T after the factorization, extend
+    T to a basis of U + T, the only columns the chain and the step read.
     The rows of vh past rank map B to a basis of U meet T (intersect).
     """
 
@@ -127,6 +136,7 @@ class _Level(NamedTuple):
     vh: np.ndarray
     cosines: np.ndarray
     rank: int
+    cv: np.ndarray
 
     @property
     def norm(self) -> float:
@@ -186,7 +196,7 @@ def _factor_level(basis: np.ndarray, tail: np.ndarray) -> _Level:
     # w_j leans into the tail by about eps / s[j]: project that off, so
     # that small sines keep the chain basis and the level step exact
     w[:, :rank] -= tail @ (tail_h @ w[:, :rank])
-    return _Level(w, s, vh, cosines, rank)
+    return _Level(w, s, vh, cosines, rank, cv)
 
 
 def _extend(tail: np.ndarray, basis: np.ndarray):
@@ -334,9 +344,10 @@ class Subspace:
         x = as_field_vector(x, self.ambient_dim, self.dtype, what=what)
         p = _binary_scale(x)
         w = x / p
-        gap = _plain_norm(self.project(w) - w)
-        if gap > MEMBERSHIP_RTOL * _plain_norm(w):
-            raise ValueError(f"{what} is not in its subspace (distance {p * gap:.3e})")
+        gap, allowance = _plain_norm(self.project(w) - w), MEMBERSHIP_RTOL * _plain_norm(w)
+        if gap > allowance:
+            raise ValueError(f"{what} is not in its subspace "
+                             f"(distance {p * gap:.3e}, allowance {p * allowance:.3e})")
         return x
 
     def complement(self) -> "Subspace":

@@ -275,9 +275,9 @@ def complement_product_radius(family):
 
 def reference_level(basis, tail, by_svd=False):
     """subspaces._factor_level as first written, through numpy's Python
-    wrappers: the cosines by np.linalg.norm(axis=0) clipped by np.clip,
-    the rank by np.sum; returns (w, sines, vh, cosines, rank).  The
-    residual r of a one-column basis is its own singular triple
+    wrappers: the cosines by np.linalg.norm(axis=0) of cv = C V clipped by
+    np.clip, the rank by np.sum; returns (w, sines, vh, cosines, rank, cv).
+    The residual r of a one-column basis is its own singular triple
     (np.linalg.norm(r), r / np.linalg.norm(r), [[1]]), r itself for w
     when its norm is 0; by_svd takes np.linalg.svd of every residual."""
     coef = tail.conj().T @ basis
@@ -288,11 +288,12 @@ def reference_level(basis, tail, by_svd=False):
         w, s, vh = res / top if top else res, np.array([top]), np.ones((1, 1), dtype=res.dtype)
     else:
         w, s, vh = np.linalg.svd(res, full_matrices=False)
-    cosines = np.clip(np.linalg.norm(coef @ vh.conj().T, axis=0), 0.0, 1.0)
+    cv = coef @ vh.conj().T
+    cosines = np.clip(np.linalg.norm(cv, axis=0), 0.0, 1.0)
     cosines[:max(0, basis.shape[1] - tail.shape[1])] = 0.0
     rank = int(np.sum(s > max(basis.shape) * np.finfo(np.float64).eps))
     w[:, :rank] -= tail @ (tail.conj().T @ w[:, :rank])
-    return w, s, vh, cosines, rank
+    return w, s, vh, cosines, rank, cv
 
 
 def reference_point(start, family, valid, report):

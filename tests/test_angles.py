@@ -265,7 +265,7 @@ class TestLineLevels:
             phase = np.exp(2j * np.pi * rng.uniform()) if field == COMPLEX else 1.0
             basis = (np.sqrt(1 - sine ** 2) * q[:, 0] + sine * phase * q[:, 10])[:, None]
             level = assert_level_is_reference(basis, q[:, :5])
-            w, sines, vh, cosines, rank = reference_level(basis, q[:, :5], by_svd=True)
+            w, sines, vh, cosines, rank, _ = reference_level(basis, q[:, :5], by_svd=True)
             assert level.rank == rank == (1 if multiple > 1.0 else 0)
             assert level.cosines.tobytes() == cosines.tobytes()
             assert abs(level.sines[0] - sines[0]) <= 2 * _EPS * sines[0]

@@ -292,6 +292,18 @@ class TestOperatorSystems:
             with pytest.raises(ValueError, match="not in the range"):
                 solve_operator_system([t], [y])
 
+    @pytest.mark.parametrize("delta", [1e-13, 1e-14])
+    def test_rhs_off_a_small_kept_singular_direction_is_refused(self, delta):
+        # y = (0, 1, 1) lies 1 off the range span(e0, e1) of T, whose kept
+        # direction e1 leans by at most 4 * 3 eps / delta under rounding,
+        # below that gap.  At delta = 2e-15 it would not be: y is then in the
+        # range of T + E, E = delta e2 e1^T, whose norm delta is below the
+        # operator's rounding 4 * 3 eps ||T||, so that case cannot be decided
+        t = np.array([[1.0, 0.0], [0.0, delta], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"right-hand side 1 is not in the range of its "
+                                             r"operator \(residual 1\.000e\+00, allowance"):
+            solve_operator_system([t], [np.array([0.0, 1.0, 1.0])])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator_is_refused(self, bad):
         t = np.array([[1.0, 0.0], [0.0, bad]])

@@ -39,7 +39,7 @@ from ibap.cli import (
     load_problem,
     main,
 )
-from ibap.subspaces import field_dtype
+from ibap.subspaces import MEMBERSHIP_RTOL, field_dtype
 
 from conftest import FIELDS, random_matrix, rng_for
 from oracles import parallel_subspace, save_problem
@@ -299,12 +299,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["direct", "recursion", "iterate"])
     def test_huge_prescription_off_its_subspace_exit_four(self, tmp_path, capsys, method):
-        # the squares of 1e200 overflow; the vector still lies 1e200 off U1
+        # the squares of 1e200 overflow; the vector still lies 1e200 off U1,
+        # against an allowance of MEMBERSHIP_RTOL times its norm
         doc = axes_doc()
         doc["prescription"][0] = [1e200, 1e200, 0]
         path = write_json(tmp_path / "huge.json", doc)
         assert main(["solve", path, "--method", method]) == EXIT_PARSE
-        assert "is not in its subspace (distance 1.000e+200)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "is not in its subspace (distance 1.000e+200, allowance 1.414e+192)" in err
 
     def test_missing_prescription_exit_four(self, tmp_path):
         path = write_json(tmp_path / "nopres.json", axes_doc(prescription=False))
@@ -677,11 +679,12 @@ class TestNormsAtExtremeScales:
     @pytest.mark.parametrize("k", [-600, -30, 30, 600])
     def test_rejections(self, tmp_path, capsys, k):
         # each rejection exits with its unit-scale code, and each distance
-        # it prints is the unit one times 2^k, exactly: the zero-sum
-        # prescription of three lines (its level's null part; its allowance
-        # is compared as printed, to four digits), a vector
-        # half a unit off its line, a dependent family without the
-        # recursion, dependent moment vectors and masks meeting in a comb
+        # and allowance it prints is the unit one times 2^k, exactly: the
+        # zero-sum prescription of three lines (its level's null part; its
+        # allowance is compared as printed, to four digits), a vector half
+        # a unit off its line (its allowance MEMBERSHIP_RTOL times its
+        # norm), a dependent family without the recursion, dependent
+        # moment vectors and masks meeting in a comb
         e = np.eye(3)
 
         def zero_sum(s):
@@ -707,14 +710,15 @@ class TestNormsAtExtremeScales:
                     "time_values": [s, -s, [0, s], 0.5 * s],
                     "freq_values": [s, [s, s], -s, 0, 2 * s]}
 
+        off_allowance = MEMBERSHIP_RTOL * math.hypot(1.0, 0.5)
         unit_r = infeasibility_certificate(build_family(load_problem(
             write_json(tmp_path / "zs.json", zero_sum(1.0)))), zero_sum(1.0)["prescription"]).residual
         for make, argv, code, numbers in (
                 (zero_sum, ["solve", "--method", "direct"], EXIT_INFEASIBLE, [unit_r]),
                 (zero_sum, ["iterate"], EXIT_INFEASIBLE, [unit_r]),
                 (zero_sum, ["solve", "--method", "recursion"], EXIT_NO_IBAP, []),
-                (off_line, ["solve", "--method", "direct"], EXIT_PARSE, [0.5]),
-                (off_line, ["iterate"], EXIT_PARSE, [0.5]),
+                (off_line, ["solve", "--method", "direct"], EXIT_PARSE, [0.5, off_allowance]),
+                (off_line, ["iterate"], EXIT_PARSE, [0.5, off_allowance]),
                 (planes, ["solve", "--method", "recursion"], EXIT_NO_IBAP, []),
                 (moments, ["moments"], EXIT_NO_IBAP, []),
                 (comb, ["signal"], EXIT_NO_IBAP, [])):
@@ -731,10 +735,11 @@ class TestNormsAtExtremeScales:
                 assert big_r == unit_r * 2.0 ** k
             unit, big = errs
             # the unit message with each of its distances scaled
+            assert all(format(value, ".3e") in unit for value in numbers)
             for value in numbers:
                 for spec in (".3e", ".6e"):
                     unit = unit.replace(format(value, spec), format(value * 2.0 ** k, spec))
-            if "allowance" in unit:
+            if code == EXIT_INFEASIBLE:
                 printed = unit.split("allowance ")[1].split(")")[0]
                 unit = unit.replace(f"allowance {printed}",
                                     f"allowance {float(printed) * 2.0 ** k:.3e}")

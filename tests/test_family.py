@@ -3,12 +3,14 @@ certificates, exact solving, and feasibility certificates."""
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from ibap import (
+    MEMBERSHIP_RTOL,
     Family,
     IbapFailureError,
     InfeasiblePrescriptionError,
@@ -521,9 +523,15 @@ class TestNormsAtExtremeScales:
             direct_solve(f, big)
         with pytest.raises(InfeasiblePrescriptionError):
             best_approximation(np.zeros(3), f, big)
-        with pytest.raises(ValueError, match="not in the range of its operator"):
+        # each refusal names its allowance, MEMBERSHIP_RTOL times the
+        # vector's norm here, and so 2^k times the unit one
+        gap = math.sqrt(2) * scale
+        with pytest.raises(ValueError, match=re.escape(
+                f"not in the range of its operator "
+                f"(residual {gap:.3e}, allowance {MEMBERSHIP_RTOL * gap:.3e})")):
             solve_operator_system([[[1.0, 0.0], [1.0, 0.0]]], [[scale, -scale]])
-        with pytest.raises(ValueError, match="not in its subspace"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"not in its subspace (distance {scale:.3e}, allowance {MEMBERSHIP_RTOL * scale:.3e})")):
             f[0].member(scale * e[2])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -730,6 +738,35 @@ class TestStackedRoute:
             pres[0] = pres[0] + 1e-3 * np.linalg.norm(x) * f[0].basis[:, 0]
             refused["contradiction"] += infeasibility_certificate(f, pres) is not None
         assert refused["feasible"] == 0 and refused["contradiction"] >= 1125
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-11, 1e-13])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_degenerate_level_with_a_small_kept_sine(self, field, s):
+        # U = span(e0, unit(e1 + s e2)) against T = span(e0, e1), with
+        # e0, ..., e5 a random orthonormal basis: the level meets T along e0
+        # and keeps one sine near s, far above the cutoff.  For x = g + e2 / s
+        # the step's coefficient is near 1 / s, and rounding turns the null
+        # direction toward the kept one by about eps / s, so a feasible
+        # prescription's null part reaches about eps / s; the allowance's
+        # lean term 4 n eps ||g[:r] / (sines[:r] - sines[r])|| covers it,
+        # while for x = g a contradiction of 1e-3 ||b|| along e0 is refused,
+        # at every scale 2^k
+        rng = rng_for(1603)
+        for _ in range(200):
+            e = random_orthogonal(rng, 6, field).T
+            kept = e[1] + s * e[2]
+            f = Family((Subspace.from_spanning([e[0], kept / np.linalg.norm(kept)], 6, field=field),
+                        Subspace.from_spanning([e[0], e[1]], 6, field=field)))
+            level = f._chain[0][0]
+            assert level.rank == 1 and level.sines[0] > 10 * 6 * np.finfo(float).eps
+            g = random_matrix(rng, 6, 1, field)[:, 0]
+            feasible = [sub.project(g + e[2] / s) for sub in f]
+            contradiction = [sub.project(g) for sub in f]
+            b = np.concatenate([sub.basis.conj().T @ u for sub, u in zip(f, contradiction)])
+            contradiction[0] = contradiction[0] + 1e-3 * np.linalg.norm(b) * e[0]
+            for k in (-30, 0, 30):
+                assert infeasibility_certificate(f, [u * 2.0 ** k for u in feasible]) is None
+                assert infeasibility_certificate(f, [u * 2.0 ** k for u in contradiction]) is not None
 
     @pytest.mark.parametrize("s", [3e-8, 1e-8, 1e-9])
     def test_three_lines_with_a_deficient_stack_are_solved(self, s):

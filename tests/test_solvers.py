@@ -28,11 +28,12 @@ from ibap import (
     slow_family,
     solve_min_norm,
     solve_two,
+    validate_prescription,
     verify_ibap,
     worst_aligned_start,
 )
 from ibap.angles import _pair
-from ibap.family import _level_step
+from ibap.family import _stages
 from ibap.solvers import _BLOCK, _FLOOR, _MAX_BLOCK, _sweep_map
 
 from conftest import (
@@ -130,8 +131,8 @@ class TestAffineProject:
 
 
 class TestResolvent:
-    """The level step applies (Id - P_u P_v)^(-1) to u - P_u v and
-    (Id - P_v P_u)^(-1) to v - P_v u, from the pair's residual SVD."""
+    """The level step (extend_min_norm) applies (Id - P_u P_v)^(-1) to
+    u - P_u v and (Id - P_v P_u)^(-1) to v - P_v u, from the pair's residual SVD."""
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_matches_power_series_oracle(self, field):
@@ -140,7 +141,7 @@ class TestResolvent:
             u = random_subspace(rng, 6, int(rng.integers(1, 4)), field)
             v = random_subspace(rng, 6, int(rng.integers(1, 4)), field)
             a, b = u.project(random_unit(rng, 6, field)), v.project(random_unit(rng, 6, field))
-            got = _level_step(_pair(u, v), u.basis, a, b)
+            got = extend_min_norm(u, v, a, b)
             expected = (neumann_inverse(u, v, a - u.project(b))
                         + neumann_inverse(v, u, b - v.project(a)))
             assert np.linalg.norm(got - expected) <= 1e-10
@@ -150,7 +151,7 @@ class TestResolvent:
         v = random_subspace(rng, 5, 2)
         w = v.project(random_unit(rng, 5))
         zero = zero_subspace(5)
-        assert np.allclose(_level_step(_pair(zero, v), zero.basis, np.zeros(5), w), w)
+        assert np.allclose(extend_min_norm(zero, v, np.zeros(5), w), w)
 
 
 class TestSolveTwo:
@@ -392,6 +393,19 @@ class TestDirectSolve:
             assert np.array_equal(solve_min_norm(f, pres), b)
             ref = pinv_min_norm(f, pres)
             assert np.linalg.norm(ref - b) <= 1e-8 * (1 + np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_an_independent_family_gives_the_last_stage(self, field):
+        # one pass over the level chain solves every family, and judges
+        # none that the chain shows independent: direct_solve's point is
+        # the recursion's last stage, bit for bit
+        rng = rng_for(717)
+        for _ in range(15):
+            f = random_family(rng, 8, random_independent_dims(rng, 8, 3), field)
+            pres = random_prescription(rng, f)
+            assert check_independence(f)
+            last = _stages(f, validate_prescription(f, pres))[-1]
+            assert np.array_equal(direct_solve(f, pres), last)
 
     def test_anchor_returns_the_closest_solution(self):
         rng = rng_for(716)
