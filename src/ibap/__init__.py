@@ -20,7 +20,6 @@ from .applications import (
     SlowFamilySpec,
     dft,
     dft_matrix,
-    idft,
     recover_with_measurements,
     slow_family,
     solve_moments,
@@ -54,7 +53,6 @@ from .solvers import (
     best_approximation,
     direct_solve,
     extend_min_norm,
-    min_norm_stages,
     prescription_residual,
     rate_bound,
     solve_min_norm,

@@ -8,9 +8,9 @@ truncation length, making alternating projections arbitrarily slow.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,27 +46,18 @@ def dft_rows(n: int, rows) -> np.ndarray:
     return roots[np.multiply.outer(np.asarray(rows, dtype=np.int64), np.arange(n)) % n]
 
 
-@lru_cache(maxsize=None)
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary discrete Fourier matrix, dft_rows of all n rows.
+    """Unitary discrete Fourier matrix, dft_rows of all n rows, as a new array.
 
-    Cached per length and returned read-only; forward and inverse carry
-    the same 1/sqrt(n) scaling, so frequency-support projectors are
-    orthogonal without weights.
+    Forward and inverse carry the same 1/sqrt(n) scaling, so
+    frequency-support projectors are orthogonal without weights.
     """
-    w = dft_rows(n, range(n))
-    w.setflags(write=False)
-    return w
+    return dft_rows(n, range(n))
 
 
 def dft(x) -> np.ndarray:
     """dft_matrix(n) @ x by the FFT, along the first axis."""
     return np.fft.fft(np.asarray(x, dtype=np.complex128), axis=0, norm="ortho")
-
-
-def idft(x) -> np.ndarray:
-    """dft_matrix(n).conj().T @ x by the FFT, along the first axis."""
-    return np.fft.ifft(np.asarray(x, dtype=np.complex128), axis=0, norm="ortho")
 
 
 def _validated_mask(mask, n: int, what: str) -> tuple:
@@ -101,6 +92,9 @@ class MaskedSignalProblem:
             raise ValueError(f"time values have shape {tvals.shape}, expected ({len(tmask)},)")
         if fvals.shape != (len(fmask),):
             raise ValueError(f"frequency values have shape {fvals.shape}, expected ({len(fmask)},)")
+        for name, vals in (("time", tvals), ("frequency", fvals)):
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{name} values have non-finite entries")
         tvals.setflags(write=False)
         fvals.setflags(write=False)
         object.__setattr__(self, "time_mask", tmask)
@@ -157,6 +151,15 @@ def _lines(vectors, values, what: str) -> list:
     return lines
 
 
+def _finite_values(values, what: str) -> list:
+    """values as complex numbers, refusing a non-finite one as what i."""
+    values = [complex(v) for v in values]
+    for i, z in enumerate(values):
+        if not cmath.isfinite(z):
+            raise ValueError(f"{what} {i + 1} is not finite")
+    return values
+
+
 def recover_with_measurements(problem: MaskedSignalProblem, measurements,
                               values) -> np.ndarray:
     """Masked time/frequency recovery with extra scalar measurements.
@@ -169,7 +172,7 @@ def recover_with_measurements(problem: MaskedSignalProblem, measurements,
     """
     measurements = [as_field_vector(m, problem.n, np.complex128, what=f"measurement {i + 1}")
                     for i, m in enumerate(measurements)]
-    values = [complex(v) for v in values]
+    values = _finite_values(values, "measurement value")
     if len(values) != len(measurements):
         raise ValueError(f"{len(measurements)} measurement vectors but {len(values)} values")
     time_set = set(problem.time_mask)
@@ -222,7 +225,7 @@ def _solve_moments(complement: Subspace, vectors, values) -> np.ndarray:
     for i, v in enumerate(vs):
         if not v.any():
             raise HypothesisError(f"moment vector {i + 1} is zero", level=i + 1)
-    etas = [complex(v) for v in values]
+    etas = _finite_values(values, "moment value")
     if complement.field != COMPLEX:
         for i, z in enumerate(etas):
             if z.imag != 0:

@@ -166,16 +166,17 @@ def _vector(values, n: int, field: str, what: str) -> np.ndarray:
 
 
 def _vector_value_entries(raw, n: int, field: str, what: str, path: str):
-    """(vectors, values) from a list of {"vector": ..., "value": ...} objects."""
+    """(vectors, values) from a list of {"vector": ..., "value": ...} objects,
+    the vectors as the rows of one array, converted by one _vectors call."""
     if not isinstance(raw, list):
         raise ParseError(f"{path}: {what}s must be a list")
-    vectors = []
-    values = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "vector" not in entry or "value" not in entry:
             raise ParseError(f"{path}: {what} {i + 1} needs 'vector' and 'value'")
-        vectors.append(_vector(entry["vector"], n, field, f"{what} vector {i + 1}"))
-        values.append(_scalar(entry["value"], field, f"{what} value {i + 1}"))
+    vectors = _vectors([entry["vector"] for entry in raw], n, field,
+                       lambda j: f"{what} vector {j}")
+    values = [_scalar(entry["value"], field, f"{what} value {i + 1}")
+              for i, entry in enumerate(raw)]
     return vectors, values
 
 

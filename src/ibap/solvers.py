@@ -1,14 +1,15 @@
 """Solvers for prescribed-projection problems.
 
-Three routes are provided and cross-checked by the test suite; each
+Two routes are provided and cross-checked by the test suite; each
 factorizes a family once (see Family) and shifts toward an anchor along
 the chain's orthonormal basis T of the sum of the members:
 
-* a finite recursion that extends a trailing minimal-norm solution one
-  level at a time, yielding the global minimal-norm solution; its level
-  step, the two-subspace solve, is also the solver for two constraints;
-* direct_solve: that recursion (stacked_lstsq), on a dependent family
-  cut at each level's rank and judging its null part in the same pass;
+* the finite recursion (stacked_lstsq), which extends a trailing
+  minimal-norm solution one level at a time to the global one:
+  direct_solve on any family, cut at each level's rank and judging a
+  dependent family's null part in the same pass; solve_min_norm behind
+  the IBAP gate (_require_independence, which rate_bound shares); and
+  its level step, the two-subspace solve, for two constraints;
 * the periodic projection iteration onto the affine constraint sets,
   with an a-priori linear rate bound from the level angles; each sweep
   is one small square map on the iterate's coordinates in the chain
@@ -32,7 +33,6 @@ from .family import (
     Family,
     IbapFailureError,
     _counted,
-    _stages,
     check_independence,
     stacked_lstsq,
     validate_prescription,
@@ -149,17 +149,6 @@ def _require_independence(family: Family) -> None:
             verify_ibap(family))
 
 
-def min_norm_stages(family: Family, prescription) -> list:
-    """Intermediate minimal-norm solutions of the trailing subsystems.
-
-    Entry j solves the last j+1 constraints; the final entry is the
-    minimal-norm solution of the whole prescription.  Requires the IBAP;
-    each level step comes from the family's cached level chain.
-    """
-    _require_independence(family)
-    return _stages(family, validate_prescription(family, prescription))
-
-
 def solve_min_norm(family: Family, prescription, anchor=None) -> np.ndarray:
     """Minimal-norm solution of the prescribed-projection problem, or with
     an anchor the solution closest to it: direct_solve on a family that
@@ -206,11 +195,8 @@ def rate_bound(family: Family) -> float:
     in exact arithmetic, but in double precision it rounds to 1.0 once
     the smallest level angle is below about 1e-8.
     """
-    report = verify_ibap(family)
-    if not report.verdict:
-        raise IbapFailureError("rate bound presupposes the inverse best approximation property",
-                               report)
-    return report.alpha
+    _require_independence(family)
+    return verify_ibap(family).alpha
 
 
 def _sweep_map(t: np.ndarray, live: list, start: np.ndarray):

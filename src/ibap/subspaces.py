@@ -305,10 +305,6 @@ class Subspace:
             as_field_vector(v, ambient_dim, field_dtype(field or COMPLEX),
                             what=f"spanning vector {i}")
 
-    @classmethod
-    def full(cls, ambient_dim: int, field: str = REAL) -> "Subspace":
-        return cls(np.eye(ambient_dim, dtype=field_dtype(field)))
-
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
@@ -328,8 +324,6 @@ class Subspace:
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of x onto this subspace."""
         x = as_field_vector(x, self.ambient_dim, self.dtype)
-        if self.dim == 0:
-            return np.zeros(self.ambient_dim, dtype=self.dtype)
         return self.basis @ (self.basis.conj().T @ x)
 
     def member(self, x, what: str = "vector") -> np.ndarray:

@@ -499,20 +499,25 @@ class TestMomentsCommand:
 
 
 class TestConstraintErrorOrder:
-    """The constraints are read one entry at a time: where any entry is
-    refused, the first error in document order is the one reported."""
+    """The constraints are read in three passes: every entry's keys, then
+    all the vectors in one conversion, then every value.  The first pass
+    that refuses an entry reports its first error in document order."""
 
     @pytest.mark.parametrize("constraints, message", [
         ([{"vector": [1, 0, 0], "value": True}, {"vector": [0, 1], "value": 1}],
-         "constraint value 1: booleans are not numbers"),
+         "constraint vector 2: has 2 entries, expected 3"),
         ([{"vector": [1, "x", 0], "value": 1}, {"vector": [0, 1, 0]}],
-         "constraint vector 1[1]: expected a number or [re, im] pair, got 'x'"),
+         "<path>: constraint 2 needs 'vector' and 'value'"),
+        ([{"vector": [1, 0, 0], "value": 1}, {"vector": [1, "x", 0], "value": 1}],
+         "constraint vector 2[1]: expected a number or [re, im] pair, got 'x'"),
         ([{"vector": [1, 0], "value": 1}, {"vector": [0, 1, 0], "value": False}],
          "constraint vector 1: has 2 entries, expected 3"),
+        ([{"vector": [1, 0, 0], "value": "a"}, {"vector": [0, 1, 0], "value": False}],
+         "constraint value 1: expected a number or [re, im] pair, got 'a'"),
         ([{"vector": [1, 0, 0], "value": 1}, [0, 1, 0]],
          "<path>: constraint 2 needs 'vector' and 'value'"),
-    ], ids=["value-before-short-vector", "vector-before-malformed-entry",
-            "short-vector-before-value", "malformed-entry"])
+    ], ids=["vectors-before-values", "keys-before-vectors", "bad-entry",
+            "first-bad-vector", "first-bad-value", "malformed-entry"])
     def test_the_first_error_in_document_order(self, tmp_path, capsys, constraints, message):
         path = write_json(tmp_path / "mom.json",
                           {"field": "real", "ambient_dim": 3, "constraints": constraints})
@@ -780,7 +785,7 @@ class TestSignalCommand:
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("solution:"))
         got = np.array([complex(re, im) for re, im in json.loads(line.split("solution: ")[1])])
-        assert np.allclose(got, np.ones(4), atol=1e-10)  # idft of 2 e_0 with n = 4
+        assert np.allclose(got, np.ones(4), atol=1e-10)  # the inverse transform of 2 e_0 with n = 4
 
     def test_only_the_sampled_rows_are_transformed(self, tmp_path, monkeypatch, capsys):
         # the supports, the prescribed point and the frequency residual come
@@ -915,7 +920,7 @@ class TestSlowdemoCommand:
         assert main(["slowdemo", "--alphas", "[1e-300]"]) == EXIT_NO_IBAP
         captured = capsys.readouterr()
         assert runs == [] and captured.out == ""
-        assert captured.err == ("property failure: rate bound presupposes the inverse "
+        assert captured.err == ("property failure: family does not satisfy the inverse "
                                 "best approximation property\n")
 
     def test_missing_arguments_exit_four(self):

@@ -49,7 +49,6 @@ from ibap import (
     direct_solve,
     infeasibility_certificate,
     intersect,
-    min_norm_stages,
     recover_with_measurements,
     solve_min_norm,
     solve_moments,
@@ -171,7 +170,6 @@ def tuple_of(f, pres):
 #: its thin SVDs, its least-squares solves)
 CHAINS = {
     "verify_ibap": (lambda f, pres: verify_ibap(f), "generic", LEVELS, []),
-    "min_norm_stages": (lambda f, pres: min_norm_stages(f, pres), "generic", LEVELS, []),
     "solve_min_norm": (lambda f, pres: solve_min_norm(f, pres), "generic", LEVELS, []),
     "solve_min_norm-anchor": (lambda f, pres: solve_min_norm(f, pres, anchor=np.ones(N)),
                               "generic", LEVELS, []),

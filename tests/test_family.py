@@ -107,7 +107,7 @@ class TestIndependence:
         with pytest.raises(ValueError):
             Family(())
         with pytest.raises(ValueError):
-            Family((Subspace.full(2), Subspace.full(3)))
+            Family((Subspace(np.eye(2)), Subspace(np.eye(3))))
 
 
 class TestVerifyIbap:

@@ -9,7 +9,7 @@ PUBLIC_NAMES = {
     # angles
     "angle_identity_gap", "cos_friedrichs", "projector_product_norm",
     # applications
-    "HypothesisError", "MaskedSignalProblem", "SlowFamilySpec", "dft", "dft_matrix", "idft",
+    "HypothesisError", "MaskedSignalProblem", "SlowFamilySpec", "dft", "dft_matrix",
     "recover_with_measurements", "slow_family", "solve_moments", "solve_operator_system",
     "time_frequency_recover", "worst_aligned_start",
     # family
@@ -20,7 +20,7 @@ PUBLIC_NAMES = {
     "uniqueness_check", "validate_prescription", "verify_ibap",
     # solvers
     "AffineConstraint", "ConvergenceTrace", "SolveOptions", "affine_project",
-    "best_approximation", "direct_solve", "extend_min_norm", "min_norm_stages",
+    "best_approximation", "direct_solve", "extend_min_norm",
     "prescription_residual", "rate_bound", "solve_min_norm", "solve_two",
     # subspaces
     "COMPLEX", "MEMBERSHIP_RTOL", "ORTHONORMALITY_TOL", "REAL", "Subspace", "add",

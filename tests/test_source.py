@@ -1,6 +1,7 @@
 """The package's source, read with the standard library's ast: no module
-imports a name it does not use, and no module-level private function is
-left without a caller."""
+imports a name it does not use, no module-level private function is
+left without a caller, and one function refuses a family without the
+property."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,17 @@ def test_every_private_function_has_a_caller(module):
             callers = [name for tree in TREES.values()
                        for name in names_read(tree, skip=fn) if name == fn.name]
             assert callers, f"{module}: {fn.name} is referenced nowhere in the package"
+
+
+def constructs_property_failure(node):
+    return isinstance(node, ast.Call) and "IbapFailureError" in set(names_read(node.func))
+
+
+def test_one_function_constructs_the_property_failure():
+    # one gate refuses a family without the IBAP, so every refusal reads alike
+    calls = [node for tree in TREES.values() for node in ast.walk(tree)
+             if constructs_property_failure(node)]
+    sites = [(module, fn.name) for module, tree in TREES.items() for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if constructs_property_failure(node)]
+    assert len(calls) == 1 and sites == [("solvers.py", "_require_independence")]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ibap import COMPLEX, REAL, Family, Subspace, add, angle_identity_gap, inner, intersect
-from ibap.subspaces import MEMBERSHIP_RTOL, _orthonormal_columns, _span_and_complement
+from ibap.subspaces import MEMBERSHIP_RTOL, _orthonormal_columns, _span_and_complement, field_dtype
 
 from conftest import (FIELDS, random_matrix, random_orthogonal, random_subspace, random_unit,
                       rng_for)
@@ -136,12 +136,12 @@ class TestMember:
     @pytest.mark.parametrize("field", FIELDS)
     def test_non_finite_entries_are_an_error(self, field, bad):
         # a NaN distance compares false against any bound
-        u = Subspace.full(3, field=field)
+        u = Subspace(np.eye(3, dtype=field_dtype(field)))
         with pytest.raises(ValueError, match="point has non-finite entries"):
             u.member(np.array([bad, 0.0, 0.0]), what="point")
 
     def test_non_finite_imaginary_part_is_an_error(self):
-        u = Subspace.full(2, field=COMPLEX)
+        u = Subspace(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="non-finite"):
             u.member(np.array([complex(0.0, np.inf), 0.0]))
 
@@ -204,7 +204,7 @@ class TestComplement:
         assert np.max(np.abs(c.basis.conj().T @ u.basis)) <= 1e-12
 
     def test_full_space_has_zero_complement(self):
-        assert Subspace.full(4).complement().dim == 0
+        assert Subspace(np.eye(4)).complement().dim == 0
 
     def test_zero_subspace_has_full_complement(self):
         assert zero_subspace(4).complement().dim == 4
@@ -327,14 +327,14 @@ class TestSumAndIntersection:
                 assert np.linalg.norm(v.project(col) - col) <= 1e-10
 
     def test_mixed_field_is_an_error(self):
-        u = Subspace.full(3, REAL)
-        v = Subspace.full(3, COMPLEX)
+        u = Subspace(np.eye(3))
+        v = Subspace(np.eye(3, dtype=complex))
         with pytest.raises(ValueError):
             add(u, v)
 
     def test_ambient_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
-            add(Subspace.full(3), Subspace.full(4))
+            add(Subspace(np.eye(3)), Subspace(np.eye(4)))
 
     @pytest.mark.parametrize("swap", [False, True], ids=["ab", "ba"])
     @pytest.mark.parametrize("field", FIELDS)
@@ -408,7 +408,7 @@ class TestProjectorProperties:
 
 class TestImmutability:
     def test_basis_is_read_only(self):
-        u = Subspace.full(3)
+        u = Subspace(np.eye(3))
         with pytest.raises(ValueError):
             u.basis[0, 0] = 7.0
 
