@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import Family, check_independence, verify_ibap
+from .family import Family, _degenerate_level
 from .solvers import solve_min_norm
 from .subspaces import (COMPLEX, MEMBERSHIP_RTOL, _EPS, Subspace, _binary_scale, _integer,
                         _lean, _norm, _plain_norm, _rank_from_singular_values, as_field_vector)
@@ -23,7 +23,9 @@ from .subspaces import (COMPLEX, MEMBERSHIP_RTOL, _EPS, Subspace, _binary_scale,
 class HypothesisError(ValueError):
     """A structural hypothesis of an application reduction fails.
 
-    level, when set, is the 1-based index of the offending constraint.
+    level, when set, is the 1-based index of the offending member: moment
+    vector, measurement or operator i; a signal's family lists its
+    measurement lines first, so level (measurements) + 1 is the time support.
     """
 
     def __init__(self, message: str, level: int | None = None):
@@ -192,9 +194,9 @@ def recover_with_measurements(problem: MaskedSignalProblem, measurements,
     (u_time, a_ext), (u_freq, b_sig) = _signal_constraints(problem)
     lines = _lines(measurements, values, "measurement")
     family = Family(tuple(sub for sub, _ in lines) + (u_time, u_freq))
-    if not check_independence(family):
+    if (level := _degenerate_level(family)) is not None:
         raise HypothesisError("masks too large: the time and frequency supports and the "
-                              "measurements are linearly dependent")
+                              "measurements are linearly dependent", level=level)
     return solve_min_norm(family, [u for _, u in lines] + [a_ext, b_sig])
 
 
@@ -233,9 +235,9 @@ def _solve_moments(complement: Subspace, vectors, values) -> np.ndarray:
         etas = [z.real for z in etas]
     lines = _lines(vs, etas, "moment vector")
     family = Family(tuple(sub for sub, _ in lines) + (complement,))
-    if not check_independence(family):
+    if (level := _degenerate_level(family)) is not None:
         raise HypothesisError("the moment vectors are linearly dependent or their span "
-                              "meets the orthocomplement of the space")
+                              "meets the orthocomplement of the space", level=level)
     return solve_min_norm(family, [u for _, u in lines] + [np.zeros(n, dtype=complement.dtype)])
 
 
@@ -245,7 +247,13 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
     Each right-hand side must lie in the range of its operator, within
     MEMBERSHIP_RTOL of its norm plus the rounding of that range, and every
     kernel must together with the intersection of the later kernels cover
-    the whole space; the deficient level is reported otherwise.
+    the whole space; the deficient level is reported otherwise.  Where an
+    operator has a singular value near its rounding, an accepted x may
+    leave ||T x - y|| large, but its normwise backward error
+    ||T x - y|| / (||T|| ||x|| + ||y||) stays of the order of eps (Rigal and
+    Gaches, 1967; Higham, 2002, Thm 7.1): x solves exactly a system whose
+    T and y each move that much, relative.  T = [[1, 0], [0, 2e-15], [0, 0]]
+    and y = (0, 1, 1) give a residual of 1 and a backward error of 9 eps.
     """
     mats = [np.atleast_2d(np.asarray(t)) for t in operators]
     rhs = list(rhs)
@@ -283,11 +291,10 @@ def solve_operator_system(operators, rhs) -> np.ndarray:
         points.append(q[:, :r] @ (c / s[:r]))
         row_spaces.append(Subspace(q[:, :r]))
     family = Family(tuple(row_spaces))
-    if not check_independence(family):
-        # ker T_i + (later kernels) is the whole space exactly when the
-        # row space of T_i meets the sum of the later row spaces trivially,
-        # which is when its level is not degenerate
-        level = next(lev.index for lev in verify_ibap(family).levels if lev.degenerate)
+    # ker T_i + (later kernels) is the whole space exactly when the row
+    # space of T_i meets the sum of the later row spaces trivially, which
+    # is when its level is not degenerate
+    if (level := _degenerate_level(family)) is not None:
         raise HypothesisError(
             f"kernel overlap condition fails at level {level}: "
             "the kernel plus the intersection of the later kernels "

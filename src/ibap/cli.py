@@ -28,7 +28,7 @@ import os
 import re
 import reprlib
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -312,7 +312,6 @@ def _report_dict(report: IbapReport, unique: bool) -> dict:
         "alpha": report.alpha,
         "sum_dims": report.sum_dims,
         "dim_sum": report.dim_sum,
-        "sums_closed": True,
         "levels": [{**lev._asdict(), "gamma": None if math.isinf(lev.gamma) else lev.gamma}
                    for lev in report.levels],
     }
@@ -332,7 +331,6 @@ def _print_report(doc: dict, family: Family, names) -> None:
               f"  cos angle = {lev['cos_angle']:.12g}  gamma = {gamma}{flag}")
     print(f"rate bound alpha: {doc['alpha']:.12g}")
     print(f"sum of dims: {doc['sum_dims']}  dim of sum: {doc['dim_sum']}")
-    print(f"trailing sums closed: {'yes' if doc['sums_closed'] else 'no'} (finite dimension)")
     print(f"unique solutions: {'yes' if doc['unique'] else 'no'}")
 
 
@@ -377,16 +375,12 @@ def _repr_column(values) -> list:
 
 
 def _write_trace_csv(path: str | None, trace) -> None:
-    """With a path, write the trace as CSV (repr fields, CRLF line ends) and say so.
-
-    The rows are zipped from the trace's columns and bounds, each formatted
-    by one _repr_column.
-    """
+    """With a path, write the trace, recorded with record_trace, as CSV: each
+    column, bounds included, by one _repr_column, CRLF line ends; and say so."""
     if not path:
         return
     columns = [list(range(1, trace.sweeps + 1)), trace.residuals, trace.distances, trace.bounds]
-    fields = [_repr_column(c) if c is not None else repeat("") for c in columns]
-    rows = "\r\n".join(map(",".join, zip(*fields)))
+    rows = "\r\n".join(map(",".join, zip(*map(_repr_column, columns))))
     _write_text(path, f"iter,max_residual,dist_to_solution,bound\r\n{rows}\r\n")
     print(f"trace written to {path}")
 
@@ -444,9 +438,8 @@ def cmd_iterate(args) -> int:
     prescription = _require_prescription(problem, args.problem)
     x, trace = _iterate(args, family, prescription, problem.anchor, bool(args.trace))
     _write_trace_csv(args.trace, trace)
-    alpha = "none" if trace.alpha is None else f"{trace.alpha!r}"
     print(f"sweeps: {trace.sweeps}  converged: {'yes' if trace.converged else 'no'}")
-    print(f"rate bound alpha: {alpha}")
+    print(f"rate bound alpha: {trace.alpha!r}")
     print(f"solution: {_fmt_vector(x, problem.field)}")
     print(f"max residual: {trace.residuals[-1]:.6e}")
     return EXIT_OK

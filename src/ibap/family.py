@@ -163,8 +163,8 @@ class IbapReport(NamedTuple):
     verdict coincides with linear independence of the subspaces, the
     exact finite-dimensional criterion, decided by the ranks of the level
     chain; alpha is the a-priori linear rate bound of the periodic
-    projection iteration (1.0 when no uniform guarantee exists).  With
-    the property, alpha is below 1 in exact arithmetic, but in double
+    projection iteration, which holds on every family for every feasible
+    prescription.  alpha is below 1 in exact arithmetic, but in double
     precision it rounds to 1.0 once the smallest level angle is below
     about 1e-8.
     """
@@ -195,6 +195,11 @@ def check_independence(family: Family) -> bool:
     return family.dim_sum == sum(family.dims)
 
 
+def _degenerate_level(family: Family) -> int | None:
+    """The 1-based index of the first degenerate level, or None where independent."""
+    return next((i + 1 for i, lev in enumerate(family._chain[0]) if lev.degenerate), None)
+
+
 def dependent_tuple(family: Family):
     """A nonzero tuple (u_i) with u_i in U_i and sum zero, or None.
 
@@ -204,9 +209,10 @@ def dependent_tuple(family: Family):
     z = B_i n in the later members' sum; one least-squares solve writes z =
     sum_(j>i) B_j c_j, and the tuple is (0, ..., 0, z, -B_j c_j, ...), scaled.
     """
-    if check_independence(family):
+    level = _degenerate_level(family)
+    if level is None:
         return None
-    i, lev = next((i, lev) for i, lev in enumerate(family._chain[0]) if lev.degenerate)
+    i, lev = level - 1, family._chain[0][level - 1]
     z = family[i].basis @ lev.vh[lev.rank].conj()
     later = family.subspaces[i + 1:]
     coeff = np.linalg.lstsq(np.concatenate([s.basis for s in later], axis=1), z, rcond=None)[0]
@@ -224,10 +230,11 @@ def verify_ibap(family: Family) -> IbapReport:
     of U_i against its trailing sum gives its norm, Friedrichs cosine and
     gamma (see subspaces._Level), and is flagged degenerate exactly when its
     gamma is infinite, so the verdict holds exactly when no level is
-    degenerate.  alpha is sqrt(1 - prod_i s_i^2) over the sines
-    s_i paired with the level cosines c_i: since c(M, N) = c(M-perp,
-    N-perp), these are the angles between each complement and the
-    intersection of the later complements that bound the iteration rate.
+    degenerate.  alpha is sqrt(1 - prod_i s_i^2) over the levels' Friedrichs
+    sines s_i (1 at rank 0): since c(M, N) = c(M-perp, N-perp), they are the
+    angles between each complement and the intersection of the later
+    complements, which bound the iteration rate on every family (Smith,
+    Solmon and Wagner, 1977; Deutsch and Hundal, 2006).
     Degenerate numerics never raise.
     """
     independent = check_independence(family)
@@ -235,9 +242,7 @@ def verify_ibap(family: Family) -> IbapReport:
     levels = tuple(LevelCertificate(index=i + 1, norm=lev.norm, cos_angle=lev.cos_angle,
                                     gamma=lev.gamma, degenerate=lev.degenerate)
                    for i, lev in enumerate(chain))
-    alpha = 1.0
-    if independent:
-        alpha = math.sqrt(max(0.0, 1.0 - math.prod(lev.sine ** 2 for lev in chain)))
+    alpha = math.sqrt(max(0.0, 1.0 - math.prod(lev.sine ** 2 for lev in chain)))
     return IbapReport(verdict=independent, independent=independent, levels=levels,
                       alpha=alpha, sum_dims=sum(family.dims), dim_sum=family.dim_sum)
 

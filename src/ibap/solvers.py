@@ -92,7 +92,7 @@ class ConvergenceTrace(NamedTuple):
 
     residuals: tuple
     distances: tuple | None
-    alpha: float | None
+    alpha: float
     initial_distance: float
     converged: bool
 
@@ -101,10 +101,8 @@ class ConvergenceTrace(NamedTuple):
         return len(self.residuals)
 
     @property
-    def bounds(self) -> list | None:
-        """The bound alpha^n * d0 of each sweep n, or None without alpha."""
-        if self.alpha is None:
-            return None
+    def bounds(self) -> list:
+        """The bound alpha^n * d0 of each sweep n, alpha the family's rate bound."""
         alpha, d0 = self.alpha, self.initial_distance
         return [alpha ** n * d0 for n in range(1, self.sweeps + 1)]
 
@@ -188,13 +186,9 @@ def _direct(family: Family, valid: list, anchor) -> np.ndarray:
 
 
 def rate_bound(family: Family) -> float:
-    """A-priori linear rate of the periodic projection iteration.
-
-    Computed from the Friedrichs angle cosines of the levels of
-    verify_ibap; the family must satisfy the IBAP.  The bound is below 1
-    in exact arithmetic, but in double precision it rounds to 1.0 once
-    the smallest level angle is below about 1e-8.
-    """
+    """verify_ibap's alpha, the a-priori linear rate of the periodic
+    projection iteration, behind the recursion's IBAP gate; it rounds to
+    1.0 once the smallest level angle is below about 1e-8."""
     _require_independence(family)
     return verify_ibap(family).alpha
 
@@ -253,39 +247,37 @@ def best_approximation(start, family: Family, prescription,
     """Periodic projection iteration from `start` onto the solution set.
 
     Each validated prescription vector is projected onto its subspace
-    once; the sweeps, the residuals and an independent family's reference
-    solution use those projected vectors, and a dependent family's
-    reference, which stacked_lstsq may refuse, the validated ones.  The
-    reference is direct_solve's toward start; nothing is validated again.
-    The sweeps move x = start + T y only inside the sum, whose orthonormal
-    basis T the level chain holds, so each is one (d+1)-square map of
-    [y; 1], d = dim_sum, built once per call: the affine projectors from
-    the last constraint to the first, up to rounding.  The residual
+    once, for the sweeps and the residuals; the reference is direct_solve's
+    toward start on the validated vectors, which stacked_lstsq may refuse
+    on a dependent family.  Nothing is validated again.  The sweeps move
+    x = start + T y only inside the sum, whose orthonormal basis T the
+    level chain holds, so each is one (d+1)-square map of [y; 1],
+    d = dim_sum, built once per call: the affine projectors from the last
+    constraint to the first, up to rounding.  The residual
     max_i ||Q_i^H x - Q_i^H u_i|| is taken in the same coordinates.  The
     run stops when it reaches options.tol, after options.max_iter sweeps,
     or after a block that lies within the rounding floor
     _FLOOR * eps * max(||start||, ||reference||) and ends no lower than it
     began: its sweeps have stopped falling.  The trace holds each sweep's
-    residual, converged (whether tol was reached) and, only with
-    options.record_trace, the distance ||y - c||, c = T^H (reference -
-    start), to the true best approximation; with the IBAP, the bound values
-    alpha^n * d0.  d0, and for a start or reference of extreme size the
-    norms of each block, are taken of vectors scaled by a power of two, so
-    that no square overflows.  Only the map runs per sweep, the rest once
-    per block, bit for bit as one sweep at a time: the first block has
-    _BLOCK sweeps, each later one up to twice the one before and at most
-    _MAX_BLOCK, ending about where the previous block's mean residual
-    ratio reaches tol.  Sweeps past the stopping one are dropped; the
-    point is formed once, at the stop.  Returns (point, trace).
+    residual, converged (whether tol was reached), verify_ibap's alpha and,
+    only with options.record_trace, the distance ||y - c||,
+    c = T^H (reference - start), to the true best approximation.  d0, and
+    for a start or reference of extreme size the norms of each block, are
+    taken of vectors scaled by a power of two, so that no square
+    overflows.  Only the map runs per sweep, the rest once per block, bit
+    for bit as one sweep at a time: the first block has _BLOCK sweeps, each
+    later one up to twice the one before and at most _MAX_BLOCK, ending
+    about where the previous block's mean residual ratio reaches tol.
+    Sweeps past the stopping one are dropped; the point is formed once, at
+    the stop.  Returns (point, trace).
     """
     opts = options if options is not None else SolveOptions()
     subs = family.subspaces
     valid = validate_prescription(family, prescription)
     pres = [s.project(u) for s, u in zip(subs, valid)]
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
-    report = verify_ibap(family)
-    alpha = report.alpha if report.verdict else None
-    reference = _direct(family, pres if report.verdict else valid, start)
+    alpha = verify_ibap(family).alpha
+    reference = _direct(family, valid, start)
     diff = start - reference
     d0 = _norm(diff)
     # zero-dimensional members are exact identities and drop out

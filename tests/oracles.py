@@ -46,7 +46,6 @@ from ibap import (
     field_dtype,
     prescription_residual,
     slow_family,
-    solve_min_norm,
     validate_prescription,
     verify_ibap,
 )
@@ -296,14 +295,9 @@ def reference_level(basis, tail, by_svd=False):
     return w, s, vh, cosines, rank, cv
 
 
-def reference_point(start, family, valid, report):
-    """The solution closest to start by the public calls best_approximation
-    makes, from the validated prescription `valid`: the recursion on the
-    vectors projected onto their subspaces for an independent family, else
-    direct_solve on the vectors as validated."""
-    if report.verdict:
-        pres = [s.project(u) for s, u in zip(family.subspaces, valid)]
-        return solve_min_norm(family, pres, anchor=start)
+def reference_point(start, family, valid):
+    """The solution closest to start by the public call best_approximation
+    makes: direct_solve on the validated prescription `valid`."""
     return direct_solve(family, valid, anchor=start)
 
 
@@ -313,14 +307,13 @@ def reference_iteration(start, family, prescription, options=None):
     affine_project per constraint, prescription_residual per sweep, and
     np.linalg.norm for the distances.  Returns (x, trace, bounds): the
     point and trace as best_approximation returns them, and the bound
-    alpha^n * d0 taken at each sweep n (None without alpha)."""
+    alpha^n * d0 taken at each sweep n."""
     opts = options if options is not None else SolveOptions()
     valid = validate_prescription(family, prescription)
     pres = [s.project(u) for s, u in zip(family.subspaces, valid)]
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
-    report = verify_ibap(family)
-    alpha = report.alpha if report.verdict else None
-    reference = reference_point(start, family, valid, report)
+    alpha = verify_ibap(family).alpha
+    reference = reference_point(start, family, valid)
     d0 = float(np.linalg.norm(start - reference))
     constraints = [AffineConstraint(s, u) for s, u in zip(family.subspaces, pres)]
     x = start
@@ -333,15 +326,14 @@ def reference_iteration(start, family, prescription, options=None):
         residuals.append(res)
         if opts.record_trace:
             dists.append(float(np.linalg.norm(x - reference)))
-        if alpha is not None:
-            bounds.append(alpha ** n * d0)
+        bounds.append(alpha ** n * d0)
         if res <= opts.tol:
             converged = True
             break
     trace = ConvergenceTrace(residuals=tuple(residuals),
                              distances=tuple(dists) if opts.record_trace else None,
                              alpha=alpha, initial_distance=d0, converged=converged)
-    return x, trace, bounds if alpha is not None else None
+    return x, trace, bounds
 
 
 def one_map_iteration(start, family, prescription, options=None):
@@ -358,9 +350,8 @@ def one_map_iteration(start, family, prescription, options=None):
     valid = validate_prescription(family, prescription)
     pres = [s.project(u) for s, u in zip(subs, valid)]
     start = as_field_vector(start, family.ambient_dim, family.dtype, what="start")
-    report = verify_ibap(family)
-    alpha = report.alpha if report.verdict else None
-    reference = reference_point(start, family, valid, report)
+    alpha = verify_ibap(family).alpha
+    reference = reference_point(start, family, valid)
     d0 = float(np.linalg.norm(start - reference))
     # zero-dimensional members are exact identities and drop out
     live = [(s.basis, u) for s, u in zip(subs, pres) if s.dim]
@@ -387,15 +378,14 @@ def one_map_iteration(start, family, prescription, options=None):
                 v = (y[:-1] - c).view(np.float64)
                 dist = math.sqrt((v * v).sum())
             dists.append(dist)
-        if alpha is not None:
-            bounds.append(alpha ** n * d0)
+        bounds.append(alpha ** n * d0)
         if res <= opts.tol:
             converged = True
             break
     trace = ConvergenceTrace(residuals=tuple(residuals),
                              distances=tuple(dists) if opts.record_trace else None,
                              alpha=alpha, initial_distance=d0, converged=converged)
-    return x, trace, bounds if alpha is not None else None
+    return x, trace, bounds
 
 
 def slow_trace(spec, start, options=None):

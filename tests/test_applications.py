@@ -141,6 +141,23 @@ class TestMoments:
         with pytest.raises(HypothesisError, match="orthocomplement"):
             solve_moments(space, [np.eye(3)[:, 1]], [1.0])
 
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("space, vectors", [
+        # e0 lies in the span of the vectors after it
+        (np.eye(3), [[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+        # e2 spans the orthocomplement of the space, the family's last member
+        (np.eye(3)[:, :2], [[1, 0, 0], [0, 0, 1]]),
+    ], ids=["dependent-vectors", "meets-the-complement"])
+    def test_the_refusal_names_the_moment_vector(self, field, space, vectors):
+        # the family's first degenerate level is moment vector 2
+        dtype = field_dtype(field)
+        space = Subspace(np.asarray(space, dtype=dtype))
+        vectors = np.asarray(vectors, dtype=dtype)
+        with pytest.raises(HypothesisError, match="linearly dependent or .* orthocomplement") \
+                as err:
+            solve_moments(space, vectors, [1.0] * len(vectors))
+        assert err.value.level == 2
+
     def test_zero_vector_is_refused(self):
         with pytest.raises(HypothesisError):
             solve_moments(Subspace(np.eye(3)), [np.zeros(3)], [1.0])
@@ -578,6 +595,30 @@ class TestRecoverWithMeasurements:
         m[[0, 1]] = 0.0
         with pytest.raises(HypothesisError, match="masks too large"):
             recover_with_measurements(p, [m], [1.0])
+
+    def test_the_refusal_names_the_dependent_measurement(self):
+        # the frequency support {0, 4} holds the indicators of the even and
+        # the odd indices, so measurement 2, e2 + e4 + e6, lies in its sum
+        # with the time support {0}, while measurement 1, e1, does not
+        p = MaskedSignalProblem(n=8, time_mask=(0,), freq_mask=(0, 4),
+                                time_values=np.ones(1), freq_values=np.ones(2))
+        m1, m2 = np.zeros((2, 8), dtype=complex)
+        m1[1] = 1.0
+        m2[[2, 4, 6]] = 1.0
+        with pytest.raises(HypothesisError, match="masks too large") as err:
+            recover_with_measurements(p, [m1, m2], [1.0, 1.0])
+        assert err.value.level == 2
+
+    @pytest.mark.parametrize("measurements", [0, 1])
+    def test_the_refusal_names_the_time_support(self, measurements):
+        # (1, 0, 1, 0) lies in the time support {0, 2} and in the frequency
+        # support {0, 2}, but e1 lies in neither nor in their sum: the time
+        # support is the level after the measurements
+        p = MaskedSignalProblem(n=4, time_mask=(0, 2), freq_mask=(0, 2),
+                                time_values=np.ones(2), freq_values=np.ones(2))
+        with pytest.raises(HypothesisError, match="masks too large") as err:
+            recover_with_measurements(p, [np.eye(4)[1]] * measurements, [1.0] * measurements)
+        assert err.value.level == measurements + 1
 
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     def test_tiny_and_huge_measurements_scale_out(self, scale):

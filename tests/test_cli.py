@@ -177,7 +177,7 @@ class TestCheck:
         assert main(["check", path, "--json-out", str(out)]) == EXIT_NO_IBAP
         assert out.read_bytes() == (
             b'{\n "verdict": false,\n "independent": false,\n "unique": true,\n'
-            b' "alpha": 1.0,\n "sum_dims": 4,\n "dim_sum": 3,\n "sums_closed": true,\n'
+            b' "alpha": 0.0,\n "sum_dims": 4,\n "dim_sum": 3,\n'
             b' "levels": [\n  {\n   "index": 1,\n   "norm": 1.0,\n   "cos_angle": 0.0,\n'
             b'   "gamma": null,\n   "degenerate": true\n  }\n ]\n}\n')
 
@@ -382,6 +382,25 @@ class TestIterate:
         dists = [float(r[2]) for r in rows]
         ratios = [dists[k + 1] / dists[k] for k in range(len(dists) - 1) if dists[k] > 1e-12]
         assert abs(max(ratios) - predicted_sq) <= 1e-6
+
+    def test_a_dependent_feasible_family_prints_its_bound(self, tmp_path, capsys):
+        # the lines e0 and e0 + e1 and the plane span(e0, e1 + e2 / 2) are
+        # dependent; the prescription is the projections of (1, 2, 3)
+        doc = {"field": "real", "ambient_dim": 3,
+               "subspaces": [{"vectors": [[1, 0, 0]]}, {"vectors": [[1, 1, 0]]},
+                             {"vectors": [[1, 0, 0], [0, 1, 0.5]]}],
+               "prescription": [[1, 0, 0], [1.5, 1.5, 0], [1, 2.8, 1.4]],
+               "anchor": [0, 0, 5]}
+        path = write_json(tmp_path / "dep.json", doc)
+        trace = tmp_path / "trace.csv"
+        assert main(["iterate", path, "--trace", str(trace)]) == EXIT_OK
+        alpha = ibap.family.verify_ibap(build_family(load_problem(path))).alpha
+        assert abs(alpha - math.sqrt(0.9)) <= 1e-15
+        assert f"rate bound alpha: {alpha!r}\n" in capsys.readouterr().out
+        rows = list(csv.reader(trace.open()))[1:]
+        assert len(rows) > 100
+        for row in rows:
+            assert float(row[2]) <= float(row[3])
 
     def test_infeasible_fixture_exit_two(self, tmp_path):
         path = write_json(tmp_path / "zs.json", zero_sum_doc())
@@ -976,24 +995,21 @@ class TestDistancesOnlyWithATrace:
 
 def repr_trace_csv(trace) -> bytes:
     """The trace CSV written from the trace's columns, one repr per field."""
-    def field(column, i):
-        return "" if column is None else repr(column[i])
-
-    dists, bounds = trace.distances, trace.bounds
-    rows = "".join(f"{i + 1},{res!r},{field(dists, i)},{field(bounds, i)}\r\n"
-                   for i, res in enumerate(trace.residuals))
+    rows = "".join(f"{i + 1},{res!r},{dist!r},{bound!r}\r\n"
+                   for i, (res, dist, bound) in enumerate(zip(trace.residuals, trace.distances,
+                                                              trace.bounds)))
     return ("iter,max_residual,dist_to_solution,bound\r\n" + rows).encode()
 
 
-def decade_trace(alpha=0.9, with_distances=True, sweeps=300):
+def decade_trace(sweeps=300):
     """A trace whose residuals, distances and bounds cross every decade
     from 10 down to 1e-12, with ragged digits."""
     rng = rng_for(760)
     res = np.logspace(1, -12, sweeps) * rng.uniform(0.5, 2.0, sweeps)
     dists = np.logspace(1.5, -12.5, sweeps) * rng.uniform(0.5, 2.0, sweeps)
     return ConvergenceTrace(residuals=tuple(res.tolist()),
-                            distances=tuple(dists.tolist()) if with_distances else None,
-                            alpha=alpha, initial_distance=12.345678901234567,
+                            distances=tuple(dists.tolist()),
+                            alpha=0.9, initial_distance=12.345678901234567,
                             converged=True)
 
 
@@ -1031,13 +1047,10 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("trace", [
         decade_trace(),
-        decade_trace(alpha=None),
-        decade_trace(with_distances=False),
-        decade_trace(alpha=None, with_distances=False),
         decade_trace(sweeps=1),
         ConvergenceTrace(residuals=(math.inf, 2e-5), distances=(math.nan, 0.0), alpha=0.5,
                          initial_distance=math.inf, converged=False),
-    ], ids=["decades", "alpha-none", "distances-none", "neither", "one-sweep", "non-finite"])
+    ], ids=["decades", "one-sweep", "non-finite"])
     def test_the_file_is_that_of_the_columns(self, trace, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         _write_trace_csv(str(path), trace)

@@ -127,7 +127,8 @@ class TestVerifyIbap:
         assert rep.levels[0].norm >= 1.0 - 1e-8
         assert rep.levels[0].degenerate
         assert math.isinf(rep.levels[0].gamma) or rep.levels[0].gamma > 1e4
-        assert rep.alpha == 1.0
+        # the planes' complements are orthogonal lines
+        assert rep.alpha == 0.0
 
     def test_report_repr_of_two_lines(self):
         e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 2.0])
@@ -138,7 +139,7 @@ class TestVerifyIbap:
         assert repr(verify_ibap(lines(e0, 3 * e0))) == (
             "IbapReport(verdict=False, independent=False, levels=(LevelCertificate("
             "index=1, norm=1.0, cos_angle=0.0, gamma=inf, degenerate=True),), "
-            "alpha=1.0, sum_dims=2, dim_sum=1)")
+            "alpha=0.0, sum_dims=2, dim_sum=1)")
 
     def test_report_is_a_named_tuple(self):
         rep = verify_ibap(lines(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
@@ -246,6 +247,12 @@ class TestVerifyIbap:
             f = random_family(rng, n, random_independent_dims(rng, n, m), field)
             report = verify_ibap(f)
             assert report.verdict
+            assert abs(report.alpha - complement_chain_alpha(f)) <= 1e-12
+        # alpha is the same bound on a planted dependent family
+        for _ in range(25):
+            f = dependent_family_with_witness(rng, int(rng.integers(5, 14)), field)[0]
+            report = verify_ibap(f)
+            assert not report.verdict
             assert abs(report.alpha - complement_chain_alpha(f)) <= 1e-12
 
 

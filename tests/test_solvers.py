@@ -466,6 +466,11 @@ class TestRateBound:
             dims = random_independent_dims(rng, n, int(rng.integers(1, min(n, 5) + 1)))
             f = random_family(rng, n, dims, field)
             assert complement_product_radius(f) <= rate_bound(f) + 64 * eps
+        # on a dependent family too, where rate_bound's gate refuses and
+        # verify_ibap's alpha is the bound
+        for _ in range(40):
+            f = dependent_family_with_witness(rng, int(rng.integers(5, 14)), field)[0]
+            assert complement_product_radius(f) <= verify_ibap(f).alpha + 64 * eps
 
     def test_two_members_contract_at_the_squared_norm(self):
         # Kayalar & Weinert (1988): for two subspaces the spectral radius is
@@ -593,7 +598,7 @@ class TestBestApproximation:
             start = random_unit(rng, 8, field) * 2
             opts = SolveOptions(max_iter=300, tol=1e-11, record_trace=True)
             x, trace = best_approximation(start, f, pres, opts)
-            assert trace.alpha is not None and trace.alpha < 1.0
+            assert trace.alpha < 1.0
             d0 = trace.initial_distance
             prev = d0
             for n, (dist, bound) in enumerate(zip(trace.distances, trace.bounds), 1):
@@ -601,6 +606,22 @@ class TestBestApproximation:
                 assert dist <= prev + 1e-12
                 assert bound == trace.alpha ** n * d0
                 prev = dist
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rate_inequality_on_dependent_families(self, field):
+        # a feasible prescription on a dependent family converges at alpha too
+        rng = rng_for(724)
+        for _ in range(20):
+            n = int(rng.integers(5, 14))
+            f = dependent_family_with_witness(rng, n, field)[0]
+            x = random_unit(rng, n, field) * 2
+            pres = [s.project(x) for s in f.subspaces]
+            opts = SolveOptions(max_iter=400, tol=1e-11, record_trace=True)
+            _, trace = best_approximation(random_unit(rng, n, field) * 2, f, pres, opts)
+            assert trace.alpha == verify_ibap(f).alpha < 1.0
+            d0 = trace.initial_distance
+            for n, dist in enumerate(trace.distances, 1):
+                assert dist <= trace.alpha ** n * d0 + 1e-8
 
     def test_bound_values_are_nonincreasing(self):
         rng = rng_for(721)
@@ -621,16 +642,18 @@ class TestBestApproximation:
             best_approximation(np.zeros(2), f, pres)
 
     def test_feasible_dependent_family_still_converges(self):
-        # dependent family, consistent prescription: no bound column, but
-        # the iteration still reaches the solution set
+        # dependent family, consistent prescription: the planes' complements
+        # are orthogonal lines, so alpha is 0 and the first sweep reaches
+        # the solution set
         f = Family((line(1, 0, 0).complement(), line(0, 1, 0).complement()))
         pres = [np.zeros(3), np.zeros(3)]
         rng = rng_for(722)
         opts = SolveOptions(max_iter=500, tol=1e-10, record_trace=True)
         x, trace = best_approximation(random_unit(rng, 3), f, pres, opts)
-        assert trace.alpha is None
+        assert trace.alpha == 0.0
         assert trace.converged
-        assert trace.bounds is None
+        assert trace.bounds == [0.0] * trace.sweeps
+        assert all(dist <= 1e-15 for dist in trace.distances)
         assert prescription_residual(f, pres, x) <= 1e-10
 
     def test_max_iter_is_honoured(self):
@@ -838,8 +861,7 @@ class TestSweepMatchesTheReference:
         assert np.linalg.norm(x - ref_x) <= drift
         # the columns of the sweeps both runs share: bounds bit for bit,
         # the rest to rounding
-        bounds = trace.bounds
-        assert repr(bounds and bounds[:sweeps]) == repr(ref_bounds and ref_bounds[:sweeps])
+        assert repr(trace.bounds[:sweeps]) == repr(ref_bounds[:sweeps])
         assert (trace.distances is None) == (ref_trace.distances is None)
         for dist, ref in zip(trace.distances or (), ref_trace.distances or ()):
             # a distance rounds with its own size too
@@ -899,11 +921,11 @@ class TestSweepMatchesTheReference:
         assert trace.residuals[0] == 0.0
 
     @pytest.mark.parametrize("record_trace", [False, True])
-    def test_dependent_family_without_a_bound(self, record_trace):
+    def test_a_dependent_family_and_its_bound(self, record_trace):
         f = Family((line(1, 0, 0).complement(), line(0, 1, 0).complement()))
         opts = SolveOptions(max_iter=500, tol=1e-10, record_trace=record_trace)
         trace = self.assert_same_run(random_unit(rng_for(733), 3), f, [np.zeros(3)] * 2, opts)
-        assert trace.alpha is None
+        assert trace.alpha == 0.0
 
     @pytest.mark.parametrize("record_trace", [False, True])
     @pytest.mark.parametrize("field", FIELDS)
@@ -1103,7 +1125,7 @@ class TestBlocksMatchOneSweepAtATime:
         assert len(calls) == len(blocks)
 
     @pytest.mark.parametrize("record_trace", [False, True])
-    def test_dependent_family_without_a_bound(self, record_trace):
+    def test_a_dependent_family_and_its_bound(self, record_trace):
         f = Family((line(1, 0, 0).complement(), line(0, 1, 0).complement()))
         opts = SolveOptions(max_iter=500, tol=1e-10, record_trace=record_trace)
         self.assert_identical(random_unit(rng_for(743), 3), f, [np.zeros(3)] * 2, opts)
